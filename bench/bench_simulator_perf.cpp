@@ -20,20 +20,39 @@
 //               (RunControl with no SpanSink — one null-check per site) vs
 //               no control at all, and the full traced-on vs traced-off
 //               n=16 serve path
+//   threading   the evidence behind qsim/parallel.h's work threshold: a
+//               crossover table (one oracle flip + block + global
+//               reflection, n = 12..22 at 1/2/4 threads, threshold
+//               lifted), the n = 24 Grover speedup at 4 threads, and
+//               pqs_serve throughput over TCP in the default environment
+//               next to OMP_NUM_THREADS=1, with the host it ran on
 //
 // Results print as a table and are written to BENCH_qsim.json (--json PATH)
 // so CI and regression tooling can diff them.
 //
 //   ./build/bench/bench_simulator_perf --backend auto --batch 0 \
 //       --shots 20000 --json BENCH_qsim.json
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <csignal>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "api/api.h"
 #include "common/cli.h"
+#include "common/json.h"
 #include "common/math.h"
 #include "common/table.h"
 #include "common/timing.h"
@@ -43,6 +62,7 @@
 #include "qsim/backend.h"
 #include "qsim/batch.h"
 #include "qsim/isa.h"
+#include "qsim/parallel.h"
 #include "qsim/simulator.h"
 #include "service/service.h"
 
@@ -100,9 +120,155 @@ struct TierRow {
   double grover_seconds = -1.0;  ///< < 0: skipped (--quick)
 };
 
+/// min and median of `trials` per-call timings of `op` (reps calls each).
+template <typename Op>
+Json min_median_us(int trials, int reps, Op&& op) {
+  op();  // warm: page in the state, start the team's threads
+  std::vector<double> us;
+  for (int t = 0; t < trials; ++t) {
+    Stopwatch watch;
+    for (int r = 0; r < reps; ++r) {
+      op();
+    }
+    us.push_back(watch.seconds() * 1e6 / reps);
+  }
+  std::sort(us.begin(), us.end());
+  Json row = Json::make_object();
+  row["min_us"] = us.front();
+  row["median_us"] = us[us.size() / 2];
+  return row;
+}
+
+/// The source revision this bench was built from ("unknown" outside git).
+std::string source_commit() {
+  const std::string command =
+      std::string("git -C '") + PQS_SOURCE_DIR +
+      "' describe --always --dirty --abbrev=12 2>/dev/null";
+  std::string out;
+  if (FILE* pipe = popen(command.c_str(), "r"); pipe != nullptr) {
+    char buf[128];
+    while (fgets(buf, sizeof buf, pipe) != nullptr) {
+      out += buf;
+    }
+    pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+/// posix_spawn `args` with stdout/stderr sent to files. The environment is
+/// this process's minus OMP_NUM_THREADS, plus OMP_NUM_THREADS=1 when
+/// `omp_one` is set. Returns the pid, or -1.
+pid_t spawn_with_env(const std::vector<std::string>& args,
+                     const std::string& out_path, const std::string& err_path,
+                     bool omp_one) {
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (!std::string_view(*e).starts_with("OMP_NUM_THREADS=")) {
+      env.emplace_back(*e);
+    }
+  }
+  if (omp_one) {
+    env.emplace_back("OMP_NUM_THREADS=1");
+  }
+  std::vector<std::string> argv_store = args;
+  std::vector<char*> argv, envp;
+  for (std::string& a : argv_store) {
+    argv.push_back(a.data());
+  }
+  argv.push_back(nullptr);
+  for (std::string& e : env) {
+    envp.push_back(e.data());
+  }
+  envp.push_back(nullptr);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, 1, out_path.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawn_file_actions_addopen(&actions, 2, err_path.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  pid_t pid = -1;
+  const int rc = posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(),
+                             envp.data());
+  posix_spawn_file_actions_destroy(&actions);
+  return rc == 0 ? pid : -1;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// One direct pqs_serve deployment (default options: 2 workers) under a
+/// pqs_loadgen closed loop of fresh grk specs at n_items 16384. Returns
+/// the loadgen summary, or nullopt when a binary is missing or fails.
+std::optional<Json> net_serve_trial(const std::filesystem::path& tools,
+                                    bool omp_one, std::size_t requests,
+                                    std::uint64_t seed) {
+  namespace fs = std::filesystem;
+  const fs::path serve = tools / "pqs_serve";
+  const fs::path loadgen = tools / "pqs_loadgen";
+  if (!fs::exists(serve) || !fs::exists(loadgen)) {
+    return std::nullopt;
+  }
+  const fs::path scratch = fs::temp_directory_path() /
+                           ("pqs_threading_" + std::to_string(getpid()));
+  fs::create_directories(scratch);
+  const std::string serve_err = (scratch / "serve.err").string();
+  const pid_t server =
+      spawn_with_env({serve.string(), "--listen", "127.0.0.1:0"},
+                     "/dev/null", serve_err, omp_one);
+  std::optional<Json> summary;
+  if (server > 0) {
+    // The banner names the bound port; 10 s is far beyond any start-up.
+    std::string port;
+    Stopwatch wait;
+    while (port.empty() && wait.seconds() < 10.0) {
+      const std::string banner = read_file(serve_err);
+      const std::string key = "listening on 127.0.0.1:";
+      if (const auto at = banner.find(key); at != std::string::npos) {
+        const auto end = banner.find('\n', at);
+        if (end != std::string::npos) {
+          port = banner.substr(at + key.size(), end - at - key.size());
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (!port.empty()) {
+      const std::string out = (scratch / "loadgen.out").string();
+      const pid_t client = spawn_with_env(
+          {loadgen.string(), "--connect", "127.0.0.1:" + port, "--clients",
+           "4", "--inflight-per-conn", "16", "--requests",
+           std::to_string(requests), "--unique-keys",
+           std::to_string(requests * 64), "--n-items", "16384", "--seed",
+           std::to_string(seed)},
+          out, (scratch / "loadgen.err").string(), false);
+      int status = 0;
+      if (client > 0 && waitpid(client, &status, 0) == client &&
+          WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+        std::string text = read_file(out);
+        while (!text.empty() && text.back() == '\n') {
+          text.pop_back();
+        }
+        summary = Json::parse(text.substr(text.rfind('\n') + 1));
+      }
+    }
+    kill(server, SIGTERM);
+    waitpid(server, nullptr, 0);
+  }
+  fs::remove_all(scratch);
+  return summary;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::filesystem::path tools_dir =
+      std::filesystem::path(argv[0]).parent_path().parent_path() / "tools";
   Cli cli(argc, argv);
   const std::string backend_flag = cli.get_string(
       "backend", "auto", "engine for the multi-shot section "
@@ -236,6 +402,159 @@ int main(int argc, char** argv) {
   std::cout << "dense_simd (SoA kernels, n=" << simd_n
             << ", auto tier = " << qsim::isa_name(qsim::active_isa())
             << ")\n" << simd_table.render() << "\n";
+
+  // -- section 1c: threading ------------------------------------------------
+  // Runs before the sections that start Services: each Service worker that
+  // runs kernels gets its own OpenMP pool, and a process that has made many
+  // of them times fork/join differently from one that only runs kernels.
+  // Crossover: one GRK-shaped step (oracle flip, block reflection, global
+  // reflection) per n and team size, with the work threshold lifted so
+  // small states open real teams. The step is what one query costs in
+  // Engine::run; kParallelMinElems should sit where the teams start to win.
+  Json threading = Json::make_object();
+  {
+    const int trials = quick ? 3 : 7;
+    const unsigned n_max = quick ? 18u : 22u;
+    Json host = Json::make_object();
+    host["cores"] = std::thread::hardware_concurrency();
+    host["kernel_threads"] = qsim::hardware_threads();
+    host["isa"] = std::string(qsim::isa_name(qsim::active_isa()));
+    host["compiler"] = PQS_BENCH_COMPILER;
+    host["build_type"] = PQS_BENCH_BUILD_TYPE;
+    host["commit"] = source_commit();
+    threading["host"] = std::move(host);
+    threading["trials"] = trials;
+    threading["threshold_elems"] =
+        static_cast<std::uint64_t>(qsim::kParallelMinElems);
+
+    Table cross_table({"n", "chunks", "1 thread us", "2 threads us",
+                       "4 threads us", "best"});
+    Json crossover = Json::make_array();
+    qsim::force_parallel_threshold(0);
+    unsigned first_win = 0;  // smallest n from which a team always wins
+    for (unsigned n = 12; n <= n_max; ++n) {
+      auto sv = qsim::StateVector::uniform(n);
+      const qsim::Index target = pow2(n) / 3 + 1;
+      const int reps = std::max(3, static_cast<int>((1u << 24) >> n));
+      Json row = Json::make_object();
+      row["n"] = n;
+      row["chunks"] = static_cast<std::uint64_t>(pow2(n) / qsim::kChunk);
+      double one = 0.0, best_team = 1e100;
+      std::vector<std::string> cells{Table::num(std::uint64_t{n}),
+                                     Table::num(pow2(n) / qsim::kChunk)};
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        qsim::set_thread_budget(threads);
+        Json t = min_median_us(trials, reps, [&] {
+          sv.phase_flip(target);
+          sv.reflect_blocks_about_uniform(2);
+          sv.reflect_about_uniform();
+        });
+        const double median = t.at("median_us").as_double();
+        if (threads == 1) {
+          one = median;
+        } else {
+          best_team = std::min(best_team, median);
+        }
+        cells.push_back(Table::num(median, 2));
+        row["threads_" + std::to_string(threads)] = std::move(t);
+      }
+      // A team must beat one thread by more than timing noise (5%).
+      const bool team_wins = best_team < 0.95 * one;
+      if (!team_wins) {
+        first_win = 0;
+      } else if (first_win == 0) {
+        first_win = n;
+      }
+      cells.push_back(team_wins ? "team" : "1 thread");
+      cross_table.add_row(cells);
+      crossover.push_back(std::move(row));
+    }
+    qsim::set_thread_budget(0);
+    qsim::force_parallel_threshold(std::nullopt);
+    threading["crossover"] = std::move(crossover);
+    threading["team_wins_from_n"] = first_win;
+    std::cout << "\nthreading crossover (flip + block + global reflect, "
+              << "median of " << trials << "; threshold lifted)\n"
+              << cross_table.render() << "team wins from n = " << first_win
+              << "; kParallelMinElems = " << qsim::kParallelMinElems
+              << " elements\n";
+
+    if (!quick) {
+      // The large-state guarantee the threshold must not cost: n = 24
+      // Grover at 4 threads vs 1.
+      const unsigned n = 24;
+      const int iterations = 100;
+      double seconds[2] = {0.0, 0.0};
+      for (const unsigned threads : {1u, 4u}) {
+        qsim::set_thread_budget(threads);
+        auto sv = qsim::StateVector::uniform(n);
+        Stopwatch watch;
+        for (int i = 0; i < iterations; ++i) {
+          sv.phase_flip(12345);
+          sv.reflect_about_uniform();
+        }
+        seconds[threads == 1 ? 0 : 1] = watch.seconds();
+      }
+      qsim::set_thread_budget(0);
+      Json grover = Json::make_object();
+      grover["n"] = n;
+      grover["iterations"] = iterations;
+      grover["seconds_1_thread"] = seconds[0];
+      grover["seconds_4_threads"] = seconds[1];
+      grover["speedup"] = seconds[0] / std::max(seconds[1], 1e-12);
+      std::cout << "grover n=24 x" << iterations << ": 1 thread "
+                << Table::num(seconds[0], 3) << " s, 4 threads "
+                << Table::num(seconds[1], 3) << " s -> "
+                << Table::num(grover.at("speedup").as_double(), 2) << "x\n";
+      threading["grover_n24"] = std::move(grover);
+    }
+
+    // Direct pqs_serve over TCP, default environment vs OMP_NUM_THREADS=1,
+    // alternating so host drift hits both sides alike.
+    const std::size_t requests = quick ? 1000 : 6000;
+    const int serve_trials = 3;
+    std::vector<double> rps[2], p50[2];
+    bool serve_ok = true;
+    for (int t = 0; t < serve_trials && serve_ok; ++t) {
+      for (const bool omp_one : {false, true}) {
+        const auto summary = net_serve_trial(
+            tools_dir, omp_one, requests, 1000 + static_cast<std::uint64_t>(t));
+        if (!summary.has_value()) {
+          serve_ok = false;
+          break;
+        }
+        rps[omp_one ? 1 : 0].push_back(
+            summary->at("throughput_rps").as_double());
+        p50[omp_one ? 1 : 0].push_back(
+            summary->at("latency_ms").at("p50").as_double());
+      }
+    }
+    if (serve_ok) {
+      const auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+      };
+      Json net = Json::make_object();
+      net["workload"] =
+          "pqs_serve --listen (2 workers) <- pqs_loadgen 4 clients x 16 "
+          "inflight, fresh grk specs, n_items 16384";
+      net["requests"] = static_cast<std::uint64_t>(requests);
+      net["trials"] = serve_trials;
+      net["default_rps"] = median(rps[0]);
+      net["omp1_rps"] = median(rps[1]);
+      net["default_p50_ms"] = median(p50[0]);
+      net["omp1_p50_ms"] = median(p50[1]);
+      net["default_over_omp1"] = median(rps[0]) / median(rps[1]);
+      std::cout << "net_serve direct: default "
+                << Table::num(median(rps[0]), 0) << " rps vs OMP_NUM_THREADS=1 "
+                << Table::num(median(rps[1]), 0) << " rps (median of "
+                << serve_trials << ")\n\n";
+      threading["net_serve"] = std::move(net);
+    } else {
+      std::cout << "net_serve direct: skipped (pqs_serve/pqs_loadgen not "
+                << "found next to " << tools_dir << ")\n";
+    }
+  }
 
   // -- section 2: dense vs symmetry full GRK runs ---------------------------
   std::vector<BackendRow> rows;
@@ -547,7 +866,8 @@ int main(int argc, char** argv) {
        << ", \"service_traced_on_seconds_per_request\": "
        << json_num(obs_service_on_seconds)
        << ", \"enabled_overhead_fraction\": " << json_num(enabled_overhead)
-       << "}\n}\n";
+       << "},\n"
+       << "  \"threading\": " << threading.dump() << "\n}\n";
   json.close();
   std::cout << "\nwrote " << json_path << "\n";
   return 0;

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
-#include <thread>
-
-#ifdef PQS_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 #include "common/check.h"
+#include "qsim/parallel.h"
 
 namespace pqs::qsim {
 
@@ -35,13 +31,10 @@ std::string ShotReport::to_string(std::size_t max_rows) const {
 
 BatchRunner::BatchRunner(BatchOptions options) : options_(options) {
 #ifdef PQS_HAVE_OPENMP
-  threads_ = options_.threads != 0
-                 ? options_.threads
-                 : static_cast<unsigned>(omp_get_max_threads());
+  threads_ = options_.threads != 0 ? options_.threads : thread_budget();
 #else
   threads_ = 1;
 #endif
-  threads_ = std::max(threads_, 1u);
 }
 
 Rng BatchRunner::shot_rng(std::uint64_t shot) const {
@@ -58,21 +51,22 @@ std::vector<Index> BatchRunner::map_shots(
     const std::function<Index(std::uint64_t, Rng&)>& body) const {
   PQS_CHECK_MSG(shots > 0, "need at least one shot");
   std::vector<Index> outcomes(shots);
-  const auto n = static_cast<std::int64_t>(shots);
   RunControl* const control = options_.control;
+  // Never more threads than shots: a 1-shot run opens no region, so its
+  // kernels keep the caller's budget; with a team, kernels inside the shot
+  // bodies run serially (qsim/parallel.h).
+  const auto team =
+      static_cast<unsigned>(std::min<std::uint64_t>(threads_, shots));
   // Spans bracket the whole fan-out, OUTSIDE the parallel region — the
   // trace wants "when did the shot sweep run", never a per-shot event.
   if (control != nullptr) {
     control->span("shots.begin");
   }
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static) num_threads(threads_)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
+  parallel_for(static_cast<std::int64_t>(shots), team, [&](std::int64_t i) {
     // Exceptions cannot cross an OpenMP region: skip the remaining bodies
     // and throw once, below, after the join.
     if (control != nullptr && control->cancelled()) {
-      continue;
+      return;
     }
     const auto shot = static_cast<std::uint64_t>(i);
     Rng rng = shot_rng(shot);
@@ -80,7 +74,7 @@ std::vector<Index> BatchRunner::map_shots(
     if (control != nullptr) {
       control->add_work_done();
     }
-  }
+  });
   checkpoint(control);
   if (control != nullptr) {
     control->span("shots.end");

@@ -3,10 +3,11 @@
 // Multi-shot workloads — repeated measurement of one pre-computed state,
 // independent noise trajectories, or sweeps over many targets — are
 // embarrassingly parallel, but a naive parallel loop over a shared RNG is
-// neither reproducible nor correct. BatchRunner fans shots across OpenMP
-// threads (serial without PQS_HAVE_OPENMP) while giving every shot its own
-// deterministic RNG stream derived from (seed, shot index), so results are
-// identical for any thread count, including 1.
+// neither reproducible nor correct. BatchRunner is the only place that fans
+// shots across threads (qsim/parallel.h; serial without PQS_HAVE_OPENMP),
+// and it gives every shot its own deterministic RNG stream derived from
+// (seed, shot index), so results are identical for any thread count,
+// including 1.
 //
 // The Simulator front-end routes its run_shots / run_block_shots through
 // this layer; algorithm-level sweeps (benches, examples) use map_shots
@@ -40,8 +41,10 @@ struct ShotReport {
 };
 
 struct BatchOptions {
-  /// Worker threads for the shot fan-out; 0 = one per hardware thread.
-  /// Ignored (always 1) when built without OpenMP.
+  /// Worker threads for the shot fan-out; 0 = the constructing thread's
+  /// kernel budget (qsim::thread_budget(): all hardware threads, or a
+  /// Service worker's share). A fan-out never uses more threads than it has
+  /// shots. Ignored (always 1) when built without OpenMP.
   unsigned threads = 0;
   /// Base seed of the per-shot RNG streams.
   std::uint64_t seed = 2005;
@@ -59,7 +62,7 @@ class BatchRunner {
   explicit BatchRunner(BatchOptions options = {});
 
   const BatchOptions& options() const { return options_; }
-  /// The resolved worker count (>= 1).
+  /// The resolved worker count (>= 1); map_shots uses min(threads, shots).
   unsigned threads() const { return threads_; }
 
   /// The RNG stream of one shot: seeded from (options.seed, shot) only, so

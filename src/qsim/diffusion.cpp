@@ -3,6 +3,7 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "qsim/kernels.h"
+#include "qsim/parallel.h"
 
 namespace pqs::qsim {
 
@@ -93,18 +94,16 @@ void apply_dense_matrix(StateVector& state,
   Amplitude* const out = scratch.data();
   const std::span<const double> re = state.re();
   const std::span<const double> im = state.im();
-  const auto rows = static_cast<std::int64_t>(dim);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t r = 0; r < rows; ++r) {
+  // The work is the whole dim x dim matrix, not the dim rows.
+  parallel_for(static_cast<std::int64_t>(dim), parallel_threads(dim * dim),
+               [&](std::int64_t r) {
     const Amplitude* row = matrix.data() + static_cast<std::size_t>(r) * dim;
     Amplitude sum{0.0, 0.0};
     for (std::size_t c = 0; c < dim; ++c) {
       sum += row[c] * Amplitude{re[c], im[c]};
     }
     out[static_cast<std::size_t>(r)] = sum;
-  }
+  });
   SoaVector& soa = state.soa();
   for (std::size_t i = 0; i < dim; ++i) {
     soa.set(i, scratch[i]);

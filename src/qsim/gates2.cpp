@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "qsim/parallel.h"
 
 namespace pqs::qsim {
 
@@ -129,15 +130,11 @@ void apply_gate2(std::span<Amplitude> state, unsigned n_qubits,
   PQS_CHECK_MSG(q_high != q_low, "two-qubit gate needs distinct qubits");
   const std::uint64_t bit_h = std::uint64_t{1} << q_high;
   const std::uint64_t bit_l = std::uint64_t{1} << q_low;
-  const auto n = static_cast<std::int64_t>(state.size());
-
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
+  parallel_for(static_cast<std::int64_t>(state.size()),
+               parallel_threads(state.size()), [&](std::int64_t i) {
     const auto x = static_cast<std::uint64_t>(i);
     if ((x & bit_h) != 0 || (x & bit_l) != 0) {
-      continue;  // handle each 4-tuple once, from its 00 member
+      return;  // handle each 4-tuple once, from its 00 member
     }
     const std::size_t i00 = x;
     const std::size_t i01 = x | bit_l;
@@ -153,7 +150,7 @@ void apply_gate2(std::span<Amplitude> state, unsigned n_qubits,
                  g.m[2][3] * a11;
     state[i11] = g.m[3][0] * a00 + g.m[3][1] * a01 + g.m[3][2] * a10 +
                  g.m[3][3] * a11;
-  }
+  });
 }
 
 }  // namespace kernels

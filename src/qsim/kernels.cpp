@@ -5,18 +5,13 @@
 
 #include "common/check.h"
 #include "common/math.h"
-
-#ifdef PQS_HAVE_OPENMP
-// std::complex is not a built-in OpenMP reduction type in C++; declare one.
-#pragma omp declare reduction(+ : std::complex<double> : omp_out += omp_in) \
-    initializer(omp_priv = std::complex<double>{0.0, 0.0})
-#endif
+#include "qsim/parallel.h"
 
 namespace pqs::qsim::kernels {
 
 namespace {
 
-/// Signed loop counter type for OpenMP-compatible canonical loops.
+/// Signed loop counter type of parallel_for.
 using SIdx = std::int64_t;
 
 void check_state_size(std::span<const Amplitude> state, unsigned n_qubits) {
@@ -56,14 +51,12 @@ void apply_gate1(std::span<Amplitude> state, unsigned n_qubits, unsigned q,
   check_state_size(state, n_qubits);
   PQS_CHECK_MSG(q < n_qubits, "qubit index out of range");
   const std::uint64_t stride = std::uint64_t{1} << q;
-  const auto n = static_cast<SIdx>(state.size());
+  const auto pairs = static_cast<SIdx>(state.size() / (2 * stride));
   const Amplitude m00 = g.m[0][0], m01 = g.m[0][1], m10 = g.m[1][0],
                   m11 = g.m[1][1];
   // Iterate over every index with bit q == 0; its partner has bit q == 1.
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx base = 0; base < n; base += static_cast<SIdx>(stride) * 2) {
+  parallel_for(pairs, parallel_threads(state.size()), [&](SIdx p) {
+    const SIdx base = p * static_cast<SIdx>(stride) * 2;
     for (SIdx off = 0; off < static_cast<SIdx>(stride); ++off) {
       const auto i0 = static_cast<std::size_t>(base + off);
       const auto i1 = i0 + stride;
@@ -72,7 +65,7 @@ void apply_gate1(std::span<Amplitude> state, unsigned n_qubits, unsigned q,
       state[i0] = m00 * a0 + m01 * a1;
       state[i1] = m10 * a0 + m11 * a1;
     }
-  }
+  });
 }
 
 void apply_controlled_gate1(std::span<Amplitude> state, unsigned n_qubits,
@@ -84,13 +77,11 @@ void apply_controlled_gate1(std::span<Amplitude> state, unsigned n_qubits,
                 "target qubit cannot be its own control");
   PQS_CHECK_MSG(control_mask < state.size(), "control mask out of range");
   const std::uint64_t stride = std::uint64_t{1} << q;
-  const auto n = static_cast<SIdx>(state.size());
+  const auto pairs = static_cast<SIdx>(state.size() / (2 * stride));
   const Amplitude m00 = g.m[0][0], m01 = g.m[0][1], m10 = g.m[1][0],
                   m11 = g.m[1][1];
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx base = 0; base < n; base += static_cast<SIdx>(stride) * 2) {
+  parallel_for(pairs, parallel_threads(state.size()), [&](SIdx p) {
+    const SIdx base = p * static_cast<SIdx>(stride) * 2;
     for (SIdx off = 0; off < static_cast<SIdx>(stride); ++off) {
       const auto i0 = static_cast<std::uint64_t>(base + off);
       if ((i0 & control_mask) != control_mask) {
@@ -102,7 +93,7 @@ void apply_controlled_gate1(std::span<Amplitude> state, unsigned n_qubits,
       state[i0] = m00 * a0 + m01 * a1;
       state[i1] = m10 * a0 + m11 * a1;
     }
-  }
+  });
 }
 
 void phase_flip_index(std::span<Amplitude> state, Index t) {
@@ -138,16 +129,13 @@ void phase_rotate_indices(std::span<Amplitude> state,
 
 void phase_flip_mask_all_ones(std::span<Amplitude> state, std::uint64_t mask) {
   PQS_CHECK_MSG(mask < state.size(), "mask out of range");
-  const auto n = static_cast<SIdx>(state.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx i = 0; i < n; ++i) {
+  parallel_for(static_cast<SIdx>(state.size()), parallel_threads(state.size()),
+               [&](SIdx i) {
     const auto u = static_cast<std::uint64_t>(i);
     if ((u & mask) == mask) {
       state[static_cast<std::size_t>(i)] = -state[static_cast<std::size_t>(i)];
     }
-  }
+  });
 }
 
 void reflect_about_uniform(std::span<Amplitude> state) {
@@ -160,10 +148,7 @@ void reflect_blocks_about_uniform(std::span<Amplitude> state,
   PQS_CHECK_MSG(state.size() % block_size == 0,
                 "block size must divide the state size");
   const auto n_blocks = static_cast<SIdx>(state.size() / block_size);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx b = 0; b < n_blocks; ++b) {
+  parallel_for(n_blocks, parallel_threads(state.size()), [&](SIdx b) {
     const std::size_t lo = static_cast<std::size_t>(b) * block_size;
     const Amplitude sum = sum_pairwise(state.subspan(lo, block_size));
     const Amplitude twice_mean =
@@ -171,7 +156,7 @@ void reflect_blocks_about_uniform(std::span<Amplitude> state,
     for (std::size_t i = lo; i < lo + block_size; ++i) {
       state[i] = twice_mean - state[i];
     }
-  }
+  });
 }
 
 void rotate_blocks_about_uniform(std::span<Amplitude> state,
@@ -181,17 +166,14 @@ void rotate_blocks_about_uniform(std::span<Amplitude> state,
                 "block size must divide the state size");
   const Amplitude factor = std::polar(1.0, phi) - 1.0;
   const auto n_blocks = static_cast<SIdx>(state.size() / block_size);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx b = 0; b < n_blocks; ++b) {
+  parallel_for(n_blocks, parallel_threads(state.size()), [&](SIdx b) {
     const std::size_t lo = static_cast<std::size_t>(b) * block_size;
     const Amplitude sum = sum_pairwise(state.subspan(lo, block_size));
     const Amplitude add = factor * sum / static_cast<double>(block_size);
     for (std::size_t i = lo; i < lo + block_size; ++i) {
       state[i] += add;
     }
-  }
+  });
 }
 
 void reflect_about_state(std::span<Amplitude> state,
@@ -200,32 +182,26 @@ void reflect_about_state(std::span<Amplitude> state,
   PQS_CHECK_MSG(approx_eq(norm_squared(axis), 1.0, 1e-9),
                 "reflection axis must be a unit vector");
   const Amplitude overlap = inner_product(axis, state);
-  const auto n = static_cast<SIdx>(state.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx i = 0; i < n; ++i) {
+  parallel_for(static_cast<SIdx>(state.size()), parallel_threads(state.size()),
+               [&](SIdx i) {
     const auto idx = static_cast<std::size_t>(i);
     state[idx] = 2.0 * overlap * axis[idx] - state[idx];
-  }
+  });
 }
 
 void reflect_non_target_about_their_mean(std::span<Amplitude> state, Index t) {
   PQS_CHECK_MSG(t < state.size(), "target index out of range");
   PQS_CHECK_MSG(state.size() >= 2, "need at least two basis states");
-  const auto n = static_cast<SIdx>(state.size());
   Amplitude sum = sum_pairwise(state);
   sum -= state[t];
   const Amplitude twice_mean =
       2.0 * sum / static_cast<double>(state.size() - 1);
   const Amplitude saved_target = state[t];
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx i = 0; i < n; ++i) {
+  parallel_for(static_cast<SIdx>(state.size()), parallel_threads(state.size()),
+               [&](SIdx i) {
     const auto idx = static_cast<std::size_t>(i);
     state[idx] = twice_mean - state[idx];
-  }
+  });
   state[t] = saved_target;
 }
 
@@ -234,7 +210,6 @@ void reflect_unmarked_about_their_mean(std::span<Amplitude> state,
   PQS_CHECK_MSG(!marked_sorted.empty(), "need at least one marked index");
   PQS_CHECK_MSG(marked_sorted.size() < state.size() - 1,
                 "need at least two unmarked states");
-  const auto n = static_cast<SIdx>(state.size());
   Amplitude sum = sum_pairwise(state);
   std::vector<Amplitude> saved(marked_sorted.size());
   for (std::size_t j = 0; j < marked_sorted.size(); ++j) {
@@ -249,13 +224,11 @@ void reflect_unmarked_about_their_mean(std::span<Amplitude> state,
   }
   const Amplitude twice_mean =
       2.0 * sum / static_cast<double>(state.size() - marked_sorted.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx i = 0; i < n; ++i) {
+  parallel_for(static_cast<SIdx>(state.size()), parallel_threads(state.size()),
+               [&](SIdx i) {
     const auto idx = static_cast<std::size_t>(i);
     state[idx] = twice_mean - state[idx];
-  }
+  });
   for (std::size_t j = 0; j < marked_sorted.size(); ++j) {
     state[marked_sorted[j]] = saved[j];
   }
@@ -264,38 +237,27 @@ void reflect_unmarked_about_their_mean(std::span<Amplitude> state,
 Amplitude inner_product(std::span<const Amplitude> a,
                         std::span<const Amplitude> b) {
   PQS_CHECK_MSG(a.size() == b.size(), "dimension mismatch");
+  // The two reductions stay serial: these span kernels are the reference
+  // the SoA tiers are tested against, and an in-order sum is the same at any
+  // thread count.
   Amplitude sum{0.0, 0.0};
-  const auto n = static_cast<SIdx>(a.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static) reduction(+ : sum)
-#endif
-  for (SIdx i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    sum += std::conj(a[idx]) * b[idx];
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    sum += std::conj(a[i]) * b[i];
   }
   return sum;
 }
 
 double norm_squared(std::span<const Amplitude> state) {
   double sum = 0.0;
-  const auto n = static_cast<SIdx>(state.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static) reduction(+ : sum)
-#endif
-  for (SIdx i = 0; i < n; ++i) {
-    sum += std::norm(state[static_cast<std::size_t>(i)]);
+  for (const Amplitude& a : state) {
+    sum += std::norm(a);
   }
   return sum;
 }
 
 void scale(std::span<Amplitude> state, Amplitude s) {
-  const auto n = static_cast<SIdx>(state.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx i = 0; i < n; ++i) {
-    state[static_cast<std::size_t>(i)] *= s;
-  }
+  parallel_for(static_cast<SIdx>(state.size()), parallel_threads(state.size()),
+               [&](SIdx i) { state[static_cast<std::size_t>(i)] *= s; });
 }
 
 }  // namespace pqs::qsim::kernels

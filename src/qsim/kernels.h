@@ -1,6 +1,7 @@
 // O(N) state-vector kernels. These are the hot loops; everything else in the
-// simulator is bookkeeping around them. All kernels are OpenMP-parallel when
-// built with PQS_HAVE_OPENMP.
+// simulator is bookkeeping around them. Every parallel loop opens through
+// qsim/parallel.h, which sizes its team from the work (see "Who owns
+// threads" below).
 //
 // The two reflection kernels are the work-horses of the paper:
 //   reflect_about_uniform      = I0        = 2|psi0><psi0| - I
@@ -11,6 +12,7 @@
 #include <span>
 
 #include "qsim/gates.h"
+#include "qsim/parallel.h"
 #include "qsim/soa.h"
 #include "qsim/types.h"
 
@@ -41,15 +43,12 @@ void phase_rotate_index(std::span<Amplitude> state, Index t, double phi);
 /// explicitly — that path is O(m), not O(N).
 template <typename Pred>
 void phase_flip_if(std::span<Amplitude> state, Pred&& predicate) {
-  const auto n = static_cast<std::int64_t>(state.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
+  parallel_for(static_cast<std::int64_t>(state.size()),
+               parallel_threads(state.size()), [&](std::int64_t i) {
     if (predicate(static_cast<Index>(i))) {
       state[static_cast<std::size_t>(i)] = -state[static_cast<std::size_t>(i)];
     }
-  }
+  });
 }
 
 /// Oracle fast path: flip the sign of exactly the listed basis states.
@@ -130,8 +129,18 @@ void scale(std::span<Amplitude> state, Amplitude s);
 //
 // All block means and reductions use deterministic fixed-chunk pairwise
 // summation (chunk partials combined pairwise), so results are independent
-// of the OpenMP thread count and match the span kernels' recursive pairwise
-// sums to well under the 1e-10 dense≡symmetry agreement bar.
+// of the thread count and match the span kernels' recursive pairwise sums to
+// well under the 1e-10 dense≡symmetry agreement bar.
+//
+// Who owns threads: no kernel picks its own team. Each parallel loop asks
+// parallel_threads(elements swept) (qsim/parallel.h) and runs through
+// parallel_for. A sweep under kParallelMinElems (8 chunks) stays on the
+// calling thread, because fork/join would cost more than the sweep. A kernel
+// called inside a BatchRunner shot body runs serially without entering a
+// region; BatchRunner is the only place that fans out shots. Otherwise the
+// team is the calling thread's budget: a Service worker gets
+// hardware_threads() / workers, and any other caller gets every hardware
+// thread.
 // ---------------------------------------------------------------------------
 
 void apply_gate1(SoaVector& v, unsigned n_qubits, unsigned q, const Gate2& g);
@@ -150,17 +159,14 @@ template <typename Pred>
 void phase_flip_if(SoaVector& v, Pred&& predicate) {
   double* re = v.re();
   double* im = v.im();
-  const auto n = static_cast<std::int64_t>(v.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
+  parallel_for(static_cast<std::int64_t>(v.size()), parallel_threads(v.size()),
+               [&](std::int64_t i) {
     if (predicate(static_cast<Index>(i))) {
       const auto idx = static_cast<std::size_t>(i);
       re[idx] = -re[idx];
       im[idx] = -im[idx];
     }
-  }
+  });
   v.invalidate_sums();
 }
 

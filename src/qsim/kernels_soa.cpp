@@ -1,12 +1,13 @@
-// SoA kernel composition layer: chunking, OpenMP, the block-sum cache, and
-// ISA dispatch. The arithmetic itself lives in the per-tier segment
-// primitives (qsim/kernels_scalar.cpp / kernels_avx2.cpp / kernels_avx512.cpp).
+// SoA kernel composition layer: chunking, threading (qsim/parallel.h), the
+// block-sum cache, and ISA dispatch. The arithmetic itself lives in the
+// per-tier segment primitives (qsim/kernels_scalar.cpp / kernels_avx2.cpp /
+// kernels_avx512.cpp).
 //
 // Determinism contract: every mean/reduction is a fixed-chunk pairwise sum —
 // segments of kChunk elements are reduced by the tier primitive and the
 // per-chunk partials are combined pairwise — so results do not depend on the
-// OpenMP thread count and stay within ulps of the span kernels' recursive
-// pairwise sums.
+// thread count and stay within ulps of the span kernels' recursive pairwise
+// sums.
 //
 // Cache contract: the reflect/rotate update passes accumulate the sums of
 // the values they store and refresh SoaVector's block-sum cache from them,
@@ -21,6 +22,7 @@
 #include "common/math.h"
 #include "qsim/kernels.h"
 #include "qsim/kernels_ops.h"
+#include "qsim/parallel.h"
 
 namespace pqs::qsim::kernels {
 
@@ -42,12 +44,6 @@ const KernelOps& active_kernel_ops() { return kernel_ops(active_isa()); }
 namespace {
 
 using SIdx = std::int64_t;
-
-/// Fixed reduction chunk: large enough that the per-chunk bookkeeping is
-/// noise, small enough that in-order accumulation inside a chunk stays at
-/// ulp-scale error. MUST stay a compile-time constant — determinism of every
-/// mean in the engine depends on the chunk partition being fixed.
-constexpr std::size_t kChunk = 4096;
 
 std::size_t chunks_for(std::size_t len) {
   return (len + kChunk - 1) / kChunk;
@@ -76,16 +72,12 @@ void sum_range(const double* re, const double* im, std::size_t lo,
     return;
   }
   std::vector<double> pr(nc), pi(nc);
-  const auto n = static_cast<SIdx>(nc);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx c = 0; c < n; ++c) {
+  parallel_for(static_cast<SIdx>(nc), parallel_threads(len), [&](SIdx c) {
     const std::size_t off = lo + static_cast<std::size_t>(c) * kChunk;
     const std::size_t clen = std::min(kChunk, lo + len - off);
     ops.sum(re + off, im + off, clen, &pr[static_cast<std::size_t>(c)],
             &pi[static_cast<std::size_t>(c)]);
-  }
+  });
   *out_re = combine_pairwise(pr.data(), nc);
   *out_im = combine_pairwise(pi.data(), nc);
 }
@@ -103,30 +95,24 @@ void block_sums(const SoaVector& v, std::size_t bs, const KernelOps& ops,
     si = v.sum_im();
     return;
   }
+  // Both loops below sweep the whole vector, whatever their iteration count.
+  const unsigned threads = parallel_threads(v.size());
   const std::size_t cpb = chunks_for(bs);
   if (cpb == 1) {
-    const auto n = static_cast<SIdx>(nb);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (SIdx b = 0; b < n; ++b) {
+    parallel_for(static_cast<SIdx>(nb), threads, [&](SIdx b) {
       const auto ub = static_cast<std::size_t>(b);
       ops.sum(v.re() + ub * bs, v.im() + ub * bs, bs, &sr[ub], &si[ub]);
-    }
+    });
     return;
   }
   std::vector<double> pr(nb * cpb), pi(nb * cpb);
-  const auto tasks = static_cast<SIdx>(nb * cpb);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx t = 0; t < tasks; ++t) {
+  parallel_for(static_cast<SIdx>(nb * cpb), threads, [&](SIdx t) {
     const auto ut = static_cast<std::size_t>(t);
     const std::size_t b = ut / cpb;
     const std::size_t off = b * bs + (ut % cpb) * kChunk;
     const std::size_t clen = std::min(kChunk, (b + 1) * bs - off);
     ops.sum(v.re() + off, v.im() + off, clen, &pr[ut], &pi[ut]);
-  }
+  });
   for (std::size_t b = 0; b < nb; ++b) {
     sr[b] = combine_pairwise(pr.data() + b * cpb, cpb);
     si[b] = combine_pairwise(pi.data() + b * cpb, cpb);
@@ -142,11 +128,8 @@ void block_update(SoaVector& v, std::size_t bs, const KernelOps& ops,
   const std::size_t nb = v.size() / bs;
   const std::size_t cpb = chunks_for(bs);
   std::vector<double> pr(nb * cpb), pi(nb * cpb);
-  const auto tasks = static_cast<SIdx>(nb * cpb);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx t = 0; t < tasks; ++t) {
+  parallel_for(static_cast<SIdx>(nb * cpb), parallel_threads(v.size()),
+               [&](SIdx t) {
     const auto ut = static_cast<std::size_t>(t);
     const std::size_t b = ut / cpb;
     const std::size_t off = b * bs + (ut % cpb) * kChunk;
@@ -158,7 +141,7 @@ void block_update(SoaVector& v, std::size_t bs, const KernelOps& ops,
       ops.add(v.re() + off, v.im() + off, clen, tr[b], ti[b], &pr[ut],
               &pi[ut]);
     }
-  }
+  });
   v.mark_sums(bs);
   for (std::size_t b = 0; b < nb; ++b) {
     v.sum_re()[b] = combine_pairwise(pr.data() + b * cpb, cpb);
@@ -187,15 +170,13 @@ void apply_gate1(SoaVector& v, unsigned n_qubits, unsigned q, const Gate2& g) {
   double m[8];
   pack_gate(g, m);
   const std::size_t stride = std::size_t{1} << q;
-  const auto n = static_cast<SIdx>(v.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx base = 0; base < n; base += static_cast<SIdx>(stride) * 2) {
-    const auto lo = static_cast<std::size_t>(base);
+  // One iteration per stride pair: the work is the whole vector either way.
+  const auto pairs = static_cast<SIdx>(v.size() / (2 * stride));
+  parallel_for(pairs, parallel_threads(v.size()), [&](SIdx p) {
+    const std::size_t lo = static_cast<std::size_t>(p) * 2 * stride;
     ops.gate1(v.re() + lo, v.im() + lo, v.re() + lo + stride,
               v.im() + lo + stride, stride, m);
-  }
+  });
   v.invalidate_sums();
 }
 
@@ -214,10 +195,9 @@ void apply_controlled_gate1(SoaVector& v, unsigned n_qubits,
                   m11 = g.m[1][1];
   double* re = v.re();
   double* im = v.im();
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx base = 0; base < n; base += static_cast<SIdx>(stride) * 2) {
+  const auto pairs = n / (static_cast<SIdx>(stride) * 2);
+  parallel_for(pairs, parallel_threads(v.size()), [&](SIdx p) {
+    const SIdx base = p * static_cast<SIdx>(stride) * 2;
     for (SIdx off = 0; off < static_cast<SIdx>(stride); ++off) {
       const auto i0 = static_cast<std::uint64_t>(base + off);
       if ((i0 & control_mask) != control_mask) {
@@ -233,7 +213,7 @@ void apply_controlled_gate1(SoaVector& v, unsigned n_qubits,
       re[i1] = b1.real();
       im[i1] = b1.imag();
     }
-  }
+  });
   v.invalidate_sums();
 }
 
@@ -290,17 +270,14 @@ void phase_flip_mask_all_ones(SoaVector& v, std::uint64_t mask) {
   PQS_CHECK_MSG(mask < v.size(), "mask out of range");
   double* re = v.re();
   double* im = v.im();
-  const auto n = static_cast<SIdx>(v.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx i = 0; i < n; ++i) {
+  parallel_for(static_cast<SIdx>(v.size()), parallel_threads(v.size()),
+               [&](SIdx i) {
     const auto u = static_cast<std::uint64_t>(i);
     if ((u & mask) == mask) {
       re[u] = -re[u];
       im[u] = -im[u];
     }
-  }
+  });
   v.invalidate_sums();
 }
 
@@ -376,17 +353,13 @@ void reflect_unmarked_about_their_mean(SoaVector& v,
       2.0 * sum / static_cast<double>(v.size() - marked_sorted.size());
   const std::size_t nc = chunks_for(v.size());
   std::vector<double> pr(nc), pi(nc);
-  const auto n = static_cast<SIdx>(nc);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx c = 0; c < n; ++c) {
+  parallel_for(static_cast<SIdx>(nc), parallel_threads(v.size()), [&](SIdx c) {
     const std::size_t off = static_cast<std::size_t>(c) * kChunk;
     const std::size_t clen = std::min(kChunk, v.size() - off);
     ops.reflect(v.re() + off, v.im() + off, clen, twice_mean.real(),
                 twice_mean.imag(), &pr[static_cast<std::size_t>(c)],
                 &pi[static_cast<std::size_t>(c)]);
-  }
+  });
   for (std::size_t j = 0; j < marked_sorted.size(); ++j) {
     v.set(marked_sorted[j], saved[j]);
   }
@@ -416,16 +389,12 @@ double norm_squared_range(const SoaVector& v, std::size_t lo,
     return ops.norm_sq(v.re() + lo, v.im() + lo, len);
   }
   std::vector<double> p(nc);
-  const auto n = static_cast<SIdx>(nc);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx c = 0; c < n; ++c) {
+  parallel_for(static_cast<SIdx>(nc), parallel_threads(len), [&](SIdx c) {
     const std::size_t off = lo + static_cast<std::size_t>(c) * kChunk;
     const std::size_t clen = std::min(kChunk, lo + len - off);
     p[static_cast<std::size_t>(c)] =
         ops.norm_sq(v.re() + off, v.im() + off, clen);
-  }
+  });
   return combine_pairwise(p.data(), nc);
 }
 
@@ -443,17 +412,13 @@ Amplitude inner_product(const SoaVector& a, const SoaVector& b) {
     return Amplitude{sr, si};
   }
   std::vector<double> pr(nc), pi(nc);
-  const auto n = static_cast<SIdx>(nc);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx c = 0; c < n; ++c) {
+  parallel_for(static_cast<SIdx>(nc), parallel_threads(a.size()), [&](SIdx c) {
     const auto uc = static_cast<std::size_t>(c);
     const std::size_t off = uc * kChunk;
     const std::size_t clen = std::min(kChunk, a.size() - off);
     ops.inner(a.re() + off, a.im() + off, b.re() + off, b.im() + off, clen,
               &pr[uc], &pi[uc]);
-  }
+  });
   return Amplitude{combine_pairwise(pr.data(), nc),
                    combine_pairwise(pi.data(), nc)};
 }
@@ -461,15 +426,11 @@ Amplitude inner_product(const SoaVector& a, const SoaVector& b) {
 void scale(SoaVector& v, Amplitude s) {
   const KernelOps& ops = active_kernel_ops();
   const std::size_t nc = chunks_for(v.size());
-  const auto n = static_cast<SIdx>(nc);
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx c = 0; c < n; ++c) {
+  parallel_for(static_cast<SIdx>(nc), parallel_threads(v.size()), [&](SIdx c) {
     const std::size_t off = static_cast<std::size_t>(c) * kChunk;
     const std::size_t clen = std::min(kChunk, v.size() - off);
     ops.scale(v.re() + off, v.im() + off, clen, s.real(), s.imag());
-  }
+  });
   // A global scale maps every block sum linearly, so keep the cache alive by
   // rescaling it. In floating point s*sum(a) and sum(s*a) can differ by a few
   // ulps, far below the 1e-10 agreement bar; reflect() refreshes the sums from

@@ -1,8 +1,11 @@
 #include "service/service.h"
 
+#include <algorithm>
+
 #include "api/serialize.h"
 #include "common/check.h"
 #include "common/timing.h"
+#include "qsim/parallel.h"
 #include "service/journal.h"
 
 namespace pqs {
@@ -416,6 +419,11 @@ void Service::reap_cancelled_locked() {
 }
 
 void Service::worker_loop() {
+  // Workers share the machine: each gets an equal slice of its threads for
+  // the kernels and shot fan-outs it runs, so W workers never open more
+  // than hardware_threads() threads between them.
+  qsim::set_thread_budget(
+      std::max(1u, qsim::hardware_threads() / options_.threads));
   while (true) {
     std::shared_ptr<Job> job;
     {

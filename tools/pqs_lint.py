@@ -7,7 +7,8 @@ repository — each rule exists because the bug class it flags either
 actually shipped here or is one design decision away from shipping:
 
   thread-local-omp   A `static thread_local` variable referenced inside an
-                     `#pragma omp parallel` region. Worker threads each see
+                     `#pragma omp parallel` region or a `parallel_for(...)`
+                     call (qsim/parallel.h). Worker threads each see
                      their own (empty) thread_local instance, so writes go
                      to buffers nobody reads — the exact PR 6
                      apply_dense_matrix bug. Hoist a raw pointer outside
@@ -31,11 +32,18 @@ actually shipped here or is one design decision away from shipping:
                      analysis; use the capability-annotated pqs::Mutex so
                      lock discipline stays machine-checked.
 
-  omp-pragma         `#pragma omp` in a file not on the approved list.
-                     OpenMP regions interact with thread_locals, the
-                     BatchRunner's own fan-out, and TSan's blind spot for
-                     libgomp — new parallel regions are a reviewed
-                     decision, not a drive-by.
+  omp-pragma         `#pragma omp` in a file not on the approved list, or
+                     a `#pragma omp parallel` that does not take its thread
+                     count from the helper. OpenMP regions interact with
+                     thread_locals, the BatchRunner's own fan-out, and
+                     TSan's blind spot for libgomp — new parallel regions
+                     are a reviewed decision, not a drive-by. Every region
+                     opens in qsim/parallel.h's parallel_for, whose
+                     num_threads comes from parallel_threads(work) or the
+                     BatchRunner's shot team. A region anywhere else, even
+                     in an approved file, skips the work threshold and the
+                     per-worker thread budget: a fork/join storm on small
+                     states, oversubscription under a Service.
 
   raw-socket         A raw POSIX socket call (`::socket`, `::accept`,
                      `::bind`, `::listen`, `::connect`, ...) outside
@@ -66,7 +74,7 @@ Usage:
                                       bench/); exit 1 on any violation
   tools/pqs_lint.py --self-test       run the golden fixtures under
                                       tests/lint_fixtures/ (each rule has
-                                      one violating and one clean fixture)
+                                      violating and clean fixtures)
   tools/pqs_lint.py FILE [FILE...]    lint specific files
 """
 
@@ -107,14 +115,13 @@ BARE_MUTEX_ALLOWED = {
 }
 
 OMP_PRAGMA_ALLOWED = {
-    "src/qsim/kernels.h",
-    "src/qsim/kernels.cpp",
-    "src/qsim/kernels_scalar.cpp",
-    "src/qsim/kernels_soa.cpp",
-    "src/qsim/gates2.cpp",
-    "src/qsim/diffusion.cpp",
-    "src/qsim/batch.cpp",
+    "src/qsim/parallel.h",
+    "src/qsim/kernels_scalar.cpp",  # `omp simd` hints only
 }
+
+# The one file that may open a parallel region: the helper every kernel and
+# the BatchRunner go through.
+OMP_REGION_HOME = "src/qsim/parallel.h"
 
 SCAN_DIRS = ("src", "tools", "examples", "bench")
 SCAN_SUFFIXES = (".h", ".cpp")
@@ -197,28 +204,35 @@ def strip_comments_and_strings(text):
 
 OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b")
 OMP_ANY_RE = re.compile(r"^\s*#\s*pragma\s+omp\b")
+PARALLEL_FOR_CALL_RE = re.compile(r"\bparallel_for\s*\(")
 PREPROC_RE = re.compile(r"^\s*#")
 
 
 def omp_parallel_regions(stripped_lines):
-    """(pragma_idx, first_idx, last_idx) 0-based line spans of the statement
-    each `#pragma omp parallel ...` applies to.
+    """(start_idx, first_idx, last_idx) 0-based line spans of the code each
+    parallel region runs.
 
-    The structured block is the next non-preprocessor statement: a braced
-    block (tracked to its matching close) or a single statement up to a
-    top-level `;` (semicolons inside parens — a for-header — don't count).
+    For `#pragma omp parallel ...` the structured block is the next
+    non-preprocessor statement: a braced block (tracked to its matching
+    close) or a single statement up to a top-level `;` (semicolons inside
+    parens — a for-header — don't count). For a `parallel_for(...)` call
+    (qsim/parallel.h) it is the call statement itself, lambda included.
     """
     regions = []
     n = len(stripped_lines)
     for idx, line in enumerate(stripped_lines):
-        if not OMP_PARALLEL_RE.match(line):
+        if OMP_PARALLEL_RE.match(line):
+            start = idx + 1
+        elif PARALLEL_FOR_CALL_RE.search(line) and not PREPROC_RE.match(line):
+            start = idx
+        else:
             continue
         brace_depth = 0
         paren_depth = 0
         saw_brace = False
         first = None
         last = None
-        k = idx + 1
+        k = start
         while k < n and last is None:
             text = stripped_lines[k]
             if PREPROC_RE.match(text):  # e.g. the #endif of an OpenMP guard
@@ -418,16 +432,24 @@ def check_raw_clock(rel, raw, stripped):
 
 def check_omp_pragma(rel, raw, stripped):
     del raw
-    if rel in OMP_PRAGMA_ALLOWED:
-        return []
     violations = []
     for idx, line in enumerate(stripped.split("\n")):
-        if OMP_ANY_RE.match(line):
+        if not OMP_ANY_RE.match(line):
+            continue
+        if rel not in OMP_PRAGMA_ALLOWED:
             violations.append(Violation(
                 rel, idx + 1, "omp-pragma",
                 "`#pragma omp` in a file not on the approved OpenMP list "
                 "(tools/pqs_lint.py OMP_PRAGMA_ALLOWED); new parallel "
                 "regions are a reviewed decision"))
+        elif OMP_PARALLEL_RE.match(line) and (
+                rel != OMP_REGION_HOME or "num_threads(" not in line):
+            violations.append(Violation(
+                rel, idx + 1, "omp-pragma",
+                "`#pragma omp parallel` that does not take its thread count "
+                "from the helper; open regions through qsim::parallel_for "
+                "with parallel_threads(work), so the work threshold and the "
+                "per-worker thread budget apply (qsim/parallel.h)"))
     return violations
 
 
@@ -474,33 +496,44 @@ def lint_tree(root):
     return violations, count
 
 
+FIXTURE_PATH_RE = re.compile(r"^// pqs_lint fixture path: (\S+)$", re.M)
+
+
 def run_self_test(root):
-    """Golden fixtures: tests/lint_fixtures/<rule>.violation.cpp must trip
-    its rule; <rule>.clean.cpp must not. Each fixture is evaluated against
-    its NAMED rule only (a thread-local-omp fixture necessarily contains an
-    OpenMP pragma, which is the omp-pragma rule's business, not its own).
-    Every rule must have both fixtures — a rule without fixtures can
-    silently rot."""
+    """Golden fixtures: tests/lint_fixtures/<rule>.violation[-<case>].cpp
+    must trip its rule; <rule>.clean[-<case>].cpp must not. Each fixture is
+    evaluated against its NAMED rule only (a thread-local-omp fixture
+    necessarily contains an OpenMP pragma, which is the omp-pragma rule's
+    business, not its own). A `// pqs_lint fixture path: <repo path>` line
+    lints the fixture as if it lived at that path, which pins a rule's
+    behaviour on approved files. Every rule must have both kinds of
+    fixture — a rule without fixtures can silently rot."""
     fixture_dir = root / "tests" / "lint_fixtures"
     if not fixture_dir.is_dir():
         print(f"self-test: fixture dir {fixture_dir} missing", file=sys.stderr)
         return 1
     failures = []
+    fixtures = 0
     seen = {rule: set() for rule in RULES}
     for path in sorted(fixture_dir.iterdir()):
         if path.suffix not in SCAN_SUFFIXES:
             continue
         parts = path.name.split(".")
-        if len(parts) != 3 or parts[1] not in ("violation", "clean"):
+        kind = parts[1].split("-", 1)[0] if len(parts) == 3 else ""
+        if kind not in ("violation", "clean"):
             failures.append(f"{path.name}: fixture name must be "
-                            f"<rule>.violation.<ext> or <rule>.clean.<ext>")
+                            f"<rule>.violation[-<case>].<ext> or "
+                            f"<rule>.clean[-<case>].<ext>")
             continue
-        rule, kind = parts[0], parts[1]
+        rule = parts[0]
         if rule not in RULES:
             failures.append(f"{path.name}: unknown rule '{rule}'")
             continue
+        fixtures += 1
         seen[rule].add(kind)
-        violations = lint_file(path, path.name, rules={rule: RULES[rule]})
+        as_path = FIXTURE_PATH_RE.search(path.read_text(encoding="utf-8"))
+        rel = as_path.group(1) if as_path else path.name
+        violations = lint_file(path, rel, rules={rule: RULES[rule]})
         if kind == "violation" and not violations:
             failures.append(f"{path.name}: expected a '{rule}' violation, "
                             f"got none")
@@ -516,8 +549,7 @@ def run_self_test(root):
         for failure in failures:
             print(f"self-test FAIL: {failure}", file=sys.stderr)
         return 1
-    total = sum(len(kinds) for kinds in seen.values())
-    print(f"pqs_lint self-test: {total} fixtures across "
+    print(f"pqs_lint self-test: {fixtures} fixtures across "
           f"{len(RULES)} rules — all behave as pinned")
     return 0
 
