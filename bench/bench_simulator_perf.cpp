@@ -11,8 +11,12 @@
 //   backends    dense vs symmetry cost of one full GRK run at growing n —
 //               the O(N) -> O(K) gap the pluggable-backend refactor buys,
 //               including symmetry-only rows far beyond dense reach (n=48)
-//   multi_shot  serial (1 thread) vs batched (--batch threads) multi-shot
-//               throughput through Simulator/BatchRunner
+//   sampling    shot sampling alone: one evolved dense grk state (n = 16,
+//               K = 4), --shots block and full-index shots drawn through
+//               BatchRunner on 1 thread and on the full team, with the host
+//               it ran on
+//   trajectories noisy runs, one evolution per shot, through Simulator on 1
+//               thread vs the full team, with the host it ran on
 //   facade      pqs::Engine::run(SearchSpec) vs the direct module call
 //               (dispatch + validation overhead of the service API) and the
 //               plan cache: cold vs warm Engine::plan on the same key
@@ -158,6 +162,19 @@ std::string source_commit() {
   return out.empty() ? "unknown" : out;
 }
 
+/// The host a section ran on: cores, kernel threads, ISA tier, compiler,
+/// build type and source revision.
+Json host_json() {
+  Json host = Json::make_object();
+  host["cores"] = std::thread::hardware_concurrency();
+  host["kernel_threads"] = qsim::hardware_threads();
+  host["isa"] = std::string(qsim::isa_name(qsim::active_isa()));
+  host["compiler"] = PQS_BENCH_COMPILER;
+  host["build_type"] = PQS_BENCH_BUILD_TYPE;
+  host["commit"] = source_commit();
+  return host;
+}
+
 /// posix_spawn `args` with stdout/stderr sent to files. The environment is
 /// this process's minus OMP_NUM_THREADS, plus OMP_NUM_THREADS=1 when
 /// `omp_one` is set. Returns the pid, or -1.
@@ -271,12 +288,12 @@ int main(int argc, char** argv) {
       std::filesystem::path(argv[0]).parent_path().parent_path() / "tools";
   Cli cli(argc, argv);
   const std::string backend_flag = cli.get_string(
-      "backend", "auto", "engine for the multi-shot section "
+      "backend", "auto", "engine for the trajectories section "
       "(auto | dense | symmetry)");
   const auto batch_threads = static_cast<unsigned>(cli.get_int(
-      "batch", 0, "threads for the batched run (0 = all hardware threads)"));
+      "batch", 0, "threads of the team runs (0 = all hardware threads)"));
   const auto shots = static_cast<std::uint64_t>(
-      cli.get_int("shots", 20000, "shots for the multi-shot section"));
+      cli.get_int("shots", 20000, "shots for the sampling section"));
   const std::string json_path =
       cli.get_string("json", "BENCH_qsim.json", "output JSON path");
   const bool quick = cli.get_bool("quick", false, "smaller sizes only");
@@ -285,7 +302,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   cli.finish();
-  const qsim::BackendKind shot_backend =
+  const qsim::BackendKind trajectory_backend =
       qsim::parse_backend_kind(backend_flag);
 
   std::cout << "P1 - simulation-engine throughput (JSON -> " << json_path
@@ -415,14 +432,7 @@ int main(int argc, char** argv) {
   {
     const int trials = quick ? 3 : 7;
     const unsigned n_max = quick ? 18u : 22u;
-    Json host = Json::make_object();
-    host["cores"] = std::thread::hardware_concurrency();
-    host["kernel_threads"] = qsim::hardware_threads();
-    host["isa"] = std::string(qsim::isa_name(qsim::active_isa()));
-    host["compiler"] = PQS_BENCH_COMPILER;
-    host["build_type"] = PQS_BENCH_BUILD_TYPE;
-    host["commit"] = source_commit();
-    threading["host"] = std::move(host);
+    threading["host"] = host_json();
     threading["trials"] = trials;
     threading["threshold_elems"] =
         static_cast<std::uint64_t>(qsim::kParallelMinElems);
@@ -618,43 +628,100 @@ int main(int argc, char** argv) {
   backends_json << "]";
   std::cout << backend_table.render() << "\n";
 
-  // -- section 3: serial vs batched multi-shot ------------------------------
-  const unsigned shot_n = quick ? 12u : 16u;
-  const oracle::Database db = oracle::Database::with_qubits(shot_n, 99);
-  qsim::Circuit circuit(shot_n);
-  for (int i = 0; i < 10; ++i) {
-    circuit.grover_iteration();
+  // -- section 3: shot sampling, and noisy trajectories ---------------------
+  // sampling: every shot of a batch draws from one sampler built from the
+  // evolved state (qsim/sampler.h), so this times the build plus the draws.
+  Json sampling = Json::make_object();
+  {
+    const unsigned n = 16, k = 2;
+    const int trials = quick ? 3 : 7;
+    const auto opt = partial::optimize_integer(
+        pow2(n), pow2(k), partial::default_min_success(pow2(n)));
+    const oracle::Database db(pow2(n), pow2(n) / 3 + 1);
+    const auto backend = partial::evolve_partial_search_on_backend(
+        db, k, opt.l1, opt.l2, qsim::BackendKind::kDense);
+    const qsim::BatchRunner serial({.threads = 1});
+    const qsim::BatchRunner team({.threads = batch_threads});
+    sampling["host"] = host_json();
+    sampling["trials"] = trials;
+    sampling["n"] = n;
+    sampling["k"] = k;
+    sampling["shots"] = shots;
+    sampling["team_threads"] = team.threads();
+    Table sample_table({"shots", "threads", "batch us (median)", "us/shot"});
+    for (const bool block : {true, false}) {
+      for (const qsim::BatchRunner* runner : {&serial, &team}) {
+        Json row = min_median_us(trials, 1, [&] {
+          (void)(block ? runner->sample_block_shots(*backend, shots, 0)
+                       : runner->sample_shots(*backend, shots, 0));
+        });
+        const double median_us = row.at("median_us").as_double();
+        const double per_shot = median_us / static_cast<double>(shots);
+        row["us_per_shot"] = per_shot;
+        sample_table.add_row({block ? "block" : "index",
+                              Table::num(std::uint64_t{runner->threads()}),
+                              Table::num(median_us, 1),
+                              Table::num(per_shot, 4)});
+        sampling[std::string(block ? "block" : "index") +
+                 (runner == &serial ? "_1_thread" : "_team")] = std::move(row);
+      }
+    }
+    std::cout << "sampling (dense grk, n=" << n << ", k=" << k << ", "
+              << shots << " shots, median of " << trials << ")\n"
+              << sample_table.render() << "\n";
   }
-  for (int i = 0; i < 5; ++i) {
-    circuit.partial_iteration(2);
+
+  // trajectories: a fresh noisy evolution per shot, fanned over the team.
+  Json trajectories = Json::make_object();
+  {
+    const unsigned n = quick ? 10u : 12u, k = 2;
+    const std::uint64_t trajectory_shots = quick ? 200 : 1000;
+    const int trials = 3;
+    const oracle::Database db = oracle::Database::with_qubits(n, 99);
+    qsim::Circuit circuit(n);
+    for (int i = 0; i < 10; ++i) {
+      circuit.grover_iteration();
+    }
+    for (int i = 0; i < 5; ++i) {
+      circuit.partial_iteration(k);
+    }
+    circuit.non_target_mean_reflection();
+    const qsim::NoiseModel noise{qsim::NoiseKind::kDepolarizing, 0.01};
+    double seconds[2] = {0.0, 0.0};
+    qsim::Index modes[2] = {0, 0};
+    const unsigned team_threads =
+        qsim::BatchRunner({.threads = batch_threads}).threads();
+    for (const bool use_team : {false, true}) {
+      qsim::Simulator sim(2005);
+      sim.set_backend(trajectory_backend);
+      sim.set_noise(noise);
+      sim.set_batch({.threads = use_team ? batch_threads : 1u});
+      Json row = min_median_us(trials, 1, [&] {
+        sim.reseed(2005);
+        modes[use_team ? 1 : 0] =
+            sim.run_block_shots(circuit, db.view(), k, trajectory_shots).mode;
+      });
+      seconds[use_team ? 1 : 0] = row.at("median_us").as_double() * 1e-6;
+    }
+    trajectories["host"] = host_json();
+    trajectories["trials"] = trials;
+    trajectories["backend"] = to_string(trajectory_backend);
+    trajectories["n"] = n;
+    trajectories["shots"] = trajectory_shots;
+    trajectories["queries_per_shot"] = circuit.query_count();
+    trajectories["noise"] = "depolarizing 0.01";
+    trajectories["seconds_1_thread"] = seconds[0];
+    trajectories["seconds_team"] = seconds[1];
+    trajectories["team_threads"] = team_threads;
+    trajectories["speedup"] = seconds[0] / std::max(seconds[1], 1e-12);
+    std::cout << "trajectories (" << to_string(trajectory_backend)
+              << " engine, n=" << n << ", " << trajectory_shots
+              << " noisy shots): 1 thread " << Table::num(seconds[0], 4)
+              << " s vs " << team_threads << " threads "
+              << Table::num(seconds[1], 4) << " s -> speedup "
+              << Table::num(trajectories.at("speedup").as_double(), 2)
+              << "x; modal block " << modes[0] << " / " << modes[1] << "\n";
   }
-  circuit.non_target_mean_reflection();
-
-  qsim::Simulator serial_sim(2005), batch_sim(2005);
-  serial_sim.set_backend(shot_backend);
-  batch_sim.set_backend(shot_backend);
-  serial_sim.set_batch({.threads = 1});
-  batch_sim.set_batch({.threads = batch_threads});
-
-  Stopwatch watch;
-  const auto serial_report =
-      serial_sim.run_block_shots(circuit, db.view(), 2, shots);
-  const double serial_seconds = watch.seconds();
-  watch.reset();
-  const auto batch_report =
-      batch_sim.run_block_shots(circuit, db.view(), 2, shots);
-  const double batch_seconds = watch.seconds();
-  const qsim::BatchRunner probe({.threads = batch_threads});
-  const double shot_speedup = serial_seconds / std::max(batch_seconds, 1e-12);
-
-  std::cout << "multi-shot (" << to_string(shot_backend) << " engine, n="
-            << shot_n << ", shots=" << shots << "): serial "
-            << Table::num(serial_seconds, 4) << " s vs batched ("
-            << probe.threads() << " threads) "
-            << Table::num(batch_seconds, 4) << " s -> speedup "
-            << Table::num(shot_speedup, 2) << "x\n";
-  std::cout << "mode agreement: serial block " << serial_report.mode
-            << " vs batched block " << batch_report.mode << "\n";
 
   // -- section 4: facade overhead + plan cache ------------------------------
   const unsigned fac_n = quick ? 12u : 16u;
@@ -686,7 +753,7 @@ int main(int argc, char** argv) {
     (void)partial::run_partial_search(db, fac_k, rng, options);
     (void)engine.run(fac_spec);
   }
-  watch.reset();
+  Stopwatch watch;
   for (int r = 0; r < fac_reps; ++r) {
     const oracle::Database db(pow2(fac_n), fac_target);
     Rng rng(fac_spec.seed);
@@ -836,13 +903,8 @@ int main(int argc, char** argv) {
        << "  \"kernels\": " << kernels_json.str() << ",\n"
        << "  \"dense_simd\": " << simd_json.str() << ",\n"
        << "  \"grk_backends\": " << backends_json.str() << ",\n"
-       << "  \"multi_shot\": {\"backend\": \"" << to_string(shot_backend)
-       << "\", \"n\": " << shot_n << ", \"shots\": " << shots
-       << ", \"queries_per_shot\": " << circuit.query_count()
-       << ", \"serial_seconds\": " << json_num(serial_seconds)
-       << ", \"batch_seconds\": " << json_num(batch_seconds)
-       << ", \"batch_threads\": " << probe.threads()
-       << ", \"speedup\": " << json_num(shot_speedup) << "},\n"
+       << "  \"sampling\": " << sampling.dump() << ",\n"
+       << "  \"trajectories\": " << trajectories.dump() << ",\n"
        << "  \"facade\": {\"n\": " << fac_n << ", \"k\": " << fac_k
        << ", \"requests\": " << fac_reps
        << ", \"direct_seconds_per_request\": " << json_num(direct_seconds)

@@ -8,8 +8,8 @@
 # and requires the client-visible result streams to be byte-identical —
 # submission-ordered release in the session emitter and the router's
 # in-order flush are exactly what make a shard fleet transparent at fixed
-# seeds. Also asserts the fixture's known shape: 6 results (the seventh
-# request carries an invalid spec and is answered by an error ack).
+# seeds. Also asserts the fixture's known shape: 7 results (one of the eight
+# requests carries an invalid spec and is answered by an error ack).
 #
 # On top of the determinism gate, the observability ops are probed against
 # both deployments: `metrics` must answer with a well-formed registry
@@ -128,6 +128,6 @@ pids+=($!)
 probe_obs_ops "127.0.0.1:$((base + 5))" router
 
 echo "== verdict =="
-test "$(wc -l < "${out}/direct.jsonl")" = 6
+test "$(wc -l < "${out}/direct.jsonl")" = 7
 diff "${out}/direct.jsonl" "${out}/routed.jsonl"
 echo "net_smoke: result stream byte-identical, 1 direct worker vs router + 4 workers"

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/cumulative_table.h"
+
 namespace pqs {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -107,21 +109,7 @@ std::vector<std::uint64_t> Rng::permutation(std::uint64_t n) {
 }
 
 std::size_t Rng::sample_discrete(const std::vector<double>& weights) {
-  PQS_CHECK(!weights.empty());
-  double total = 0.0;
-  for (const double w : weights) {
-    PQS_CHECK_MSG(w >= 0.0, "sample_discrete: negative weight");
-    total += w;
-  }
-  PQS_CHECK_MSG(total > 0.0, "sample_discrete: all weights zero");
-  double u = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    u -= weights[i];
-    if (u <= 0.0) {
-      return i;
-    }
-  }
-  return weights.size() - 1;  // roundoff fell through; last positive bin
+  return CumulativeTable(weights).pick(uniform01());
 }
 
 Rng Rng::split() { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }

@@ -56,7 +56,10 @@ class Rng {
   /// A uniformly random permutation of {0, 1, ..., n-1} (Fisher-Yates).
   std::vector<std::uint64_t> permutation(std::uint64_t n);
 
-  /// Sample an index from an (unnormalized) nonnegative weight vector.
+  /// Sample an index from an (unnormalized) nonnegative weight vector: one
+  /// CumulativeTable pick (common/cumulative_table.h), so a zero-weight
+  /// index is never returned. To draw many times from the same weights,
+  /// build the table once and pick from it.
   std::size_t sample_discrete(const std::vector<double>& weights);
 
   /// Split off an independently seeded child generator (for parallel streams).

@@ -71,6 +71,13 @@ std::uint64_t Backend::apply_noise(const NoiseModel&, Rng&) {
   throw CheckFailure("this backend implements no noise channel");
 }
 
+Index Backend::sample(Rng& rng) const {
+  return sampler(Measure::kIndex)->draw(rng);
+}
+Index Backend::sample_block(Rng& rng) const {
+  return sampler(Measure::kBlock)->draw(rng);
+}
+
 bool symmetry_supports(const BackendSpec& spec) {
   if (spec.marked.empty() || spec.n_blocks < 1 || spec.n_items < 2 ||
       spec.n_items % spec.n_blocks != 0) {
@@ -184,32 +191,16 @@ class DenseBackend final : public Backend {
     return kernels::norm_squared_range(amps_, lo, block_size());
   }
   std::vector<double> block_distribution() const override {
-    std::vector<double> dist(num_blocks());
-    for (std::size_t b = 0; b < dist.size(); ++b) {
-      dist[b] = block_probability(static_cast<Index>(b));
-    }
-    return dist;
+    return kernels::block_norms(amps_, block_size());
   }
   double norm_squared() const override {
     return kernels::norm_squared(amps_);
   }
 
-  Index sample(Rng& rng) const override {
-    // The same CDF walk (and the same re^2 + im^2 per-element arithmetic as
-    // std::norm) as StateVector::sample, for seeded reproducibility.
-    const double* re = amps_.re();
-    const double* im = amps_.im();
-    double u = rng.uniform01() * norm_squared();
-    for (std::size_t i = 0; i < amps_.size(); ++i) {
-      u -= re[i] * re[i] + im[i] * im[i];
-      if (u <= 0.0) {
-        return static_cast<Index>(i);
-      }
-    }
-    return static_cast<Index>(amps_.size() - 1);
-  }
-  Index sample_block(Rng& rng) const override {
-    return block_of(sample(rng));
+  std::unique_ptr<ShotSampler> sampler(Measure what) const override {
+    return std::make_unique<DenseSampler>(
+        what == Measure::kBlock ? DenseSampler::blocks(amps_, block_size())
+                                : DenseSampler::indices(amps_));
   }
 
   std::vector<Amplitude> amplitudes_copy() const override {
@@ -389,7 +380,12 @@ class SymmetryBackend final : public Backend {
     return mass_marked() + mass_rest() + mass_others();
   }
 
-  Index sample(Rng& rng) const override {
+  std::unique_ptr<ShotSampler> sampler(Measure what) const override {
+    return std::make_unique<ClassSampler>(*this, what);
+  }
+
+  /// One full-index draw: the class, then a uniform member of it.
+  Index draw_index(Rng& rng) const {
     switch (sample_class(rng)) {
       case Class::kMarked:
         return spec_.marked[m_ == 1 ? 0 : rng.uniform_below(m_)];
@@ -414,7 +410,8 @@ class SymmetryBackend final : public Backend {
     }
     return spec_.marked.front();  // unreachable
   }
-  Index sample_block(Rng& rng) const override {
+  /// One block draw: the class, then a uniform block of it.
+  Index draw_block(Rng& rng) const {
     switch (sample_class(rng)) {
       case Class::kMarked:
       case Class::kBlockRest:
@@ -446,6 +443,22 @@ class SymmetryBackend final : public Backend {
 
  private:
   enum class Class { kMarked, kBlockRest, kOthers };
+
+  /// The O(1) class draw behind the ShotSampler interface: no table to
+  /// build, so a batch shares the backend itself.
+  class ClassSampler final : public ShotSampler {
+   public:
+    ClassSampler(const SymmetryBackend& backend, Measure what)
+        : backend_(backend), what_(what) {}
+    Index draw(Rng& rng) const override {
+      return what_ == Measure::kBlock ? backend_.draw_block(rng)
+                                      : backend_.draw_index(rng);
+    }
+
+   private:
+    const SymmetryBackend& backend_;
+    Measure what_;
+  };
 
   Amplitude global_mean() const {
     return (static_cast<double>(m_) * a_t_ +

@@ -35,7 +35,8 @@
 //
 // Thread-safety: backends are single-owner mutable state, like StateVector.
 // The batched execution layer (qsim/batch.h) gives each shot its own backend
-// or samples a const backend with per-shot RNG streams.
+// or builds one sampler over a const backend and draws every shot from it
+// with per-shot RNG streams.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +49,7 @@
 #include "common/random.h"
 #include "qsim/circuit.h"
 #include "qsim/noise.h"
+#include "qsim/sampler.h"
 #include "qsim/types.h"
 
 namespace pqs::qsim {
@@ -168,8 +170,15 @@ class Backend {
   virtual double norm_squared() const = 0;
 
   // -- measurement (state not collapsed) --
-  virtual Index sample(Rng& rng) const = 0;
-  virtual Index sample_block(Rng& rng) const = 0;
+  /// A sampler of full addresses (kIndex) or block indices (kBlock) over
+  /// the current state (qsim/sampler.h): one O(N) build on the dense
+  /// engine, O(1) on the symmetry engine. Build it once per batch and draw
+  /// every shot from it; it borrows this backend, so rebuild it after any
+  /// operator.
+  virtual std::unique_ptr<ShotSampler> sampler(Measure what) const = 0;
+  /// One shot: build a sampler, draw once.
+  Index sample(Rng& rng) const;
+  Index sample_block(Rng& rng) const;
 
   /// Materialize the full amplitude vector (snapshots, cross-validation).
   /// Checked: N must be at most kMaxDenseItems.

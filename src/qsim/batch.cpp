@@ -104,44 +104,40 @@ ShotReport BatchRunner::tally(const std::vector<Index>& outcomes,
   return report;
 }
 
+ShotReport BatchRunner::draw_shots(const ShotSampler& sampler,
+                                   std::uint64_t shots,
+                                   std::uint64_t queries_per_shot) const {
+  return tally(map_shots(shots,
+                         [&sampler](std::uint64_t, Rng& rng) {
+                           return sampler.draw(rng);
+                         }),
+               queries_per_shot);
+}
+
 ShotReport BatchRunner::sample_shots(const StateVector& state,
                                      std::uint64_t shots,
                                      std::uint64_t queries_per_shot) const {
-  return tally(map_shots(shots,
-                         [&state](std::uint64_t, Rng& rng) {
-                           return state.sample(rng);
-                         }),
-               queries_per_shot);
+  return draw_shots(state.index_sampler(), shots, queries_per_shot);
 }
 
 ShotReport BatchRunner::sample_shots(const Backend& backend,
                                      std::uint64_t shots,
                                      std::uint64_t queries_per_shot) const {
-  return tally(map_shots(shots,
-                         [&backend](std::uint64_t, Rng& rng) {
-                           return backend.sample(rng);
-                         }),
-               queries_per_shot);
+  return draw_shots(*backend.sampler(Measure::kIndex), shots,
+                    queries_per_shot);
 }
 
 ShotReport BatchRunner::sample_block_shots(
     const StateVector& state, unsigned k, std::uint64_t shots,
     std::uint64_t queries_per_shot) const {
-  return tally(map_shots(shots,
-                         [&state, k](std::uint64_t, Rng& rng) {
-                           return state.sample_block(k, rng);
-                         }),
-               queries_per_shot);
+  return draw_shots(state.block_sampler(k), shots, queries_per_shot);
 }
 
 ShotReport BatchRunner::sample_block_shots(
     const Backend& backend, std::uint64_t shots,
     std::uint64_t queries_per_shot) const {
-  return tally(map_shots(shots,
-                         [&backend](std::uint64_t, Rng& rng) {
-                           return backend.sample_block(rng);
-                         }),
-               queries_per_shot);
+  return draw_shots(*backend.sampler(Measure::kBlock), shots,
+                    queries_per_shot);
 }
 
 }  // namespace pqs::qsim

@@ -23,6 +23,7 @@
 #include "common/random.h"
 #include "qsim/backend.h"
 #include "qsim/run_control.h"
+#include "qsim/sampler.h"
 #include "qsim/state_vector.h"
 #include "qsim/types.h"
 
@@ -84,6 +85,10 @@ class BatchRunner {
                           std::uint64_t queries_per_shot);
 
   // -- convenience wrappers --
+  // Each builds one sampler (qsim/sampler.h) before the fan-out and the
+  // team shares it read-only: one O(N) build per batch on the dense engine,
+  // then O(log K) per block shot and at most one kChunk walk per full-index
+  // shot. Cancellation, progress and the shot_rng streams are map_shots'.
   /// Repeated full measurement of a fixed state.
   ShotReport sample_shots(const StateVector& state, std::uint64_t shots,
                           std::uint64_t queries_per_shot) const;
@@ -97,6 +102,10 @@ class BatchRunner {
                                 std::uint64_t queries_per_shot) const;
 
  private:
+  /// tally(map_shots(one sampler.draw per shot)).
+  ShotReport draw_shots(const ShotSampler& sampler, std::uint64_t shots,
+                        std::uint64_t queries_per_shot) const;
+
   BatchOptions options_;
   unsigned threads_ = 1;
 };

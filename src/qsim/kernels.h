@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "qsim/gates.h"
 #include "qsim/parallel.h"
@@ -185,6 +186,16 @@ Amplitude sum_all(const SoaVector& v);
 double norm_squared_range(const SoaVector& v, std::size_t lo,
                           std::size_t len);
 double norm_squared(const SoaVector& v);
+/// Mass of every block of `block_size` elements (the last block may be
+/// shorter), in one sweep. Entry b is bit-identical to
+/// norm_squared_range(v, b * block_size, block_size) for a full block.
+std::vector<double> block_norms(const SoaVector& v, std::size_t block_size);
+/// One shot's walk inside [lo, lo + len), on the calling thread: the first
+/// index at which the running sum of |a_x|^2 exceeds `offset`, skipping
+/// zero-mass elements. When roundoff leaves the sum at or below `offset`,
+/// the last positive-mass index of the range.
+Index find_mass_offset(const SoaVector& v, std::size_t lo, std::size_t len,
+                       double offset);
 Amplitude inner_product(const SoaVector& a, const SoaVector& b);
 void scale(SoaVector& v, Amplitude s);
 

@@ -15,6 +15,7 @@
 // (incremental oracle deltas never survive more than one iteration — no
 // drift accumulation). The scalar tier maintains the cache but never READS
 // it: it stays the two-pass reference the equivalence tests trust.
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -400,6 +401,51 @@ double norm_squared_range(const SoaVector& v, std::size_t lo,
 
 double norm_squared(const SoaVector& v) {
   return norm_squared_range(v, 0, v.size());
+}
+
+std::vector<double> block_norms(const SoaVector& v, std::size_t block_size) {
+  PQS_CHECK(block_size > 0);
+  const KernelOps& ops = active_kernel_ops();
+  const std::size_t nb = (v.size() + block_size - 1) / block_size;
+  const std::size_t cpb = chunks_for(block_size);
+  // Chunk partials per block, combined pairwise: the partition
+  // norm_squared_range uses on each block.
+  std::vector<double> parts(nb * cpb, 0.0);
+  parallel_for(static_cast<SIdx>(nb * cpb), parallel_threads(v.size()),
+               [&](SIdx t) {
+    const auto ut = static_cast<std::size_t>(t);
+    const std::size_t b = ut / cpb;
+    const std::size_t off = b * block_size + (ut % cpb) * kChunk;
+    const std::size_t end = std::min((b + 1) * block_size, v.size());
+    if (off < end) {
+      parts[ut] = ops.norm_sq(v.re() + off, v.im() + off,
+                              std::min(kChunk, end - off));
+    }
+  });
+  std::vector<double> norms(nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    norms[b] = combine_pairwise(parts.data() + b * cpb, cpb);
+  }
+  return norms;
+}
+
+Index find_mass_offset(const SoaVector& v, std::size_t lo, std::size_t len,
+                       double offset) {
+  PQS_DCHECK(lo + len <= v.size());
+  const double* re = v.re();
+  const double* im = v.im();
+  std::size_t last = lo;
+  for (std::size_t i = lo; i < lo + len; ++i) {
+    const double w = re[i] * re[i] + im[i] * im[i];
+    if (w > 0.0) {
+      last = i;
+      offset -= w;
+      if (offset < 0.0) {
+        return static_cast<Index>(i);
+      }
+    }
+  }
+  return static_cast<Index>(last);
 }
 
 Amplitude inner_product(const SoaVector& a, const SoaVector& b) {

@@ -35,8 +35,9 @@ Index measure_block(StateVector& state, unsigned k, Rng& rng) {
 std::map<Index, std::uint64_t> sample_counts(const StateVector& state,
                                              std::uint64_t shots, Rng& rng) {
   std::map<Index, std::uint64_t> counts;
+  const DenseSampler sampler = state.index_sampler();
   for (std::uint64_t s = 0; s < shots; ++s) {
-    ++counts[state.sample(rng)];
+    ++counts[sampler.draw(rng)];
   }
   return counts;
 }
@@ -46,9 +47,10 @@ std::vector<double> empirical_block_distribution(const StateVector& state,
                                                  std::uint64_t shots,
                                                  Rng& rng) {
   PQS_CHECK(shots > 0);
+  const DenseSampler sampler = state.block_sampler(k);
   std::vector<double> dist(pow2(k), 0.0);
   for (std::uint64_t s = 0; s < shots; ++s) {
-    dist[state.sample_block(k, rng)] += 1.0;
+    dist[sampler.draw(rng)] += 1.0;
   }
   for (auto& p : dist) {
     p /= static_cast<double>(shots);

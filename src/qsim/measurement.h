@@ -20,6 +20,8 @@ Index measure_all(StateVector& state, Rng& rng);
 Index measure_block(StateVector& state, unsigned k, Rng& rng);
 
 /// Sample `shots` outcomes without collapsing; returns outcome -> count.
+/// Both helpers build one sampler (qsim/sampler.h) and draw every shot
+/// from it with `rng`.
 std::map<Index, std::uint64_t> sample_counts(const StateVector& state,
                                              std::uint64_t shots, Rng& rng);
 

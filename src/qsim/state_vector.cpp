@@ -98,12 +98,7 @@ double StateVector::block_probability(unsigned k, Index block) const {
 
 std::vector<double> StateVector::block_distribution(unsigned k) const {
   PQS_CHECK_MSG(k <= n_qubits_, "k exceeds qubit count");
-  const std::size_t n_blocks = pow2(k);
-  std::vector<double> dist(n_blocks);
-  for (std::size_t b = 0; b < n_blocks; ++b) {
-    dist[b] = block_probability(k, b);
-  }
-  return dist;
+  return kernels::block_norms(soa_, dimension() >> k);
 }
 
 void StateVector::apply_gate1(unsigned q, const Gate2& g) {
@@ -179,23 +174,19 @@ void StateVector::reflect_unmarked_about_their_mean(
   kernels::reflect_unmarked_about_their_mean(soa_, marked_sorted);
 }
 
-Index StateVector::sample(Rng& rng) const {
-  // The same per-element arithmetic std::norm performs on the interleaved
-  // representation, so seeded runs reproduce historical samples exactly.
-  const double* re = soa_.re();
-  const double* im = soa_.im();
-  double u = rng.uniform01() * norm_squared();
-  for (std::size_t i = 0; i < dimension(); ++i) {
-    u -= re[i] * re[i] + im[i] * im[i];
-    if (u <= 0.0) {
-      return static_cast<Index>(i);
-    }
-  }
-  return static_cast<Index>(dimension() - 1);
+DenseSampler StateVector::index_sampler() const {
+  return DenseSampler::indices(soa_);
 }
 
+DenseSampler StateVector::block_sampler(unsigned k) const {
+  PQS_CHECK_MSG(k <= n_qubits_, "k exceeds qubit count");
+  return DenseSampler::blocks(soa_, dimension() >> k);
+}
+
+Index StateVector::sample(Rng& rng) const { return index_sampler().draw(rng); }
+
 Index StateVector::sample_block(unsigned k, Rng& rng) const {
-  return sample(rng) >> (n_qubits_ - k);
+  return block_sampler(k).draw(rng);
 }
 
 std::string StateVector::render_real_amplitudes(unsigned k_blocks,

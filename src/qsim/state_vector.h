@@ -23,6 +23,7 @@
 #include "common/random.h"
 #include "qsim/gates.h"
 #include "qsim/kernels.h"
+#include "qsim/sampler.h"
 #include "qsim/soa.h"
 #include "qsim/types.h"
 
@@ -115,10 +116,14 @@ class StateVector {
   /// Multi-marked Step-3: every listed index keeps its amplitude.
   void reflect_unmarked_about_their_mean(std::span<const Index> marked_sorted);
 
-  // -- Measurement --
-  /// Sample a full basis state according to |a_x|^2 (state not collapsed).
+  // -- Measurement (state not collapsed) --
+  /// Samplers over this state (qsim/sampler.h): one O(N) build, then
+  /// draws of a full basis state by |a_x|^2, or of the first k bits (the
+  /// block index). They borrow this state; rebuild after mutating it.
+  DenseSampler index_sampler() const;
+  DenseSampler block_sampler(unsigned k) const;
+  /// One shot: build a sampler, draw once.
   Index sample(Rng& rng) const;
-  /// Sample only the first k bits (the block index).
   Index sample_block(unsigned k, Rng& rng) const;
 
   /// Render amplitudes as a signed bar chart (real parts), for the

@@ -410,11 +410,14 @@ std::vector<std::string> replay_fixture_over_tcp(unsigned threads) {
 TEST(NetDeterminismTest, ResultStreamIsByteIdenticalAcrossWorkerCounts) {
   const std::vector<std::string> one = replay_fixture_over_tcp(1);
   const std::vector<std::string> four = replay_fixture_over_tcp(4);
-  ASSERT_EQ(one.size(), 6u);  // 7 requests, 1 invalid spec
+  ASSERT_EQ(one.size(), 7u);  // 8 requests, 1 invalid spec
   EXPECT_EQ(one, four);
   // Submission order, not completion order.
   EXPECT_NE(one[0].find("\"id\":\"grk-1\""), std::string::npos);
   EXPECT_NE(one[5].find("\"id\":\"exact-1\""), std::string::npos);
+  // The dense multi-shot block request: 500 shots from one sampler.
+  EXPECT_NE(one[6].find("\"id\":\"grk-shots-1\""), std::string::npos);
+  EXPECT_NE(one[6].find("over 500 shots"), std::string::npos);
 }
 
 // ---- wire plumbing ---------------------------------------------------------

@@ -87,7 +87,7 @@ from pathlib import Path
 # Approved-file lists (repo-relative, forward slashes). Growing one of these
 # is an explicit, reviewed act — that is the point of the lint.
 
-# The SoA substrate: the kernel tiers plus the three qsim internals that
+# The SoA substrate: the kernel tiers plus the two qsim internals that
 # legitimately stream the raw planes (and own the invalidate_sums calls).
 PLANE_ACCESS_ALLOWED = {
     "src/qsim/soa.h",
@@ -99,7 +99,6 @@ PLANE_ACCESS_ALLOWED = {
     "src/qsim/kernels_avx512.cpp",
     "src/qsim/kernels_soa.cpp",
     "src/qsim/state_vector.cpp",
-    "src/qsim/backend.cpp",
     "src/qsim/diffusion.cpp",
 }
 
