@@ -2,8 +2,6 @@
 // engines, machine-readable.
 //
 // Sections:
-//   kernels     per-iteration cost of the dense O(N) kernels (the historical
-//               numbers that justified the fused diffusion implementation)
 //   dense_simd  the SoA/ISA kernel tiers (qsim/isa.h): the two reflection
 //               work-horses at n >= 22 and an end-to-end n = 24 Grover
 //               loop, once per tier this machine supports, with speedups
@@ -308,44 +306,7 @@ int main(int argc, char** argv) {
   std::cout << "P1 - simulation-engine throughput (JSON -> " << json_path
             << ")\n\n";
 
-  // -- section 1: dense kernel baselines ------------------------------------
-  Table kernel_table({"n", "op", "seconds/op"});
-  std::ostringstream kernels_json;
-  kernels_json << "[";
-  bool first_kernel = true;
-  std::vector<unsigned> kernel_sizes{14u, 18u};
-  if (!quick) {
-    kernel_sizes.push_back(20u);
-  }
-  for (unsigned n : kernel_sizes) {
-    auto sv = qsim::StateVector::uniform(n);
-    const int reps = 20;
-    Stopwatch watch;
-    for (int r = 0; r < reps; ++r) {
-      sv.reflect_about_uniform();
-    }
-    const double diffusion = watch.seconds() / reps;
-    watch.reset();
-    for (int r = 0; r < reps; ++r) {
-      sv.reflect_blocks_about_uniform(2);
-    }
-    const double block = watch.seconds() / reps;
-    kernel_table.add_row({Table::num(std::uint64_t{n}), "global diffusion",
-                          Table::num(diffusion, 8)});
-    kernel_table.add_row({Table::num(std::uint64_t{n}), "block diffusion (K=4)",
-                          Table::num(block, 8)});
-    if (!first_kernel) {
-      kernels_json << ",";
-    }
-    first_kernel = false;
-    kernels_json << "{\"n\":" << n << ",\"global_diffusion_seconds\":"
-                 << json_num(diffusion)
-                 << ",\"block_diffusion_seconds\":" << json_num(block) << "}";
-  }
-  kernels_json << "]";
-  std::cout << kernel_table.render() << "\n";
-
-  // -- section 1b: SoA kernel tiers (dense_simd) ----------------------------
+  // -- section 1: SoA kernel tiers (dense_simd) ----------------------------
   // The same binary carries every compiled tier; force each supported one in
   // turn and measure the two reflection work-horses plus an end-to-end
   // Grover loop. Scalar goes first so the speedup baseline exists.
@@ -420,7 +381,7 @@ int main(int argc, char** argv) {
             << ", auto tier = " << qsim::isa_name(qsim::active_isa())
             << ")\n" << simd_table.render() << "\n";
 
-  // -- section 1c: threading ------------------------------------------------
+  // -- section 1b: threading ------------------------------------------------
   // Runs before the sections that start Services: each Service worker that
   // runs kernels gets its own OpenMP pool, and a process that has made many
   // of them times fork/join differently from one that only runs kernels.
@@ -900,7 +861,6 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"qsim\",\n"
        << "  \"isa\": \"" << qsim::isa_name(qsim::active_isa()) << "\",\n"
-       << "  \"kernels\": " << kernels_json.str() << ",\n"
        << "  \"dense_simd\": " << simd_json.str() << ",\n"
        << "  \"grk_backends\": " << backends_json.str() << ",\n"
        << "  \"sampling\": " << sampling.dump() << ",\n"

@@ -29,7 +29,6 @@
 #include "qsim/backend.h"
 #include "qsim/batch.h"
 #include "qsim/circuit.h"
-#include "qsim/diffusion.h"
 #include "qsim/gates.h"
 #include "qsim/gates2.h"
 #include "qsim/kernels.h"

@@ -2,10 +2,6 @@
 
 #include <cmath>
 
-#include "common/check.h"
-#include "common/math.h"
-#include "qsim/parallel.h"
-
 namespace pqs::qsim {
 
 Gate4 Gate4::compose(const Gate4& first) const {
@@ -119,40 +115,5 @@ Gate4 ISWAP() {
 }
 
 }  // namespace gates
-
-namespace kernels {
-
-void apply_gate2(std::span<Amplitude> state, unsigned n_qubits,
-                 unsigned q_high, unsigned q_low, const Gate4& g) {
-  PQS_CHECK_MSG(state.size() == pow2(n_qubits), "state size mismatch");
-  PQS_CHECK_MSG(q_high < n_qubits && q_low < n_qubits,
-                "qubit index out of range");
-  PQS_CHECK_MSG(q_high != q_low, "two-qubit gate needs distinct qubits");
-  const std::uint64_t bit_h = std::uint64_t{1} << q_high;
-  const std::uint64_t bit_l = std::uint64_t{1} << q_low;
-  parallel_for(static_cast<std::int64_t>(state.size()),
-               parallel_threads(state.size()), [&](std::int64_t i) {
-    const auto x = static_cast<std::uint64_t>(i);
-    if ((x & bit_h) != 0 || (x & bit_l) != 0) {
-      return;  // handle each 4-tuple once, from its 00 member
-    }
-    const std::size_t i00 = x;
-    const std::size_t i01 = x | bit_l;
-    const std::size_t i10 = x | bit_h;
-    const std::size_t i11 = x | bit_h | bit_l;
-    const Amplitude a00 = state[i00], a01 = state[i01], a10 = state[i10],
-                    a11 = state[i11];
-    state[i00] = g.m[0][0] * a00 + g.m[0][1] * a01 + g.m[0][2] * a10 +
-                 g.m[0][3] * a11;
-    state[i01] = g.m[1][0] * a00 + g.m[1][1] * a01 + g.m[1][2] * a10 +
-                 g.m[1][3] * a11;
-    state[i10] = g.m[2][0] * a00 + g.m[2][1] * a01 + g.m[2][2] * a10 +
-                 g.m[2][3] * a11;
-    state[i11] = g.m[3][0] * a00 + g.m[3][1] * a01 + g.m[3][2] * a10 +
-                 g.m[3][3] * a11;
-  });
-}
-
-}  // namespace kernels
 
 }  // namespace pqs::qsim

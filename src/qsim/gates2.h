@@ -1,13 +1,12 @@
-// Two-qubit gates: the 4x4 layer completing the simulator's gate set.
+// Two-qubit gates: the 4x4 matrices completing the simulator's gate set.
 //
 // The reproduction itself needs only reflections and single-qubit layers,
 // but a simulator substrate a downstream user would adopt needs entangling
-// gates; the gate-level oracle constructions (bit oracle as CNOT cascades)
-// and the tests exercising them live on this layer.
+// gates. This header only builds the matrices; StateVector::apply_gate2
+// applies one with the SoA kernel kernels::apply_gate2 (qsim/kernels.h).
 #pragma once
 
 #include <array>
-#include <span>
 #include <string>
 
 #include "qsim/gates.h"
@@ -45,15 +44,5 @@ Gate4 SWAP();
 Gate4 ISWAP();
 
 }  // namespace gates
-
-namespace kernels {
-
-/// Apply a 4x4 unitary to qubits (q_high, q_low) of an n-qubit state.
-/// q_high and q_low are arbitrary distinct qubit indices; the gate's basis
-/// convention is |q_high q_low>.
-void apply_gate2(std::span<Amplitude> state, unsigned n_qubits,
-                 unsigned q_high, unsigned q_low, const Gate4& g);
-
-}  // namespace kernels
 
 }  // namespace pqs::qsim

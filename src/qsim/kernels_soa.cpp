@@ -6,8 +6,7 @@
 // Determinism contract: every mean/reduction is a fixed-chunk pairwise sum —
 // segments of kChunk elements are reduced by the tier primitive and the
 // per-chunk partials are combined pairwise — so results do not depend on the
-// thread count and stay within ulps of the span kernels' recursive pairwise
-// sums.
+// thread count and stay within ulps of a recursive pairwise sum.
 //
 // Cache contract: the reflect/rotate update passes accumulate the sums of
 // the values they store and refresh SoaVector's block-sum cache from them,
@@ -21,6 +20,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "qsim/gates2.h"
 #include "qsim/kernels.h"
 #include "qsim/kernels_ops.h"
 #include "qsim/parallel.h"
@@ -213,6 +213,41 @@ void apply_controlled_gate1(SoaVector& v, unsigned n_qubits,
       im[i0] = b0.imag();
       re[i1] = b1.real();
       im[i1] = b1.imag();
+    }
+  });
+  v.invalidate_sums();
+}
+
+void apply_gate2(SoaVector& v, unsigned n_qubits, unsigned q_high,
+                 unsigned q_low, const Gate4& g) {
+  PQS_CHECK_MSG(v.size() == pow2(n_qubits),
+                "state size does not match qubit count");
+  PQS_CHECK_MSG(q_high < n_qubits && q_low < n_qubits,
+                "qubit index out of range");
+  PQS_CHECK_MSG(q_high != q_low, "two-qubit gate needs distinct qubits");
+  const std::uint64_t bit_h = std::uint64_t{1} << q_high;
+  const std::uint64_t bit_l = std::uint64_t{1} << q_low;
+  const std::uint64_t below_lo = std::min(bit_h, bit_l) - 1;
+  const std::uint64_t below_hi = std::max(bit_h, bit_l) - 1;
+  double* re = v.re();
+  double* im = v.im();
+  // One iteration per four-tuple: spreading the tuple number around the two
+  // qubit positions gives its |00> member.
+  parallel_for(static_cast<SIdx>(v.size() / 4), parallel_threads(v.size()),
+               [&](SIdx t) {
+    auto x = static_cast<std::uint64_t>(t);
+    x = (x & below_lo) | ((x & ~below_lo) << 1);
+    x = (x & below_hi) | ((x & ~below_hi) << 1);
+    const std::uint64_t idx[4] = {x, x | bit_l, x | bit_h, x | bit_h | bit_l};
+    Amplitude a[4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      a[j] = Amplitude{re[idx[j]], im[idx[j]]};
+    }
+    for (std::size_t r = 0; r < 4; ++r) {
+      const Amplitude b = g.m[r][0] * a[0] + g.m[r][1] * a[1] +
+                          g.m[r][2] * a[2] + g.m[r][3] * a[3];
+      re[idx[r]] = b.real();
+      im[idx[r]] = b.imag();
     }
   });
   v.invalidate_sums();

@@ -53,7 +53,7 @@ class SoaVector {
   /// Zero-filled planes of the given length.
   explicit SoaVector(std::size_t size) : re_(size, 0.0), im_(size, 0.0) {}
 
-  static SoaVector from_amplitudes(std::span<const Amplitude> amps) {
+  static SoaVector from_amplitudes(const std::vector<Amplitude>& amps) {
     SoaVector v(amps.size());
     for (std::size_t i = 0; i < amps.size(); ++i) {
       v.re_[i] = amps[i].real();

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "common/stats.h"
-#include "qsim/gates2.h"
 #include "qsim/kernels.h"
 
 namespace pqs::qsim {
@@ -112,11 +111,7 @@ void StateVector::apply_controlled_gate1(std::uint64_t control_mask,
 
 void StateVector::apply_gate2(unsigned q_high, unsigned q_low,
                               const Gate4& g) {
-  // Analysis-grade path (tests, gate-level oracles): materialize, run the
-  // span kernel, convert back. The O(N) copies are noise next to the gate.
-  std::vector<Amplitude> amps = amplitudes_copy();
-  kernels::apply_gate2(amps, n_qubits_, q_high, q_low, g);
-  soa_ = SoaVector::from_amplitudes(amps);
+  kernels::apply_gate2(soa_, n_qubits_, q_high, q_low, g);
 }
 
 void StateVector::apply_hadamard_all() {

@@ -87,7 +87,8 @@ class StateVector {
   void apply_gate1(unsigned q, const Gate2& g);
   void apply_controlled_gate1(std::uint64_t control_mask, unsigned q,
                               const Gate2& g);
-  /// Apply a 4x4 unitary to the ordered qubit pair (q_high, q_low).
+  /// Apply a 4x4 unitary to the ordered qubit pair (q_high, q_low), in
+  /// place on the SoA planes (kernels::apply_gate2).
   void apply_gate2(unsigned q_high, unsigned q_low, const Gate4& g);
   /// Apply H to every qubit (the Walsh-Hadamard transform W = H^{(x)n}).
   void apply_hadamard_all();

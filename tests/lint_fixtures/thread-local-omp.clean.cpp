@@ -1,5 +1,5 @@
-// Golden fixture: the FIXED shape of the PR 6 bug (what
-// src/qsim/diffusion.cpp ships today). The scratch buffer is still a
+// Golden fixture: the FIXED shape of the apply_dense_matrix scratch-buffer
+// bug (the shape it shipped with afterwards). The scratch buffer is still a
 // `static thread_local`, but the parallel region only touches a raw
 // pointer hoisted OUTSIDE the region — every worker writes the calling
 // thread's buffer. pqs_lint's thread-local-omp rule must stay quiet.

@@ -1,5 +1,3 @@
-#include "qsim/diffusion.h"
-
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -7,7 +5,8 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "common/random.h"
-#include "qsim/kernels.h"
+#include "qsim/state_vector.h"
+#include "reference_kernels.h"
 
 namespace pqs::qsim {
 namespace {
@@ -31,7 +30,7 @@ TEST_P(GlobalDiffusionEquivalence, GateLevelEqualsKernel) {
   auto gate_state = kernel_state;
 
   kernel_state.reflect_about_uniform();
-  apply_global_diffusion_gate_level(gate_state);
+  reference::apply_global_diffusion_gate_level(gate_state);
   EXPECT_LT(kernel_state.linf_distance(gate_state), 1e-12) << "n=" << n;
 }
 
@@ -45,7 +44,8 @@ TEST_P(GlobalDiffusionEquivalence, DenseMatrixAgrees) {
   auto dense_state = kernel_state;
 
   kernel_state.reflect_about_uniform();
-  apply_dense_matrix(dense_state, global_diffusion_matrix(n));
+  reference::apply_dense_matrix(dense_state,
+                                reference::global_diffusion_matrix(n));
   EXPECT_LT(kernel_state.linf_distance(dense_state), 1e-11) << "n=" << n;
 }
 
@@ -63,7 +63,7 @@ TEST_P(BlockDiffusionEquivalence, GateLevelEqualsKernel) {
   auto gate_state = kernel_state;
 
   kernel_state.reflect_blocks_about_uniform(k);
-  apply_block_diffusion_gate_level(gate_state, k);
+  reference::apply_block_diffusion_gate_level(gate_state, k);
   EXPECT_LT(kernel_state.linf_distance(gate_state), 1e-12)
       << "n=" << n << " k=" << k;
 }
@@ -78,7 +78,8 @@ TEST_P(BlockDiffusionEquivalence, DenseMatrixAgrees) {
   auto dense_state = kernel_state;
 
   kernel_state.reflect_blocks_about_uniform(k);
-  apply_dense_matrix(dense_state, block_diffusion_matrix(n, k));
+  reference::apply_dense_matrix(dense_state,
+                                reference::block_diffusion_matrix(n, k));
   EXPECT_LT(kernel_state.linf_distance(dense_state), 1e-11)
       << "n=" << n << " k=" << k;
 }
@@ -94,7 +95,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DiffusionMatrix, GlobalMatrixRowsSumCorrectly) {
   // Row sums of 2|psi0><psi0| - I are all 2 - 1 = ... each row sums to
   // 2/N * N - 1 = 1.
-  const auto m = global_diffusion_matrix(3);
+  const auto m = reference::global_diffusion_matrix(3);
   for (std::size_t r = 0; r < 8; ++r) {
     Amplitude sum{0.0, 0.0};
     for (std::size_t c = 0; c < 8; ++c) {
@@ -105,7 +106,8 @@ TEST(DiffusionMatrix, GlobalMatrixRowsSumCorrectly) {
 }
 
 TEST(DiffusionMatrix, BlockMatrixIsBlockDiagonal) {
-  const auto m = block_diffusion_matrix(4, 2);  // 16x16, blocks of 4
+  // 16x16, blocks of 4.
+  const auto m = reference::block_diffusion_matrix(4, 2);
   for (std::size_t r = 0; r < 16; ++r) {
     for (std::size_t c = 0; c < 16; ++c) {
       if (r / 4 != c / 4) {
@@ -116,13 +118,15 @@ TEST(DiffusionMatrix, BlockMatrixIsBlockDiagonal) {
 }
 
 TEST(DiffusionMatrix, RejectsOversizedRequests) {
-  EXPECT_THROW(global_diffusion_matrix(13), CheckFailure);
+  EXPECT_THROW(reference::global_diffusion_matrix(13), CheckFailure);
 }
 
 TEST(Diffusion, GateLevelBlockRejectsBadK) {
   auto sv = StateVector::uniform(4);
-  EXPECT_THROW(apply_block_diffusion_gate_level(sv, 0), CheckFailure);
-  EXPECT_THROW(apply_block_diffusion_gate_level(sv, 4), CheckFailure);
+  EXPECT_THROW(reference::apply_block_diffusion_gate_level(sv, 0),
+               CheckFailure);
+  EXPECT_THROW(reference::apply_block_diffusion_gate_level(sv, 4),
+               CheckFailure);
 }
 
 }  // namespace

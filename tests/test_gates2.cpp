@@ -7,8 +7,10 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "common/random.h"
+#include "qsim/isa.h"
 #include "qsim/kernels.h"
 #include "qsim/state_vector.h"
+#include "reference_kernels.h"
 
 namespace pqs::qsim {
 namespace {
@@ -18,9 +20,13 @@ std::vector<Amplitude> random_amps(unsigned n_qubits, Rng& rng) {
   for (auto& a : amps) {
     a = Amplitude{rng.normal(), rng.normal()};
   }
-  const double norm = std::sqrt(kernels::norm_squared(amps));
-  kernels::scale(amps, Amplitude{1.0 / norm, 0.0});
   return amps;
+}
+
+StateVector random_state(unsigned n_qubits, Rng& rng) {
+  StateVector sv = StateVector::from_amplitudes(random_amps(n_qubits, rng));
+  sv.normalize();
+  return sv;
 }
 
 class NamedGate4Test : public ::testing::TestWithParam<Gate4> {};
@@ -46,58 +52,48 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Gate4, CnotTruthTable) {
   // |10> -> |11>, |11> -> |10>, |0x> fixed (high qubit is the control).
-  std::vector<Amplitude> amps(4, Amplitude{0.0, 0.0});
-  amps[2] = 1.0;  // |10>: control (qubit 1) set
-  kernels::apply_gate2(amps, 2, /*q_high=*/1, /*q_low=*/0, gates::CNOT());
-  EXPECT_NEAR(std::abs(amps[3]), 1.0, 1e-12);
+  StateVector sv = StateVector::basis(2, 2);  // |10>: control (qubit 1) set
+  sv.apply_gate2(/*q_high=*/1, /*q_low=*/0, gates::CNOT());
+  EXPECT_NEAR(std::abs(sv.amplitude(3)), 1.0, 1e-12);
 
-  std::fill(amps.begin(), amps.end(), Amplitude{0.0, 0.0});
-  amps[1] = 1.0;  // |01>: control clear
-  kernels::apply_gate2(amps, 2, 1, 0, gates::CNOT());
-  EXPECT_NEAR(std::abs(amps[1]), 1.0, 1e-12);
+  sv = StateVector::basis(2, 1);  // |01>: control clear
+  sv.apply_gate2(1, 0, gates::CNOT());
+  EXPECT_NEAR(std::abs(sv.amplitude(1)), 1.0, 1e-12);
 }
 
 TEST(Gate4, CnotMatchesControlledGate1Kernel) {
   Rng rng(11);
-  auto a = random_amps(5, rng);
-  auto b = a;
-  kernels::apply_gate2(a, 5, /*q_high=*/3, /*q_low=*/1, gates::CNOT());
-  kernels::apply_controlled_gate1(b, 5, /*control_mask=*/1u << 3, 1,
-                                  gates::X());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12) << i;
-  }
+  StateVector a = random_state(5, rng);
+  StateVector b = a;
+  a.apply_gate2(/*q_high=*/3, /*q_low=*/1, gates::CNOT());
+  b.apply_controlled_gate1(/*control_mask=*/1u << 3, 1, gates::X());
+  EXPECT_LT(a.linf_distance(b), 1e-12);
 }
 
 TEST(Gate4, CzIsSymmetricInItsQubits) {
   Rng rng(13);
-  auto a = random_amps(4, rng);
-  auto b = a;
-  kernels::apply_gate2(a, 4, 2, 0, gates::CZ());
-  kernels::apply_gate2(b, 4, 0, 2, gates::CZ());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
+  StateVector a = random_state(4, rng);
+  StateVector b = a;
+  a.apply_gate2(2, 0, gates::CZ());
+  b.apply_gate2(0, 2, gates::CZ());
+  EXPECT_LT(a.linf_distance(b), 1e-12);
 }
 
 TEST(Gate4, SwapExchangesQubitValues) {
-  std::vector<Amplitude> amps(8, Amplitude{0.0, 0.0});
-  amps[0b001] = 1.0;
-  kernels::apply_gate2(amps, 3, /*q_high=*/2, /*q_low=*/0, gates::SWAP());
-  EXPECT_NEAR(std::abs(amps[0b100]), 1.0, 1e-12);
+  StateVector sv = StateVector::basis(3, 0b001);
+  sv.apply_gate2(/*q_high=*/2, /*q_low=*/0, gates::SWAP());
+  EXPECT_NEAR(std::abs(sv.amplitude(0b100)), 1.0, 1e-12);
 }
 
 TEST(Gate4, SwapEqualsThreeCnots) {
   Rng rng(17);
-  auto a = random_amps(4, rng);
-  auto b = a;
-  kernels::apply_gate2(a, 4, 3, 1, gates::SWAP());
-  kernels::apply_gate2(b, 4, 3, 1, gates::CNOT());
-  kernels::apply_gate2(b, 4, 1, 3, gates::CNOT());
-  kernels::apply_gate2(b, 4, 3, 1, gates::CNOT());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
+  StateVector a = random_state(4, rng);
+  StateVector b = a;
+  a.apply_gate2(3, 1, gates::SWAP());
+  b.apply_gate2(3, 1, gates::CNOT());
+  b.apply_gate2(1, 3, gates::CNOT());
+  b.apply_gate2(3, 1, gates::CNOT());
+  EXPECT_LT(a.linf_distance(b), 1e-12);
 }
 
 TEST(Gate4, CPhaseAtPiIsCz) {
@@ -106,36 +102,32 @@ TEST(Gate4, CPhaseAtPiIsCz) {
 
 TEST(Gate4, TensorActsIndependently) {
   Rng rng(19);
-  auto a = random_amps(4, rng);
-  auto b = a;
-  kernels::apply_gate2(a, 4, 3, 0, gates::tensor(gates::H(), gates::T()));
-  kernels::apply_gate1(b, 4, 3, gates::H());
-  kernels::apply_gate1(b, 4, 0, gates::T());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
+  StateVector a = random_state(4, rng);
+  StateVector b = a;
+  a.apply_gate2(3, 0, gates::tensor(gates::H(), gates::T()));
+  b.apply_gate1(3, gates::H());
+  b.apply_gate1(0, gates::T());
+  EXPECT_LT(a.linf_distance(b), 1e-12);
 }
 
 TEST(Gate4, HadamardSandwichTurnsCnotIntoCz) {
   // (I (x) H) CZ (I (x) H) = CNOT.
   Rng rng(23);
-  auto a = random_amps(3, rng);
-  auto b = a;
-  kernels::apply_gate2(a, 3, 2, 1, gates::CNOT());
-  kernels::apply_gate1(b, 3, 1, gates::H());
-  kernels::apply_gate2(b, 3, 2, 1, gates::CZ());
-  kernels::apply_gate1(b, 3, 1, gates::H());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
+  StateVector a = random_state(3, rng);
+  StateVector b = a;
+  a.apply_gate2(2, 1, gates::CNOT());
+  b.apply_gate1(1, gates::H());
+  b.apply_gate2(2, 1, gates::CZ());
+  b.apply_gate1(1, gates::H());
+  EXPECT_LT(a.linf_distance(b), 1e-12);
 }
 
 TEST(Gate4, PreservesNormOnRandomStates) {
   Rng rng(29);
-  auto amps = random_amps(6, rng);
-  kernels::apply_gate2(amps, 6, 5, 2, gates::ISWAP());
-  kernels::apply_gate2(amps, 6, 0, 4, gates::CPhase(1.3));
-  EXPECT_NEAR(kernels::norm_squared(amps), 1.0, 1e-12);
+  StateVector sv = random_state(6, rng);
+  sv.apply_gate2(5, 2, gates::ISWAP());
+  sv.apply_gate2(0, 4, gates::CPhase(1.3));
+  EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-12);
 }
 
 TEST(Gate4, ComposeAndAdjointRoundTrip) {
@@ -144,13 +136,55 @@ TEST(Gate4, ComposeAndAdjointRoundTrip) {
 }
 
 TEST(Gate4, KernelValidatesArguments) {
-  std::vector<Amplitude> amps(8);
-  EXPECT_THROW(kernels::apply_gate2(amps, 3, 1, 1, gates::CZ()),
-               CheckFailure);
-  EXPECT_THROW(kernels::apply_gate2(amps, 3, 3, 0, gates::CZ()),
-               CheckFailure);
-  EXPECT_THROW(kernels::apply_gate2(amps, 2, 1, 0, gates::CZ()),
-               CheckFailure);
+  SoaVector v(8);
+  EXPECT_THROW(kernels::apply_gate2(v, 3, 1, 1, gates::CZ()), CheckFailure);
+  EXPECT_THROW(kernels::apply_gate2(v, 3, 3, 0, gates::CZ()), CheckFailure);
+  EXPECT_THROW(kernels::apply_gate2(v, 2, 1, 0, gates::CZ()), CheckFailure);
+}
+
+TEST(Gate4, KernelMatchesReferenceOnEveryQubitPair) {
+  // A gate with no zero entries, so every amplitude of a four-tuple feeds
+  // every output.
+  const Gate4 g = gates::tensor(gates::Ry(0.3), gates::U(0.7, 0.2, -1.1))
+                      .compose(gates::ISWAP())
+                      .compose(gates::CPhase(0.9));
+  Rng rng(31);
+  // Every tier, so a tier that reads the block-sum cache sees a stale one
+  // if the gate forgets to invalidate it.
+  for (const Isa isa : supported_isas()) {
+    force_isa(isa);
+    for (unsigned n = 2; n <= 6; ++n) {
+      const std::size_t half = pow2(n) / 2;
+      for (unsigned qh = 0; qh < n; ++qh) {
+        for (unsigned ql = 0; ql < n; ++ql) {
+          if (qh == ql) {
+            continue;
+          }
+          auto ref = random_amps(n, rng);
+          SoaVector v = SoaVector::from_amplitudes(ref);
+          // A reflection first leaves the sum cache valid for `half`.
+          reference::reflect_blocks_about_uniform(ref, half);
+          kernels::reflect_blocks_about_uniform(v, half);
+          reference::apply_gate2(ref, qh, ql, g);
+          kernels::apply_gate2(v, n, qh, ql, g);
+          const std::string where = std::string(isa_name(isa)) +
+                                    " n=" + std::to_string(n) +
+                                    " q_high=" + std::to_string(qh) +
+                                    " q_low=" + std::to_string(ql);
+          for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_LT(std::abs(v.get(i) - ref[i]), 1e-12) << where;
+          }
+          reference::reflect_blocks_about_uniform(ref, half);
+          kernels::reflect_blocks_about_uniform(v, half);
+          for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_LT(std::abs(v.get(i) - ref[i]), 1e-12)
+                << where << " after reflection";
+          }
+        }
+      }
+    }
+  }
+  force_isa(std::nullopt);
 }
 
 }  // namespace

@@ -19,8 +19,8 @@
 #include "partial/grk.h"
 #include "partial/optimizer.h"
 #include "qsim/circuit.h"
-#include "qsim/diffusion.h"
 #include "reduction/reduction.h"
+#include "reference_kernels.h"
 #include "zalka/zalka.h"
 
 namespace pqs {
@@ -101,13 +101,13 @@ TEST(Integration, GateLevelGrkMatchesKernelGrk) {
     kernel_state.phase_flip(55);
     kernel_state.reflect_about_uniform();
     gate_state.phase_flip(55);
-    qsim::apply_global_diffusion_gate_level(gate_state);
+    qsim::reference::apply_global_diffusion_gate_level(gate_state);
   }
   for (std::uint64_t i = 0; i < l2; ++i) {
     kernel_state.phase_flip(55);
     kernel_state.reflect_blocks_about_uniform(k);
     gate_state.phase_flip(55);
-    qsim::apply_block_diffusion_gate_level(gate_state, k);
+    qsim::reference::apply_block_diffusion_gate_level(gate_state, k);
   }
   kernel_state.reflect_non_target_about_their_mean(55);
   gate_state.reflect_non_target_about_their_mean(55);

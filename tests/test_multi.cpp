@@ -143,10 +143,11 @@ TEST(MultiSearch, ExplicitCountsHonored) {
 
 TEST(MultiKernel, UnmarkedMeanReflectionProperties) {
   // Marked amplitudes survive; unmarked follow a' = 2 mean - a; norm kept.
-  std::vector<qsim::Amplitude> amps{{0.5, 0.0}, {0.1, 0.0}, {-0.3, 0.0},
-                                    {0.2, 0.0}, {0.4, 0.0}, {0.1, 0.0},
-                                    {0.6, 0.0}, {0.2, 0.0}};
-  const double norm_before = qsim::kernels::norm_squared(amps);
+  const std::vector<qsim::Amplitude> amps{{0.5, 0.0}, {0.1, 0.0}, {-0.3, 0.0},
+                                          {0.2, 0.0}, {0.4, 0.0}, {0.1, 0.0},
+                                          {0.6, 0.0}, {0.2, 0.0}};
+  qsim::SoaVector v = qsim::SoaVector::from_amplitudes(amps);
+  const double norm_before = qsim::kernels::norm_squared(v);
   const std::vector<qsim::Index> marked{1, 6};
   const qsim::Amplitude mean =
       (amps[0] + amps[2] + amps[3] + amps[4] + amps[5] + amps[7]) / 6.0;
@@ -154,35 +155,35 @@ TEST(MultiKernel, UnmarkedMeanReflectionProperties) {
   for (const std::size_t i : {0u, 2u, 3u, 4u, 5u, 7u}) {
     expected[i] = 2.0 * mean - amps[i];
   }
-  qsim::kernels::reflect_unmarked_about_their_mean(amps, marked);
+  qsim::kernels::reflect_unmarked_about_their_mean(v, marked);
   for (std::size_t i = 0; i < amps.size(); ++i) {
-    ASSERT_LT(std::abs(amps[i] - expected[i]), 1e-14) << i;
+    ASSERT_LT(std::abs(v.get(i) - expected[i]), 1e-14) << i;
   }
-  EXPECT_NEAR(qsim::kernels::norm_squared(amps), norm_before, 1e-12);
+  EXPECT_NEAR(qsim::kernels::norm_squared(v), norm_before, 1e-12);
 }
 
 TEST(MultiKernel, MatchesSingleTargetSpecialCase) {
-  std::vector<qsim::Amplitude> a{{0.3, 0.1}, {0.2, 0.0}, {-0.4, 0.2},
-                                 {0.1, 0.0}};
-  auto b = a;
+  const std::vector<qsim::Amplitude> amps{{0.3, 0.1}, {0.2, 0.0}, {-0.4, 0.2},
+                                          {0.1, 0.0}};
+  qsim::SoaVector a = qsim::SoaVector::from_amplitudes(amps);
+  qsim::SoaVector b = a;
   qsim::kernels::reflect_non_target_about_their_mean(a, 2);
   const std::vector<qsim::Index> marked{2};
   qsim::kernels::reflect_unmarked_about_their_mean(b, marked);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-14);
+  for (std::size_t i = 0; i < amps.size(); ++i) {
+    ASSERT_LT(std::abs(a.get(i) - b.get(i)), 1e-14);
   }
 }
 
 TEST(MultiKernel, ValidatesInput) {
-  std::vector<qsim::Amplitude> amps(4, {0.5, 0.0});
+  qsim::SoaVector v(4);
+  v.fill({0.5, 0.0});
   const std::vector<qsim::Index> unsorted{2, 1};
-  EXPECT_THROW(
-      qsim::kernels::reflect_unmarked_about_their_mean(amps, unsorted),
-      CheckFailure);
+  EXPECT_THROW(qsim::kernels::reflect_unmarked_about_their_mean(v, unsorted),
+               CheckFailure);
   const std::vector<qsim::Index> too_many{0, 1, 2};
-  EXPECT_THROW(
-      qsim::kernels::reflect_unmarked_about_their_mean(amps, too_many),
-      CheckFailure);
+  EXPECT_THROW(qsim::kernels::reflect_unmarked_about_their_mean(v, too_many),
+               CheckFailure);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "qsim/batch.h"
 #include "qsim/gates.h"
+#include "qsim/gates2.h"
 #include "qsim/state_vector.h"
 #include "service/service.h"
 
@@ -51,6 +52,8 @@ struct KernelOutputs {
 KernelOutputs run_kernels(unsigned n) {
   qsim::StateVector state = qsim::StateVector::uniform(n);
   state.apply_gate1(0, qsim::gates::T());  // complex, non-uniform phases
+  state.apply_gate2(n - 1, 1, qsim::gates::tensor(qsim::gates::H(),
+                                                  qsim::gates::S()));
   for (int i = 0; i < 3; ++i) {
     state.phase_flip((qsim::Index{1} << n) / 3 + 1);
     state.reflect_about_uniform();

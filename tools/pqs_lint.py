@@ -12,8 +12,8 @@ actually shipped here or is one design decision away from shipping:
                      their own (empty) thread_local instance, so writes go
                      to buffers nobody reads — the exact PR 6
                      apply_dense_matrix bug. Hoist a raw pointer outside
-                     the region instead (src/qsim/diffusion.cpp shows the
-                     fixed shape).
+                     the region instead (tests/lint_fixtures/
+                     thread-local-omp.clean.cpp shows the fixed shape).
 
   raw-plane-access   `.re(` / `.im(` SoA plane access outside the qsim
                      kernel/substrate layer. The planes carry a block-sum
@@ -92,14 +92,12 @@ from pathlib import Path
 PLANE_ACCESS_ALLOWED = {
     "src/qsim/soa.h",
     "src/qsim/kernels.h",
-    "src/qsim/kernels.cpp",
     "src/qsim/kernels_ops.h",
     "src/qsim/kernels_scalar.cpp",
     "src/qsim/kernels_avx2.cpp",
     "src/qsim/kernels_avx512.cpp",
     "src/qsim/kernels_soa.cpp",
     "src/qsim/state_vector.cpp",
-    "src/qsim/diffusion.cpp",
 }
 
 RANDOM_ALLOWED = {
