@@ -2,10 +2,11 @@
 // engines, machine-readable.
 //
 // Sections:
-//   dense_simd  the SoA/ISA kernel tiers (qsim/isa.h): the two reflection
-//               work-horses at n >= 22 and an end-to-end n = 24 Grover
-//               loop, once per tier this machine supports, with speedups
-//               relative to the scalar tier
+//   dense_simd  the SoA/ISA kernel tiers (qsim/isa.h) on DenseBackend: the
+//               two reflection work-horses at n >= 22 and an end-to-end
+//               n = 24 Grover loop, once per tier this machine supports,
+//               with speedups relative to the scalar tier and the host it
+//               ran on
 //   backends    dense vs symmetry cost of one full GRK run at growing n —
 //               the O(N) -> O(K) gap the pluggable-backend refactor buys,
 //               including symmetry-only rows far beyond dense reach (n=48)
@@ -13,8 +14,9 @@
 //               K = 4), --shots block and full-index shots drawn through
 //               BatchRunner on 1 thread and on the full team, with the host
 //               it ran on
-//   trajectories noisy runs, one evolution per shot, through Simulator on 1
-//               thread vs the full team, with the host it ran on
+//   trajectories noisy partial-search runs, one evolution per shot, through
+//               partial::run_noisy_partial_search on 1 thread vs the full
+//               team, with the host it ran on
 //   facade      pqs::Engine::run(SearchSpec) vs the direct module call
 //               (dispatch + validation overhead of the service API) and the
 //               plan cache: cold vs warm Engine::plan on the same key
@@ -23,8 +25,8 @@
 //               no control at all, and the full traced-on vs traced-off
 //               n=16 serve path
 //   threading   the evidence behind qsim/parallel.h's work threshold: a
-//               crossover table (one oracle flip + block + global
-//               reflection, n = 12..22 at 1/2/4 threads, threshold
+//               crossover table (one DenseBackend oracle flip + block +
+//               global reflection, n = 12..22 at 1/2/4 threads, threshold
 //               lifted), the n = 24 Grover speedup at 4 threads, and
 //               pqs_serve throughput over TCP in the default environment
 //               next to OMP_NUM_THREADS=1, with the host it ran on
@@ -47,6 +49,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -60,12 +63,12 @@
 #include "common/timing.h"
 #include "oracle/database.h"
 #include "partial/grk.h"
+#include "partial/noisy.h"
 #include "partial/optimizer.h"
 #include "qsim/backend.h"
 #include "qsim/batch.h"
 #include "qsim/isa.h"
 #include "qsim/parallel.h"
-#include "qsim/simulator.h"
 #include "service/service.h"
 
 namespace {
@@ -80,6 +83,27 @@ struct BackendRow {
   double symmetry_seconds = -1.0;
   double speedup = -1.0;
 };
+
+/// A DenseBackend over 2^n items in K blocks with one target, in |psi0>.
+std::unique_ptr<qsim::Backend> dense_backend(unsigned n,
+                                             std::uint64_t k_blocks,
+                                             qsim::Index target) {
+  return qsim::make_backend(
+      qsim::BackendKind::kDense,
+      qsim::BackendSpec::single_target(pow2(n), k_blocks, target));
+}
+
+/// Wall time of `iterations` dense Grover iterations (oracle flip + global
+/// reflection) at n qubits, allocation excluded.
+double grover_seconds(unsigned n, int iterations) {
+  const auto dense = dense_backend(n, 1, 12345);
+  Stopwatch watch;
+  for (int i = 0; i < iterations; ++i) {
+    dense->apply_oracle();
+    dense->apply_global_diffusion();
+  }
+  return watch.seconds();
+}
 
 /// One full GRK evolution (l1 global + l2 local + Step 3) on `kind`.
 double time_grk(unsigned n, unsigned k, std::uint64_t l1, std::uint64_t l2,
@@ -319,21 +343,15 @@ int main(int argc, char** argv) {
     TierRow row;
     row.isa = isa;
     {
-      auto sv = qsim::StateVector::uniform(simd_n);
-      sv.phase_flip(1);  // non-uniform, like the real loop
+      const auto dense = dense_backend(simd_n, 4, 1);
+      dense->apply_oracle();  // non-uniform, like the real loop
       row.reflect_seconds = best_seconds_per_op(
-          5, 10, [&] { sv.reflect_about_uniform(); });
+          5, 10, [&] { dense->apply_global_diffusion(); });
       row.block_reflect_seconds = best_seconds_per_op(
-          5, 10, [&] { sv.reflect_blocks_about_uniform(2); });
+          5, 10, [&] { dense->apply_block_diffusion(); });
     }
     if (!quick) {
-      auto sv = qsim::StateVector::uniform(simd_grover_n);
-      Stopwatch watch;
-      for (int i = 0; i < simd_grover_iters; ++i) {
-        sv.phase_flip(12345);
-        sv.reflect_about_uniform();
-      }
-      row.grover_seconds = watch.seconds();
+      row.grover_seconds = grover_seconds(simd_grover_n, simd_grover_iters);
     }
     tier_rows.push_back(row);
   }
@@ -376,7 +394,7 @@ int main(int argc, char** argv) {
               << ",\"grover_seconds\":" << json_num(row.grover_seconds)
               << ",\"grover_speedup\":" << json_num(grover_speedup) << "}";
   }
-  simd_json << "]}";
+  simd_json << "], \"host\": " << host_json().dump() << "}";
   std::cout << "dense_simd (SoA kernels, n=" << simd_n
             << ", auto tier = " << qsim::isa_name(qsim::active_isa())
             << ")\n" << simd_table.render() << "\n";
@@ -404,8 +422,7 @@ int main(int argc, char** argv) {
     qsim::force_parallel_threshold(0);
     unsigned first_win = 0;  // smallest n from which a team always wins
     for (unsigned n = 12; n <= n_max; ++n) {
-      auto sv = qsim::StateVector::uniform(n);
-      const qsim::Index target = pow2(n) / 3 + 1;
+      const auto dense = dense_backend(n, 4, pow2(n) / 3 + 1);
       const int reps = std::max(3, static_cast<int>((1u << 24) >> n));
       Json row = Json::make_object();
       row["n"] = n;
@@ -416,9 +433,9 @@ int main(int argc, char** argv) {
       for (const unsigned threads : {1u, 2u, 4u}) {
         qsim::set_thread_budget(threads);
         Json t = min_median_us(trials, reps, [&] {
-          sv.phase_flip(target);
-          sv.reflect_blocks_about_uniform(2);
-          sv.reflect_about_uniform();
+          dense->apply_oracle();
+          dense->apply_block_diffusion();
+          dense->apply_global_diffusion();
         });
         const double median = t.at("median_us").as_double();
         if (threads == 1) {
@@ -458,13 +475,7 @@ int main(int argc, char** argv) {
       double seconds[2] = {0.0, 0.0};
       for (const unsigned threads : {1u, 4u}) {
         qsim::set_thread_budget(threads);
-        auto sv = qsim::StateVector::uniform(n);
-        Stopwatch watch;
-        for (int i = 0; i < iterations; ++i) {
-          sv.phase_flip(12345);
-          sv.reflect_about_uniform();
-        }
-        seconds[threads == 1 ? 0 : 1] = watch.seconds();
+        seconds[threads == 1 ? 0 : 1] = grover_seconds(n, iterations);
       }
       qsim::set_thread_budget(0);
       Json grover = Json::make_object();
@@ -639,28 +650,23 @@ int main(int argc, char** argv) {
     const std::uint64_t trajectory_shots = quick ? 200 : 1000;
     const int trials = 3;
     const oracle::Database db = oracle::Database::with_qubits(n, 99);
-    qsim::Circuit circuit(n);
-    for (int i = 0; i < 10; ++i) {
-      circuit.grover_iteration();
-    }
-    for (int i = 0; i < 5; ++i) {
-      circuit.partial_iteration(k);
-    }
-    circuit.non_target_mean_reflection();
     const qsim::NoiseModel noise{qsim::NoiseKind::kDepolarizing, 0.01};
     double seconds[2] = {0.0, 0.0};
     qsim::Index modes[2] = {0, 0};
+    std::uint64_t queries_per_shot = 0;
     const unsigned team_threads =
         qsim::BatchRunner({.threads = batch_threads}).threads();
     for (const bool use_team : {false, true}) {
-      qsim::Simulator sim(2005);
-      sim.set_backend(trajectory_backend);
-      sim.set_noise(noise);
-      sim.set_batch({.threads = use_team ? batch_threads : 1u});
+      partial::NoisyOptions options{.backend = trajectory_backend,
+                                    .l1 = 10,
+                                    .l2 = 5};
+      options.batch.threads = use_team ? batch_threads : 1u;
       Json row = min_median_us(trials, 1, [&] {
-        sim.reseed(2005);
-        modes[use_team ? 1 : 0] =
-            sim.run_block_shots(circuit, db.view(), k, trajectory_shots).mode;
+        Rng rng(2005);
+        const auto run = partial::run_noisy_partial_search(
+            db, k, noise, trajectory_shots, rng, options);
+        modes[use_team ? 1 : 0] = run.modal_block;
+        queries_per_shot = run.queries_per_trial;
       });
       seconds[use_team ? 1 : 0] = row.at("median_us").as_double() * 1e-6;
     }
@@ -669,7 +675,7 @@ int main(int argc, char** argv) {
     trajectories["backend"] = to_string(trajectory_backend);
     trajectories["n"] = n;
     trajectories["shots"] = trajectory_shots;
-    trajectories["queries_per_shot"] = circuit.query_count();
+    trajectories["queries_per_shot"] = queries_per_shot;
     trajectories["noise"] = "depolarizing 0.01";
     trajectories["seconds_1_thread"] = seconds[0];
     trajectories["seconds_team"] = seconds[1];

@@ -11,9 +11,9 @@
 namespace pqs::api {
 namespace {
 
-/// Lemma 2's hybrid check is O(N T) simulator runs per sampled y; a fixed
-/// small sample keeps the service-path cost bounded (the dedicated bench
-/// sweeps the full set).
+/// Lemma 2's hybrid check is T circuit runs per sampled y; a fixed small
+/// sample keeps the service-path cost bounded (the dedicated bench sweeps
+/// the full set). The analysis checks ctx.control before every run.
 constexpr std::uint64_t kLemma2Sample = 8;
 
 class ZalkaAlgorithm final : public Algorithm {
@@ -37,6 +37,7 @@ class ZalkaAlgorithm final : public Algorithm {
     zalka::ZalkaOptions options;
     options.lemma2_sample = kLemma2Sample;
     options.backend = ctx.spec.backend;
+    options.control = ctx.control;
     const auto r = zalka::analyze_grover(n, iterations, options);
 
     SearchReport report;

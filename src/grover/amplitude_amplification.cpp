@@ -4,37 +4,8 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "qsim/kernels.h"
 
 namespace pqs::grover {
-
-Preparation hadamard_preparation() {
-  const auto apply = [](qsim::StateVector& state) {
-    state.apply_hadamard_all();
-  };
-  return Preparation{apply, apply};
-}
-
-void amplification_step(qsim::StateVector& state, const Preparation& prep,
-                        const oracle::MarkedDatabase& db) {
-  PQS_CHECK_MSG(state.dimension() == db.size(), "dimension mismatch");
-  db.apply_phase_oracle(state);             // S_t   (1 query)
-  prep.apply_inverse(state);                // A^{-1}
-  state.phase_flip(0);                      // S0 = I - 2|0><0|
-  prep.apply(state);                        // A
-  state.scale(qsim::Amplitude{-1.0, 0.0});  // overall -1 of Q
-}
-
-qsim::StateVector amplify(unsigned n_qubits, const Preparation& prep,
-                          const oracle::MarkedDatabase& db,
-                          std::uint64_t iterations) {
-  auto state = qsim::StateVector::zero_state(n_qubits);
-  prep.apply(state);
-  for (std::uint64_t i = 0; i < iterations; ++i) {
-    amplification_step(state, prep, db);
-  }
-  return state;
-}
 
 std::unique_ptr<qsim::Backend> amplify_uniform_on_backend(
     const oracle::MarkedDatabase& db, std::uint64_t iterations,
@@ -52,17 +23,6 @@ std::unique_ptr<qsim::Backend> amplify_uniform_on_backend(
     backend->apply_global_diffusion();  // -A S0 A^{-1}
   }
   return backend;
-}
-
-double initial_success_probability(unsigned n_qubits, const Preparation& prep,
-                                   const oracle::MarkedDatabase& db) {
-  auto state = qsim::StateVector::zero_state(n_qubits);
-  prep.apply(state);
-  double a = 0.0;
-  for (const auto m : db.marked()) {
-    a += state.probability(m);
-  }
-  return a;
 }
 
 double amplified_success_probability(double initial_probability,

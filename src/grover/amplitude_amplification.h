@@ -9,50 +9,23 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "oracle/marked_set.h"
 #include "qsim/backend.h"
-#include "qsim/state_vector.h"
 
 namespace pqs::grover {
 
-/// A unitary given by its action and its inverse's action on a state vector.
-struct Preparation {
-  std::function<void(qsim::StateVector&)> apply;
-  std::function<void(qsim::StateVector&)> apply_inverse;
-};
-
-/// The Walsh-Hadamard preparation (self-inverse).
-Preparation hadamard_preparation();
-
-/// Apply one amplification step Q = -A S0 A^{-1} S_t in place. One query.
-void amplification_step(qsim::StateVector& state, const Preparation& prep,
-                        const oracle::MarkedDatabase& db);
-
-/// Prepare A|0> and run `iterations` amplification steps. Gate-level and
-/// therefore dense by definition: `prep` is an arbitrary unitary on the
-/// amplitude array. For the Walsh-Hadamard preparation use
-/// amplify_uniform_on_backend, which dispatches over engines.
-qsim::StateVector amplify(unsigned n_qubits, const Preparation& prep,
-                          const oracle::MarkedDatabase& db,
-                          std::uint64_t iterations);
-
-/// Engine-agnostic amplification for A = H^(x)n, where Q = -A S0 A^{-1} S_t
-/// collapses to I0 . S_t exactly (verified against the gate-level form in
-/// tests). Supports ARBITRARY marked sets on both engines: the spec uses
-/// K = 1, so the whole database is one block and the symmetry invariant
-/// holds for any marked set — multi-target amplification at n = 60+ qubits
-/// is exact and O(1) per step. Meters `iterations` queries on db. Checked:
-/// the marked set must be non-empty (a = 0 cannot be amplified).
+/// Amplification for A = H^(x)n, where Q = -A S0 A^{-1} S_t collapses to
+/// I0 . S_t exactly (verified against a gate-level Q in tests). Supports
+/// ARBITRARY marked sets on both engines: the spec uses K = 1, so the whole
+/// database is one block and the symmetry invariant holds for any marked
+/// set — multi-target amplification at n = 60+ qubits is exact and O(1)
+/// per step. Meters `iterations` queries on db. Checked: the marked set must
+/// be non-empty (a = 0 cannot be amplified).
 std::unique_ptr<qsim::Backend> amplify_uniform_on_backend(
     const oracle::MarkedDatabase& db, std::uint64_t iterations,
     qsim::BackendKind kind = qsim::BackendKind::kAuto);
-
-/// Initial success probability a = sum over marked |<x|A|0>|^2.
-double initial_success_probability(unsigned n_qubits, const Preparation& prep,
-                                   const oracle::MarkedDatabase& db);
 
 /// BHMT closed form: after j steps the success probability is
 /// sin^2((2j+1) theta_a) with theta_a = arcsin(sqrt(a)).

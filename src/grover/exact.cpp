@@ -79,14 +79,6 @@ std::unique_ptr<qsim::Backend> evolve_exact_on_backend(
   return backend;
 }
 
-qsim::StateVector evolve_exact(const oracle::Database& db) {
-  PQS_CHECK_MSG(is_pow2(db.size()),
-                "state-vector evolution needs a power-of-two database");
-  const auto backend =
-      evolve_exact_on_backend(db, qsim::BackendKind::kDense);
-  return qsim::StateVector::from_amplitudes(backend->amplitudes_copy());
-}
-
 SearchResult search_exact(const oracle::Database& db, Rng& rng,
                           const SearchOptions& options) {
   const std::uint64_t before = db.queries();

@@ -30,7 +30,6 @@
 #include "grover/grover.h"
 #include "oracle/database.h"
 #include "qsim/backend.h"
-#include "qsim/state_vector.h"
 
 namespace pqs::grover {
 
@@ -56,11 +55,6 @@ std::uint64_t exact_query_count(std::uint64_t n_items);
 /// symmetry engine runs it as the K = 1 block case at any n up to 62).
 std::unique_ptr<qsim::Backend> evolve_exact_on_backend(
     const oracle::Database& db, qsim::BackendKind kind);
-
-/// Evolve |psi0> through the sure-success schedule. The returned state has
-/// |<t|state>| = 1 up to numerical error. (Dense by definition; see
-/// evolve_exact_on_backend for the engine-agnostic form.)
-qsim::StateVector evolve_exact(const oracle::Database& db);
 
 /// Full pipeline: evolve + measurement on the chosen engine. `correct` is
 /// always true (up to the ~1e-12 simulation roundoff).

@@ -5,15 +5,6 @@
 
 namespace pqs::grover {
 
-qsim::StateVector evolve(const oracle::Database& db,
-                         std::uint64_t iterations) {
-  PQS_CHECK_MSG(is_pow2(db.size()),
-                "state-vector evolution needs a power-of-two database");
-  const auto backend =
-      evolve_on_backend(db, iterations, qsim::BackendKind::kDense);
-  return qsim::StateVector::from_amplitudes(backend->amplitudes_copy());
-}
-
 std::unique_ptr<qsim::Backend> evolve_on_backend(const oracle::Database& db,
                                                  std::uint64_t iterations,
                                                  qsim::BackendKind kind) {

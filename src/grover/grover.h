@@ -10,7 +10,6 @@
 #include "common/random.h"
 #include "oracle/database.h"
 #include "qsim/backend.h"
-#include "qsim/state_vector.h"
 
 namespace pqs::grover {
 
@@ -32,15 +31,11 @@ struct SearchResult {
   qsim::BackendKind backend_used = qsim::BackendKind::kDense;
 };
 
-/// Prepare |psi0> and apply `iterations` Grover iterations A = I0 . It.
-/// Returns the pre-measurement state; `db.queries()` advances by
-/// `iterations`. (Dense by definition; see evolve_on_backend for the
-/// engine-agnostic form.)
-qsim::StateVector evolve(const oracle::Database& db, std::uint64_t iterations);
-
-/// Engine-agnostic evolution: the returned backend holds the
-/// pre-measurement state. Works for any db.size() (not only powers of two)
-/// and, with the symmetry engine, for sizes far beyond dense reach.
+/// Prepare |psi0> and apply `iterations` Grover iterations A = I0 . It on
+/// the chosen engine; the returned backend holds the pre-measurement state
+/// and `db.queries()` advances by `iterations`. Works for any db.size() (not
+/// only powers of two) and, with the symmetry engine, for sizes far beyond
+/// dense reach.
 std::unique_ptr<qsim::Backend> evolve_on_backend(const oracle::Database& db,
                                                  std::uint64_t iterations,
                                                  qsim::BackendKind kind);

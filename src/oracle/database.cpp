@@ -21,38 +21,4 @@ bool Database::probe(Index x) const {
   return x == target_;
 }
 
-void Database::apply_phase_oracle(qsim::StateVector& state) const {
-  PQS_CHECK_MSG(state.dimension() == size_,
-                "state dimension does not match database size");
-  ++queries_;
-  state.phase_flip(target_);
-}
-
-void Database::apply_phase_oracle(qsim::StateVector& state, double phi) const {
-  PQS_CHECK_MSG(state.dimension() == size_,
-                "state dimension does not match database size");
-  ++queries_;
-  state.phase_rotate(target_, phi);
-}
-
-void Database::apply_bit_oracle(qsim::StateVector& state_with_ancilla) const {
-  PQS_CHECK_MSG(state_with_ancilla.dimension() == 2 * size_,
-                "state must have one ancilla qubit above the address bits");
-  ++queries_;
-  // T_f swaps |t>|0> <-> |t>|1>. The ancilla is the top qubit, so the two
-  // components of the target address sit at t and t + N.
-  const qsim::Amplitude a0 = state_with_ancilla.amplitude(target_);
-  const qsim::Amplitude a1 = state_with_ancilla.amplitude(target_ + size_);
-  state_with_ancilla.set_amplitude(target_, a1);
-  state_with_ancilla.set_amplitude(target_ + size_, a0);
-}
-
-qsim::OracleView Database::view() const {
-  return qsim::OracleView{
-      .marked = [t = target_](Index x) { return x == t; },
-      .target = target_,
-      .marked_list = {target_},
-  };
-}
-
 }  // namespace pqs::oracle

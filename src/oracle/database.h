@@ -4,10 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
-#include "qsim/circuit.h"
-#include "qsim/state_vector.h"
 #include "qsim/types.h"
 
 namespace pqs::oracle {
@@ -15,8 +12,9 @@ namespace pqs::oracle {
 using qsim::Index;
 
 /// A database of size N (any N >= 1, not necessarily a power of two) with a
-/// unique marked target address. Query counting is built in: every evaluation
-/// of f and every quantum oracle application increments the counter.
+/// unique marked target address. Query counting is built in: every
+/// evaluation of f counts itself, and the quantum algorithms, which apply the
+/// oracle on a qsim::Backend, add their queries via `add_queries`.
 class Database {
  public:
   Database(std::uint64_t size, Index target);
@@ -31,19 +29,6 @@ class Database {
   bool probe(Index x) const;
   /// f(x) without counting (for assertions / verification only).
   bool peek(Index x) const { return x == target_; }
-
-  /// Apply the phase oracle I_t = I - 2|t><t| to a state vector. One query.
-  void apply_phase_oracle(qsim::StateVector& state) const;
-  /// Generalized phase oracle: |t> <- e^{i phi}|t>. One query.
-  void apply_phase_oracle(qsim::StateVector& state, double phi) const;
-  /// The bit-oracle form T_f |x>|b> = |x>|b xor f(x)> on an (n+1)-qubit
-  /// state whose top qubit is the ancilla b. One query.
-  void apply_bit_oracle(qsim::StateVector& state_with_ancilla) const;
-
-  /// View for executing qsim::Circuit against this database. Circuit
-  /// execution reports its own query count; callers add it via
-  /// `add_queries`.
-  qsim::OracleView view() const;
 
   std::uint64_t queries() const { return queries_; }
   void reset_queries() const { queries_ = 0; }

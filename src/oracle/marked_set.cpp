@@ -26,21 +26,4 @@ bool MarkedDatabase::peek(Index x) const {
   return std::binary_search(marked_.begin(), marked_.end(), x);
 }
 
-void MarkedDatabase::apply_phase_oracle(qsim::StateVector& state) const {
-  PQS_CHECK_MSG(state.dimension() == size_,
-                "state dimension does not match database size");
-  ++queries_;
-  for (const Index m : marked_) {
-    state.phase_flip(m);
-  }
-}
-
-qsim::OracleView MarkedDatabase::view() const {
-  return qsim::OracleView{
-      .marked = [this](Index x) { return peek(x); },
-      .target = marked_.empty() ? 0 : marked_.front(),
-      .marked_list = marked_,
-  };
-}
-
 }  // namespace pqs::oracle

@@ -9,8 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "qsim/circuit.h"
-#include "qsim/state_vector.h"
+#include "qsim/types.h"
 
 namespace pqs::oracle {
 
@@ -29,11 +28,6 @@ class MarkedDatabase {
   bool probe(Index x) const;
   /// Uncounted membership test (verification only).
   bool peek(Index x) const;
-
-  /// Phase oracle: flip the sign of every marked state. One query.
-  void apply_phase_oracle(qsim::StateVector& state) const;
-
-  qsim::OracleView view() const;
 
   std::uint64_t queries() const { return queries_; }
   void reset_queries() const { queries_ = 0; }

@@ -41,13 +41,6 @@ std::unique_ptr<qsim::Backend> evolve_partial_search_on_backend(
   return backend;
 }
 
-qsim::StateVector evolve_partial_search(const oracle::Database& db, unsigned k,
-                                        std::uint64_t l1, std::uint64_t l2) {
-  const auto backend = evolve_partial_search_on_backend(
-      db, k, l1, l2, qsim::BackendKind::kDense);
-  return qsim::StateVector::from_amplitudes(backend->amplitudes_copy());
-}
-
 GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
                              const GrkOptions& options) {
   const auto spec = grk_spec(db, k);

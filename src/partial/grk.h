@@ -27,7 +27,6 @@
 #include "oracle/database.h"
 #include "partial/analytic.h"
 #include "qsim/backend.h"
-#include "qsim/state_vector.h"
 
 namespace pqs::partial {
 
@@ -78,11 +77,5 @@ GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
 std::unique_ptr<qsim::Backend> evolve_partial_search_on_backend(
     const oracle::Database& db, unsigned k, std::uint64_t l1,
     std::uint64_t l2, qsim::BackendKind kind);
-
-/// Evolve the pre-measurement state only (no sampling); exposes the state
-/// for analyses that need more than the block distribution. Dense by
-/// definition.
-qsim::StateVector evolve_partial_search(const oracle::Database& db, unsigned k,
-                                        std::uint64_t l1, std::uint64_t l2);
 
 }  // namespace pqs::partial

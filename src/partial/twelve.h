@@ -11,10 +11,10 @@
 //
 // N = 12 is not a power of two; the stage pattern runs on qsim::Backend,
 // whose engines are dimension-agnostic (blocks are contiguous address
-// ranges) even though the qubit-based StateVector is not. Both engines
-// apply: the dense engine replays the raw O(N) kernels, the symmetry
-// engine evolves the three class amplitudes in O(1) per stage, and the
-// per-stage pictures come from Backend::amplitudes_copy.
+// ranges; only gate-level ops need N = 2^n). Both engines apply: the dense
+// engine replays the raw O(N) kernels, the symmetry engine evolves the
+// three class amplitudes in O(1) per stage, and the per-stage pictures come
+// from Backend::amplitudes_copy.
 //
 // The module also answers "when does the 2-query trick work in general?":
 // exactly when N = 4K/(K - 2) (derived in two_query_instances), which yields

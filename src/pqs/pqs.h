@@ -32,10 +32,7 @@
 #include "qsim/gates.h"
 #include "qsim/gates2.h"
 #include "qsim/kernels.h"
-#include "qsim/measurement.h"
 #include "qsim/noise.h"
-#include "qsim/simulator.h"
-#include "qsim/state_vector.h"
 #include "qsim/types.h"
 
 // The database-oracle model.

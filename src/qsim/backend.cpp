@@ -98,9 +98,9 @@ bool symmetry_supports(const BackendSpec& spec) {
 // ---------------------------------------------------------------------------
 
 /// The exact engine: SoA amplitude planes (qsim/soa.h) driven by the
-/// ISA-dispatched SoA kernels. The arithmetic per element matches what the
-/// pre-backend code paths performed through StateVector, so seeded runs
-/// reproduce historical results to the dense≡symmetry agreement bar.
+/// ISA-dispatched SoA kernels (qsim/kernels.h). It is the library's one
+/// dense state; gate-level circuits and the Zalka hybrid argument run on it
+/// too.
 class DenseBackend final : public Backend {
  public:
   explicit DenseBackend(BackendSpec spec) : Backend(std::move(spec)) {
@@ -665,41 +665,6 @@ void require_dense(BackendKind kind, std::string_view what) {
 
 namespace {
 
-/// Visitor deciding whether one op preserves the block symmetry, collecting
-/// the block-op granularity on the way.
-struct SymmetryScan {
-  const OracleView& oracle;
-  std::optional<unsigned> block_bits;  ///< k of block ops seen so far
-  bool ok = true;
-
-  void fail() { ok = false; }
-  void note_block_bits(unsigned k) {
-    if (block_bits.has_value() && *block_bits != k) {
-      fail();  // two distinct block granularities break the 3-class split
-    } else {
-      block_bits = k;
-    }
-  }
-
-  void operator()(const Gate1Op&) { fail(); }
-  void operator()(const CGate1Op&) { fail(); }
-  void operator()(const LayerOp&) { fail(); }
-  void operator()(const OracleOp&) {}
-  void operator()(const OraclePhaseOp&) {}
-  void operator()(const GlobalDiffusionOp&) {}
-  void operator()(const BlockDiffusionOp& op) { note_block_bits(op.k); }
-  void operator()(const BlockRotationOp& op) { note_block_bits(op.k); }
-  void operator()(const PhaseFlipKnownOp&) { fail(); }
-  void operator()(const MczOp&) { fail(); }
-  void operator()(const GlobalPhaseOp&) {}
-  void operator()(const NonTargetMeanOp&) {
-    if (oracle.marked_list.size() != 1 ||
-        oracle.marked_list.front() != oracle.target) {
-      fail();  // Step 3 keeps exactly the unique target fixed
-    }
-  }
-};
-
 struct BackendApplyVisitor {
   Backend& backend;
 
@@ -747,35 +712,16 @@ struct BackendApplyVisitor {
 
 }  // namespace
 
-std::optional<BackendSpec> symmetric_spec(const Circuit& circuit,
-                                          const OracleView& oracle) {
-  if (oracle.marked_list.empty()) {
-    return std::nullopt;
-  }
-  SymmetryScan scan{.oracle = oracle};
-  for (const auto& op : circuit.ops()) {
-    std::visit(scan, op);
-    if (!scan.ok) {
-      return std::nullopt;
-    }
-  }
-  BackendSpec spec{pow2(circuit.num_qubits()),
-                   scan.block_bits.has_value() ? pow2(*scan.block_bits)
-                                               : std::uint64_t{1},
-                   oracle.marked_list};
-  if (!symmetry_supports(spec)) {
-    return std::nullopt;
-  }
-  return spec;
+void apply_op(Backend& backend, const Op& op) {
+  std::visit(BackendApplyVisitor{backend}, op);
 }
 
 std::uint64_t apply_circuit(Backend& backend, const Circuit& circuit) {
   PQS_CHECK_MSG(backend.num_items() == pow2(circuit.num_qubits()),
                 "circuit dimension does not match the backend");
-  BackendApplyVisitor visitor{backend};
   std::uint64_t queries = 0;
   for (const auto& op : circuit.ops()) {
-    std::visit(visitor, op);
+    apply_op(backend, op);
     queries += op_query_cost(op);
   }
   return queries;

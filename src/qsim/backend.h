@@ -33,15 +33,14 @@
 // pre-backend code paths) and the symmetry engine beyond that. Construction
 // goes through make_backend(kind, spec).
 //
-// Thread-safety: backends are single-owner mutable state, like StateVector.
-// The batched execution layer (qsim/batch.h) gives each shot its own backend
-// or builds one sampler over a const backend and draws every shot from it
-// with per-shot RNG streams.
+// Thread-safety: backends are single-owner mutable state. The batched
+// execution layer (qsim/batch.h) gives each shot its own backend or builds
+// one sampler over a const backend and draws every shot from it with
+// per-shot RNG streams.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,8 +65,7 @@ enum class BackendKind {
 BackendKind parse_backend_kind(std::string_view name);
 std::string to_string(BackendKind kind);
 
-/// Largest database a DenseBackend will allocate (matches StateVector's
-/// qubit ceiling).
+/// Largest database a DenseBackend will allocate (2^kMaxQubits items).
 inline constexpr std::uint64_t kMaxDenseItems = std::uint64_t{1} << kMaxQubits;
 
 /// The kAuto dense -> symmetry crossover: databases up to this many items
@@ -219,18 +217,17 @@ void require_noise_support(BackendKind kind, const BackendSpec& spec,
 
 // -- circuit execution on a backend --
 
-/// The spec a symmetric execution of `circuit` against `oracle` would use,
-/// or nullopt when the pair leaves the 3-class symmetry: the circuit uses a
-/// non-symmetric op (single-qubit gates, MCZ, ...), mixes distinct block
-/// sizes, the oracle's marked set is unknown or empty or spans blocks, or a
-/// Step-3 op appears with more than one marked address.
-std::optional<BackendSpec> symmetric_spec(const Circuit& circuit,
-                                          const OracleView& oracle);
+/// Apply one circuit op to `backend`: the step apply_circuit repeats, for
+/// callers that drive a circuit op by op (the Zalka hybrid argument).
+/// Oracle ops act on the backend's marked set. Checked: the op must be
+/// applicable — gate-level ops need the dense engine, block ops a matching
+/// block count.
+void apply_op(Backend& backend, const Op& op);
 
 /// Execute every op of `circuit` on `backend` (which must already be in the
 /// desired start state; circuits assume |psi0>). Returns the oracle queries
-/// consumed. Checked: every op must be applicable to the backend — run
-/// symmetric_spec first when in doubt.
+/// consumed. Checked: as apply_op, and the circuit's dimension must match
+/// the backend's.
 std::uint64_t apply_circuit(Backend& backend, const Circuit& circuit);
 
 }  // namespace pqs::qsim

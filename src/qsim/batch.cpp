@@ -114,23 +114,11 @@ ShotReport BatchRunner::draw_shots(const ShotSampler& sampler,
                queries_per_shot);
 }
 
-ShotReport BatchRunner::sample_shots(const StateVector& state,
-                                     std::uint64_t shots,
-                                     std::uint64_t queries_per_shot) const {
-  return draw_shots(state.index_sampler(), shots, queries_per_shot);
-}
-
 ShotReport BatchRunner::sample_shots(const Backend& backend,
                                      std::uint64_t shots,
                                      std::uint64_t queries_per_shot) const {
   return draw_shots(*backend.sampler(Measure::kIndex), shots,
                     queries_per_shot);
-}
-
-ShotReport BatchRunner::sample_block_shots(
-    const StateVector& state, unsigned k, std::uint64_t shots,
-    std::uint64_t queries_per_shot) const {
-  return draw_shots(state.block_sampler(k), shots, queries_per_shot);
 }
 
 ShotReport BatchRunner::sample_block_shots(

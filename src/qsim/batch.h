@@ -9,9 +9,9 @@
 // (seed, shot index), so results are identical for any thread count,
 // including 1.
 //
-// The Simulator front-end routes its run_shots / run_block_shots through
-// this layer; algorithm-level sweeps (benches, examples) use map_shots
-// directly with their own shot body.
+// The Engine adapters route their shot sweeps through this layer;
+// algorithm-level sweeps (benches, examples) use map_shots directly with
+// their own shot body.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include "qsim/backend.h"
 #include "qsim/run_control.h"
 #include "qsim/sampler.h"
-#include "qsim/state_vector.h"
 #include "qsim/types.h"
 
 namespace pqs::qsim {
@@ -90,14 +89,9 @@ class BatchRunner {
   // then O(log K) per block shot and at most one kChunk walk per full-index
   // shot. Cancellation, progress and the shot_rng streams are map_shots'.
   /// Repeated full measurement of a fixed state.
-  ShotReport sample_shots(const StateVector& state, std::uint64_t shots,
-                          std::uint64_t queries_per_shot) const;
   ShotReport sample_shots(const Backend& backend, std::uint64_t shots,
                           std::uint64_t queries_per_shot) const;
-  /// Repeated measurement of the first k bits / the block index.
-  ShotReport sample_block_shots(const StateVector& state, unsigned k,
-                                std::uint64_t shots,
-                                std::uint64_t queries_per_shot) const;
+  /// Repeated measurement of the block index.
   ShotReport sample_block_shots(const Backend& backend, std::uint64_t shots,
                                 std::uint64_t queries_per_shot) const;
 

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "qsim/kernels.h"
 
 namespace pqs::qsim {
 
@@ -130,109 +129,6 @@ std::uint64_t Circuit::query_count() const {
     total += op_query_cost(op);
   }
   return total;
-}
-
-namespace {
-
-struct ApplyVisitor {
-  StateVector& state;
-  const OracleView& oracle;
-  bool oracle_as_identity;
-
-  void operator()(const Gate1Op& op) const { state.apply_gate1(op.q, op.g); }
-  void operator()(const CGate1Op& op) const {
-    state.apply_controlled_gate1(op.control_mask, op.q, op.g);
-  }
-  void operator()(const LayerOp& op) const {
-    for (unsigned q = 0; q < state.num_qubits(); ++q) {
-      state.apply_gate1(q, op.g);
-    }
-  }
-  void operator()(const OracleOp&) const {
-    if (oracle_as_identity) {
-      return;
-    }
-    if (!oracle.marked_list.empty()) {
-      state.phase_flip_indices(oracle.marked_list);
-    } else {
-      state.phase_flip_if(oracle.marked);
-    }
-  }
-  void operator()(const OraclePhaseOp& op) const {
-    if (oracle_as_identity) {
-      return;
-    }
-    if (!oracle.marked_list.empty()) {
-      state.phase_rotate_indices(oracle.marked_list, op.phi);
-      return;
-    }
-    const Amplitude factor = std::polar(1.0, op.phi);
-    for (std::size_t i = 0; i < state.dimension(); ++i) {
-      if (oracle.marked(static_cast<Index>(i))) {
-        state.set_amplitude(static_cast<Index>(i),
-                            factor * state.amplitude(static_cast<Index>(i)));
-      }
-    }
-  }
-  void operator()(const GlobalDiffusionOp&) const {
-    state.reflect_about_uniform();
-  }
-  void operator()(const BlockDiffusionOp& op) const {
-    state.reflect_blocks_about_uniform(op.k);
-  }
-  void operator()(const BlockRotationOp& op) const {
-    state.rotate_blocks_about_uniform(op.k, op.phi);
-  }
-  void operator()(const PhaseFlipKnownOp& op) const { state.phase_flip(op.x); }
-  void operator()(const MczOp& op) const {
-    state.phase_flip_mask_all_ones(op.mask);
-  }
-  void operator()(const GlobalPhaseOp& op) const { state.scale(op.phase); }
-  void operator()(const NonTargetMeanOp&) const {
-    if (oracle_as_identity) {
-      return;
-    }
-    state.reflect_non_target_about_their_mean(oracle.target);
-  }
-};
-
-}  // namespace
-
-std::uint64_t Circuit::apply(StateVector& state,
-                             const OracleView& oracle) const {
-  return apply_range(state, oracle, 0, ops_.size());
-}
-
-std::uint64_t Circuit::apply_range(StateVector& state,
-                                   const OracleView& oracle, std::size_t begin,
-                                   std::size_t end) const {
-  PQS_CHECK_MSG(begin <= end && end <= ops_.size(), "bad op range");
-  PQS_CHECK_MSG(state.num_qubits() == n_qubits_, "qubit count mismatch");
-  std::uint64_t queries = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    std::visit(ApplyVisitor{state, oracle, /*oracle_as_identity=*/false},
-               ops_[i]);
-    queries += op_query_cost(ops_[i]);
-  }
-  return queries;
-}
-
-std::uint64_t Circuit::apply_hybrid(StateVector& state,
-                                    const OracleView& oracle,
-                                    std::uint64_t identity_until_query) const {
-  PQS_CHECK_MSG(state.num_qubits() == n_qubits_, "qubit count mismatch");
-  std::uint64_t queries_seen = 0;
-  std::uint64_t real_queries = 0;
-  for (const auto& op : ops_) {
-    const std::uint64_t cost = op_query_cost(op);
-    const bool as_identity = cost > 0 && queries_seen < identity_until_query;
-    std::visit(ApplyVisitor{state, oracle, as_identity}, op);
-    queries_seen += cost;
-    if (cost > 0 && !as_identity) {
-      real_queries += cost;
-    }
-  }
-  return real_queries;
 }
 
 std::string Circuit::to_string() const {

@@ -1,36 +1,23 @@
 // A small circuit IR.
 //
 // Circuits separate *description* from *execution*: algorithms build an op
-// list once; `apply` runs it against a state vector and an oracle, counting
-// oracle queries. Oracle calls are symbolic (OracleOp / NonTargetMeanOp) so
-// the same circuit can be executed against different databases — and, for the
-// Zalka hybrid argument, with some oracle calls replaced by the identity.
+// list once; qsim::apply_circuit (qsim/backend.h) runs it on a Backend,
+// counting oracle queries. Oracle calls are symbolic (OracleOp /
+// NonTargetMeanOp) and read the backend's marked set, so the same circuit
+// runs against different databases — and, for the Zalka hybrid argument
+// (zalka/zalka.h), one op at a time with some oracle calls replaced by the
+// identity.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "qsim/gates.h"
-#include "qsim/state_vector.h"
+#include "qsim/types.h"
 
 namespace pqs::qsim {
-
-/// Marked-set predicate + target accessor the circuit executor queries.
-/// (The oracle subsystem adapts pqs::oracle::Database to this.)
-struct OracleView {
-  /// f(x): is x marked?
-  std::function<bool(Index)> marked;
-  /// The unique target (used by ops that need the paper's I_t directly).
-  Index target = 0;
-  /// Explicit marked set (sorted, unique), when the oracle layer knows it.
-  /// Non-empty lets the executor flip oracle phases in O(m) instead of
-  /// scanning all N basis states through `marked`; empty means "unknown"
-  /// and falls back to the predicate scan.
-  std::vector<Index> marked_list;
-};
 
 // --- Ops ---
 
@@ -138,19 +125,6 @@ class Circuit {
 
   /// Total oracle queries the circuit would consume.
   std::uint64_t query_count() const;
-
-  /// Execute against a state and oracle; returns the number of queries made.
-  std::uint64_t apply(StateVector& state, const OracleView& oracle) const;
-
-  /// Execute only ops [begin, end) — used by the Zalka hybrid argument.
-  std::uint64_t apply_range(StateVector& state, const OracleView& oracle,
-                            std::size_t begin, std::size_t end) const;
-
-  /// Execute with oracle calls >= `identity_from_query` (0-based query index)
-  /// replaced by the identity. The Zalka hybrid |phi^{y,i}> runs the first
-  /// T-i queries as identity: call with identity_until_query = T - i instead.
-  std::uint64_t apply_hybrid(StateVector& state, const OracleView& oracle,
-                             std::uint64_t identity_until_query) const;
 
   /// Multi-line rendering of the op list.
   std::string to_string() const;

@@ -2,8 +2,8 @@
 //
 // The reproduction itself needs only reflections and single-qubit layers,
 // but a simulator substrate a downstream user would adopt needs entangling
-// gates. This header only builds the matrices; StateVector::apply_gate2
-// applies one with the SoA kernel kernels::apply_gate2 (qsim/kernels.h).
+// gates. This header only builds the matrices; the SoA kernel
+// kernels::apply_gate2 (qsim/kernels.h) applies one to a dense state.
 #pragma once
 
 #include <array>

@@ -25,13 +25,13 @@ namespace pqs::qsim::kernels {
 
 // ---------------------------------------------------------------------------
 // These kernels run on SoaVector's separated re/im planes and are what
-// StateVector and DenseBackend run. Each O(N) loop dispatches through the
-// active ISA tier (qsim/isa.h: scalar, AVX2+FMA, AVX-512F) and the
-// reflection/rotation kernels maintain SoaVector's block-sum cache so
-// back-to-back same-partition reflections skip their sum pass (one memory
-// sweep per kernel instead of two). The scalar tier never reads the cache,
-// so it stays a two-pass baseline; tests compare every tier against the
-// serial reference loops in tests/reference_kernels.h.
+// DenseBackend runs. Each O(N) loop dispatches through the active ISA tier
+// (qsim/isa.h: scalar, AVX2+FMA, AVX-512F) and the reflection/rotation
+// kernels maintain SoaVector's block-sum cache so back-to-back
+// same-partition reflections skip their sum pass (one memory sweep per
+// kernel instead of two). The scalar tier never reads the cache, so it
+// stays a two-pass baseline; tests compare every tier against the serial
+// reference loops in tests/reference_kernels.h.
 //
 // All block means and reductions use deterministic fixed-chunk pairwise
 // summation (chunk partials combined pairwise), so results are independent
@@ -78,24 +78,6 @@ void phase_rotate_indices(SoaVector& v, std::span<const Index> marked_sorted,
 /// Multiply by -1 every amplitude whose index has all bits of `mask` set
 /// (a multi-controlled Z on the qubits in `mask`).
 void phase_flip_mask_all_ones(SoaVector& v, std::uint64_t mask);
-
-/// Multiply by -1 every amplitude whose index satisfies the predicate. The
-/// predicate inlines into the O(N) loop; prefer phase_flip_indices when the
-/// marked set is known explicitly.
-template <typename Pred>
-void phase_flip_if(SoaVector& v, Pred&& predicate) {
-  double* re = v.re();
-  double* im = v.im();
-  parallel_for(static_cast<std::int64_t>(v.size()), parallel_threads(v.size()),
-               [&](std::int64_t i) {
-    if (predicate(static_cast<Index>(i))) {
-      const auto idx = static_cast<std::size_t>(i);
-      re[idx] = -re[idx];
-      im[idx] = -im[idx];
-    }
-  });
-  v.invalidate_sums();
-}
 
 /// In-place I0 = 2|psi0><psi0| - I where |psi0> is the uniform superposition:
 /// a_x <- 2*mean(a) - a_x. ("Inversion about the average".)

@@ -40,19 +40,6 @@ Gate2 sample_pauli(NoiseKind kind, Rng& rng) {
   throw CheckFailure("sample_pauli: invalid Pauli value");
 }
 
-std::uint64_t apply_noise(StateVector& state, const NoiseModel& model,
-                          Rng& rng) {
-  model.validate();
-  if (!model.enabled()) {
-    return 0;
-  }
-  // Hot loop: every hit corresponds to exactly one gate application.
-  return for_each_error_qubit(
-      state.num_qubits(), model.probability, rng, [&](unsigned q) {
-        state.apply_gate1(q, sample_pauli(model.kind, rng));
-      });
-}
-
 const char* noise_kind_name(NoiseKind kind) {
   switch (kind) {
     case NoiseKind::kNone:

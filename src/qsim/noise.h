@@ -13,8 +13,6 @@
 //   * symmetry — the block-class density argument: each symmetry class keeps
 //     a coherent mean and a total mass, and every Pauli updates the class
 //     moments, which lets noise studies run at n = 32+ qubits.
-// The free function below is the historical StateVector form, used by the
-// Simulator facade and the dense engine.
 #pragma once
 
 #include <cmath>
@@ -22,7 +20,7 @@
 #include <string_view>
 
 #include "common/random.h"
-#include "qsim/state_vector.h"
+#include "qsim/gates.h"
 
 namespace pqs::qsim {
 
@@ -52,15 +50,6 @@ struct NoiseModel {
   /// hot loop.
   void validate() const;
 };
-
-/// Sample one trajectory step: for each qubit, with probability p inject
-/// the channel's Pauli. Mutates the state; returns the number of injected
-/// errors (0 on the no-error trajectory). The count includes exactly the
-/// Pauli gates actually applied. Precondition: model.validate() passed
-/// (checked here once per call; drivers running many trajectories validate
-/// at entry and the per-qubit loop is check-free).
-std::uint64_t apply_noise(StateVector& state, const NoiseModel& model,
-                          Rng& rng);
 
 /// Which Pauli a channel injects.
 enum class Pauli { kX, kY, kZ };

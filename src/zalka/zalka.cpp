@@ -2,44 +2,60 @@
 
 #include <algorithm>
 #include <cmath>
+#include <variant>
+#include <vector>
 
 #include "common/check.h"
 #include "common/math.h"
+#include "qsim/kernels.h"
 
 namespace pqs::zalka {
 
-double state_angle(const qsim::StateVector& a, const qsim::StateVector& b) {
-  return clamped_acos(std::abs(a.inner(b)));
+double state_angle(const qsim::SoaVector& a, const qsim::SoaVector& b) {
+  return clamped_acos(std::abs(qsim::kernels::inner_product(a, b)));
 }
 
 namespace {
 
-/// Run the circuit from |psi0> with the first `identity_until` queries
-/// replaced by the identity; optionally record the state just before each
-/// query (identity or not).
-qsim::StateVector run_with_snapshots(
-    const qsim::Circuit& circuit, const qsim::OracleView& oracle,
-    std::uint64_t identity_until,
-    std::vector<qsim::StateVector>* before_each_query) {
-  auto state = qsim::uniform_state(circuit.num_qubits());
-  std::uint64_t queries_seen = 0;
-  for (const auto& op : circuit.ops()) {
-    const std::uint64_t cost = qsim::op_query_cost(op);
-    if (cost > 0 && before_each_query != nullptr) {
-      before_each_query->push_back(state);
+/// The block count of the circuit's block ops (1 without any), which the
+/// backend's block structure must match.
+std::uint64_t circuit_blocks(const qsim::Circuit& circuit) {
+  for (const qsim::Op& op : circuit.ops()) {
+    if (const auto* d = std::get_if<qsim::BlockDiffusionOp>(&op)) {
+      return pow2(d->k);
     }
-    // Apply one op: reuse the circuit executor by slicing is wasteful, so
-    // replicate its dispatch through a single-op circuit application.
-    qsim::Circuit single(circuit.num_qubits());
-    single.add(op);
-    if (cost > 0 && queries_seen < identity_until) {
-      single.apply_hybrid(state, oracle, /*identity_until_query=*/cost);
-    } else {
-      single.apply(state, oracle);
+    if (const auto* r = std::get_if<qsim::BlockRotationOp>(&op)) {
+      return pow2(r->k);
+    }
+  }
+  return 1;
+}
+
+/// One run of the circuit on `backend` from |psi0>, with the first
+/// `identity_until` queries replaced by the identity: an op reads the
+/// oracle iff it costs a query. `before_query(i)` sees the backend just
+/// before query i (identity or not). Returns the final state.
+template <typename BeforeQuery>
+qsim::SoaVector run(qsim::Backend& backend, const qsim::Circuit& circuit,
+                    std::uint64_t identity_until, qsim::RunControl* control,
+                    BeforeQuery&& before_query) {
+  qsim::checkpoint(control);
+  backend.reset_uniform();
+  std::uint64_t queries_seen = 0;
+  for (const qsim::Op& op : circuit.ops()) {
+    const std::uint64_t cost = qsim::op_query_cost(op);
+    if (cost > 0) {
+      before_query(queries_seen);
+    }
+    if (cost == 0 || queries_seen >= identity_until) {
+      qsim::apply_op(backend, op);
     }
     queries_seen += cost;
   }
-  return state;
+  if (control != nullptr) {
+    control->add_work_done();
+  }
+  return qsim::SoaVector::from_amplitudes(backend.amplitudes_copy());
 }
 
 }  // namespace
@@ -56,36 +72,51 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   const auto n = report.n_items;
   const auto nd = static_cast<double>(n);
   const std::uint64_t t_queries = report.queries;
-
-  // All-identity run with snapshots before every query: |phi_i>.
-  const qsim::OracleView dummy{[](qsim::Index) { return false; }, 0};
-  std::vector<qsim::StateVector> phi_before;
-  phi_before.reserve(t_queries);
-  const qsim::StateVector phi_final = run_with_snapshots(
-      circuit, dummy, /*identity_until=*/t_queries, &phi_before);
-  PQS_CHECK(phi_before.size() == t_queries);
-
-  // Lemma 3 quantities: S_i = sum_y arcsin sqrt(p_{i,y}).
-  report.per_query_sums.resize(t_queries, 0.0);
-  for (std::uint64_t i = 0; i < t_queries; ++i) {
-    double sum = 0.0;
-    for (qsim::Index y = 0; y < n; ++y) {
-      sum += clamped_asin(std::sqrt(phi_before[i].probability(y)));
-    }
-    report.per_query_sums[i] = sum;
-    report.max_per_query_sum = std::max(report.max_per_query_sum, sum);
+  const std::uint64_t sample = options.lemma2_sample == 0
+                                   ? n
+                                   : std::min<std::uint64_t>(
+                                         options.lemma2_sample, n);
+  const std::uint64_t stride = n / sample;
+  if (options.control != nullptr) {
+    options.control->set_work_total(1 + n + sample * t_queries);
   }
+  const auto no_snapshots = [](std::uint64_t) {};
+  const auto backend_for = [&](qsim::Index y) {
+    return qsim::make_backend(
+        qsim::BackendKind::kDense,
+        qsim::BackendSpec::single_target(n, circuit_blocks(circuit), y));
+  };
+
+  // All-identity run (oracle target irrelevant): |phi_i> before each query.
+  // Lemma 3 sums S_i = sum_y arcsin sqrt(p_{i,y}) over every y; Lemma 2
+  // needs p_{i,y} only for the sampled y.
+  report.per_query_sums.resize(t_queries, 0.0);
+  std::vector<double> p_sampled(t_queries * sample);  // [i * sample + s]
+  const auto identity_backend = backend_for(0);
+  const qsim::SoaVector phi_final = run(
+      *identity_backend, circuit, /*identity_until=*/t_queries,
+      options.control, [&](std::uint64_t i) {
+        const auto amps = identity_backend->amplitudes_copy();
+        double sum = 0.0;
+        for (qsim::Index y = 0; y < n; ++y) {
+          sum += clamped_asin(std::sqrt(std::norm(amps[y])));
+        }
+        report.per_query_sums[i] = sum;
+        report.max_per_query_sum = std::max(report.max_per_query_sum, sum);
+        for (std::uint64_t s = 0; s < sample; ++s) {
+          p_sampled[i * sample + s] = std::norm(amps[s * stride]);
+        }
+      });
   report.lemma3_ceiling = std::sqrt(nd) * (1.0 + 1.0 / nd);
 
   // Per-oracle runs: |phi^y_T>, final angles, success probabilities.
   report.min_success = 1.0;
   for (qsim::Index y = 0; y < n; ++y) {
-    const oracle::Database db(n, y);
-    const auto view = db.view();
-    const qsim::StateVector phi_y =
-        run_with_snapshots(circuit, view, /*identity_until=*/0, nullptr);
+    const auto backend = backend_for(y);
+    const qsim::SoaVector phi_y = run(*backend, circuit, /*identity_until=*/0,
+                                      options.control, no_snapshots);
     report.sum_final_angles += state_angle(phi_final, phi_y);
-    report.min_success = std::min(report.min_success, phi_y.probability(y));
+    report.min_success = std::min(report.min_success, backend->probability(y));
   }
   report.eps = 1.0 - report.min_success;
   report.lemma1_floor =
@@ -94,33 +125,25 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   report.implied_query_floor =
       report.sum_final_angles / (2.0 * report.lemma3_ceiling);
 
-  // Lemma 2: hybrid angle steps, on a sample of y values.
-  const std::uint64_t sample = options.lemma2_sample == 0
-                                   ? n
-                                   : std::min<std::uint64_t>(
-                                         options.lemma2_sample, n);
-  const std::uint64_t stride = n / sample;
+  // Lemma 2: hybrid angle steps, on a sample of y values. The i = 0 hybrid
+  // (every query identity) is the all-identity run itself.
   for (std::uint64_t s = 0; s < sample; ++s) {
-    const qsim::Index y = s * stride;
-    const oracle::Database db(n, y);
-    const auto view = db.view();
-    qsim::StateVector prev =
-        run_with_snapshots(circuit, view, /*identity_until=*/t_queries,
-                           nullptr);  // i = 0: all identity
+    const auto backend = backend_for(s * stride);
+    qsim::SoaVector prev = phi_final;
     for (std::uint64_t i = 1; i <= t_queries; ++i) {
-      const qsim::StateVector cur = run_with_snapshots(
-          circuit, view, /*identity_until=*/t_queries - i, nullptr);
+      qsim::SoaVector cur = run(*backend, circuit,
+                                /*identity_until=*/t_queries - i,
+                                options.control, no_snapshots);
       const double lhs = state_angle(prev, cur);
-      const double rhs =
-          2.0 * clamped_asin(
-                    std::sqrt(phi_before[t_queries - i].probability(y)));
+      const double rhs = 2.0 * clamped_asin(std::sqrt(
+                                   p_sampled[(t_queries - i) * sample + s]));
       const double slack = lhs - rhs;
       report.lemma2_worst_slack =
           std::max(report.lemma2_worst_slack, slack);
       if (slack > 1e-9) {
         report.lemma2_holds = false;
       }
-      prev = cur;
+      prev = std::move(cur);
     }
   }
   return report;

@@ -1,8 +1,9 @@
 // Numerical machinery for Theorem 3 (Appendix B): the small-error refinement
 // of Zalka's optimality bound for quantum search.
 //
-// For a T-query algorithm given as a qsim::Circuit we compute, on the
-// simulator, every quantity in the appendix:
+// For a T-query algorithm given as a qsim::Circuit we compute, on the dense
+// engine (one DenseBackend per oracle, the circuit driven op by op through
+// qsim::apply_op), every quantity in the appendix:
 //
 //   |phi_t>      states of the all-identity-oracle run,
 //   |phi^y_t>    states of the O_y run,
@@ -18,14 +19,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "oracle/database.h"
 #include "qsim/backend.h"
 #include "qsim/circuit.h"
+#include "qsim/run_control.h"
+#include "qsim/soa.h"
 
 namespace pqs::zalka {
 
-/// arccos |<a|b>| in [0, pi/2]; the angle metric of the appendix.
-double state_angle(const qsim::StateVector& a, const qsim::StateVector& b);
+/// arccos |<a|b>| in [0, pi/2]; the angle metric of the appendix, on two
+/// dense snapshots (kernels::inner_product).
+double state_angle(const qsim::SoaVector& a, const qsim::SoaVector& b);
 
 /// All Appendix-B quantities for one algorithm (circuit) on n qubits.
 struct ZalkaReport {
@@ -65,7 +68,7 @@ struct ZalkaReport {
 
 struct ZalkaOptions {
   /// Verify Lemma 2's hybrid inequality for at most this many y values
-  /// (the full check is O(N T) simulator runs). 0 = all y.
+  /// (the full check is O(N T) circuit runs). 0 = all y.
   std::uint64_t lemma2_sample = 0;
   /// Engine selection, for symmetry with the other layers' options. The
   /// hybrid argument takes inner products between runs against DIFFERENT
@@ -73,12 +76,20 @@ struct ZalkaOptions {
   /// so only the dense engine applies: kAuto resolves to dense and an
   /// explicit kSymmetry request throws CheckFailure.
   qsim::BackendKind backend = qsim::BackendKind::kAuto;
+  /// Optional cancel/progress handle, as BbhtOptions carries. The analysis
+  /// makes 1 + N + S * T circuit runs: the all-identity run, one run per
+  /// oracle, and T hybrids for each of the S sampled y. It sets work_total
+  /// to that count, checks for cancellation before every run (throwing
+  /// CancelledError) and advances work_done once per finished run.
+  qsim::RunControl* control = nullptr;
 };
 
 /// Analyze an arbitrary search circuit. The circuit must prepare nothing
-/// itself: it is run from the uniform superposition (as Grover does); oracle
-/// calls are the symbolic ops, so the identity/hybrid substitutions are well
-/// defined.
+/// itself: it is run from the uniform superposition (as Grover does). The
+/// ops that read the oracle — OracleOp, OraclePhaseOp and NonTargetMeanOp —
+/// are exactly the ones that cost a query, so the identity/hybrid
+/// substitutions are well defined. Block ops must share one k (the
+/// backend's block count).
 ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
                             const ZalkaOptions& options = {});
 

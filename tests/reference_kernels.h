@@ -8,20 +8,32 @@
 // Means use pairwise sums so that long reflection sequences stay within the
 // tests' 1e-10 tolerance of the chunked pairwise sums of the SoA kernels.
 //
-// The diffusion views at the bottom realize I0 and I_[K] (x) I0,[N/K] as a
-// gate sequence and as a dense matrix, so tests can check the fused
-// reflection kernels operator by operator.
+// Below them sit three groups that do run the production SoA kernels:
+//   - dense-state helpers (random, basis and uniform SoaVectors, the
+//     L-infinity distance);
+//   - the diffusion views: I0 and I_[K] (x) I0,[N/K] as a gate sequence and
+//     as a dense matrix, so tests can check the fused reflection kernels
+//     operator by operator;
+//   - gate-level amplitude amplification Q = -A S0 A^{-1} S_t for an
+//     arbitrary preparation A, the reference for the library's
+//     amplify_uniform_on_backend.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "common/check.h"
 #include "common/math.h"
+#include "common/random.h"
+#include "oracle/marked_set.h"
 #include "qsim/gates.h"
 #include "qsim/gates2.h"
-#include "qsim/state_vector.h"
+#include "qsim/kernels.h"
+#include "qsim/soa.h"
 #include "qsim/types.h"
 
 namespace pqs::qsim::reference {
@@ -183,37 +195,87 @@ inline void reflect_non_target_about_their_mean(Amps& a, Index t) {
   reflect_unmarked_about_their_mean(a, marked);
 }
 
+// ---- Dense-state helpers ---------------------------------------------------
+
+/// |x> on n qubits.
+inline SoaVector basis_state(unsigned n_qubits, Index x) {
+  SoaVector v(pow2(n_qubits));
+  v.set(x, Amplitude{1.0, 0.0});
+  return v;
+}
+
+/// |psi0> = (1/sqrt(N)) sum_x |x> on n qubits.
+inline SoaVector uniform_state(unsigned n_qubits) {
+  SoaVector v(pow2(n_qubits));
+  v.fill(Amplitude{1.0 / std::sqrt(static_cast<double>(v.size())), 0.0});
+  return v;
+}
+
+/// Rescale to unit norm.
+inline void normalize(SoaVector& v) {
+  const double norm = std::sqrt(kernels::norm_squared(v));
+  kernels::scale(v, Amplitude{1.0 / norm, 0.0});
+}
+
+/// A normalized state with independent normal re/im parts.
+inline SoaVector random_state(unsigned n_qubits, Rng& rng) {
+  Amps amps(pow2(n_qubits));
+  for (auto& a : amps) {
+    a = Amplitude{rng.normal(), rng.normal()};
+  }
+  SoaVector v = SoaVector::from_amplitudes(amps);
+  normalize(v);
+  return v;
+}
+
+/// max_x |a_x - b_x|.
+inline double linf_distance(const Amps& a, const Amps& b) {
+  PQS_CHECK_MSG(a.size() == b.size(), "dimension mismatch");
+  double d = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    d = std::max(d, std::abs(a[i] - b[i]));
+  }
+  return d;
+}
+
+inline double linf_distance(const SoaVector& a, const SoaVector& b) {
+  return linf_distance(a.to_amplitudes(), b.to_amplitudes());
+}
+
 // ---- Diffusion views -------------------------------------------------------
 
-/// The H / X / multi-controlled-Z sandwich on the low `bits` qubits, times
-/// the global phase -1: 2|u><u| - I with u uniform over those qubits.
-inline void apply_diffusion_gate_level(StateVector& state, unsigned bits) {
+/// The H / X / multi-controlled-Z sandwich on the low `bits` of n qubits,
+/// times the global phase -1: 2|u><u| - I with u uniform over those qubits.
+inline void apply_diffusion_gate_level(SoaVector& v, unsigned n_qubits,
+                                       unsigned bits) {
   for (const Gate2& g : {gates::H(), gates::X()}) {
     for (unsigned q = 0; q < bits; ++q) {
-      state.apply_gate1(q, g);
+      kernels::apply_gate1(v, n_qubits, q, g);
     }
   }
-  state.phase_flip_mask_all_ones(pow2(bits) - 1);
+  kernels::phase_flip_mask_all_ones(v, pow2(bits) - 1);
   for (const Gate2& g : {gates::X(), gates::H()}) {
     for (unsigned q = 0; q < bits; ++q) {
-      state.apply_gate1(q, g);
+      kernels::apply_gate1(v, n_qubits, q, g);
     }
   }
-  state.scale(Amplitude{-1.0, 0.0});
+  kernels::scale(v, Amplitude{-1.0, 0.0});
 }
 
 /// I0 = 2|psi0><psi0| - I as gates; equal (phase included) to
-/// StateVector::reflect_about_uniform.
-inline void apply_global_diffusion_gate_level(StateVector& state) {
-  apply_diffusion_gate_level(state, state.num_qubits());
+/// kernels::reflect_about_uniform.
+inline void apply_global_diffusion_gate_level(SoaVector& v) {
+  const unsigned n = log2_exact(v.size());
+  apply_diffusion_gate_level(v, n, n);
 }
 
 /// I_[K] (x) I0,[N/K] as gates: the sandwich acts only on the low n-k
 /// qubits and the k block qubits idle, which is "in parallel in each block"
 /// from Section 2.2 of the paper.
-inline void apply_block_diffusion_gate_level(StateVector& state, unsigned k) {
-  PQS_CHECK_MSG(k >= 1 && k < state.num_qubits(), "block bits out of range");
-  apply_diffusion_gate_level(state, state.num_qubits() - k);
+inline void apply_block_diffusion_gate_level(SoaVector& v, unsigned k) {
+  const unsigned n = log2_exact(v.size());
+  PQS_CHECK_MSG(k >= 1 && k < n, "block bits out of range");
+  apply_diffusion_gate_level(v, n, n - k);
 }
 
 /// Dense row-major matrix of I_[K] (x) I0,[N/K] with K = 2^k blocks; k = 0
@@ -237,16 +299,76 @@ inline Amps global_diffusion_matrix(unsigned n_qubits) {
   return block_diffusion_matrix(n_qubits, 0);
 }
 
-/// state <- matrix * state for a dense row-major matrix.
-inline void apply_dense_matrix(StateVector& state, const Amps& matrix) {
-  const Amps in = state.amplitudes_copy();
+/// v <- matrix * v for a dense row-major matrix.
+inline void apply_dense_matrix(SoaVector& v, const Amps& matrix) {
+  const Amps in = v.to_amplitudes();
   Amps out(in.size());
   for (std::size_t r = 0; r < in.size(); ++r) {
     for (std::size_t c = 0; c < in.size(); ++c) {
       out[r] += matrix[r * in.size() + c] * in[c];
     }
   }
-  state = StateVector::from_amplitudes(std::move(out));
+  v = SoaVector::from_amplitudes(out);
+}
+
+// ---- Gate-level amplitude amplification ------------------------------------
+
+/// A unitary given by its action and its inverse's action on a dense state.
+struct Preparation {
+  std::function<void(SoaVector&)> apply;
+  std::function<void(SoaVector&)> apply_inverse;
+};
+
+/// The Walsh-Hadamard preparation (self-inverse).
+inline Preparation hadamard_preparation() {
+  const auto apply = [](SoaVector& v) {
+    const unsigned n = log2_exact(v.size());
+    for (unsigned q = 0; q < n; ++q) {
+      kernels::apply_gate1(v, n, q, gates::H());
+    }
+  };
+  return Preparation{apply, apply};
+}
+
+/// One amplification step Q = -A S0 A^{-1} S_t in place. One query on db.
+inline void amplification_step(SoaVector& v, const Preparation& prep,
+                               const oracle::MarkedDatabase& db) {
+  PQS_CHECK_MSG(v.size() == db.size(), "dimension mismatch");
+  db.add_queries(1);
+  kernels::phase_flip_indices(v, db.marked());  // S_t
+  prep.apply_inverse(v);                        // A^{-1}
+  kernels::phase_flip_index(v, 0);              // S0 = I - 2|0><0|
+  prep.apply(v);                                // A
+  kernels::scale(v, Amplitude{-1.0, 0.0});      // overall -1 of Q
+}
+
+/// A|0> followed by `iterations` amplification steps.
+inline SoaVector amplify(unsigned n_qubits, const Preparation& prep,
+                         const oracle::MarkedDatabase& db,
+                         std::uint64_t iterations) {
+  SoaVector v = basis_state(n_qubits, 0);
+  prep.apply(v);
+  for (std::uint64_t i = 0; i < iterations; ++i) {
+    amplification_step(v, prep, db);
+  }
+  return v;
+}
+
+/// Total probability on the marked set.
+inline double marked_probability(const SoaVector& v,
+                                 const oracle::MarkedDatabase& db) {
+  double p = 0.0;
+  for (const Index m : db.marked()) {
+    p += std::norm(v.get(m));
+  }
+  return p;
+}
+
+/// Initial success probability a = sum over marked |<x|A|0>|^2.
+inline double initial_success_probability(unsigned n_qubits,
+                                          const Preparation& prep,
+                                          const oracle::MarkedDatabase& db) {
+  return marked_probability(amplify(n_qubits, prep, db, 0), db);
 }
 
 }  // namespace pqs::qsim::reference

@@ -322,29 +322,29 @@ TEST(BackendCircuitTest, SymmetricCircuitExecutionMatchesDense) {
   }
   circuit.non_target_mean_reflection();
 
-  const auto view = db.view();
-  const auto spec = symmetric_spec(circuit, view);
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->n_blocks, pow2(k));
-
-  auto backend = make_backend(BackendKind::kSymmetry, *spec);
+  const BackendSpec spec =
+      BackendSpec::single_target(pow2(n), pow2(k), db.target());
+  auto backend = make_backend(BackendKind::kSymmetry, spec);
   const std::uint64_t queries = apply_circuit(*backend, circuit);
   EXPECT_EQ(queries, circuit.query_count());
 
-  auto state = StateVector::uniform(n);
-  circuit.apply(state, view);
+  auto state = make_backend(BackendKind::kDense, spec);
+  apply_circuit(*state, circuit);
   for (Index b = 0; b < pow2(k); ++b) {
-    EXPECT_NEAR(state.block_probability(k, b), backend->block_probability(b),
+    EXPECT_NEAR(state->block_probability(b), backend->block_probability(b),
                 1e-10);
   }
 }
 
-TEST(BackendCircuitTest, GateLevelCircuitsAreNotSymmetric) {
-  const oracle::Database db = oracle::Database::with_qubits(5, 3);
+TEST(BackendCircuitTest, GateLevelCircuitsRunOnlyOnDense) {
   Circuit circuit(5);
   circuit.oracle();
   circuit.global_diffusion_gate_level();  // H/X layers + MCZ: dense only
-  EXPECT_FALSE(symmetric_spec(circuit, db.view()).has_value());
+  const BackendSpec spec = BackendSpec::single_target(32, 1, 3);
+  const auto symmetry = make_backend(BackendKind::kSymmetry, spec);
+  EXPECT_THROW(apply_circuit(*symmetry, circuit), CheckFailure);
+  const auto dense = make_backend(BackendKind::kDense, spec);
+  EXPECT_EQ(apply_circuit(*dense, circuit), 1u);
 }
 
 TEST(BackendDispatchTest, InterleavedScheduleRunsOnBothEngines) {

@@ -1,27 +1,29 @@
 // Tests for the batched shot-execution layer: deterministic per-shot RNG
-// streams (thread-count independent), tallying, and the Simulator wiring.
+// streams (thread-count independent), tallying, and the shot wrappers over
+// both engines.
 #include "qsim/batch.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/math.h"
 #include "grover/grover.h"
 #include "oracle/database.h"
-#include "oracle/marked_set.h"
 #include "qsim/backend.h"
-#include "qsim/simulator.h"
 
 namespace pqs::qsim {
 namespace {
 
 TEST(BatchRunnerTest, OutcomesAreIndependentOfThreadCount) {
   const oracle::Database db = oracle::Database::with_qubits(8, 17);
-  const auto state =
-      grover::evolve(db, grover::optimal_iterations(pow2(8)));
+  const auto state = grover::evolve_on_backend(
+      db, grover::optimal_iterations(pow2(8)), BackendKind::kDense);
+  const auto sampler = state->sampler(Measure::kIndex);
   const BatchRunner serial({.threads = 1, .seed = 99});
   const BatchRunner parallel({.threads = 4, .seed = 99});
-  const auto body = [&state](std::uint64_t, Rng& rng) {
-    return state.sample(rng);
+  const auto body = [&sampler](std::uint64_t, Rng& rng) {
+    return sampler->draw(rng);
   };
   EXPECT_EQ(serial.map_shots(500, body), parallel.map_shots(500, body));
 }
@@ -58,107 +60,77 @@ TEST(BatchRunnerTest, TallyCountsAndModeWithTieBreak) {
   EXPECT_NEAR(report.mode_frequency, 0.4, 1e-12);
 }
 
-TEST(BatchRunnerTest, SampleShotsAgreeBetweenStateAndBackends) {
+TEST(BatchRunnerTest, SampleShotsAgreeBetweenEngines) {
   const unsigned n = 8;
   const oracle::Database db = oracle::Database::with_qubits(n, 200);
   const std::uint64_t iters = grover::optimal_iterations(pow2(n));
-  const auto state = grover::evolve(db, iters);
-  const auto backend =
+  const auto dense = grover::evolve_on_backend(db, iters, BackendKind::kDense);
+  const auto symmetry =
       grover::evolve_on_backend(db, iters, BackendKind::kSymmetry);
   const BatchRunner runner({.threads = 2, .seed = 31337});
-  const auto via_state = runner.sample_shots(state, 300, iters);
-  const auto via_backend = runner.sample_shots(*backend, 300, iters);
-  EXPECT_EQ(via_state.mode, 200u);
-  EXPECT_EQ(via_backend.mode, 200u);
-  EXPECT_GT(via_state.mode_frequency, 0.95);
-  EXPECT_GT(via_backend.mode_frequency, 0.95);
+  const auto via_dense = runner.sample_shots(*dense, 300, iters);
+  const auto via_symmetry = runner.sample_shots(*symmetry, 300, iters);
+  EXPECT_EQ(via_dense.mode, 200u);
+  EXPECT_EQ(via_symmetry.mode, 200u);
+  EXPECT_GT(via_dense.mode_frequency, 0.95);
+  EXPECT_GT(via_symmetry.mode_frequency, 0.95);
 }
 
-TEST(SimulatorBackendTest, SymmetryBackendShotsMatchDenseMode) {
+TEST(BatchRunnerTest, CircuitBlockShotsMatchAcrossEngines) {
   const unsigned n = 8, k = 2;
-  const oracle::Database db = oracle::Database::with_qubits(n, 200);
   Circuit circuit(n);
   for (int i = 0; i < 8; ++i) {
     circuit.grover_iteration();
   }
-  Simulator dense(6), symmetry(6);
-  symmetry.set_backend(BackendKind::kSymmetry);
-  const auto dense_report = dense.run_block_shots(circuit, db.view(), k, 400);
-  const auto sym_report = symmetry.run_block_shots(circuit, db.view(), k, 400);
+  const BackendSpec spec = BackendSpec::single_target(pow2(n), pow2(k), 200);
+  const auto dense = make_backend(BackendKind::kDense, spec);
+  const auto symmetry = make_backend(BackendKind::kSymmetry, spec);
+  apply_circuit(*dense, circuit);
+  apply_circuit(*symmetry, circuit);
+  const BatchRunner runner({.seed = 6});
+  const auto dense_report = runner.sample_block_shots(*dense, 400, 8);
+  const auto sym_report = runner.sample_block_shots(*symmetry, 400, 8);
   EXPECT_EQ(dense_report.mode, 200u >> (n - k));
   EXPECT_EQ(sym_report.mode, dense_report.mode);
   EXPECT_EQ(sym_report.shots, 400u);
 }
 
-TEST(SimulatorBackendTest, SymmetryRejectsGateLevelCircuits) {
-  const oracle::Database db = oracle::Database::with_qubits(5, 3);
-  Circuit circuit(5);
-  circuit.oracle();
-  circuit.global_diffusion_gate_level();
-  Simulator sim(1);
-  sim.set_backend(BackendKind::kSymmetry);
-  EXPECT_THROW(sim.run_shots(circuit, db.view(), 10), CheckFailure);
-}
-
-TEST(SimulatorBackendTest, RunStateRejectsSymmetry) {
-  const oracle::Database db = oracle::Database::with_qubits(5, 3);
-  const auto circuit = make_grover_circuit(5, 2);
-  Simulator sim(1);
-  sim.set_backend(BackendKind::kSymmetry);
-  EXPECT_THROW(sim.run_state(circuit, db.view()), CheckFailure);
-}
-
-TEST(SimulatorBackendTest, SymmetryNoiseRunsPerTheSupportMatrix) {
-  // PR 2 taught the symmetry engine the class-moment noise channel; the
-  // Simulator follows backend_supports_noise: a single-target power-of-two
-  // spec runs noisy trajectories on kSymmetry...
-  const oracle::Database db = oracle::Database::with_qubits(6, 20);
-  const auto circuit = make_grover_circuit(6, 4);
-  Simulator clean(9), noisy_a(9), noisy_b(9);
-  clean.set_backend(BackendKind::kSymmetry);
-  noisy_a.set_backend(BackendKind::kSymmetry);
-  noisy_b.set_backend(BackendKind::kSymmetry);
-  noisy_a.set_noise({NoiseKind::kDepolarizing, 0.05});
-  noisy_b.set_noise({NoiseKind::kDepolarizing, 0.05});
-  const auto clean_report = clean.run_shots(circuit, db.view(), 150);
-  const auto noisy_report = noisy_a.run_shots(circuit, db.view(), 150);
-  EXPECT_EQ(clean_report.mode, 20u);
-  EXPECT_GT(clean_report.mode_frequency, noisy_report.mode_frequency);
-  // ...reproducibly from the Simulator seed...
-  EXPECT_EQ(noisy_report.counts,
-            noisy_b.run_shots(circuit, db.view(), 150).counts);
-}
-
-TEST(SimulatorBackendTest, SymmetryNoiseRejectsUnsupportedSpecs) {
-  // ...while a multi-marked oracle (no single-target class split) still
-  // fails loudly before any shot runs.
-  const oracle::MarkedDatabase db(32, {3, 9});
-  const auto circuit = make_grover_circuit(5, 2);
-  Simulator sim(1);
-  sim.set_backend(BackendKind::kSymmetry);
-  sim.set_noise({NoiseKind::kDepolarizing, 0.05});
-  EXPECT_THROW(sim.run_shots(circuit, db.view(), 10), CheckFailure);
-}
-
-TEST(SimulatorBackendTest, BatchThreadCountDoesNotChangeResults) {
+TEST(BatchRunnerTest, ThreadCountDoesNotChangeShotCounts) {
   const oracle::Database db = oracle::Database::with_qubits(7, 100);
-  const auto circuit = make_grover_circuit(7, 6);
-  Simulator one(42), many(42);
-  one.set_batch({.threads = 1});
-  many.set_batch({.threads = 8});
-  const auto ra = one.run_shots(circuit, db.view(), 300);
-  const auto rb = many.run_shots(circuit, db.view(), 300);
-  EXPECT_EQ(ra.counts, rb.counts);
+  const auto state = grover::evolve_on_backend(db, 6, BackendKind::kDense);
+  const BatchRunner one({.threads = 1, .seed = 42});
+  const BatchRunner many({.threads = 8, .seed = 42});
+  EXPECT_EQ(one.sample_shots(*state, 300, 6).counts,
+            many.sample_shots(*state, 300, 6).counts);
 }
 
-TEST(SimulatorBackendTest, NoisyTrajectoriesAreSeedReproducible) {
-  const oracle::Database db = oracle::Database::with_qubits(6, 20);
-  const auto circuit = make_grover_circuit(6, 4);
-  Simulator a(9), b(9);
-  a.set_noise({NoiseKind::kDepolarizing, 0.05});
-  b.set_noise({NoiseKind::kDepolarizing, 0.05});
-  EXPECT_EQ(a.run_shots(circuit, db.view(), 100).counts,
-            b.run_shots(circuit, db.view(), 100).counts);
+TEST(BatchRunnerTest, NoisyTrajectoriesAreSeedReproducible) {
+  // One trajectory per shot: 4 Grover iterations with depolarizing noise
+  // after every oracle call, then one full measurement.
+  const NoiseModel noise{NoiseKind::kDepolarizing, 0.05};
+  const auto trajectory = [&noise](std::uint64_t, Rng& rng) {
+    const auto state = make_backend(BackendKind::kDense,
+                                    BackendSpec::single_target(64, 1, 20));
+    for (int i = 0; i < 4; ++i) {
+      state->apply_oracle();
+      state->apply_noise(noise, rng);
+      state->apply_global_diffusion();
+    }
+    return state->sample(rng);
+  };
+  const BatchRunner a({.threads = 1, .seed = 9});
+  const BatchRunner b({.threads = 4, .seed = 9});
+  EXPECT_EQ(BatchRunner::tally(a.map_shots(100, trajectory), 4).counts,
+            BatchRunner::tally(b.map_shots(100, trajectory), 4).counts);
+}
+
+TEST(ShotReportTest, RenderingListsTopOutcomes) {
+  const oracle::Database db = oracle::Database::with_qubits(4, 9);
+  const auto state = grover::evolve_on_backend(db, 2, BackendKind::kDense);
+  const auto report = BatchRunner({.seed = 10}).sample_shots(*state, 200, 2);
+  const std::string text = report.to_string(3);
+  EXPECT_NE(text.find("shots=200"), std::string::npos);
+  EXPECT_NE(text.find("9:"), std::string::npos);  // the target outcome
 }
 
 }  // namespace

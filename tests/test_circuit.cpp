@@ -2,12 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/check.h"
 #include "common/math.h"
-#include "oracle/database.h"
+#include "qsim/backend.h"
+#include "reference_kernels.h"
 
 namespace pqs::qsim {
 namespace {
+
+/// A dense backend over 2^n items, K blocks, target t, in |psi0>.
+std::unique_ptr<Backend> dense(unsigned n, std::uint64_t k_blocks, Index t) {
+  return make_backend(BackendKind::kDense,
+                      BackendSpec::single_target(pow2(n), k_blocks, t));
+}
+
+double linf(const Backend& a, const Backend& b) {
+  return reference::linf_distance(a.amplitudes_copy(), b.amplitudes_copy());
+}
 
 TEST(Circuit, QueryCountCountsOracleOpsOnly) {
   Circuit c(4);
@@ -25,21 +38,20 @@ TEST(Circuit, GroverIterationIsOneQuery) {
 }
 
 TEST(Circuit, ApplyMatchesManualEvolution) {
-  const oracle::Database db = oracle::Database::with_qubits(5, 11);
   Circuit c(5);
   for (int i = 0; i < 4; ++i) {
     c.grover_iteration();
   }
-  auto circuit_state = StateVector::uniform(5);
-  const auto queries = c.apply(circuit_state, db.view());
+  const auto circuit_state = dense(5, 1, 11);
+  const auto queries = apply_circuit(*circuit_state, c);
   EXPECT_EQ(queries, 4u);
 
-  auto manual = StateVector::uniform(5);
+  const auto manual = dense(5, 1, 11);
   for (int i = 0; i < 4; ++i) {
-    manual.phase_flip(11);
-    manual.reflect_about_uniform();
+    manual->apply_oracle();
+    manual->apply_global_diffusion();
   }
-  EXPECT_LT(circuit_state.linf_distance(manual), 1e-12);
+  EXPECT_LT(linf(*circuit_state, *manual), 1e-12);
 }
 
 TEST(Circuit, MakeGroverCircuitMatchesBuilder) {
@@ -53,117 +65,62 @@ TEST(Circuit, MakeGroverCircuitMatchesBuilder) {
 }
 
 TEST(Circuit, PartialIterationUsesBlockDiffusion) {
-  const oracle::Database db = oracle::Database::with_qubits(6, 33);
   Circuit c(6);
   c.partial_iteration(2);
-  auto state = StateVector::uniform(6);
-  c.apply(state, db.view());
+  const auto state = dense(6, 4, 33);
+  apply_circuit(*state, c);
 
-  auto manual = StateVector::uniform(6);
-  manual.phase_flip(33);
-  manual.reflect_blocks_about_uniform(2);
-  EXPECT_LT(state.linf_distance(manual), 1e-12);
+  const auto manual = dense(6, 4, 33);
+  manual->apply_oracle();
+  manual->apply_block_diffusion();
+  EXPECT_LT(linf(*state, *manual), 1e-12);
 }
 
 TEST(Circuit, GateLevelDiffusionEqualsFusedKernel) {
-  const oracle::Database db = oracle::Database::with_qubits(5, 7);
-  // Prepare an arbitrary state by a few gates, then compare both diffusion
-  // realizations.
+  // Prepare an arbitrary state by a few gates (on top of |psi0> = H^n|0>),
+  // then compare both diffusion realizations.
   Circuit prep(5);
-  prep.hadamard_all().gate1(1, gates::T()).gate1(3, gates::Ry(0.6));
+  prep.gate1(1, gates::T()).gate1(3, gates::Ry(0.6));
 
-  auto a = StateVector::zero_state(5);
-  prep.apply(a, db.view());
-  auto b = a;
-
-  Circuit fused(5);
+  Circuit fused = prep;
   fused.global_diffusion();
-  fused.apply(a, db.view());
+  const auto a = dense(5, 1, 7);
+  apply_circuit(*a, fused);
 
   Circuit gates_only(5);
   gates_only.global_diffusion_gate_level();
-  gates_only.apply(b, db.view());
+  const auto b = dense(5, 1, 7);
+  apply_circuit(*b, prep);
+  apply_circuit(*b, gates_only);
 
-  EXPECT_LT(a.linf_distance(b), 1e-12);
+  EXPECT_LT(linf(*a, *b), 1e-12);
   EXPECT_EQ(gates_only.query_count(), 0u);
 }
 
-TEST(Circuit, HybridIdentityUntilSkipsEarlyQueries) {
-  const oracle::Database db = oracle::Database::with_qubits(4, 9);
-  Circuit c(4);
-  for (int i = 0; i < 5; ++i) {
-    c.grover_iteration();
-  }
-  // All five queries replaced by identity: the diffusion fixes |psi0>, so
-  // the state must remain uniform.
-  auto state = StateVector::uniform(4);
-  const auto real_queries = c.apply_hybrid(state, db.view(), 5);
-  EXPECT_EQ(real_queries, 0u);
-  EXPECT_LT(state.linf_distance(StateVector::uniform(4)), 1e-12);
-}
-
-TEST(Circuit, HybridSuffixMatchesShorterRealRun) {
-  // First 2 of 5 queries identity == running only the last 3 iterations
-  // (diffusion on uniform is the identity).
-  const oracle::Database db = oracle::Database::with_qubits(4, 9);
-  Circuit five(4);
-  for (int i = 0; i < 5; ++i) {
-    five.grover_iteration();
-  }
-  auto hybrid = StateVector::uniform(4);
-  const auto real_queries = five.apply_hybrid(hybrid, db.view(), 2);
-  EXPECT_EQ(real_queries, 3u);
-
-  Circuit three(4);
-  for (int i = 0; i < 3; ++i) {
-    three.grover_iteration();
-  }
-  auto direct = StateVector::uniform(4);
-  three.apply(direct, db.view());
-  EXPECT_LT(hybrid.linf_distance(direct), 1e-12);
-}
-
-TEST(Circuit, ApplyRangeSplitsExecution) {
-  const oracle::Database db = oracle::Database::with_qubits(4, 3);
-  Circuit c(4);
-  for (int i = 0; i < 4; ++i) {
-    c.grover_iteration();
-  }
-  auto split = StateVector::uniform(4);
-  c.apply_range(split, db.view(), 0, 4);             // first 2 iterations
-  c.apply_range(split, db.view(), 4, c.size());      // the rest
-  auto whole = StateVector::uniform(4);
-  c.apply(whole, db.view());
-  EXPECT_LT(split.linf_distance(whole), 1e-12);
-}
-
-TEST(Circuit, ApplyRangeRejectsBadBounds) {
-  const oracle::Database db = oracle::Database::with_qubits(3, 0);
-  Circuit c(3);
-  c.grover_iteration();
-  auto state = StateVector::uniform(3);
-  EXPECT_THROW(c.apply_range(state, db.view(), 3, 2), CheckFailure);
-  EXPECT_THROW(c.apply_range(state, db.view(), 0, 99), CheckFailure);
-}
-
 TEST(Circuit, QubitCountMismatchRejected) {
-  const oracle::Database db = oracle::Database::with_qubits(3, 0);
   Circuit c(3);
   c.grover_iteration();
-  auto wrong = StateVector::uniform(4);
-  EXPECT_THROW(c.apply(wrong, db.view()), CheckFailure);
+  const auto wrong = dense(4, 1, 0);
+  EXPECT_THROW(apply_circuit(*wrong, c), CheckFailure);
 }
 
-TEST(Circuit, NonTargetMeanOpUsesOracleTarget) {
-  const oracle::Database db = oracle::Database::with_qubits(3, 5);
-  Circuit c(3);
-  c.non_target_mean_reflection();
-  auto state = StateVector::uniform(3);
-  state.phase_flip(5);
-  auto manual = state;
-  c.apply(state, db.view());
-  manual.reflect_non_target_about_their_mean(5);
-  EXPECT_LT(state.linf_distance(manual), 1e-12);
+TEST(Circuit, NonTargetMeanOpUsesTheBackendTarget) {
+  const auto state = dense(3, 1, 5);
+  state->apply_oracle();
+  auto manual = state->amplitudes_copy();
+  apply_op(*state, NonTargetMeanOp{});
+  reference::reflect_non_target_about_their_mean(manual, 5);
+  EXPECT_LT(reference::linf_distance(state->amplitudes_copy(), manual),
+            1e-12);
+}
+
+TEST(Circuit, BlockOpsMustMatchTheBackendBlocks) {
+  Circuit c(4);
+  c.partial_iteration(2);
+  const auto two_blocks = dense(4, 2, 3);
+  EXPECT_THROW(apply_circuit(*two_blocks, c), CheckFailure);
+  const auto four_blocks = dense(4, 4, 3);
+  EXPECT_EQ(apply_circuit(*four_blocks, c), 1u);
 }
 
 TEST(Circuit, ToStringListsOps) {

@@ -15,8 +15,8 @@ TEST_P(ExactGrover, ReachesTargetWithProbabilityOne) {
   const unsigned n = GetParam();
   const oracle::Database db =
       oracle::Database::with_qubits(n, pow2(n) - 1);
-  const auto state = evolve_exact(db);
-  EXPECT_NEAR(state.probability(db.target()), 1.0, 1e-9) << "n=" << n;
+  const auto state = evolve_exact_on_backend(db, qsim::BackendKind::kDense);
+  EXPECT_NEAR(state->probability(db.target()), 1.0, 1e-9) << "n=" << n;
 }
 
 TEST_P(ExactGrover, QueryCountWithinOneOfPlainOptimum) {
@@ -59,7 +59,7 @@ TEST(ExactGrover, N4NeedsNoFinalStep) {
 
 TEST(ExactGrover, DatabaseMetersMatchSchedule) {
   const oracle::Database db = oracle::Database::with_qubits(9, 17);
-  evolve_exact(db);
+  evolve_exact_on_backend(db, qsim::BackendKind::kDense);
   EXPECT_EQ(db.queries(), exact_query_count(512));
 }
 

@@ -9,7 +9,7 @@
 #include "common/random.h"
 #include "qsim/isa.h"
 #include "qsim/kernels.h"
-#include "qsim/state_vector.h"
+#include "qsim/soa.h"
 #include "reference_kernels.h"
 
 namespace pqs::qsim {
@@ -23,11 +23,24 @@ std::vector<Amplitude> random_amps(unsigned n_qubits, Rng& rng) {
   return amps;
 }
 
-StateVector random_state(unsigned n_qubits, Rng& rng) {
-  StateVector sv = StateVector::from_amplitudes(random_amps(n_qubits, rng));
-  sv.normalize();
-  return sv;
+using reference::basis_state;
+using reference::linf_distance;
+using reference::random_state;
+
+// The kernels on a whole-register SoaVector (n = log2 of its size).
+void gate1(SoaVector& v, unsigned q, const Gate2& g) {
+  kernels::apply_gate1(v, log2_exact(v.size()), q, g);
 }
+void controlled_gate1(SoaVector& v, std::uint64_t mask, unsigned q,
+                      const Gate2& g) {
+  kernels::apply_controlled_gate1(v, log2_exact(v.size()), mask, q, g);
+}
+void gate2(SoaVector& v, unsigned q_high, unsigned q_low, const Gate4& g) {
+  kernels::apply_gate2(v, log2_exact(v.size()), q_high, q_low, g);
+}
+
+/// The state's amplitude magnitude at x.
+double magnitude(const SoaVector& v, Index x) { return std::abs(v.get(x)); }
 
 class NamedGate4Test : public ::testing::TestWithParam<Gate4> {};
 
@@ -52,48 +65,48 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Gate4, CnotTruthTable) {
   // |10> -> |11>, |11> -> |10>, |0x> fixed (high qubit is the control).
-  StateVector sv = StateVector::basis(2, 2);  // |10>: control (qubit 1) set
-  sv.apply_gate2(/*q_high=*/1, /*q_low=*/0, gates::CNOT());
-  EXPECT_NEAR(std::abs(sv.amplitude(3)), 1.0, 1e-12);
+  SoaVector sv = basis_state(2, 2);  // |10>: control (qubit 1) set
+  gate2(sv, /*q_high=*/1, /*q_low=*/0, gates::CNOT());
+  EXPECT_NEAR(magnitude(sv, 3), 1.0, 1e-12);
 
-  sv = StateVector::basis(2, 1);  // |01>: control clear
-  sv.apply_gate2(1, 0, gates::CNOT());
-  EXPECT_NEAR(std::abs(sv.amplitude(1)), 1.0, 1e-12);
+  sv = basis_state(2, 1);  // |01>: control clear
+  gate2(sv, 1, 0, gates::CNOT());
+  EXPECT_NEAR(magnitude(sv, 1), 1.0, 1e-12);
 }
 
 TEST(Gate4, CnotMatchesControlledGate1Kernel) {
   Rng rng(11);
-  StateVector a = random_state(5, rng);
-  StateVector b = a;
-  a.apply_gate2(/*q_high=*/3, /*q_low=*/1, gates::CNOT());
-  b.apply_controlled_gate1(/*control_mask=*/1u << 3, 1, gates::X());
-  EXPECT_LT(a.linf_distance(b), 1e-12);
+  SoaVector a = random_state(5, rng);
+  SoaVector b = a;
+  gate2(a, /*q_high=*/3, /*q_low=*/1, gates::CNOT());
+  controlled_gate1(b, /*control_mask=*/1u << 3, 1, gates::X());
+  EXPECT_LT(linf_distance(a, b), 1e-12);
 }
 
 TEST(Gate4, CzIsSymmetricInItsQubits) {
   Rng rng(13);
-  StateVector a = random_state(4, rng);
-  StateVector b = a;
-  a.apply_gate2(2, 0, gates::CZ());
-  b.apply_gate2(0, 2, gates::CZ());
-  EXPECT_LT(a.linf_distance(b), 1e-12);
+  SoaVector a = random_state(4, rng);
+  SoaVector b = a;
+  gate2(a, 2, 0, gates::CZ());
+  gate2(b, 0, 2, gates::CZ());
+  EXPECT_LT(linf_distance(a, b), 1e-12);
 }
 
 TEST(Gate4, SwapExchangesQubitValues) {
-  StateVector sv = StateVector::basis(3, 0b001);
-  sv.apply_gate2(/*q_high=*/2, /*q_low=*/0, gates::SWAP());
-  EXPECT_NEAR(std::abs(sv.amplitude(0b100)), 1.0, 1e-12);
+  SoaVector sv = basis_state(3, 0b001);
+  gate2(sv, /*q_high=*/2, /*q_low=*/0, gates::SWAP());
+  EXPECT_NEAR(magnitude(sv, 0b100), 1.0, 1e-12);
 }
 
 TEST(Gate4, SwapEqualsThreeCnots) {
   Rng rng(17);
-  StateVector a = random_state(4, rng);
-  StateVector b = a;
-  a.apply_gate2(3, 1, gates::SWAP());
-  b.apply_gate2(3, 1, gates::CNOT());
-  b.apply_gate2(1, 3, gates::CNOT());
-  b.apply_gate2(3, 1, gates::CNOT());
-  EXPECT_LT(a.linf_distance(b), 1e-12);
+  SoaVector a = random_state(4, rng);
+  SoaVector b = a;
+  gate2(a, 3, 1, gates::SWAP());
+  gate2(b, 3, 1, gates::CNOT());
+  gate2(b, 1, 3, gates::CNOT());
+  gate2(b, 3, 1, gates::CNOT());
+  EXPECT_LT(linf_distance(a, b), 1e-12);
 }
 
 TEST(Gate4, CPhaseAtPiIsCz) {
@@ -102,32 +115,32 @@ TEST(Gate4, CPhaseAtPiIsCz) {
 
 TEST(Gate4, TensorActsIndependently) {
   Rng rng(19);
-  StateVector a = random_state(4, rng);
-  StateVector b = a;
-  a.apply_gate2(3, 0, gates::tensor(gates::H(), gates::T()));
-  b.apply_gate1(3, gates::H());
-  b.apply_gate1(0, gates::T());
-  EXPECT_LT(a.linf_distance(b), 1e-12);
+  SoaVector a = random_state(4, rng);
+  SoaVector b = a;
+  gate2(a, 3, 0, gates::tensor(gates::H(), gates::T()));
+  gate1(b, 3, gates::H());
+  gate1(b, 0, gates::T());
+  EXPECT_LT(linf_distance(a, b), 1e-12);
 }
 
 TEST(Gate4, HadamardSandwichTurnsCnotIntoCz) {
   // (I (x) H) CZ (I (x) H) = CNOT.
   Rng rng(23);
-  StateVector a = random_state(3, rng);
-  StateVector b = a;
-  a.apply_gate2(2, 1, gates::CNOT());
-  b.apply_gate1(1, gates::H());
-  b.apply_gate2(2, 1, gates::CZ());
-  b.apply_gate1(1, gates::H());
-  EXPECT_LT(a.linf_distance(b), 1e-12);
+  SoaVector a = random_state(3, rng);
+  SoaVector b = a;
+  gate2(a, 2, 1, gates::CNOT());
+  gate1(b, 1, gates::H());
+  gate2(b, 2, 1, gates::CZ());
+  gate1(b, 1, gates::H());
+  EXPECT_LT(linf_distance(a, b), 1e-12);
 }
 
 TEST(Gate4, PreservesNormOnRandomStates) {
   Rng rng(29);
-  StateVector sv = random_state(6, rng);
-  sv.apply_gate2(5, 2, gates::ISWAP());
-  sv.apply_gate2(0, 4, gates::CPhase(1.3));
-  EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-12);
+  SoaVector sv = random_state(6, rng);
+  gate2(sv, 5, 2, gates::ISWAP());
+  gate2(sv, 0, 4, gates::CPhase(1.3));
+  EXPECT_NEAR(kernels::norm_squared(sv), 1.0, 1e-12);
 }
 
 TEST(Gate4, ComposeAndAdjointRoundTrip) {

@@ -28,20 +28,21 @@ TEST_P(GrkShape, SucceedsWithHighProbabilityAndCorrectMeter) {
   EXPECT_LT(result.queries, grover_optimal_iterations(db.size()));
 }
 
-TEST_P(GrkShape, StateVectorAgreesWithSubspaceModel) {
+TEST_P(GrkShape, DenseAgreesWithSubspaceModel) {
   const auto [n, k] = GetParam();
   const oracle::Database db = oracle::Database::with_qubits(n, 5);
   const std::uint64_t l1 = pow2(n / 2) / 2 + 1;
   const std::uint64_t l2 = pow2((n - k) / 2) / 2 + 1;
 
-  const auto state = evolve_partial_search(db, k, l1, l2);
+  const auto state = evolve_partial_search_on_backend(
+      db, k, l1, l2, qsim::BackendKind::kDense);
   const SubspaceModel model(pow2(n), pow2(k));
   const auto modeled = model.run_grk(l1, l2);
 
   const qsim::Index target_block = db.target() >> (n - k);
-  EXPECT_NEAR(state.block_probability(k, target_block),
+  EXPECT_NEAR(state->block_probability(target_block),
               modeled.target_block_probability(), 1e-10);
-  EXPECT_NEAR(state.probability(db.target()),
+  EXPECT_NEAR(state->probability(db.target()),
               modeled.target_state_probability(), 1e-10);
 }
 

@@ -1,5 +1,5 @@
 // Cross-module integration tests: the different realizations of the same
-// mathematics (state-vector kernels, gate-level circuits, the 3-D subspace
+// mathematics (dense kernels, gate-level circuits, the 3-D subspace
 // model, closed forms) must all agree, and the end-to-end pipelines must
 // compose.
 #include <gtest/gtest.h>
@@ -18,7 +18,9 @@
 #include "partial/certainty.h"
 #include "partial/grk.h"
 #include "partial/optimizer.h"
+#include "qsim/backend.h"
 #include "qsim/circuit.h"
+#include "qsim/kernels.h"
 #include "reduction/reduction.h"
 #include "reference_kernels.h"
 #include "zalka/zalka.h"
@@ -26,61 +28,62 @@
 namespace pqs {
 namespace {
 
-class ModelVsStateVector
+class ModelVsDense
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
 
-TEST_P(ModelVsStateVector, AgreeAtEveryStepOfTheAlgorithm) {
+TEST_P(ModelVsDense, AgreeAtEveryStepOfTheAlgorithm) {
   // The strongest consistency check in the library: evolve the full
-  // state vector and the 3-D model through the identical op sequence and
+  // dense state and the 3-D model through the identical op sequence and
   // compare all three invariant-subspace amplitudes after every operation.
   const auto [n, k] = GetParam();
   const std::uint64_t n_items = pow2(n);
   const std::uint64_t k_blocks = pow2(k);
   const qsim::Index target = n_items / 2 + 3;  // block K/2
 
-  const oracle::Database db(n_items, target);
   const partial::SubspaceModel model(n_items, k_blocks);
 
-  auto state = qsim::StateVector::uniform(n);
+  const auto state = qsim::make_backend(
+      qsim::BackendKind::kDense,
+      qsim::BackendSpec::single_target(n_items, k_blocks, target));
   auto s = model.uniform_start();
 
   const auto check_agreement = [&](const char* where) {
+    const auto amps = state->amplitudes_copy();
     // a_t.
-    ASSERT_LT(std::abs(state.amplitude(target) - s.a_t), 1e-10) << where;
+    ASSERT_LT(std::abs(amps[target] - s.a_t), 1e-10) << where;
     // a_b via a representative target-block non-target state.
     const double w_b = model.weight_target_rest();
-    ASSERT_LT(std::abs(state.amplitude(target + 1) - s.a_b / w_b), 1e-10)
-        << where;
+    ASSERT_LT(std::abs(amps[target + 1] - s.a_b / w_b), 1e-10) << where;
     // a_o via a representative non-target-block state.
     const double w_o = model.weight_non_target();
-    ASSERT_LT(std::abs(state.amplitude(0) - s.a_o / w_o), 1e-10) << where;
+    ASSERT_LT(std::abs(amps[0] - s.a_o / w_o), 1e-10) << where;
   };
 
   check_agreement("start");
   for (int i = 0; i < 12; ++i) {
-    db.apply_phase_oracle(state);
-    state.reflect_about_uniform();
+    state->apply_oracle();
+    state->apply_global_diffusion();
     s = model.apply_global(s);
     check_agreement("global");
   }
   for (int i = 0; i < 6; ++i) {
-    db.apply_phase_oracle(state);
-    state.reflect_blocks_about_uniform(k);
+    state->apply_oracle();
+    state->apply_block_diffusion();
     s = model.apply_local(s);
     check_agreement("local");
   }
   // A generalized local iteration with arbitrary phases.
-  db.apply_phase_oracle(state, 0.83);
-  state.rotate_blocks_about_uniform(k, 2.31);
+  state->apply_oracle_phase(0.83);
+  state->apply_block_rotation(2.31);
   s = model.apply_local_generalized(s, 0.83, 2.31);
   check_agreement("generalized");
   // Step 3.
-  state.reflect_non_target_about_their_mean(target);
+  state->apply_step3();
   s = model.apply_step3(s);
   check_agreement("step3");
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, ModelVsStateVector,
+INSTANTIATE_TEST_SUITE_P(Shapes, ModelVsDense,
                          ::testing::Values(std::tuple{4u, 1u},
                                            std::tuple{6u, 2u},
                                            std::tuple{8u, 3u},
@@ -92,26 +95,26 @@ TEST(Integration, GateLevelGrkMatchesKernelGrk) {
   // Run the entire partial-search pipeline once with fused kernels and once
   // with the gate-level diffusion decompositions.
   const unsigned n = 8, k = 2;
-  const oracle::Database db = oracle::Database::with_qubits(n, 55);
   const std::uint64_t l1 = 6, l2 = 3;
 
-  auto kernel_state = qsim::StateVector::uniform(n);
-  auto gate_state = qsim::StateVector::uniform(n);
+  auto kernel_state = qsim::reference::uniform_state(n);
+  auto gate_state = qsim::reference::uniform_state(n);
   for (std::uint64_t i = 0; i < l1; ++i) {
-    kernel_state.phase_flip(55);
-    kernel_state.reflect_about_uniform();
-    gate_state.phase_flip(55);
+    qsim::kernels::phase_flip_index(kernel_state, 55);
+    qsim::kernels::reflect_about_uniform(kernel_state);
+    qsim::kernels::phase_flip_index(gate_state, 55);
     qsim::reference::apply_global_diffusion_gate_level(gate_state);
   }
   for (std::uint64_t i = 0; i < l2; ++i) {
-    kernel_state.phase_flip(55);
-    kernel_state.reflect_blocks_about_uniform(k);
-    gate_state.phase_flip(55);
+    qsim::kernels::phase_flip_index(kernel_state, 55);
+    qsim::kernels::reflect_blocks_about_uniform(kernel_state,
+                                                pow2(n - k));
+    qsim::kernels::phase_flip_index(gate_state, 55);
     qsim::reference::apply_block_diffusion_gate_level(gate_state, k);
   }
-  kernel_state.reflect_non_target_about_their_mean(55);
-  gate_state.reflect_non_target_about_their_mean(55);
-  EXPECT_LT(kernel_state.linf_distance(gate_state), 1e-11);
+  qsim::kernels::reflect_non_target_about_their_mean(kernel_state, 55);
+  qsim::kernels::reflect_non_target_about_their_mean(gate_state, 55);
+  EXPECT_LT(qsim::reference::linf_distance(kernel_state, gate_state), 1e-11);
 }
 
 TEST(Integration, CircuitIrReproducesGrkEvolution) {
@@ -128,12 +131,17 @@ TEST(Integration, CircuitIrReproducesGrkEvolution) {
   }
   circuit.non_target_mean_reflection();
 
-  auto circuit_state = qsim::StateVector::uniform(n);
-  const auto queries = circuit.apply(circuit_state, db.view());
+  const auto circuit_state = qsim::make_backend(
+      qsim::BackendKind::kDense,
+      qsim::BackendSpec::single_target(db.size(), pow2(k), db.target()));
+  const auto queries = qsim::apply_circuit(*circuit_state, circuit);
   EXPECT_EQ(queries, l1 + l2 + 1);
 
-  const auto direct = partial::evolve_partial_search(db, k, l1, l2);
-  EXPECT_LT(circuit_state.linf_distance(direct), 1e-11);
+  const auto direct = partial::evolve_partial_search_on_backend(
+      db, k, l1, l2, qsim::BackendKind::kDense);
+  EXPECT_LT(qsim::reference::linf_distance(circuit_state->amplitudes_copy(),
+                                           direct->amplitudes_copy()),
+            1e-11);
 }
 
 TEST(Integration, PartialPlusSuffixSearchRecoversFullTarget) {

@@ -122,17 +122,6 @@ TEST(Kernels, PhaseRotateIndexAtPiEqualsFlip) {
   expect_near(a, b, 1e-12);
 }
 
-TEST(Kernels, PhaseFlipIfMatchesPredicate) {
-  Rng rng(11);
-  SoaVector v = random_state(4, rng);
-  const SoaVector before = v;
-  kernels::phase_flip_if(v, [](Index x) { return x % 3 == 0; });
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const Amplitude expected = i % 3 == 0 ? -before.get(i) : before.get(i);
-    EXPECT_LT(std::abs(v.get(i) - expected), 1e-15);
-  }
-}
-
 TEST(Kernels, PhaseFlipMaskMatchesAllOnesOnly) {
   Rng rng(13);
   SoaVector v = random_state(3, rng);
@@ -391,9 +380,6 @@ TEST_P(IsaSweep, PhaseKernelsMatchReference) {
   kernels::phase_rotate_indices(v, marked, 1.1);
   reference::phase_flip_mask_all_ones(ref, 0b10100);
   kernels::phase_flip_mask_all_ones(v, 0b10100);
-  const auto pred = [](Index x) { return x % 5 == 2; };
-  reference::phase_flip_if(ref, pred);
-  kernels::phase_flip_if(v, pred);
   reference::scale(ref, Amplitude{0.6, -0.8});
   kernels::scale(v, Amplitude{0.6, -0.8});
   expect_matches(v, ref);

@@ -3,45 +3,64 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/check.h"
 #include "common/math.h"
 #include "partial/noisy.h"
+#include "qsim/backend.h"
+#include "reference_kernels.h"
 
 namespace pqs::qsim {
 namespace {
 
+/// A dense backend on n qubits in |psi0>; the channel ignores the target.
+std::unique_ptr<Backend> uniform(unsigned n) {
+  return make_backend(BackendKind::kDense,
+                      BackendSpec::single_target(pow2(n), 1, 0));
+}
+
+double linf(const Backend& a, const Backend& b) {
+  return reference::linf_distance(a.amplitudes_copy(), b.amplitudes_copy());
+}
+
 TEST(Noise, DisabledModelInjectsNothing) {
-  auto sv = StateVector::uniform(5);
-  const auto before = sv;
+  const auto sv = uniform(5);
   Rng rng(1);
   NoiseModel model;  // kNone
-  EXPECT_EQ(apply_noise(sv, model, rng), 0u);
+  EXPECT_EQ(sv->apply_noise(model, rng), 0u);
   model = {NoiseKind::kDepolarizing, 0.0};
-  EXPECT_EQ(apply_noise(sv, model, rng), 0u);
-  EXPECT_LT(sv.linf_distance(before), 1e-15);
+  EXPECT_EQ(sv->apply_noise(model, rng), 0u);
+  EXPECT_LT(linf(*sv, *uniform(5)), 1e-15);
 }
 
 TEST(Noise, ProbabilityOneDephasingFlipsEveryOneBit) {
   // Z on every qubit: basis state |x> picks up (-1)^{popcount(x)}.
-  auto sv = StateVector::uniform(3);
+  const auto sv = uniform(3);
   Rng rng(2);
   const NoiseModel model{NoiseKind::kDephasing, 1.0};
-  EXPECT_EQ(apply_noise(sv, model, rng), 3u);
+  EXPECT_EQ(sv->apply_noise(model, rng), 3u);
+  const auto amps = sv->amplitudes_copy();
   for (Index x = 0; x < 8; ++x) {
     const double sign = __builtin_popcountll(x) % 2 == 0 ? 1.0 : -1.0;
-    EXPECT_NEAR(sv.amplitude(x).real(), sign / std::sqrt(8.0), 1e-12)
-        << "x=" << x;
+    EXPECT_NEAR(amps[x].real(), sign / std::sqrt(8.0), 1e-12) << "x=" << x;
   }
 }
 
 TEST(Noise, ProbabilityOneBitFlipPermutesBasis) {
-  // X on every qubit maps |x> -> |~x>.
-  auto sv = StateVector::basis(4, 0b0110);
+  // X on every qubit maps |x> -> |~x>. H^n takes |psi0> to |0000>, then
+  // X on qubits 1 and 2 prepares |0110>.
+  const auto sv = uniform(4);
+  for (unsigned q = 0; q < 4; ++q) {
+    sv->apply_gate1(q, gates::H());
+  }
+  sv->apply_gate1(1, gates::X());
+  sv->apply_gate1(2, gates::X());
+  ASSERT_NEAR(sv->probability(0b0110), 1.0, 1e-12);
   Rng rng(3);
   const NoiseModel model{NoiseKind::kBitFlip, 1.0};
-  apply_noise(sv, model, rng);
-  EXPECT_NEAR(sv.probability(0b1001), 1.0, 1e-12);
+  sv->apply_noise(model, rng);
+  EXPECT_NEAR(sv->probability(0b1001), 1.0, 1e-12);
 }
 
 TEST(Noise, InjectionRateMatchesProbability) {
@@ -50,8 +69,7 @@ TEST(Noise, InjectionRateMatchesProbability) {
   std::uint64_t injected = 0;
   constexpr int kTrials = 3000;
   for (int t = 0; t < kTrials; ++t) {
-    auto sv = StateVector::uniform(4);
-    injected += apply_noise(sv, model, rng);
+    injected += uniform(4)->apply_noise(model, rng);
   }
   const double rate =
       static_cast<double>(injected) / (4.0 * kTrials);  // per qubit
@@ -62,34 +80,32 @@ TEST(Noise, PreservesNorm) {
   Rng rng(5);
   for (const auto kind : {NoiseKind::kDepolarizing, NoiseKind::kDephasing,
                           NoiseKind::kBitFlip}) {
-    auto sv = StateVector::uniform(6);
-    sv.phase_flip(13);
-    sv.reflect_about_uniform();
+    const auto sv = make_backend(BackendKind::kDense,
+                                 BackendSpec::single_target(64, 1, 13));
+    sv->apply_oracle();
+    sv->apply_global_diffusion();
     const NoiseModel model{kind, 0.5};
     for (int i = 0; i < 10; ++i) {
-      apply_noise(sv, model, rng);
+      sv->apply_noise(model, rng);
     }
-    EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-10)
+    EXPECT_NEAR(sv->norm_squared(), 1.0, 1e-10)
         << noise_kind_name(kind);
   }
 }
 
 TEST(Noise, RejectsInvalidProbability) {
-  auto sv = StateVector::uniform(2);
   Rng rng(6);
   const NoiseModel model{NoiseKind::kBitFlip, 1.5};
-  EXPECT_THROW(apply_noise(sv, model, rng), CheckFailure);
+  EXPECT_THROW(uniform(2)->apply_noise(model, rng), CheckFailure);
 }
 
 TEST(Noise, RejectsNegativeProbability) {
   // Regression: a negative p used to make every Bernoulli draw fail, so a
   // "noisy" run silently executed clean while being reported as noisy.
-  auto sv = StateVector::uniform(2);
   Rng rng(6);
   const NoiseModel model{NoiseKind::kDepolarizing, -0.1};
   EXPECT_FALSE(model.valid());
   EXPECT_THROW(model.validate(), CheckFailure);
-  EXPECT_THROW(apply_noise(sv, model, rng), CheckFailure);
 
   const oracle::Database db = oracle::Database::with_qubits(6, 1);
   Rng rng2(7);
@@ -112,16 +128,16 @@ TEST(Noise, InjectedCountsOnlyRealGateApplications) {
   // dispatch, so a kNone arm (or any non-applying path) could report
   // injections that never touched the state.
   Rng rng(8);
-  auto sv = StateVector::uniform(3);
-  const auto before = sv;
-  EXPECT_EQ(apply_noise(sv, NoiseModel{NoiseKind::kNone, 1.0}, rng), 0u);
-  EXPECT_LT(sv.linf_distance(before), 1e-15);
+  const auto sv = uniform(3);
+  EXPECT_EQ(sv->apply_noise(NoiseModel{NoiseKind::kNone, 1.0}, rng), 0u);
+  EXPECT_LT(linf(*sv, *uniform(3)), 1e-15);
 
   // With p = 1 every qubit gets exactly one real Pauli: count == qubits and
   // the state moved (Z on the uniform state flips signs).
-  auto sv2 = StateVector::uniform(4);
-  EXPECT_EQ(apply_noise(sv2, NoiseModel{NoiseKind::kDephasing, 1.0}, rng), 4u);
-  EXPECT_GT(sv2.linf_distance(StateVector::uniform(4)), 0.1);
+  const auto sv2 = uniform(4);
+  EXPECT_EQ(sv2->apply_noise(NoiseModel{NoiseKind::kDephasing, 1.0}, rng),
+            4u);
+  EXPECT_GT(linf(*sv2, *uniform(4)), 0.1);
 
   // Same contract for both engines.
   auto backend = make_backend(BackendKind::kDense,

@@ -8,7 +8,6 @@
 #include "oracle/database.h"
 #include "oracle/marked_set.h"
 #include "oracle/merit_list.h"
-#include "qsim/state_vector.h"
 
 namespace pqs::oracle {
 namespace {
@@ -43,49 +42,6 @@ TEST(Database, NonPowerOfTwoSizesAllowed) {
   const Database db(12, 7);  // the Figure-1 example size
   EXPECT_EQ(db.size(), 12u);
   EXPECT_TRUE(db.probe(7));
-}
-
-TEST(Database, PhaseOracleFlipsTargetOnly) {
-  const Database db = Database::with_qubits(3, 5);
-  auto sv = qsim::StateVector::uniform(3);
-  const auto before = sv.amplitude(5);
-  db.apply_phase_oracle(sv);
-  EXPECT_LT(std::abs(sv.amplitude(5) + before), 1e-15);
-  EXPECT_LT(std::abs(sv.amplitude(2) - sv.amplitude(3)), 1e-15);
-  EXPECT_EQ(db.queries(), 1u);
-}
-
-TEST(Database, GeneralizedPhaseOracle) {
-  const Database db = Database::with_qubits(2, 1);
-  auto sv = qsim::StateVector::uniform(2);
-  db.apply_phase_oracle(sv, kHalfPi);  // multiply target by i
-  EXPECT_LT(std::abs(sv.amplitude(1) - qsim::Amplitude{0.0, 0.5}), 1e-15);
-}
-
-TEST(Database, BitOracleTogglesAncilla) {
-  const Database db = Database::with_qubits(2, 3);
-  // 3 qubits total: ancilla (qubit 2) + 2 address qubits.
-  auto sv = qsim::StateVector::basis(3, 3);  // |0>|11>: address = target
-  db.apply_bit_oracle(sv);
-  EXPECT_NEAR(sv.probability(3 + 4), 1.0, 1e-15);  // ancilla set
-  // Applying twice is the identity.
-  db.apply_bit_oracle(sv);
-  EXPECT_NEAR(sv.probability(3), 1.0, 1e-15);
-}
-
-TEST(Database, BitOracleLeavesNonTargetsAlone) {
-  const Database db = Database::with_qubits(2, 3);
-  auto sv = qsim::StateVector::basis(3, 1);  // address 1 != target
-  db.apply_bit_oracle(sv);
-  EXPECT_NEAR(sv.probability(1), 1.0, 1e-15);
-}
-
-TEST(Database, ViewExposesMarkedPredicate) {
-  const Database db(16, 9);
-  const auto view = db.view();
-  EXPECT_TRUE(view.marked(9));
-  EXPECT_FALSE(view.marked(8));
-  EXPECT_EQ(view.target, 9u);
 }
 
 TEST(BlockLayout, AddressRoundTrip) {
@@ -129,16 +85,6 @@ TEST(MarkedDatabase, EmptyMarkedSetAllowed) {
   const MarkedDatabase db(8, {});
   EXPECT_EQ(db.num_marked(), 0u);
   EXPECT_FALSE(db.probe(0));
-}
-
-TEST(MarkedDatabase, PhaseOracleFlipsAllMarked) {
-  const MarkedDatabase db(8, {1, 6});
-  auto sv = qsim::StateVector::uniform(3);
-  db.apply_phase_oracle(sv);
-  EXPECT_LT(sv.amplitude(1).real(), 0.0);
-  EXPECT_LT(sv.amplitude(6).real(), 0.0);
-  EXPECT_GT(sv.amplitude(0).real(), 0.0);
-  EXPECT_EQ(db.queries(), 1u);  // one query flips the whole marked set
 }
 
 TEST(MeritList, DeterministicFromSeed) {

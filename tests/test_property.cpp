@@ -12,17 +12,20 @@
 #include "partial/analytic.h"
 #include "partial/grk.h"
 #include "partial/optimizer.h"
+#include "qsim/backend.h"
 #include "qsim/circuit.h"
 #include "qsim/gates2.h"
 #include "qsim/kernels.h"
-#include "qsim/state_vector.h"
+#include "reference_kernels.h"
 
 namespace pqs {
 namespace {
 
 using qsim::Amplitude;
 using qsim::Gate2;
-using qsim::StateVector;
+using qsim::SoaVector;
+namespace kernels = qsim::kernels;
+namespace reference = qsim::reference;
 
 Gate2 random_gate(Rng& rng) {
   return qsim::gates::U(rng.uniform(0.0, kPi), rng.uniform(0.0, 2.0 * kPi),
@@ -34,134 +37,87 @@ class RandomCircuitProperty : public ::testing::TestWithParam<unsigned> {};
 TEST_P(RandomCircuitProperty, NormIsPreservedByAnyOpSequence) {
   const unsigned n = 6;
   Rng rng(10'000 + GetParam());
-  auto state = StateVector::uniform(n);
-  const oracle::Database db =
-      oracle::Database::with_qubits(n, rng.uniform_below(pow2(n)));
+  SoaVector state = reference::uniform_state(n);
+  const qsim::Index target = rng.uniform_below(pow2(n));
   for (int step = 0; step < 60; ++step) {
     switch (rng.uniform_below(7)) {
       case 0:
-        state.apply_gate1(static_cast<unsigned>(rng.uniform_below(n)),
-                          random_gate(rng));
+        kernels::apply_gate1(state, n,
+                             static_cast<unsigned>(rng.uniform_below(n)),
+                             random_gate(rng));
         break;
       case 1:
-        db.apply_phase_oracle(state);
+        kernels::phase_flip_index(state, target);
         break;
       case 2:
-        state.reflect_about_uniform();
+        kernels::reflect_about_uniform(state);
         break;
       case 3:
-        state.reflect_blocks_about_uniform(
-            1 + static_cast<unsigned>(rng.uniform_below(n - 1)));
+        kernels::reflect_blocks_about_uniform(
+            state,
+            pow2(n) >> (1 + static_cast<unsigned>(rng.uniform_below(n - 1))));
         break;
-      case 4:
-        state.rotate_blocks_about_uniform(
-            1 + static_cast<unsigned>(rng.uniform_below(n - 1)),
-            rng.uniform(0.0, 2.0 * kPi));
+      case 4: {
+        const unsigned k =
+            1 + static_cast<unsigned>(rng.uniform_below(n - 1));
+        kernels::rotate_blocks_about_uniform(state, pow2(n) >> k,
+                                             rng.uniform(0.0, 2.0 * kPi));
         break;
+      }
       case 5:
-        state.reflect_non_target_about_their_mean(db.target());
+        kernels::reflect_non_target_about_their_mean(state, target);
         break;
       case 6: {
         const auto qa = static_cast<unsigned>(rng.uniform_below(n));
         auto qb = static_cast<unsigned>(rng.uniform_below(n - 1));
         qb += qb >= qa ? 1 : 0;
-        state.apply_gate2(qa, qb,
-                          qsim::gates::CPhase(rng.uniform(0.0, kPi)));
+        kernels::apply_gate2(state, n, qa, qb,
+                             qsim::gates::CPhase(rng.uniform(0.0, kPi)));
         break;
       }
     }
-    ASSERT_NEAR(state.norm_squared(), 1.0, 1e-9) << "step " << step;
+    ASSERT_NEAR(kernels::norm_squared(state), 1.0, 1e-9) << "step " << step;
   }
 }
 
 TEST_P(RandomCircuitProperty, ReflectionsAreInvolutions) {
   const unsigned n = 5;
   Rng rng(20'000 + GetParam());
-  // Random state.
-  std::vector<Amplitude> amps(pow2(n));
-  for (auto& a : amps) {
-    a = Amplitude{rng.normal(), rng.normal()};
-  }
-  auto state = StateVector::from_amplitudes(std::move(amps));
-  state.normalize();
-  const auto before = state;
+  SoaVector state = reference::random_state(n, rng);
+  const SoaVector before = state;
 
   const unsigned k = 1 + static_cast<unsigned>(rng.uniform_below(n - 1));
   const qsim::Index t = rng.uniform_below(pow2(n));
-  state.reflect_blocks_about_uniform(k);
-  state.reflect_blocks_about_uniform(k);
-  state.reflect_non_target_about_their_mean(t);
-  state.reflect_non_target_about_their_mean(t);
-  state.phase_flip(t);
-  state.phase_flip(t);
-  EXPECT_LT(state.linf_distance(before), 1e-10);
+  kernels::reflect_blocks_about_uniform(state, pow2(n) >> k);
+  kernels::reflect_blocks_about_uniform(state, pow2(n) >> k);
+  kernels::reflect_non_target_about_their_mean(state, t);
+  kernels::reflect_non_target_about_their_mean(state, t);
+  kernels::phase_flip_index(state, t);
+  kernels::phase_flip_index(state, t);
+  EXPECT_LT(reference::linf_distance(state, before), 1e-10);
 }
 
 TEST_P(RandomCircuitProperty, GateSequenceUndoneByAdjointsInReverse) {
   const unsigned n = 5;
   Rng rng(30'000 + GetParam());
-  auto state = StateVector::uniform(n);
-  const auto before = state;
+  SoaVector state = reference::uniform_state(n);
+  const SoaVector before = state;
 
   std::vector<std::pair<unsigned, Gate2>> applied;
   for (int step = 0; step < 25; ++step) {
     const auto q = static_cast<unsigned>(rng.uniform_below(n));
     const Gate2 g = random_gate(rng);
-    state.apply_gate1(q, g);
+    kernels::apply_gate1(state, n, q, g);
     applied.emplace_back(q, g);
   }
   for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
-    state.apply_gate1(it->first, it->second.adjoint());
+    kernels::apply_gate1(state, n, it->first, it->second.adjoint());
   }
-  EXPECT_LT(state.linf_distance(before), 1e-9);
+  EXPECT_LT(reference::linf_distance(state, before), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCircuitProperty,
                          ::testing::Range(0u, 8u));
-
-TEST(PhaseKickback, BitOracleWithMinusAncillaIsThePhaseOracle) {
-  // The textbook bridge between the paper's bit oracle
-  // T_f|x>|b> = |x>|b xor f(x)> and the phase oracle I_t the algorithms
-  // use: with the ancilla in |-> the bit oracle kicks the phase back onto
-  // the address register.
-  const unsigned n = 5;
-  const oracle::Database db = oracle::Database::with_qubits(n, 19);
-
-  // (n+1)-qubit state: address register uniform, ancilla (top qubit) |->.
-  auto big = qsim::StateVector::uniform(n + 1);
-  big.apply_gate1(n, qsim::gates::Z());  // |+> -> |-> on the ancilla
-
-  db.apply_bit_oracle(big);
-
-  // Reference: phase oracle on the n-qubit register alone.
-  auto small = qsim::StateVector::uniform(n);
-  db.apply_phase_oracle(small);
-
-  // big must equal small (x) |->: check both ancilla halves.
-  const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
-  for (qsim::Index x = 0; x < pow2(n); ++x) {
-    const Amplitude expected = small.amplitude(x) * inv_sqrt2;
-    ASSERT_LT(std::abs(big.amplitude(x) - expected), 1e-12) << x;
-    ASSERT_LT(std::abs(big.amplitude(x + pow2(n)) + expected), 1e-12) << x;
-  }
-}
-
-TEST(PhaseKickback, ZeroAncillaJustRecordsTheBit) {
-  // With the ancilla in |0>, T_f entangles instead of kicking back: the
-  // address register alone is no longer in a pure uniform state.
-  const unsigned n = 4;
-  const oracle::Database db = oracle::Database::with_qubits(n, 3);
-  auto big = qsim::StateVector::uniform(n + 1);
-  // Zero out the ancilla-1 half to make the ancilla |0> exactly.
-  for (qsim::Index x = 0; x < pow2(n); ++x) {
-    big.set_amplitude(x + pow2(n), Amplitude{0.0, 0.0});
-  }
-  big.normalize();
-  db.apply_bit_oracle(big);
-  // Now the target's amplitude lives in the ancilla-1 half.
-  EXPECT_NEAR(big.probability(3 + pow2(n)), 1.0 / 16.0, 1e-12);
-  EXPECT_NEAR(big.probability(3), 0.0, 1e-12);
-}
 
 TEST(ModelInvariance, TargetPositionWithinBlockIsIrrelevant) {
   // The subspace model has no notion of WHERE in its block the target is;
@@ -172,8 +128,9 @@ TEST(ModelInvariance, TargetPositionWithinBlockIsIrrelevant) {
   for (const qsim::Index offset : {0u, 1u, 31u, 63u}) {
     const oracle::Database db =
         oracle::Database::with_qubits(n, (2u << (n - k)) + offset);
-    const auto state = partial::evolve_partial_search(db, k, 7, 3);
-    const double p = state.block_probability(k, 2);
+    const auto state = partial::evolve_partial_search_on_backend(
+        db, k, 7, 3, qsim::BackendKind::kDense);
+    const double p = state->block_probability(2);
     if (reference < 0.0) {
       reference = p;
     } else {
@@ -188,8 +145,9 @@ TEST(ModelInvariance, TargetBlockIdentityIsIrrelevant) {
   for (qsim::Index block = 0; block < 8; ++block) {
     const oracle::Database db =
         oracle::Database::with_qubits(n, (block << (n - k)) + 5);
-    const auto state = partial::evolve_partial_search(db, k, 6, 2);
-    const double p = state.block_probability(k, block);
+    const auto state = partial::evolve_partial_search_on_backend(
+        db, k, 6, 2, qsim::BackendKind::kDense);
+    const double p = state->block_probability(block);
     if (reference < 0.0) {
       reference = p;
     } else {
@@ -199,24 +157,27 @@ TEST(ModelInvariance, TargetBlockIdentityIsIrrelevant) {
 }
 
 TEST(QueryMeter, EveryAlgorithmPathChargesTheSameMeter) {
-  // Query accounting must be consistent whether ops run via Database
-  // methods, Circuit execution, or raw kernels + manual add_queries.
+  // Query accounting must be consistent whether ops run via an algorithm
+  // entry point or via Circuit execution + manual add_queries.
   const unsigned n = 6;
   Rng rng(4242);
   const oracle::Database db = oracle::Database::with_qubits(n, 9);
 
   db.reset_queries();
-  grover::evolve(db, 7);
+  grover::evolve_on_backend(db, 7, qsim::BackendKind::kDense);
   EXPECT_EQ(db.queries(), 7u);
 
   db.reset_queries();
   const auto circuit = qsim::make_grover_circuit(n, 7);
-  auto state = qsim::StateVector::uniform(n);
-  db.add_queries(circuit.apply(state, db.view()));
+  const auto state = qsim::make_backend(
+      qsim::BackendKind::kDense,
+      qsim::BackendSpec::single_target(db.size(), 1, db.target()));
+  db.add_queries(qsim::apply_circuit(*state, circuit));
   EXPECT_EQ(db.queries(), 7u);
 
   db.reset_queries();
-  partial::evolve_partial_search(db, 2, 4, 2);
+  partial::evolve_partial_search_on_backend(db, 2, 4, 2,
+                                            qsim::BackendKind::kDense);
   EXPECT_EQ(db.queries(), 7u);
 }
 

@@ -25,8 +25,10 @@
 #include "qsim/backend.h"
 #include "qsim/batch.h"
 #include "qsim/parallel.h"
+#include "qsim/kernels.h"
 #include "qsim/run_control.h"
-#include "qsim/state_vector.h"
+#include "qsim/soa.h"
+#include "reference_kernels.h"
 
 namespace pqs::qsim {
 namespace {
@@ -179,15 +181,15 @@ TEST(CumulativeTableTest, SampleDiscreteUsesTheTable) {
 
 /// A normalized 2^n state with random amplitudes on [support_lo, support_hi) and
 /// zeros elsewhere.
-StateVector random_state(unsigned n, std::size_t support_lo, std::size_t support_hi,
-                         std::uint64_t seed) {
+SoaVector random_state(unsigned n, std::size_t support_lo,
+                       std::size_t support_hi, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<Amplitude> amps(pow2(n), Amplitude{0.0, 0.0});
   for (std::size_t i = support_lo; i < support_hi; ++i) {
     amps[i] = Amplitude{rng.normal(), rng.normal()};
   }
-  auto sv = StateVector::from_amplitudes(std::move(amps));
-  sv.normalize();
+  SoaVector sv = SoaVector::from_amplitudes(amps);
+  reference::normalize(sv);
   return sv;
 }
 
@@ -196,37 +198,38 @@ TEST(DenseSamplerTest, EdgesSkipEmptyChunksAndElements) {
   // and ending inside the last.
   const unsigned n = 14;
   const std::size_t lo = kChunk + 37, hi = pow2(n) - 211;
-  const StateVector sv = random_state(n, lo, hi, 11);
-  const DenseSampler indices = sv.index_sampler();
+  const SoaVector sv = random_state(n, lo, hi, 11);
+  const DenseSampler indices = DenseSampler::indices(sv);
   EXPECT_EQ(indices.pick(0.0), lo);
   EXPECT_EQ(indices.pick(std::nextafter(1.0, 0.0)), hi - 1);
-  const DenseSampler blocks = sv.block_sampler(3);  // 2048-wide blocks
+  const DenseSampler blocks = DenseSampler::blocks(sv, pow2(n) / 8);
   EXPECT_EQ(blocks.pick(0.0), lo / (pow2(n) / 8));
   EXPECT_EQ(blocks.pick(std::nextafter(1.0, 0.0)), 7u);
-  EXPECT_THROW((void)StateVector(n).block_sampler(n + 1), CheckFailure);
+  EXPECT_THROW((void)DenseSampler::blocks(sv, 0), CheckFailure);
+  EXPECT_THROW((void)DenseSampler::blocks(sv, 3), CheckFailure);
 }
 
 TEST(DenseSamplerTest, ZeroStateIsRejected) {
-  auto sv = StateVector::uniform(4);
-  sv.scale(Amplitude{0.0, 0.0});
-  EXPECT_THROW((void)sv.index_sampler(), CheckFailure);
-  EXPECT_THROW((void)sv.block_sampler(2), CheckFailure);
+  auto sv = reference::uniform_state(4);
+  kernels::scale(sv, Amplitude{0.0, 0.0});
+  EXPECT_THROW((void)DenseSampler::indices(sv), CheckFailure);
+  EXPECT_THROW((void)DenseSampler::blocks(sv, 4), CheckFailure);
 }
 
 TEST(DenseSamplerTest, IndexShotsFollowTheAmplitudes) {
   // Support spans several chunks so the chunk table and the in-chunk walk
   // both matter; 64 bins of 256 addresses keep every bin well filled.
   const unsigned n = 14;
-  const StateVector sv = random_state(n, 100, pow2(n) - 100, 5);
-  const DenseSampler sampler = sv.index_sampler();
+  const SoaVector sv = random_state(n, 100, pow2(n) - 100, 5);
+  const DenseSampler sampler = DenseSampler::indices(sv);
   std::vector<double> counts(64, 0.0), p(64, 0.0);
-  for (std::size_t x = 0; x < sv.dimension(); ++x) {
-    p[x / 256] += sv.probability(x);
+  for (std::size_t x = 0; x < sv.size(); ++x) {
+    p[x / 256] += std::norm(sv.get(x));
   }
   Rng rng(77);
   for (int s = 0; s < 40000; ++s) {
     const Index x = sampler.draw(rng);
-    ASSERT_GT(sv.probability(x), 0.0);
+    ASSERT_GT(std::norm(sv.get(x)), 0.0);
     counts[x / 256] += 1.0;
   }
   const auto [stat, df] = chi2_fit(counts, p);
@@ -234,12 +237,15 @@ TEST(DenseSamplerTest, IndexShotsFollowTheAmplitudes) {
 }
 
 TEST(DenseSamplerTest, BlockDistributionIsOneSweepOfBlockNorms) {
-  const StateVector sv = random_state(13, 0, pow2(13), 3);
+  const SoaVector sv = random_state(13, 0, pow2(13), 3);
   for (unsigned k = 0; k <= 13; k += 13 / 4) {
-    const std::vector<double> dist = sv.block_distribution(k);
+    const std::size_t block_size = pow2(13 - k);
+    const std::vector<double> dist = kernels::block_norms(sv, block_size);
     ASSERT_EQ(dist.size(), pow2(k));
     for (std::size_t b = 0; b < dist.size(); ++b) {
-      EXPECT_EQ(dist[b], sv.block_probability(k, b)) << "k " << k;
+      EXPECT_EQ(dist[b],
+                kernels::norm_squared_range(sv, b * block_size, block_size))
+          << "k " << k;
     }
   }
 }

@@ -24,6 +24,7 @@
 #include "partial/optimizer.h"
 #include "partial/twelve.h"
 #include "reduction/reduction.h"
+#include "reference_kernels.h"
 #include "zalka/zalka.h"
 
 namespace pqs {
@@ -123,13 +124,10 @@ TEST_P(BackendMatrix, AmplifyUniformMatchesClosedForm) {
 TEST_P(BackendMatrix, AmplifyUniformMatchesGateLevelAmplify) {
   const unsigned n = 6;
   const oracle::MarkedDatabase db(pow2(n), {10, 20});
-  const auto gate_level = grover::amplify(n, grover::hadamard_preparation(),
-                                          db, 4);
+  const auto gate_level = qsim::reference::amplify(
+      n, qsim::reference::hadamard_preparation(), db, 4);
   const auto backend = grover::amplify_uniform_on_backend(db, 4, GetParam());
-  double p_gate = 0.0;
-  for (const auto m : db.marked()) {
-    p_gate += gate_level.probability(m);
-  }
+  const double p_gate = qsim::reference::marked_probability(gate_level, db);
   EXPECT_NEAR(backend->marked_probability(), p_gate, 1e-10);
 }
 
@@ -291,6 +289,9 @@ TEST(BackendMatrixUnsupported, LoudErrorsNotSilentFallbacks) {
   const qsim::NoiseModel model{qsim::NoiseKind::kDephasing, 0.1};
   Rng noise_rng(9);
   EXPECT_THROW(backend->apply_noise(model, noise_rng), CheckFailure);
+  EXPECT_THROW(qsim::require_noise_support(qsim::BackendKind::kSymmetry,
+                                           backend->spec(), "multi noise"),
+               CheckFailure);
 
   // Noise on a non-power-of-two database has no qubit structure.
   auto twelve = qsim::make_backend(qsim::BackendKind::kSymmetry,

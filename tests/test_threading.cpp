@@ -16,7 +16,9 @@
 #include "qsim/batch.h"
 #include "qsim/gates.h"
 #include "qsim/gates2.h"
-#include "qsim/state_vector.h"
+#include "qsim/kernels.h"
+#include "qsim/soa.h"
+#include "reference_kernels.h"
 #include "service/service.h"
 
 namespace pqs {
@@ -50,25 +52,28 @@ struct KernelOutputs {
 };
 
 KernelOutputs run_kernels(unsigned n) {
-  qsim::StateVector state = qsim::StateVector::uniform(n);
-  state.apply_gate1(0, qsim::gates::T());  // complex, non-uniform phases
-  state.apply_gate2(n - 1, 1, qsim::gates::tensor(qsim::gates::H(),
-                                                  qsim::gates::S()));
+  namespace kernels = qsim::kernels;
+  qsim::SoaVector state = qsim::reference::uniform_state(n);
+  // Complex, non-uniform phases.
+  kernels::apply_gate1(state, n, 0, qsim::gates::T());
+  kernels::apply_gate2(state, n, n - 1, 1,
+                       qsim::gates::tensor(qsim::gates::H(),
+                                           qsim::gates::S()));
   for (int i = 0; i < 3; ++i) {
-    state.phase_flip((qsim::Index{1} << n) / 3 + 1);
-    state.reflect_about_uniform();
+    kernels::phase_flip_index(state, (qsim::Index{1} << n) / 3 + 1);
+    kernels::reflect_about_uniform(state);
   }
   for (int i = 0; i < 2; ++i) {
-    state.phase_flip((qsim::Index{1} << n) / 3 + 1);
-    state.reflect_blocks_about_uniform(2);
+    kernels::phase_flip_index(state, (qsim::Index{1} << n) / 3 + 1);
+    kernels::reflect_blocks_about_uniform(state, state.size() >> 2);
   }
-  qsim::StateVector other = qsim::StateVector::uniform(n);
-  other.phase_flip(5);
+  qsim::SoaVector other = qsim::reference::uniform_state(n);
+  kernels::phase_flip_index(other, 5);
   KernelOutputs out;
-  out.re.assign(state.re().begin(), state.re().end());
-  out.im.assign(state.im().begin(), state.im().end());
-  out.norm = state.norm_squared();
-  out.inner = other.inner(state);
+  out.re.assign(state.re_span().begin(), state.re_span().end());
+  out.im.assign(state.im_span().begin(), state.im_span().end());
+  out.norm = kernels::norm_squared(state);
+  out.inner = kernels::inner_product(other, state);
   return out;
 }
 

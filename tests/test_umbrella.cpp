@@ -13,8 +13,10 @@ TEST(Umbrella, EndToEndMiniPipeline) {
 
   // One symbol from each subsystem, exercised for real.
   EXPECT_TRUE(is_pow2(db.size()));                                 // common
-  auto sv = qsim::StateVector::uniform(8);                         // qsim
-  EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-12);
+  const auto backend = qsim::make_backend(                          // qsim
+      qsim::BackendKind::kDense,
+      qsim::BackendSpec::single_target(db.size(), 4, db.target()));
+  EXPECT_NEAR(backend->norm_squared(), 1.0, 1e-12);
   const auto grover_run = grover::search(db, rng);                 // grover
   EXPECT_GT(grover_run.success_probability, 0.9);
   db.reset_queries();

@@ -97,7 +97,6 @@ PLANE_ACCESS_ALLOWED = {
     "src/qsim/kernels_avx2.cpp",
     "src/qsim/kernels_avx512.cpp",
     "src/qsim/kernels_soa.cpp",
-    "src/qsim/state_vector.cpp",
 }
 
 RANDOM_ALLOWED = {
@@ -310,7 +309,7 @@ def check_plane_access(rel, raw, stripped):
         violations.append(Violation(
             rel, line, "raw-plane-access",
             f"raw SoA plane access `.{match.group(1)}(` outside the qsim "
-            f"kernel layer; go through StateVector/kernels (the planes "
+            f"kernel layer; go through DenseBackend/kernels (the planes "
             f"carry a block-sum cache that direct access corrupts)"))
     return violations
 
