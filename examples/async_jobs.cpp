@@ -4,6 +4,7 @@
 //   ./build/examples/async_jobs --threads 2 --queue-depth 64 --qubits 14
 #include <chrono>
 #include <iostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -56,10 +57,13 @@ int main(int argc, char** argv) {
               << ", timing queue " << report.queue_ns << " ns / plan "
               << report.plan_ns << " ns / exec " << report.exec_ns << " ns\n";
   }
-  const ServiceStats stats = service.stats();
-  std::cout << "\nstats: " << stats.submitted << " submitted, "
-            << stats.coalesced_submits << " coalesced, " << stats.executed
-            << " executed, " << stats.done << " done\n";
+  const auto counter = [&](const std::string& name) {
+    return service.metrics().counter("service." + name).value();
+  };
+  std::cout << "\nstats: " << counter("submitted") << " submitted, "
+            << counter("coalesced_submits") << " coalesced, "
+            << counter("executed") << " executed, " << counter("done")
+            << " done\n";
 
   // Cancellation: a huge sweep we change our mind about.
   SearchSpec sweep = SearchSpec::single_target(pow2(n), 4, 5);

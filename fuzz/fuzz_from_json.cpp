@@ -34,9 +34,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   } catch (const pqs::CheckFailure&) {
   }
   if (spec) {
-    // NOTE: no resolve_marked()/canonical_key here — a fuzzed spec may
-    // name 2^62 items, and materializing marked sets is the Service's
-    // (validated, bounded) job, not the parser's.
+    // The spec check (api::canonicalize) is fuzzed by fuzz_wire_line on
+    // the submit path; this target pins the round trip.
     std::string first;
     try {
       first = pqs::api::to_json(*spec).dump();

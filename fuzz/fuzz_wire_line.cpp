@@ -1,8 +1,12 @@
 // Fuzz target: the two line-oriented parse edges a deployment exposes.
 //
 //   * net::parse_request — every request line a TCP peer or stdin pipe
-//     sends (src/net/session.h). Contract: the ONLY failure mode is a
-//     thrown CheckFailure.
+//     sends (src/net/session.h). It is the parse path of both a worker's
+//     net::Session and pqs_router (the router runs the same
+//     parse_request_header, then the same spec parse), and a parsed submit
+//     then goes through api::canonicalize, the spec check Service::submit
+//     and the router share. Contract: the ONLY failure mode is a thrown
+//     CheckFailure.
 //   * Journal::recover_text — every byte a crash may have left in a
 //     write-ahead journal, including torn final lines and foreign files.
 //     Contract: recovery NEVER throws; damage becomes warnings.
@@ -14,6 +18,7 @@
 #include <cstdint>
 #include <string>
 
+#include "api/serialize.h"
 #include "common/check.h"
 #include "net/session.h"
 #include "service/journal.h"
@@ -24,7 +29,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   const std::string line = text.substr(0, text.find('\n'));
   try {
-    (void)pqs::net::parse_request(line);
+    const pqs::net::Request request = pqs::net::parse_request(line);
+    if (request.op == pqs::net::Request::Op::kSubmit) {
+      (void)pqs::api::canonicalize(request.spec);
+    }
   } catch (const pqs::CheckFailure&) {
     // malformed request: the sanctioned rejection
   }

@@ -17,6 +17,14 @@
 # the router) and `trace` must return the span timeline of a job submitted
 # on the same connection.
 #
+# Last, a rejection-parity probe sends the same script of bad lines to one
+# more worker directly and through a 1-worker router, both at
+# --inflight-per-conn 1: malformed JSON, an unknown op, `trace` without an
+# id, bad specs, an unknown cancel, a duplicate in-flight id and an over-cap
+# submit (both with bad specs). Every ack must match in event kind and id,
+# overloaded reasons must match, and error messages must match once any
+# `PQS_CHECK failed: (...) at file:line — ` prefix is stripped.
+#
 # Usage: scripts/net_smoke.sh [build-dir]   (default: build)
 set -eu
 cd "$(dirname "$0")/.."
@@ -126,6 +134,90 @@ pids+=($!)
 "${loadgen}" --connect "127.0.0.1:$((base + 5))" --fixture "${fixture}" \
   > "${out}/routed.jsonl"
 probe_obs_ops "127.0.0.1:$((base + 5))" router
+
+# Send one script of request lines to each endpoint and require the two
+# ack streams to agree (see the header for what "agree" means).
+probe_rejection_parity() {
+  python3 - "$1" "$2" <<'PY'
+import json, re, socket, sys, time
+
+# Runs for minutes unless cancelled: keeps "long" in flight for the
+# duplicate-id and over-cap lines.
+long_spec = {"algorithm": "noisy", "n_items": 16384, "n_blocks": 4,
+             "marked": [5], "noise": "depolarizing", "noise_p": 1e-4,
+             "shots": 1000000, "seed": 3}
+bad_blocks = {"algorithm": "grk", "n_items": 4096, "n_blocks": 3,
+              "marked": [2731]}
+script = [
+    'not json',
+    '{"op":"frobnicate","id":"x"}',
+    '{"op":"trace"}',
+    json.dumps({"op": "submit", "id": "nope", "spec": {"algorithm": "nope"}}),
+    json.dumps({"op": "submit", "id": "k3", "spec": bad_blocks}),
+    '{"op":"cancel","id":"ghost"}',
+    json.dumps({"op": "submit", "id": "long", "spec": long_spec}),
+    json.dumps({"op": "submit", "id": "long", "spec": {"algorithm": "nope"}}),
+    json.dumps({"op": "submit", "id": "over", "spec": {"algorithm": "nope"}}),
+    '{"op":"cancel","id":"long"}',
+]
+prefix = re.compile(r"^PQS_CHECK failed: \(.*\) at \S+:\d+ — ")
+
+def run(hostport):
+    host, port = hostport.rsplit(":", 1)
+    for attempt in range(100):  # the endpoint was started just now
+        try:
+            sock = socket.create_connection((host, int(port)), timeout=30)
+            break
+        except ConnectionRefusedError:
+            time.sleep(0.1)
+    else:
+        sys.exit(f"cannot connect to {hostport}")
+    reader = sock.makefile("r", encoding="utf-8")
+    acks, results = [], []
+    for line in script:
+        sock.sendall((line + "\n").encode())
+        while True:
+            event = json.loads(reader.readline())
+            if event["event"] != "result":
+                acks.append(event)
+                break
+            results.append(event)
+    while not results:  # the cancelled "long"
+        results.append(json.loads(reader.readline()))
+    sock.close()
+    return acks, results
+
+def shape(event):
+    kept = {"event": event["event"], "id": event.get("id")}
+    if event["event"] == "error":
+        kept["message"] = prefix.sub("", event["message"])
+    if event["event"] == "overloaded":
+        kept["reason"] = event["reason"]
+    return kept
+
+direct_acks, direct_results = run(sys.argv[1])
+routed_acks, routed_results = run(sys.argv[2])
+for line, direct, routed in zip(script, direct_acks, routed_acks):
+    assert shape(direct) == shape(routed), (line, direct, routed)
+kinds = [a["event"] for a in direct_acks]
+assert kinds == ["error"] * 6 + ["accepted", "error", "overloaded",
+                                 "cancelling"], kinds
+for results in (direct_results, routed_results):
+    assert [(r["id"], r["status"]) for r in results] == [
+        ("long", "cancelled")], results
+print(f"rejection parity: {len(script)} acks match, direct worker vs router")
+PY
+}
+
+echo "== parity: a worker and a 1-worker router, both at --inflight-per-conn 1 =="
+"${serve}" --listen "127.0.0.1:$((base + 6))" --threads 2 \
+  --inflight-per-conn 1 2>"${out}/serve_parity.log" &
+pids+=($!)
+"${router}" --listen "127.0.0.1:$((base + 7))" \
+  --workers "127.0.0.1:$((base + 6))" --inflight-per-conn 1 \
+  2>"${out}/router_parity.log" &
+pids+=($!)
+probe_rejection_parity "127.0.0.1:$((base + 6))" "127.0.0.1:$((base + 7))"
 
 echo "== verdict =="
 test "$(wc -l < "${out}/direct.jsonl")" = 7

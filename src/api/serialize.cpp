@@ -150,13 +150,6 @@ SearchReport report_from_json(const Json& json) {
   return report;
 }
 
-std::string canonical_key(const SearchSpec& spec) {
-  SearchSpec canonical = spec;
-  canonical.marked = spec.resolve_marked();  // sorted-unique; scans predicates
-  canonical.predicate = nullptr;
-  return canonical_key_canonicalized(canonical);
-}
-
 namespace {
 
 /// FNV-1a over `bytes` from a caller-chosen basis (two bases give the two
@@ -172,23 +165,28 @@ std::uint64_t fnv1a(std::string_view bytes, std::uint64_t basis) {
 
 }  // namespace
 
-std::string canonical_key_canonicalized(const SearchSpec& spec) {
-  Json json = to_json(spec);
+CanonicalSpec canonicalize(const SearchSpec& spec) {
+  spec.validate_knobs();
+  CanonicalSpec canonical{spec, {}};
+  canonical.spec.marked = spec.resolve_marked();  // the one predicate scan
+  canonical.spec.predicate = nullptr;
+  Json json = to_json(canonical.spec);
   // Thread fan-out does not change the answer: per-shot RNG streams derive
   // from (seed, shot index) alone, so any thread count yields the identical
   // report and specs differing only there should coalesce.
   json.as_object().erase("threads");
-  const std::string canonical = json.dump();
+  const std::string dump = json.dump();
   // Digest rather than the dump itself: a materialized marked set can be
   // huge, and the key is stored per job / per cache entry and compared on
   // every submit. 128 bits keeps accidental collisions out of reach.
   char digest[34];
   std::snprintf(digest, sizeof(digest), "%016llx%016llx",
                 static_cast<unsigned long long>(
-                    fnv1a(canonical, 0xcbf29ce484222325ULL)),
+                    fnv1a(dump, 0xcbf29ce484222325ULL)),
                 static_cast<unsigned long long>(
-                    fnv1a(canonical, 0x9e3779b97f4a7c15ULL)));
-  return std::string(digest, 32);
+                    fnv1a(dump, 0x9e3779b97f4a7c15ULL)));
+  canonical.key.assign(digest, 32);
+  return canonical;
 }
 
 }  // namespace pqs::api

@@ -5,7 +5,7 @@
 //   * pqs_serve — the JSONL process front-end: requests arrive as one spec
 //     object per line, results leave as one report object per line, so any
 //     RPC framework (or a shell pipe) can front a fleet deployment;
-//   * request coalescing — canonical_key() reduces a spec to the canonical
+//   * request coalescing — canonicalize() reduces a spec to the canonical
 //     dump of its result-relevant fields, so concurrent jobs that would
 //     compute the same answer attach to one execution (pqs::Service).
 //
@@ -38,18 +38,22 @@ Json to_json(const SearchReport& report);
 /// JSON object -> report. Unknown keys throw, naming the key.
 SearchReport report_from_json(const Json& json);
 
-/// The coalescing identity of a spec: a 128-bit digest (32 hex chars) of
-/// the canonical dump of every field that determines the result — which
-/// excludes batch threads (shot streams derive from (seed, shot), so any
-/// thread count yields identical reports) and materializes a predicate
-/// into its marked set. Two specs with equal keys produce byte-identical
-/// SearchReports (modulo timing), which is what lets the Service hand one
-/// execution's report to every attached caller.
-std::string canonical_key(const SearchSpec& spec);
+/// A spec in canonical form and its coalescing identity.
+struct CanonicalSpec {
+  SearchSpec spec;  ///< marked materialized sorted-unique, predicate cleared
+  /// 128-bit digest (32 hex chars) of the canonical dump of every field
+  /// that determines the result — which excludes batch threads (shot
+  /// streams derive from (seed, shot), so any thread count yields identical
+  /// reports). Two specs with equal keys produce byte-identical
+  /// SearchReports (modulo timing), which is what lets the Service hand one
+  /// execution's report to every attached caller.
+  std::string key;
+};
 
-/// canonical_key for a spec ALREADY in canonical form (marked materialized,
-/// sorted-unique; predicate cleared) — skips the re-materialization. The
-/// Service canonicalizes once at submit and keys off the same copy.
-std::string canonical_key_canonicalized(const SearchSpec& spec);
+/// The one admission check of a spec: validate_knobs, then resolve_marked
+/// (the single predicate scan), then the digest. Service::submit and
+/// pqs_router both call it, so a bad spec fails with the same message on
+/// every path. Throws CheckFailure.
+CanonicalSpec canonicalize(const SearchSpec& spec);
 
 }  // namespace pqs::api

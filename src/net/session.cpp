@@ -47,13 +47,6 @@ Json overloaded_event(const std::string& id, const std::string& reason) {
 
 }  // namespace
 
-namespace {
-
-// Everything except the spec: op, id, priority. Split from parse_request
-// so handle_line can admit (or refuse) a submit BEFORE paying for spec
-// validation — an over-cap submit must cost its peer no more than the cap
-// check, and must answer `overloaded`, not `error`, even when its spec is
-// malformed.
 Request parse_request_header(const Json& request) {
   Request parsed;
   const std::string& op = request.at("op").as_string();
@@ -92,8 +85,6 @@ Request parse_request_header(const Json& request) {
   return parsed;
 }
 
-}  // namespace
-
 Request parse_request(const std::string& line) {
   const Json request = Json::parse(line);
   Request parsed = parse_request_header(request);
@@ -101,6 +92,25 @@ Request parse_request(const std::string& line) {
     parsed.spec = api::spec_from_json(request.at("spec"));
   }
   return parsed;
+}
+
+Json error_event(const std::string& message) {
+  Json event = Json::make_object();
+  event["event"] = "error";
+  event["message"] = message;
+  return event;
+}
+
+std::optional<Json> submit_refusal(const std::string& id, bool id_in_flight,
+                                   std::size_t in_flight, std::size_t limit) {
+  if (id_in_flight) {
+    return error_event("duplicate in-flight job id \"" + id + "\"");
+  }
+  if (limit != 0 && in_flight >= limit) {
+    return overloaded_event(id, "inflight cap (" + std::to_string(limit) +
+                                    " unanswered submits on this connection)");
+  }
+  return std::nullopt;
 }
 
 Session::Session(Service& service, WriteLine write_line,
@@ -140,16 +150,13 @@ void Session::emit(const Json& event) {
   }
 }
 
-void Session::emit_error(const std::string& message) {
-  Json event = Json::make_object();
-  event["event"] = "error";
-  event["message"] = message;
-  emit(event);
-}
-
 Json Session::stats_event(const std::string& id) const {
-  const ServiceStats stats = service_.stats();
-  const StageHistograms latency = service_.latency_histograms();
+  // A projection of the registry snapshot: every number below is read by
+  // its instrument name, so `stats` and `metrics` can never disagree.
+  const Json snapshot = service_.metrics_snapshot();
+  const Json& counters = snapshot.at("counters");
+  const Json& gauges = snapshot.at("gauges");
+  const Json& histograms = snapshot.at("histograms");
   const ServiceOptions& options = service_.options();
 
   Json event = Json::make_object();
@@ -163,38 +170,42 @@ Json Session::stats_event(const std::string& id) const {
   event["isa"] = std::string(qsim::isa_name(qsim::active_isa()));
   event["workers"] = std::uint64_t{options.threads};
   event["queue_capacity"] = std::uint64_t{options.queue_capacity};
-  event["queue_depth"] = std::uint64_t{service_.queue_depth()};
+  event["queue_depth"] = gauges.at("service.queue_depth");
 
-  Json counters = Json::make_object();
-  counters["submitted"] = stats.submitted;
-  counters["coalesced_submits"] = stats.coalesced_submits;
-  counters["cache_hits"] = stats.cache_hits;
-  counters["rejected"] = stats.rejected;
-  counters["executed"] = stats.executed;
-  counters["done"] = stats.done;
-  counters["cancelled"] = stats.cancelled;
-  counters["failed"] = stats.failed;
-  event["counters"] = std::move(counters);
-  event["coalescing_hit_rate"] = stats.coalescing_hit_rate();
+  Json service_counters = Json::make_object();
+  for (const std::string name :
+       {"submitted", "coalesced_submits", "cache_hits", "rejected", "executed",
+        "done", "cancelled", "failed"}) {
+    service_counters[name] = counters.at("service." + name);
+  }
+  // Fraction of accepted submits that attached to an in-flight execution.
+  const std::uint64_t submitted = counters.at("service.submitted").as_uint();
+  event["coalescing_hit_rate"] =
+      submitted == 0
+          ? 0.0
+          : static_cast<double>(
+                counters.at("service.coalesced_submits").as_uint()) /
+                static_cast<double>(submitted);
+  event["counters"] = std::move(service_counters);
 
   Json plan_cache = Json::make_object();
-  plan_cache["hits"] = stats.plan_cache_hits;
-  plan_cache["misses"] = stats.plan_cache_misses;
-  plan_cache["evictions"] = stats.plan_cache_evictions;
-  plan_cache["size"] = stats.plan_cache_size;
+  plan_cache["hits"] = counters.at("plan.cache_hits");
+  plan_cache["misses"] = counters.at("plan.cache_misses");
+  plan_cache["evictions"] = gauges.at("plan.cache_evictions");
+  plan_cache["size"] = gauges.at("plan.cache_size");
   event["plan_cache"] = std::move(plan_cache);
 
   Json result_cache = Json::make_object();
-  result_cache["hits"] = stats.cache_hits;
-  result_cache["evictions"] = stats.result_cache_evictions;
-  result_cache["size"] = stats.result_cache_size;
+  result_cache["hits"] = counters.at("service.cache_hits");
+  result_cache["evictions"] = gauges.at("result_cache.evictions");
+  result_cache["size"] = gauges.at("result_cache.size");
   result_cache["capacity"] = std::uint64_t{options.result_cache_capacity};
   event["result_cache"] = std::move(result_cache);
 
   Json latency_ns = Json::make_object();
-  latency_ns["queue"] = latency.queue.to_json();
-  latency_ns["plan"] = latency.plan.to_json();
-  latency_ns["exec"] = latency.exec.to_json();
+  for (const std::string stage : {"queue", "plan", "exec"}) {
+    latency_ns[stage] = histograms.at("latency." + stage + "_ns");
+  }
   event["latency_ns"] = std::move(latency_ns);
   return event;
 }
@@ -220,13 +231,10 @@ Json Session::trace_event(const std::string& id) const {
     }
   }
   if (trace == nullptr) {
-    Json event = Json::make_object();
-    event["event"] = "error";
-    event["message"] = "no trace for job id \"" + id +
+    return error_event("no trace for job id \"" + id +
                        "\" (unknown, untraced, or forgotten — the session "
                        "remembers the last " +
-                       std::to_string(kTraceIndexCapacity) + " traced jobs)";
-    return event;
+                       std::to_string(kTraceIndexCapacity) + " traced jobs)");
   }
   Json event = Json::make_object();
   event["event"] = "trace";
@@ -267,18 +275,14 @@ void Session::handle_line(const std::string& line) {
     Request request = parse_request_header(json);
     const std::string& id = request.id;
     if (request.op == Request::Op::kSubmit) {
-      bool over_cap = false;
+      std::optional<Json> refusal;
       {
         LockGuard lock(mutex_);
-        PQS_CHECK_MSG(!jobs_.contains(id),
-                      "duplicate in-flight job id \"" + id + "\"");
-        over_cap = options_.inflight_limit != 0 &&
-                   jobs_.size() >= options_.inflight_limit;
+        refusal = submit_refusal(id, jobs_.contains(id), jobs_.size(),
+                                 options_.inflight_limit);
       }
-      if (over_cap) {
-        emit(overloaded_event(
-            id, "inflight cap (" + std::to_string(options_.inflight_limit) +
-                    " unanswered submits on this connection)"));
+      if (refusal) {
+        emit(*refusal);
         return;
       }
       // Spec validation only AFTER admission: a peer at its cap cannot
@@ -329,7 +333,7 @@ void Session::handle_line(const std::string& line) {
       emit(stats_event(id));
     }
   } catch (const std::exception& e) {
-    emit_error(e.what());
+    emit(error_event(e.what()));
   }
 }
 

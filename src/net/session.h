@@ -31,10 +31,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "common/json.h"
 #include "common/thread_annotations.h"
 #include "service/service.h"
 
@@ -62,10 +64,26 @@ struct Request {
   SearchSpec spec;   ///< submit only; validated by api::spec_from_json
 };
 
-/// Parse one request line. Throws CheckFailure (never anything else, never
-/// UB — fuzz-enforced) on malformed JSON, an unknown op, a missing id, or
-/// an invalid spec.
+/// A request's op, id and priority — everything but the spec, so a
+/// front-end (Session, pqs_router) can refuse a submit before paying for
+/// its spec. Throws CheckFailure on an op outside the five, or a missing
+/// id where the op needs one.
+Request parse_request_header(const Json& request);
+
+/// Parse one request line: the header, then a submit's spec. Throws
+/// CheckFailure (never anything else, never UB — fuzz-enforced) on
+/// malformed JSON, a bad header, or a malformed spec.
 Request parse_request(const std::string& line);
+
+/// The `error` ack of a rejected request line.
+Json error_event(const std::string& message);
+
+/// Submit admission, before the spec is looked at, in the one order every
+/// front-end applies: an id still in flight on this connection is an
+/// `error`; a connection holding `limit` unanswered submits (0 = no cap)
+/// is `overloaded`. Returns the refusing ack, or nullopt to admit.
+std::optional<Json> submit_refusal(const std::string& id, bool id_in_flight,
+                                   std::size_t in_flight, std::size_t limit);
 
 class Session {
  public:
@@ -101,9 +119,9 @@ class Session {
   void emitter_loop();
   /// Serialize + write one event; on a dead sink, aborts the session.
   void emit(const Json& event);
-  void emit_error(const std::string& message);
-  /// The extended `stats` event: deployment shape, queue depth, counters,
-  /// coalescing hit-rate, cache counters, per-stage latency histograms.
+  /// The extended `stats` event: a projection of the Service's registry
+  /// snapshot (queue depth, counters, coalescing hit-rate, cache counters,
+  /// per-stage latency histograms) plus the deployment shape.
   Json stats_event(const std::string& id) const;
   /// The `metrics` event: the Service registry's full snapshot (gauges
   /// refreshed), under a "metrics" key so the router can lift and merge it.

@@ -1,10 +1,11 @@
 // Canonical-key sharding: which worker process owns a request.
 //
 // The router's entire correctness story is that requests with equal
-// api::canonical_key always land on the same worker — then the Service-layer
-// request coalescing and the result LRU, both keyed on that exact string,
-// stay shard-local for free: no cross-node cache protocol, and the fleet's
-// aggregate cache capacity grows linearly with worker count.
+// api::canonicalize keys always land on the same worker — then the
+// Service-layer request coalescing and the result LRU, both keyed on that
+// exact string, stay shard-local for free: no cross-node cache protocol,
+// and the fleet's aggregate cache capacity grows linearly with worker
+// count.
 //
 // The hash must therefore be STABLE — across processes, runs, platforms,
 // and standard libraries (std::hash promises none of that) — or a restarted
@@ -31,11 +32,11 @@ constexpr std::uint64_t fnv1a(std::string_view text) {
   return hash;
 }
 
-/// The worker index in [0, n_workers) that owns `canonical_key`.
-inline std::size_t shard_for_key(std::string_view canonical_key,
+/// The worker index in [0, n_workers) that owns canonical key `key`.
+inline std::size_t shard_for_key(std::string_view key,
                                  std::size_t n_workers) {
   PQS_CHECK_MSG(n_workers >= 1, "shard_for_key needs n_workers >= 1");
-  return static_cast<std::size_t>(fnv1a(canonical_key) %
+  return static_cast<std::size_t>(fnv1a(key) %
                                   static_cast<std::uint64_t>(n_workers));
 }
 

@@ -1,12 +1,8 @@
 // pqs::obs — the unified metrics registry.
 //
-// Before this subsystem, "how is the fleet doing?" had four partial
-// answers: ServiceStats counters hand-copied under Service::mutex_, the
-// Planner's private atomic hit/miss pair, net-layer counts living in
-// Acceptor locals, and journal append totals nobody exported at all. Each
-// new subsystem re-invented its own telemetry plumbing and the `stats` op
-// stitched the pieces together by hand. MetricsRegistry replaces all of
-// that with one process-visible catalog of named instruments:
+// MetricsRegistry is the process's one telemetry surface: a catalog of
+// named instruments that every subsystem records into and every reader
+// (the `stats` and `metrics` wire ops, tests, benches) reads from:
 //
 //   * Counter   — a monotonic uint64 (events since birth): relaxed
 //                 fetch_add on the hot path, no lock, no allocation.
@@ -159,7 +155,7 @@ class MetricsRegistry {
   /// Canonical snapshot of every registered instrument (shape above).
   /// Gauges are whatever their writers last stored — callers wanting fresh
   /// levels (queue depth, cache sizes) refresh them first
-  /// (Service::refresh_metrics_gauges does exactly that).
+  /// (Service::metrics_snapshot does exactly that).
   Json snapshot() const PQS_EXCLUDES(mutex_);
 
   /// The process-wide registry pqs_serve wires through service, net, and

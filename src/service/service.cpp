@@ -216,11 +216,7 @@ JobHandle Service::attach(const std::shared_ptr<Job>& job) {
 JobHandle Service::submit(const SearchSpec& spec, int priority) {
   // Validate and canonicalize HERE, synchronously: a malformed spec throws
   // at the submission site, and a predicate is scanned exactly once.
-  spec.validate_knobs();
-  SearchSpec canonical = spec;
-  canonical.marked = spec.resolve_marked();
-  canonical.predicate = nullptr;
-  std::string key = api::canonical_key_canonicalized(canonical);
+  auto [canonical, key] = api::canonicalize(spec);
 
   LockGuard lock(mutex_);
   PQS_CHECK_MSG(!stopping_, "Service is shutting down");
@@ -328,42 +324,6 @@ JobHandle Service::submit(const SearchSpec& spec, int priority) {
 std::size_t Service::queue_depth() const {
   LockGuard lock(mutex_);
   return queue_.size();
-}
-
-ServiceStats Service::stats() const {
-  // The counters are registry-backed atomics now; only the result-cache
-  // numbers still live under mutex_. The view stays field-identical to
-  // the pre-registry ServiceStats (the `stats` op's compatibility pin).
-  ServiceStats stats;
-  stats.submitted = inst_.submitted.value();
-  stats.coalesced_submits = inst_.coalesced_submits.value();
-  stats.cache_hits = inst_.cache_hits.value();
-  stats.rejected = inst_.rejected.value();
-  stats.executed = inst_.executed.value();
-  stats.done = inst_.done.value();
-  stats.cancelled = inst_.cancelled.value();
-  stats.failed = inst_.failed.value();
-  {
-    LockGuard lock(mutex_);
-    stats.result_cache_evictions = results_.evictions();
-    stats.result_cache_size = results_.size();
-  }
-  // The Planner synchronizes itself; read it outside mutex_ so the two
-  // locks never nest (there is no invariant tying the snapshots together).
-  const Planner& planner = engine_.planner();
-  stats.plan_cache_hits = planner.hits();
-  stats.plan_cache_misses = planner.misses();
-  stats.plan_cache_evictions = planner.evictions();
-  stats.plan_cache_size = planner.size();
-  return stats;
-}
-
-StageHistograms Service::latency_histograms() const {
-  StageHistograms stage;
-  stage.queue = inst_.queue_ns.snapshot();
-  stage.plan = inst_.plan_ns.snapshot();
-  stage.exec = inst_.exec_ns.snapshot();
-  return stage;
 }
 
 Json Service::metrics_snapshot() const {

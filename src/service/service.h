@@ -13,7 +13,7 @@
 //
 // Two request-deduplication layers sit in front of the queue:
 //   * request coalescing — concurrent submits whose canonical specs match
-//     (api::canonical_key: every result-relevant field, marked sets
+//     (api::canonicalize: every result-relevant field, marked sets
 //     materialized, thread counts ignored) ATTACH to the one in-flight
 //     execution; the driver runs once and every attached handle receives
 //     the same SearchReport.
@@ -43,7 +43,6 @@
 
 #include "api/engine.h"
 #include "common/check.h"
-#include "common/histogram.h"
 #include "common/lru.h"
 #include "common/thread_annotations.h"
 #include "common/timing.h"
@@ -99,43 +98,6 @@ struct ServiceOptions {
   obs::TraceStoreOptions trace;
 };
 
-/// Monotonic counters of one Service (a deployment's dashboard numbers).
-/// stats() also fills in the cache-layer counters that live inside the
-/// Planner and the result LRU, so one snapshot answers the whole `stats` op.
-struct ServiceStats {
-  std::uint64_t submitted = 0;          ///< submit() calls accepted
-  std::uint64_t coalesced_submits = 0;  ///< submits attached to an in-flight job
-  std::uint64_t cache_hits = 0;   ///< submits served from the result cache
-  std::uint64_t rejected = 0;     ///< submits refused by the bounded queue
-  std::uint64_t executed = 0;     ///< jobs a worker actually ran
-  std::uint64_t done = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t failed = 0;
-  // -- surfaced cache counters (origin: api/planner.h and common/lru.h) --
-  std::uint64_t plan_cache_hits = 0;
-  std::uint64_t plan_cache_misses = 0;
-  std::uint64_t plan_cache_evictions = 0;
-  std::uint64_t plan_cache_size = 0;
-  std::uint64_t result_cache_evictions = 0;
-  std::uint64_t result_cache_size = 0;
-
-  /// Fraction of accepted submits that attached to an in-flight execution.
-  double coalescing_hit_rate() const {
-    return submitted == 0 ? 0.0
-                          : static_cast<double>(coalesced_submits) /
-                                static_cast<double>(submitted);
-  }
-};
-
-/// Per-stage latency distributions of the jobs this Service executed,
-/// recorded from the SearchReport timing split at completion (cache-served
-/// repeats execute nothing and are deliberately not recorded).
-struct StageHistograms {
-  LogHistogram queue;  ///< queue_ns: time waiting for a worker
-  LogHistogram plan;   ///< plan_ns: schedule search (~0 on plan-cache hits)
-  LogHistogram exec;   ///< exec_ns: the algorithm itself
-};
-
 namespace detail {
 
 /// The shared state of one job. Lifecycle fields are guarded by `mutex`
@@ -145,7 +107,7 @@ namespace detail {
 /// before Job::mutex, never the reverse.
 struct Job {
   SearchSpec spec;   ///< canonicalized: marked materialized, no predicate
-  std::string key;   ///< api::canonical_key(spec)
+  std::string key;   ///< api::canonicalize(spec).key
   /// Queue position; written only by Service with Service::mutex_ held.
   int priority = 0;
   std::uint64_t seq = 0;
@@ -250,10 +212,6 @@ class Service {
 
   /// Jobs waiting in the queue right now.
   std::size_t queue_depth() const;
-  ServiceStats stats() const;
-  /// Snapshot of the per-stage latency histograms (copies; the live ones
-  /// keep accumulating).
-  StageHistograms latency_histograms() const;
   const Engine& engine() const { return engine_; }
   const ServiceOptions& options() const { return options_; }
 
@@ -290,9 +248,9 @@ class Service {
   obs::MetricsRegistry* metrics_;  ///< never null after construction
 
   /// Hot-path instrument handles, resolved once at construction: name
-  /// lookups take the registry mutex, these references never do. The
-  /// counters replace the old ServiceStats member — ServiceStats is now a
-  /// snapshot VIEW assembled by stats(), served from the registry.
+  /// lookups take the registry mutex, these references never do. They are
+  /// the Service's only telemetry; every reader (the `stats` and `metrics`
+  /// wire ops, tests) goes through the registry.
   struct Instruments {
     obs::Counter& submitted;
     obs::Counter& coalesced_submits;

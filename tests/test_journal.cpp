@@ -370,7 +370,7 @@ TEST(ServiceJournalTest, CoalescedSubmitsAndCacheHitsJournalOnce) {
     ASSERT_EQ(attached.wait(), JobStatus::kDone);
     JobHandle cached = service.submit(spec);  // served from the result LRU
     ASSERT_EQ(cached.wait(), JobStatus::kDone);
-    EXPECT_EQ(service.stats().executed, 1u);
+    EXPECT_EQ(service.metrics().counter("service.executed").value(), 1u);
   }
   // One execution -> exactly one accepted record and one marker; the
   // attached and cached callers ride it.

@@ -9,11 +9,13 @@
 // NetServer must produce identical bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -312,8 +314,10 @@ TEST(NetAbortTest, DroppedConnectionCancelsItsInflightJobs) {
     // stop the execution.
   }
   ASSERT_TRUE(wait_until([] { return g_running.load() == 0; }));
-  ASSERT_TRUE(wait_until([&] { return service.stats().cancelled == 1; }));
-  EXPECT_EQ(service.stats().done, 0u);
+  ASSERT_TRUE(wait_until([&] {
+    return service.metrics().counter("service.cancelled").value() == 1;
+  }));
+  EXPECT_EQ(service.metrics().counter("service.done").value(), 0u);
   ASSERT_TRUE(wait_until([&] { return server.live_connections() == 0; }));
   server.stop();
 }
@@ -367,6 +371,58 @@ TEST(NetStatsTest, StatsEventCarriesCountersCachesAndLatency) {
         << stage;
   }
   server.stop();
+}
+
+/// The `stats` event with its machine- and timing-dependent parts masked:
+/// `isa`, and every latency histogram body down to its sample count.
+std::string masked_stats_dump(Json stats) {
+  stats["isa"] = std::string("<masked>");
+  for (auto& [stage, histogram] : stats["latency_ns"].as_object()) {
+    Json count_only = Json::make_object();
+    count_only["count"] = histogram.at("count").as_uint();
+    histogram = std::move(count_only);
+  }
+  return stats.dump();
+}
+
+TEST(NetStatsTest, StatsEventWireBytesMatchFixture) {
+  // Every field name, every nesting level and every counter of the `stats`
+  // event after a fixed script — submit, finish, resubmit for a result-cache
+  // hit — compared byte-for-byte against a recorded dump.
+  ServiceOptions options;
+  options.threads = 1;
+  Service service(options);
+  std::mutex mutex;
+  std::vector<Json> events;
+  net::Session session(service, [&](const std::string& line) {
+    std::lock_guard lock(mutex);
+    events.push_back(Json::parse(line));
+    return true;
+  });
+  const auto results = [&] {
+    std::lock_guard lock(mutex);
+    return std::count_if(events.begin(), events.end(), [](const Json& e) {
+      return e.at("event").as_string() == "result";
+    });
+  };
+  const std::string spec =
+      R"("spec":{"algorithm":"grk","n_items":4096,"n_blocks":4,)"
+      R"("marked":[2731],"seed":7})";
+  session.handle_line(R"({"op":"submit","id":"a",)" + spec + "}");
+  ASSERT_TRUE(wait_until([&] { return results() == 1; }));
+  session.handle_line(R"({"op":"submit","id":"b",)" + spec + "}");
+  ASSERT_TRUE(wait_until([&] { return results() == 2; }));
+  session.handle_line(R"({"op":"stats","id":"s"})");
+  session.drain();
+
+  std::ifstream fixture(std::string(PQS_SOURCE_DIR) +
+                        "/tests/fixtures/stats_event.json");
+  ASSERT_TRUE(fixture.good()) << "fixture missing";
+  std::string expected;
+  std::getline(fixture, expected);
+  std::lock_guard lock(mutex);
+  ASSERT_EQ(events.back().at("event").as_string(), "stats");
+  EXPECT_EQ(masked_stats_dump(events.back()), expected);
 }
 
 // ---- byte-determinism across worker counts ---------------------------------

@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/json.h"
 #include "common/random.h"
+#include "service/service.h"
 
 namespace pqs {
 namespace {
@@ -196,16 +197,16 @@ TEST(SerializeReportTest, EveryFieldRoundTripsForRandomReports) {
   }
 }
 
-// ---- canonical_key ---------------------------------------------------------
+// ---- canonicalize ----------------------------------------------------------
 
 TEST(CanonicalKeyTest, ThreadFanOutDoesNotChangeTheKey) {
   SearchSpec a = SearchSpec::single_target(4096, 4, 2731);
   SearchSpec b = a;
   b.batch.threads = 16;  // different execution shape, identical answer
-  EXPECT_EQ(api::canonical_key(a), api::canonical_key(b));
+  EXPECT_EQ(api::canonicalize(a).key, api::canonicalize(b).key);
 
   b.seed = a.seed + 1;  // different answer stream
-  EXPECT_NE(api::canonical_key(a), api::canonical_key(b));
+  EXPECT_NE(api::canonicalize(a).key, api::canonicalize(b).key);
 }
 
 TEST(CanonicalKeyTest, PredicateAndExplicitMarkedSetCoalesce) {
@@ -217,7 +218,31 @@ TEST(CanonicalKeyTest, PredicateAndExplicitMarkedSetCoalesce) {
   SearchSpec by_list = by_predicate;
   by_list.predicate = nullptr;
   by_list.marked = {207, 7, 107};  // same set, scrambled order
-  EXPECT_EQ(api::canonical_key(by_predicate), api::canonical_key(by_list));
+  EXPECT_EQ(api::canonicalize(by_predicate).key,
+            api::canonicalize(by_list).key);
+}
+
+TEST(CanonicalKeyTest, CanonicalizeRejectsWhatServiceSubmitRejects) {
+  // pqs_router keys submits with canonicalize and the worker admits them
+  // through Service::submit: a spec only validate_knobs catches must fail
+  // both, with one message.
+  const SearchSpec spec = SearchSpec::single_target(4096, 3, 2731);
+  const auto message_of = [](const auto& call) {
+    try {
+      call();
+    } catch (const CheckFailure& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no throw)");
+  };
+  EXPECT_THROW((void)api::canonicalize(spec), CheckFailure);
+  const std::string canonicalize_message =
+      message_of([&] { (void)api::canonicalize(spec); });
+  EXPECT_NE(canonicalize_message.find("n_blocks must divide n_items"),
+            std::string::npos);
+  Service service;
+  EXPECT_EQ(canonicalize_message,
+            message_of([&] { (void)service.submit(spec); }));
 }
 
 }  // namespace

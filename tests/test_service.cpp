@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -160,11 +161,13 @@ TEST(ServiceCoalescingTest, SixtyFourConcurrentIdenticalSubmitsRunOnce) {
     EXPECT_EQ(report.queries, first.queries);
     EXPECT_EQ(report.detail, first.detail);
   }
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submitted, 64u);
-  EXPECT_EQ(stats.coalesced_submits + stats.cache_hits, 63u);
-  EXPECT_EQ(stats.executed, 1u);
-  EXPECT_EQ(stats.done, 1u);
+  const auto counter = [&](const std::string& name) {
+    return service.metrics().counter("service." + name).value();
+  };
+  EXPECT_EQ(counter("submitted"), 64u);
+  EXPECT_EQ(counter("coalesced_submits") + counter("cache_hits"), 63u);
+  EXPECT_EQ(counter("executed"), 1u);
+  EXPECT_EQ(counter("done"), 1u);
 }
 
 TEST(ServiceCancelTest, CancelledRunningJobNeverFlipsToDone) {
@@ -181,8 +184,8 @@ TEST(ServiceCancelTest, CancelledRunningJobNeverFlipsToDone) {
   std::this_thread::sleep_for(50ms);
   EXPECT_EQ(handle.status(), JobStatus::kCancelled);
   EXPECT_THROW((void)handle.report(), CheckFailure);
-  EXPECT_EQ(service.stats().cancelled, 1u);
-  EXPECT_EQ(service.stats().done, 0u);
+  EXPECT_EQ(service.metrics().counter("service.cancelled").value(), 1u);
+  EXPECT_EQ(service.metrics().counter("service.done").value(), 0u);
 }
 
 TEST(ServiceCancelTest, CancelWhileQueuedNeverExecutes) {
@@ -209,7 +212,8 @@ TEST(ServiceCancelTest, CoalescedCancelDetachesOnlyThatCaller) {
   const SearchSpec spec = test_spec("gated", 5);
   JobHandle first = service.submit(spec);
   JobHandle second = service.submit(spec);
-  EXPECT_EQ(service.stats().coalesced_submits, 1u);
+  EXPECT_EQ(service.metrics().counter("service.coalesced_submits").value(),
+            1u);
   ASSERT_TRUE(wait_until([] { return state().running.load() == 1; }));
 
   first.cancel();
@@ -333,7 +337,7 @@ TEST(ServiceCacheTest, CompletedSpecIsServedFromTheResultCache) {
   EXPECT_EQ(repeat.report().measured, first.report().measured);
 
   EXPECT_EQ(state().executions.load(), 1u);
-  EXPECT_EQ(service.stats().cache_hits, 1u);
+  EXPECT_EQ(service.metrics().counter("service.cache_hits").value(), 1u);
   EXPECT_EQ(repeat.progress(), 1.0);
 }
 
@@ -396,7 +400,7 @@ TEST(ServiceFailureTest, AdapterErrorsSurfaceAsFailedWithMessage) {
   EXPECT_EQ(handle.wait(), JobStatus::kFailed);
   EXPECT_FALSE(handle.error().empty());
   EXPECT_THROW((void)handle.report(), CheckFailure);
-  EXPECT_EQ(service.stats().failed, 1u);
+  EXPECT_EQ(service.metrics().counter("service.failed").value(), 1u);
 }
 
 TEST(ServiceShutdownTest, DestructorCancelsOutstandingJobs) {

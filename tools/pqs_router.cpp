@@ -4,18 +4,24 @@
 //                              ├──TCP──▶ pqs_serve --listen (worker 1)
 //                              └──TCP──▶ ...
 //
-// Every submit is hashed on api::canonical_key(spec) and forwarded to the
-// owning worker (net/shard.h), so requests that would coalesce — and result
-// LRU entries — stay shard-local: the fleet's aggregate cache capacity
-// grows linearly with worker count, with no cross-node cache protocol.
+// Every submit is hashed on api::canonicalize(spec).key and forwarded to
+// the owning worker (net/shard.h), so requests that would coalesce — and
+// result LRU entries — stay shard-local: the fleet's aggregate cache
+// capacity grows linearly with worker count, with no cross-node cache
+// protocol.
 //
 // The router keeps the session protocol contract intact from the client's
 // point of view:
 //
 //   * each request is answered by exactly one synchronous ack (the router
 //     forwards the owning worker's ack verbatim, or answers locally for
-//     requests it rejects itself: duplicate ids, its own inflight cap,
-//     stats, malformed lines);
+//     stats and for requests it rejects itself: malformed lines, duplicate
+//     ids, its own inflight cap, bad specs);
+//   * a rejected line gets the ack a worker would give: the router admits
+//     through the worker's own code — net::parse_request_header, then
+//     net::submit_refusal (duplicate id, inflight cap), then
+//     api::canonicalize (Service::submit's spec check) — and builds its
+//     error events with the net/session.h builder;
 //   * result events are released in SUBMISSION order across workers — the
 //     router holds a worker's result line until every earlier submit's
 //     result is out, so at fixed seeds the client-visible result stream is
@@ -51,21 +57,17 @@
 #include "common/json.h"
 #include "common/thread_annotations.h"
 #include "net/server.h"
-#include "obs/metrics.h"
+#include "net/session.h"
 #include "net/shard.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "service/flags.h"
 
 namespace {
 
 using namespace pqs;
-
-Json error_event(const std::string& message) {
-  Json event = Json::make_object();
-  event["event"] = "error";
-  event["message"] = message;
-  return event;
-}
+using net::error_event;
+using net::Request;
 
 /// One client connection's view of the fleet: a link per worker, submission
 /// ordering, and the ack pairing state. Single mutex; client writes happen
@@ -120,40 +122,35 @@ class ClientRoute {
       return;
     }
     try {
+      // The worker's own header parser: same ops, same id rules, same
+      // messages, so a routed client cannot tell the router from a worker.
       const Json request = Json::parse(line);
-      const std::string& op = request.at("op").as_string();
-      // Mirrors Session::handle_line: stats is connection-level, its id is
-      // optional and echoed only when given; submit/cancel must name a job.
-      const std::string id =
-          request.has("id") ? request.at("id").as_string() : std::string();
-      if (op == "submit" || op == "cancel") {
-        PQS_CHECK_MSG(!id.empty(),
-                      "\"" + op + "\" requires a non-empty \"id\"");
-      }
-      if (op == "submit") {
-        handle_submit(line, request, id);
-      } else if (op == "cancel") {
-        handle_cancel(line, id);
-      } else if (op == "stats") {
-        Json event = Json::make_object();
-        event["event"] = "stats";
-        if (!id.empty()) {
-          event["id"] = id;
+      const Request header = net::parse_request_header(request);
+      switch (header.op) {
+        case Request::Op::kSubmit:
+          handle_submit(line, request, header.id);
+          break;
+        case Request::Op::kCancel:
+          handle_cancel(line, header.id);
+          break;
+        case Request::Op::kStats: {
+          Json event = Json::make_object();
+          event["event"] = "stats";
+          if (!header.id.empty()) {
+            event["id"] = header.id;
+          }
+          event["role"] = "router";
+          event["workers"] = std::uint64_t{links_.size()};
+          LockGuard lock(mutex_);
+          write_locked(event.dump());
+          break;
         }
-        event["role"] = "router";
-        event["workers"] = std::uint64_t{links_.size()};
-        LockGuard lock(mutex_);
-        write_locked(event.dump());
-      } else if (op == "metrics") {
-        handle_metrics(id);
-      } else if (op == "trace") {
-        handle_trace(line, id);
-      } else {
-        LockGuard lock(mutex_);
-        write_locked(error_event("unknown op \"" + op +
-                                 "\" (expected submit | cancel | stats | "
-                                 "metrics | trace)")
-                         .dump());
+        case Request::Op::kMetrics:
+          handle_metrics(header.id);
+          break;
+        case Request::Op::kTrace:
+          handle_trace(line, header.id);
+          break;
       }
     } catch (const std::exception& e) {
       LockGuard lock(mutex_);
@@ -163,26 +160,24 @@ class ClientRoute {
 
   void handle_submit(const std::string& line, const Json& request,
                      const std::string& id) {
-    // Hash BEFORE touching shared state: a malformed spec answers with a
-    // local error event, same as a worker would.
-    const std::string key =
-        api::canonical_key(api::spec_from_json(request.at("spec")));
-    const std::size_t w = net::shard_for_key(key, links_.size());
+    // Admission before the spec, as in Session::handle_line: an over-cap
+    // submit answers `overloaded` whatever its spec. owner_ only shrinks
+    // while the client loop is here, so the verdict survives the unlocked
+    // spec check.
+    {
+      LockGuard lock(mutex_);
+      if (const auto refusal = net::submit_refusal(
+              id, owner_.contains(id), owner_.size(), inflight_limit_)) {
+        write_locked(refusal->dump());
+        return;
+      }
+    }
+    // The check Service::submit runs: a bad spec fails here with the
+    // worker's message, and a good one yields the shard key.
+    const std::size_t w = net::shard_for_key(
+        api::canonicalize(api::spec_from_json(request.at("spec"))).key,
+        links_.size());
     UniqueLock lock(mutex_);
-    if (owner_.contains(id)) {
-      write_locked(
-          error_event("duplicate in-flight job id \"" + id + "\"").dump());
-      return;
-    }
-    if (inflight_limit_ != 0 && owner_.size() >= inflight_limit_) {
-      Json event = Json::make_object();
-      event["event"] = "overloaded";
-      event["id"] = id;
-      event["reason"] = "inflight cap (" + std::to_string(inflight_limit_) +
-                        " unanswered submits on this connection)";
-      write_locked(event.dump());
-      return;
-    }
     if (links_[w]->dead) {
       write_locked(worker_down_event(w).dump());
       return;
@@ -247,10 +242,6 @@ class ClientRoute {
       return;
     }
     const std::size_t w = it->second;
-    if (links_[w]->dead) {
-      write_locked(worker_down_event(w).dump());
-      return;
-    }
     std::string ack;
     if (!forward_and_collect(lock, w, line, ack)) {
       write_locked(worker_down_event(w).dump());
@@ -268,12 +259,7 @@ class ClientRoute {
               .dump());
       return;
     }
-    const std::size_t w = it->second;
-    if (links_[w]->dead) {
-      write_locked(worker_down_event(w).dump());
-      return;
-    }
-    forward_and_ack(lock, w, line, "");
+    forward_and_ack(lock, it->second, line, "");
   }
 
   /// Forward `line` to worker `w`, wait for its one synchronous ack, relay
@@ -281,26 +267,12 @@ class ClientRoute {
   /// rejection (overloaded / error ack) must un-reserve the id.
   void forward_and_ack(UniqueLock& lock, std::size_t w, const std::string& line,
                        const std::string& submit_id) {
-    Link& link = *links_[w];
-    lock.unlock();  // the blocking worker write happens unlocked
-    const bool sent = link.socket.write_all(line + "\n");
-    lock.lock();
-    if (!sent) {
-      // reader_loop will mark the link dead; answer this request now.
+    std::string ack;
+    if (!forward_and_collect(lock, w, line, ack)) {
       drop_submit_locked(submit_id);
       write_locked(worker_down_event(w).dump());
       return;
     }
-    while (link.acks.empty() && !link.dead) {
-      cv_.wait(lock);
-    }
-    if (link.acks.empty()) {
-      drop_submit_locked(submit_id);
-      write_locked(worker_down_event(w).dump());
-      return;
-    }
-    const std::string ack = std::move(link.acks.front());
-    link.acks.pop_front();
     bool promised = false;
     if (!submit_id.empty()) {
       // Only an `accepted` ack promises a future result event.
@@ -320,17 +292,16 @@ class ClientRoute {
     }
   }
 
-  /// Forward one connection-level request to worker `w` and collect its
-  /// synchronous ack. Returns false (no ack) when the link is or goes
-  /// dead. Same unlock-around-the-blocking-write discipline as
-  /// forward_and_ack, without the submit bookkeeping.
+  /// Forward one request to worker `w` and collect its synchronous ack.
+  /// Returns false (no ack) when the link is or goes dead; reader_loop
+  /// marks a link dead, the caller answers the request now.
   bool forward_and_collect(UniqueLock& lock, std::size_t w,
                            const std::string& line, std::string& ack) {
     Link& link = *links_[w];
     if (link.dead) {
       return false;
     }
-    lock.unlock();
+    lock.unlock();  // the blocking worker write happens unlocked
     const bool sent = link.socket.write_all(line + "\n");
     lock.lock();
     if (!sent) {
@@ -494,11 +465,18 @@ std::vector<net::Addr> parse_worker_list(const std::string& text) {
   return workers;
 }
 
-volatile std::sig_atomic_t g_stop = 0;
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  // SIGINT/SIGTERM stay blocked in every thread (threads inherit the mask
+  // of the one that starts them) and main takes them with sigwait: a stop
+  // signal handled on some other thread would leave main asleep.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   Cli cli(argc, argv);
   const service::NetOptions net_options =
       service::parse_net_flags(cli, "127.0.0.1:0");
@@ -533,13 +511,8 @@ int main(int argc, char** argv) {
             << ":" << acceptor.port() << ", sharding across " << workers.size()
             << " worker(s)\n";
 
-  std::signal(SIGINT, [](int) { g_stop = 1; });
-  std::signal(SIGTERM, [](int) { g_stop = 1; });
-  sigset_t mask;
-  sigemptyset(&mask);
-  while (g_stop == 0) {
-    sigsuspend(&mask);
-  }
+  int signal = 0;
+  sigwait(&stop_signals, &signal);
   std::cerr << "pqs_router: shutting down\n";
   acceptor.stop();
   return 0;

@@ -1,11 +1,12 @@
 // pqs_serve — the JSONL front-end of pqs::Service, over stdin or TCP.
 //
 // Reads one request object per line, streams one event object per line.
-// Without --listen it speaks on stdin/stdout (the original process shape,
-// byte-identical to the PR 5 transport); with --listen host:port it becomes
-// a network worker: every admitted connection runs its own protocol session
-// over the one shared Service, so coalescing and the result LRU span
-// clients. See src/net/session.h for the full protocol contract.
+// Without --listen it speaks on stdin/stdout (the original process shape);
+// with --listen host:port it becomes a network worker: every admitted
+// connection runs its own protocol session over the one shared Service, so
+// coalescing and the result LRU span clients. Both transports parse every
+// line with net::parse_request_header — the parser pqs_router admits
+// through too. See src/net/session.h for the full protocol contract.
 //
 //   requests
 //     {"op":"submit","id":"a","spec":{"algorithm":"grk","n_items":4096,...}}
@@ -23,6 +24,7 @@
 //     {"event":"result","id":"a","status":"cancelled"}
 //     {"event":"result","id":"a","status":"failed","error":"..."}
 //     {"event":"stats","id":"s","isa":...,"counters":{...},"latency_ns":...}
+//                                          projection of the registry
 //     {"event":"metrics","id":"m","isa":...,"metrics":{...}}  full registry
 //     {"event":"trace","id":"a","trace":{"spans":[...],...}}  span timeline
 //     {"event":"error","message":"..."}                    bad request line
@@ -59,8 +61,11 @@ namespace {
 using namespace pqs;
 
 /// stdin/stdout mode: one session, drain on EOF (the pipe is done but the
-/// reader still wants every result it was promised).
-int run_stdio(Service& service, const net::SessionOptions& session_options) {
+/// reader still wants every result it was promised). A stop signal keeps
+/// its default action: main unblocks it, so it terminates the process.
+int run_stdio(Service& service, const net::SessionOptions& session_options,
+              const sigset_t& stop_signals) {
+  pthread_sigmask(SIG_UNBLOCK, &stop_signals, nullptr);
   net::Session session(
       service,
       [](const std::string& line) {
@@ -77,10 +82,9 @@ int run_stdio(Service& service, const net::SessionOptions& session_options) {
 }
 
 /// TCP mode: serve until SIGINT/SIGTERM.
-volatile std::sig_atomic_t g_stop = 0;
-
 int run_listen(Service& service, const service::NetOptions& net_options,
-               const net::SessionOptions& session_options) {
+               const net::SessionOptions& session_options,
+               const sigset_t& stop_signals) {
   net::NetServerOptions options;
   options.listen = net::parse_hostport(net_options.listen);
   options.max_connections = net_options.max_connections;
@@ -91,13 +95,8 @@ int run_listen(Service& service, const service::NetOptions& net_options,
   std::cerr << "pqs_serve: listening on " << options.listen.host << ":"
             << server.port() << "\n";
 
-  std::signal(SIGINT, [](int) { g_stop = 1; });
-  std::signal(SIGTERM, [](int) { g_stop = 1; });
-  sigset_t mask;
-  sigemptyset(&mask);
-  while (g_stop == 0) {
-    sigsuspend(&mask);  // sleep until any signal delivers
-  }
+  int signal = 0;
+  sigwait(&stop_signals, &signal);
   std::cerr << "pqs_serve: shutting down\n";
   server.stop();
   return 0;
@@ -106,6 +105,15 @@ int run_listen(Service& service, const service::NetOptions& net_options,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // SIGINT/SIGTERM stay blocked in every thread (threads inherit the mask
+  // of the one that starts them); only main takes them, by sigwait in TCP
+  // mode: a stop signal handled on a worker thread would leave main asleep.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   Cli cli(argc, argv);
   ServiceOptions options = service::parse_service_flags(cli);
   const service::NetOptions net_options = service::parse_net_flags(cli);
@@ -180,7 +188,7 @@ int main(int argc, char** argv) {
 
   int rc;
   if (net_options.listen.empty()) {
-    rc = run_stdio(service, session_options);
+    rc = run_stdio(service, session_options, stop_signals);
     // One-shot pipe mode finishes what the journal promised: replayed jobs
     // complete (and land their markers) before exit. TCP mode skips this —
     // SIGTERM means stop NOW; interrupted replays stay pending on disk and
@@ -189,7 +197,7 @@ int main(int argc, char** argv) {
       handle.wait();
     }
   } else {
-    rc = run_listen(service, net_options, session_options);
+    rc = run_listen(service, net_options, session_options, stop_signals);
   }
   return rc;
 }
