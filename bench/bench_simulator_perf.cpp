@@ -7,6 +7,11 @@
 //               n = 24 Grover loop, once per tier this machine supports,
 //               with speedups relative to the scalar tier and the host it
 //               ran on
+//   grover_fused temporal blocking: per-op vs fused
+//               (Backend::apply_grover_iterations) ns per Grover iteration
+//               on DenseBackend, n = 16..24, K = 4, global and block
+//               partitions, with the sweep depth D, the team size and the
+//               host it ran on
 //   backends    dense vs symmetry cost of one full GRK run at growing n —
 //               the O(N) -> O(K) gap the pluggable-backend refactor buys,
 //               including symmetry-only rows far beyond dense reach (n=48)
@@ -398,6 +403,72 @@ int main(int argc, char** argv) {
   std::cout << "dense_simd (SoA kernels, n=" << simd_n
             << ", auto tier = " << qsim::isa_name(qsim::active_isa())
             << ")\n" << simd_table.render() << "\n";
+
+  // -- section 1a: temporal blocking (grover_fused) -------------------------
+  // The same iterations run per-op (the Backend default loop: one sweep of
+  // the state per iteration) and fused (DenseBackend's override: one sweep
+  // per qsim::kSweepDepth iterations). Each trial runs 2 * D iterations, so
+  // the fused side pays two sweeps and two block-sum refreshes. D is set so
+  // that the fused cost per amplitude stays at the arithmetic rate as the
+  // state outgrows the caches.
+  Json grover_fused = Json::make_object();
+  {
+    const int trials = quick ? 3 : 7;
+    const unsigned n_max = quick ? 20u : 24u;
+    const std::uint64_t iterations = 2 * qsim::kSweepDepth;
+    grover_fused["host"] = host_json();
+    grover_fused["trials"] = trials;
+    grover_fused["sweep_depth"] = static_cast<std::uint64_t>(qsim::kSweepDepth);
+    grover_fused["iterations_per_trial"] = iterations;
+    grover_fused["k_blocks"] = 4;
+    Table fused_table({"n", "partition", "threads", "per-op ns/iter",
+                       "fused ns/iter", "speedup"});
+    Json rows = Json::make_array();
+    for (unsigned n = 16; n <= n_max; ++n) {
+      for (const qsim::Partition partition :
+           {qsim::Partition::kGlobal, qsim::Partition::kBlocks}) {
+        const auto dense = dense_backend(n, 4, pow2(n) / 3 + 1);
+        const auto per_iteration = [&](Json us) {
+          Json ns = Json::make_object();
+          ns["min_ns"] = us.at("min_us").as_double() * 1e3 /
+                         static_cast<double>(iterations);
+          ns["median_ns"] = us.at("median_us").as_double() * 1e3 /
+                            static_cast<double>(iterations);
+          return ns;
+        };
+        Json per_op = per_iteration(min_median_us(trials, 1, [&] {
+          dense->Backend::apply_grover_iterations(partition, iterations);
+        }));
+        Json fused = per_iteration(min_median_us(trials, 1, [&] {
+          dense->apply_grover_iterations(partition, iterations);
+        }));
+        const double speedup = per_op.at("median_ns").as_double() /
+                               fused.at("median_ns").as_double();
+        const char* name =
+            partition == qsim::Partition::kGlobal ? "global" : "blocks";
+        const unsigned threads = qsim::parallel_threads(pow2(n));
+        fused_table.add_row(
+            {Table::num(std::uint64_t{n}), name,
+             Table::num(std::uint64_t{threads}),
+             Table::num(per_op.at("median_ns").as_double(), 0),
+             Table::num(fused.at("median_ns").as_double(), 0),
+             Table::num(speedup, 2)});
+        Json row = Json::make_object();
+        row["n"] = n;
+        row["partition"] = name;
+        row["threads"] = threads;
+        row["per_op"] = std::move(per_op);
+        row["fused"] = std::move(fused);
+        row["speedup_median"] = speedup;
+        rows.push_back(std::move(row));
+      }
+    }
+    grover_fused["rows"] = std::move(rows);
+    std::cout << "grover_fused (K = 4, " << iterations
+              << " iterations per trial, D = " << qsim::kSweepDepth
+              << ", median of " << trials << ")\n"
+              << fused_table.render() << "\n";
+  }
 
   // -- section 1b: threading ------------------------------------------------
   // Runs before the sections that start Services: each Service worker that
@@ -868,6 +939,7 @@ int main(int argc, char** argv) {
   json << "{\n  \"bench\": \"qsim\",\n"
        << "  \"isa\": \"" << qsim::isa_name(qsim::active_isa()) << "\",\n"
        << "  \"dense_simd\": " << simd_json.str() << ",\n"
+       << "  \"grover_fused\": " << grover_fused.dump() << ",\n"
        << "  \"grk_backends\": " << backends_json.str() << ",\n"
        << "  \"sampling\": " << sampling.dump() << ",\n"
        << "  \"trajectories\": " << trajectories.dump() << ",\n"

@@ -20,10 +20,12 @@
 # Last, a rejection-parity probe sends the same script of bad lines to one
 # more worker directly and through a 1-worker router, both at
 # --inflight-per-conn 1: malformed JSON, an unknown op, `trace` without an
-# id, bad specs, an unknown cancel, a duplicate in-flight id and an over-cap
-# submit (both with bad specs). Every ack must match in event kind and id,
-# overloaded reasons must match, and error messages must match once any
-# `PQS_CHECK failed: (...) at file:line — ` prefix is stripped.
+# id, bad specs, a cancel and a trace of an unknown id, a duplicate in-flight
+# id and an over-cap submit (both with bad specs). Every ack must match in
+# event kind and id, overloaded reasons must match, and error messages must
+# match once any `PQS_CHECK failed: (...) at file:line — ` prefix is
+# stripped. The unknown-id cancel and trace acks must match byte for byte,
+# with no prefix to strip.
 #
 # Usage: scripts/net_smoke.sh [build-dir]   (default: build)
 set -eu
@@ -155,12 +157,15 @@ script = [
     json.dumps({"op": "submit", "id": "nope", "spec": {"algorithm": "nope"}}),
     json.dumps({"op": "submit", "id": "k3", "spec": bad_blocks}),
     '{"op":"cancel","id":"ghost"}',
+    '{"op":"trace","id":"ghost"}',
     json.dumps({"op": "submit", "id": "long", "spec": long_spec}),
     json.dumps({"op": "submit", "id": "long", "spec": {"algorithm": "nope"}}),
     json.dumps({"op": "submit", "id": "over", "spec": {"algorithm": "nope"}}),
     '{"op":"cancel","id":"long"}',
 ]
 prefix = re.compile(r"^PQS_CHECK failed: \(.*\) at \S+:\d+ — ")
+# Built by one helper in net/session.h on both sides: compared raw.
+exact = {'{"op":"cancel","id":"ghost"}', '{"op":"trace","id":"ghost"}'}
 
 def run(hostport):
     host, port = hostport.rsplit(":", 1)
@@ -173,19 +178,21 @@ def run(hostport):
     else:
         sys.exit(f"cannot connect to {hostport}")
     reader = sock.makefile("r", encoding="utf-8")
-    acks, results = [], []
+    acks, raw_acks, results = [], [], []
     for line in script:
         sock.sendall((line + "\n").encode())
         while True:
-            event = json.loads(reader.readline())
+            raw = reader.readline()
+            event = json.loads(raw)
             if event["event"] != "result":
                 acks.append(event)
+                raw_acks.append(raw)
                 break
             results.append(event)
     while not results:  # the cancelled "long"
         results.append(json.loads(reader.readline()))
     sock.close()
-    return acks, results
+    return acks, raw_acks, results
 
 def shape(event):
     kept = {"event": event["event"], "id": event.get("id")}
@@ -195,12 +202,16 @@ def shape(event):
         kept["reason"] = event["reason"]
     return kept
 
-direct_acks, direct_results = run(sys.argv[1])
-routed_acks, routed_results = run(sys.argv[2])
+direct_acks, direct_raw, direct_results = run(sys.argv[1])
+routed_acks, routed_raw, routed_results = run(sys.argv[2])
 for line, direct, routed in zip(script, direct_acks, routed_acks):
     assert shape(direct) == shape(routed), (line, direct, routed)
+for line, direct, routed in zip(script, direct_raw, routed_raw):
+    if line in exact:
+        assert direct == routed, (line, direct, routed)
+        assert "PQS_CHECK" not in direct, (line, direct)
 kinds = [a["event"] for a in direct_acks]
-assert kinds == ["error"] * 6 + ["accepted", "error", "overloaded",
+assert kinds == ["error"] * 7 + ["accepted", "error", "overloaded",
                                  "cancelling"], kinds
 for results in (direct_results, routed_results):
     assert [(r["id"], r["status"]) for r in results] == [

@@ -34,22 +34,12 @@ class InterleaveAlgorithm final : public Algorithm {
     const auto opt = partial::optimize_interleaved(
         db.size(), ctx.spec.n_blocks, floor, kMaxSegments);
 
-    // Execute the optimized schedule and measure (the loop mirrors
-    // run_schedule_on_backend, which only reports the probability).
+    // Execute the optimized schedule and measure (as run_schedule_on_backend
+    // does, which only reports the probability).
     auto backend = qsim::make_backend(
         ctx.spec.backend, qsim::BackendSpec::single_target(
                               db.size(), ctx.spec.n_blocks, db.target()));
-    for (const auto& segment : opt.schedule.segments) {
-      for (std::uint64_t i = 0; i < segment.count; ++i) {
-        db.add_queries(1);
-        backend->apply_oracle();
-        if (segment.global) {
-          backend->apply_global_diffusion();
-        } else {
-          backend->apply_block_diffusion();
-        }
-      }
-    }
+    partial::apply_schedule(db, opt.schedule, *backend);
     db.add_queries(1);  // Step 3
     backend->apply_step3();
 

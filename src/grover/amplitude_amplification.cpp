@@ -17,11 +17,9 @@ std::unique_ptr<qsim::Backend> amplify_uniform_on_backend(
   // is exactly one oracle followed by the global diffusion.
   auto backend =
       qsim::make_backend(kind, qsim::BackendSpec{db.size(), 1, db.marked()});
-  for (std::uint64_t i = 0; i < iterations; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();            // S_t
-    backend->apply_global_diffusion();  // -A S0 A^{-1}
-  }
+  db.add_queries(iterations);
+  // (-A S0 A^{-1} S_t)^iterations
+  backend->apply_grover_iterations(qsim::Partition::kGlobal, iterations);
   return backend;
 }
 

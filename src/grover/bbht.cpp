@@ -57,10 +57,8 @@ BbhtResult run_rounds(const oracle::MarkedDatabase& db, qsim::Backend* backend,
     qsim::Index y;
     if (backend != nullptr) {
       backend->reset_uniform();
-      for (std::uint64_t i = 0; i < j; ++i) {
-        backend->apply_oracle();            // It
-        backend->apply_global_diffusion();  // I0
-      }
+      backend->apply_grover_iterations(qsim::Partition::kGlobal,
+                                       j);  // (I0 It)^j
       y = backend->sample(rng);
     } else {
       y = rng.uniform_below(db.size());

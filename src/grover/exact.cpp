@@ -66,11 +66,9 @@ std::unique_ptr<qsim::Backend> evolve_exact_on_backend(
   // Full search is the K = 1 case of the block structure.
   auto backend = qsim::make_backend(
       kind, qsim::BackendSpec::single_target(db.size(), 1, db.target()));
-  for (std::uint64_t i = 0; i < sched.plain_iterations; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();            // It
-    backend->apply_global_diffusion();  // I0
-  }
+  db.add_queries(sched.plain_iterations);
+  backend->apply_grover_iterations(qsim::Partition::kGlobal,
+                                   sched.plain_iterations);  // (I0 It)^l
   if (sched.final_step_needed) {
     db.add_queries(1);
     backend->apply_oracle_phase(sched.oracle_phase);       // O(phi)

@@ -11,11 +11,9 @@ std::unique_ptr<qsim::Backend> evolve_on_backend(const oracle::Database& db,
   // Full search is the K = 1 case of the block structure.
   auto backend = qsim::make_backend(
       kind, qsim::BackendSpec::single_target(db.size(), 1, db.target()));
-  for (std::uint64_t i = 0; i < iterations; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();            // It
-    backend->apply_global_diffusion();  // I0
-  }
+  db.add_queries(iterations);
+  backend->apply_grover_iterations(qsim::Partition::kGlobal,
+                                   iterations);  // (I0 It)^iterations
   return backend;
 }
 

@@ -101,6 +101,17 @@ Json error_event(const std::string& message) {
   return event;
 }
 
+Json unknown_cancel_event(const std::string& id) {
+  return error_event("unknown or already-finished job id \"" + id + "\"");
+}
+
+Json unknown_trace_event(const std::string& id) {
+  return error_event("no trace for job id \"" + id +
+                     "\" (unknown, untraced, or forgotten — only the last " +
+                     std::to_string(kTraceIndexCapacity) +
+                     " submitted ids are remembered)");
+}
+
 std::optional<Json> submit_refusal(const std::string& id, bool id_in_flight,
                                    std::size_t in_flight, std::size_t limit) {
   if (id_in_flight) {
@@ -231,10 +242,7 @@ Json Session::trace_event(const std::string& id) const {
     }
   }
   if (trace == nullptr) {
-    return error_event("no trace for job id \"" + id +
-                       "\" (unknown, untraced, or forgotten — the session "
-                       "remembers the last " +
-                       std::to_string(kTraceIndexCapacity) + " traced jobs)");
+    return unknown_trace_event(id);
   }
   Json event = Json::make_object();
   event["event"] = "trace";
@@ -313,14 +321,18 @@ void Session::handle_line(const std::string& line) {
       }
       cv_.notify_one();
     } else if (request.op == Request::Op::kCancel) {
-      JobHandle target = [&] {
+      std::optional<JobHandle> target;
+      {
         LockGuard lock(mutex_);
-        const auto it = jobs_.find(id);
-        PQS_CHECK_MSG(it != jobs_.end(),
-                      "unknown or already-finished job id \"" + id + "\"");
-        return it->second;
-      }();
-      target.cancel();
+        if (const auto it = jobs_.find(id); it != jobs_.end()) {
+          target = it->second;
+        }
+      }
+      if (!target.has_value()) {
+        emit(unknown_cancel_event(id));
+        return;
+      }
+      target->cancel();
       Json event = Json::make_object();
       event["event"] = "cancelling";
       event["id"] = id;

@@ -78,6 +78,16 @@ Request parse_request(const std::string& line);
 /// The `error` ack of a rejected request line.
 Json error_event(const std::string& message);
 
+/// How many job ids a front-end (Session, pqs_router) remembers for `trace`
+/// past their completion; at the cap the oldest id is forgotten.
+inline constexpr std::size_t kTraceIndexCapacity = 4096;
+
+/// The `error` acks of a `cancel` whose id is not in flight and of a `trace`
+/// whose id has no remembered timeline. Session and pqs_router both answer
+/// with these, so a routed client reads a worker's words.
+Json unknown_cancel_event(const std::string& id);
+Json unknown_trace_event(const std::string& id);
+
 /// Submit admission, before the spec is looked at, in the one order every
 /// front-end applies: an id still in flight on this connection is an
 /// `error`; a connection holding `limit` unanswered submits (0 = no cap)
@@ -155,10 +165,8 @@ class Session {
   bool aborted_ PQS_GUARDED_BY(mutex_) = false;
 
   /// request id -> span timeline, kept PAST completion (the `trace` op
-  /// arrives after the result) in a bounded FIFO — at the cap the oldest
-  /// remembered id is forgotten. Re-submitting a finished id replaces its
-  /// timeline in place.
-  static constexpr std::size_t kTraceIndexCapacity = 4096;
+  /// arrives after the result) in a bounded FIFO of kTraceIndexCapacity
+  /// ids. Re-submitting a finished id replaces its timeline in place.
   std::map<std::string, std::shared_ptr<const obs::Trace>> traces_
       PQS_GUARDED_BY(mutex_);
   std::deque<std::string> trace_order_ PQS_GUARDED_BY(mutex_);

@@ -132,16 +132,10 @@ CertainResult run_partial_search_certain(const oracle::Database& db,
       backend_kind,
       qsim::BackendSpec::single_target(db.size(), pow2(k), db.target()));
   result.backend_used = backend->kind();
-  for (std::uint64_t i = 0; i < sched.l1; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_global_diffusion();
-  }
-  for (std::uint64_t i = 0; i < sched.l2_plain; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_block_diffusion();
-  }
+  db.add_queries(sched.l1);
+  backend->apply_grover_iterations(qsim::Partition::kGlobal, sched.l1);
+  db.add_queries(sched.l2_plain);
+  backend->apply_grover_iterations(qsim::Partition::kBlocks, sched.l2_plain);
   if (sched.generalized_needed) {
     db.add_queries(1);
     backend->apply_oracle_phase(sched.phases.oracle_phase);

@@ -24,16 +24,11 @@ std::unique_ptr<qsim::Backend> evolve_partial_search_on_backend(
     const oracle::Database& db, unsigned k, std::uint64_t l1,
     std::uint64_t l2, qsim::BackendKind kind) {
   auto backend = qsim::make_backend(kind, grk_spec(db, k));
-  for (std::uint64_t i = 0; i < l1; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();            // It
-    backend->apply_global_diffusion();  // I0
-  }
-  for (std::uint64_t i = 0; i < l2; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();           // It
-    backend->apply_block_diffusion();  // I_[K] (x) I0,[N/K]
-  }
+  db.add_queries(l1);
+  backend->apply_grover_iterations(qsim::Partition::kGlobal, l1);  // (I0 It)^l1
+  db.add_queries(l2);
+  // (I_[K] (x) I0,[N/K] It)^l2
+  backend->apply_grover_iterations(qsim::Partition::kBlocks, l2);
   // Step 3: one oracle query marks the target out; inversion about the mean
   // of the remaining amplitudes.
   db.add_queries(1);
@@ -64,19 +59,13 @@ GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
   const std::uint64_t before = db.queries();
   auto backend = qsim::make_backend(options.backend, spec);
   result.backend_used = backend->kind();
-  for (std::uint64_t i = 0; i < result.l1; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_global_diffusion();
-  }
+  db.add_queries(result.l1);
+  backend->apply_grover_iterations(qsim::Partition::kGlobal, result.l1);
   if (options.capture_snapshots) {
     result.snapshots.after_step1 = backend->amplitudes_copy();
   }
-  for (std::uint64_t i = 0; i < result.l2; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_block_diffusion();
-  }
+  db.add_queries(result.l2);
+  backend->apply_grover_iterations(qsim::Partition::kBlocks, result.l2);
   if (options.capture_snapshots) {
     result.snapshots.after_step2 = backend->amplitudes_copy();
   }

@@ -47,6 +47,21 @@ SubspaceState run_schedule(const SubspaceModel& model,
   return model.apply_step3(s);
 }
 
+void apply_schedule(const oracle::Database& db, const Schedule& schedule,
+                    qsim::Backend& backend) {
+  const auto& segs = schedule.segments;
+  for (std::size_t s = 0; s < segs.size();) {
+    const bool global = segs[s].global;
+    std::uint64_t count = 0;
+    for (; s < segs.size() && segs[s].global == global; ++s) {
+      count += segs[s].count;
+    }
+    db.add_queries(count);
+    backend.apply_grover_iterations(
+        global ? qsim::Partition::kGlobal : qsim::Partition::kBlocks, count);
+  }
+}
+
 double run_schedule_on_backend(const oracle::Database& db, unsigned k,
                                const Schedule& schedule,
                                qsim::BackendKind backend_kind) {
@@ -56,17 +71,7 @@ double run_schedule_on_backend(const oracle::Database& db, unsigned k,
   auto backend = qsim::make_backend(
       backend_kind,
       qsim::BackendSpec::single_target(db.size(), pow2(k), db.target()));
-  for (const auto& seg : schedule.segments) {
-    for (std::uint64_t i = 0; i < seg.count; ++i) {
-      db.add_queries(1);
-      backend->apply_oracle();
-      if (seg.global) {
-        backend->apply_global_diffusion();
-      } else {
-        backend->apply_block_diffusion();
-      }
-    }
-  }
+  apply_schedule(db, schedule, *backend);
   db.add_queries(1);  // Step 3
   backend->apply_step3();
   return backend->block_probability(backend->target_block());

@@ -41,6 +41,12 @@ struct Schedule {
 SubspaceState run_schedule(const SubspaceModel& model,
                            const Schedule& schedule);
 
+/// Apply the schedule's iterations (not Step 3) to `backend`, metering
+/// queries on `db`: one Backend::apply_grover_iterations call per run of
+/// same-kind segments.
+void apply_schedule(const oracle::Database& db, const Schedule& schedule,
+                    qsim::Backend& backend);
+
 /// Evolve the same schedule (plus Step 3) on a simulation backend bound to
 /// `db`, metering queries on the database. Returns the final target-block
 /// probability — the quantity the optimizer scores — so optimized schedules

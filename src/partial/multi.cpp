@@ -46,16 +46,10 @@ MultiGrkResult run_partial_search_multi(const oracle::MarkedDatabase& db,
       options.backend,
       qsim::BackendSpec{db.size(), pow2(k), db.marked()});
   result.backend_used = backend->kind();
-  for (std::uint64_t i = 0; i < result.l1; ++i) {
-    db.add_queries(1);  // one query flips the whole marked set
-    backend->apply_oracle();
-    backend->apply_global_diffusion();
-  }
-  for (std::uint64_t i = 0; i < result.l2; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_block_diffusion();
-  }
+  db.add_queries(result.l1);  // one query flips the whole marked set
+  backend->apply_grover_iterations(qsim::Partition::kGlobal, result.l1);
+  db.add_queries(result.l2);
+  backend->apply_grover_iterations(qsim::Partition::kBlocks, result.l2);
   db.add_queries(1);  // Step 3 marks the set out with one query
   backend->apply_step3();
   result.queries = db.queries() - before;

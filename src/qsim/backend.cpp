@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "qsim/isa.h"
 #include "qsim/kernels.h"
 
 namespace pqs::qsim {
@@ -52,6 +53,18 @@ Backend::Backend(BackendSpec spec) : spec_(std::move(spec)) {
                   "marked address out of range");
     PQS_CHECK_MSG(j == 0 || spec_.marked[j - 1] < spec_.marked[j],
                   "marked set must be sorted and unique");
+  }
+}
+
+void Backend::apply_grover_iterations(Partition partition,
+                                      std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    apply_oracle();
+    if (partition == Partition::kGlobal) {
+      apply_global_diffusion();
+    } else {
+      apply_block_diffusion();
+    }
   }
 }
 
@@ -136,6 +149,17 @@ class DenseBackend final : public Backend {
   }
   void apply_block_rotation(double phi) override {
     kernels::rotate_blocks_about_uniform(amps_, block_size(), phi);
+  }
+  void apply_grover_iterations(Partition partition,
+                               std::uint64_t count) override {
+    if (active_isa() == Isa::kScalar) {
+      // The scalar tier stays the per-op reference.
+      Backend::apply_grover_iterations(partition, count);
+      return;
+    }
+    kernels::grover_iterations(
+        amps_, spec_.marked,
+        partition == Partition::kGlobal ? amps_.size() : block_size(), count);
   }
   void apply_step3() override {
     if (spec_.marked.size() == 1) {

@@ -14,7 +14,10 @@
 //                    ranges of N/K addresses), supports every operator and
 //                    arbitrary marked sets, and is the only engine that can
 //                    expose full amplitude vectors (snapshots, noise, the
-//                    Zalka hybrid argument). Capacity-limited to
+//                    Zalka hybrid argument). On the SIMD tiers, runs of
+//                    Grover iterations (apply_grover_iterations) take many
+//                    iterations per sweep of the state, every per-element
+//                    update still applied. Capacity-limited to
 //                    N <= 2^kMaxQubits.
 //
 //   SymmetryBackend  the O(K)-per-operation engine. The partial-search state
@@ -89,6 +92,12 @@ struct BackendSpec {
                                    std::uint64_t n_blocks, Index target);
 };
 
+/// Which diffusion a Grover iteration applies after the oracle.
+enum class Partition {
+  kGlobal,  ///< I0 over the whole database (apply_global_diffusion)
+  kBlocks,  ///< I_[K] (x) I0,[N/K] over the spec's blocks
+};
+
 /// The engine interface. All operators are in-place on the backend's state;
 /// `reset_uniform` restores |psi0>. Query accounting stays with the caller
 /// (oracle::Database's meter), exactly as with the raw kernels.
@@ -127,6 +136,15 @@ class Backend {
   virtual void apply_block_diffusion() = 0;
   /// Generalized per-block rotation by phase phi (sure-success variant).
   virtual void apply_block_rotation(double phi) = 0;
+  /// `count` Grover iterations: the oracle, then the global or the block
+  /// diffusion, `count` times. The default is that per-op loop, which the
+  /// symmetry engine and the dense engine's scalar tier run. The dense
+  /// engine's SIMD tiers run kernels::grover_iterations instead: many
+  /// iterations per sweep of the state, every per-element update still
+  /// applied, block means from the exact sum recurrence (agrees with the
+  /// per-op loop to rounding).
+  virtual void apply_grover_iterations(Partition partition,
+                                       std::uint64_t count);
   /// Step 3: keep the marked amplitudes, invert every other amplitude about
   /// their common mean.
   virtual void apply_step3() = 0;

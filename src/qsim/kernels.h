@@ -38,6 +38,21 @@ namespace pqs::qsim::kernels {
 // of the thread count and stay well under the 1e-10 dense≡symmetry
 // agreement bar.
 //
+// Temporal blocking: grover_iterations runs a run of Grover iterations in
+// sweeps of at most kSweepDepth (qsim/parallel.h) iterations. Per sweep it
+// (1) reads the block sums, from the cache or with one read pass; (2)
+// serially derives every iteration's twice-means from the exact recurrence —
+// a reflection keeps each block sum, an oracle flip moves its block's sum by
+// -2*a_m, and each marked amplitude is tracked as a scalar through its own
+// update a <- t + a — so only the blocks holding a marked address need a
+// per-iteration entry (O(|marked| * D + K) table); (3) runs one parallel_for
+// over the fixed chunk partition in which every chunk applies all of the
+// sweep's updates a <- t_i - a from registers (KernelOps::reflect_series);
+// (4) writes the tracked marked values, corrects their chunks' partial sums
+// and refreshes the block-sum cache from the stored values, so rounding in
+// the recurrence lives for at most one sweep. Every iteration's per-element
+// update still runs: the dense engine stays a brute-force simulator.
+//
 // Who owns threads: no kernel picks its own team. Each parallel loop asks
 // parallel_threads(elements swept) (qsim/parallel.h) and runs through
 // parallel_for. A sweep under kParallelMinElems (8 chunks) stays on the
@@ -87,6 +102,14 @@ void reflect_about_uniform(SoaVector& v);
 /// contiguous block of `block_size` amplitudes. `block_size` must divide the
 /// state size. With block_size == v.size() this is reflect_about_uniform.
 void reflect_blocks_about_uniform(SoaVector& v, std::size_t block_size);
+
+/// `count` Grover iterations, each the oracle on `marked_sorted` (sorted,
+/// unique) followed by the inversion about the average within each block of
+/// `block_size` amplitudes (block_size == v.size(): the global diffusion).
+/// Same result as `count` rounds of phase_flip_indices +
+/// reflect_blocks_about_uniform, to rounding (see "Temporal blocking" below).
+void grover_iterations(SoaVector& v, std::span<const Index> marked_sorted,
+                       std::size_t block_size, std::uint64_t count);
 
 /// Generalized per-block operator of the sure-success variants: within each
 /// block, a <- a + (e^{i phi} - 1) * mean(a), i.e. I + (e^{i phi} - 1)|u><u|

@@ -143,6 +143,67 @@ void avx2_reflect(double* re, double* im, std::size_t n, double t_re,
   *sum_im = si;
 }
 
+/// 16 lanes per group (four registers per plane): eight independent
+/// subtraction chains cover the add latency on both FP ports, so a group's
+/// `steps` updates run from registers at the arithmetic rate.
+void avx2_reflect_series(double* re, double* im, std::size_t n,
+                         const double* t_re, const double* t_im,
+                         std::size_t steps, double* sum_re, double* sum_im) {
+  __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+  __m256d b0 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m256d r0 = _mm256_loadu_pd(re + i);
+    __m256d r1 = _mm256_loadu_pd(re + i + 4);
+    __m256d r2 = _mm256_loadu_pd(re + i + 8);
+    __m256d r3 = _mm256_loadu_pd(re + i + 12);
+    __m256d s0 = _mm256_loadu_pd(im + i);
+    __m256d s1 = _mm256_loadu_pd(im + i + 4);
+    __m256d s2 = _mm256_loadu_pd(im + i + 8);
+    __m256d s3 = _mm256_loadu_pd(im + i + 12);
+    for (std::size_t k = 0; k < steps; ++k) {
+      const __m256d tr = _mm256_broadcast_sd(t_re + k);
+      const __m256d ti = _mm256_broadcast_sd(t_im + k);
+      r0 = _mm256_sub_pd(tr, r0);
+      r1 = _mm256_sub_pd(tr, r1);
+      r2 = _mm256_sub_pd(tr, r2);
+      r3 = _mm256_sub_pd(tr, r3);
+      s0 = _mm256_sub_pd(ti, s0);
+      s1 = _mm256_sub_pd(ti, s1);
+      s2 = _mm256_sub_pd(ti, s2);
+      s3 = _mm256_sub_pd(ti, s3);
+    }
+    _mm256_storeu_pd(re + i, r0);
+    _mm256_storeu_pd(re + i + 4, r1);
+    _mm256_storeu_pd(re + i + 8, r2);
+    _mm256_storeu_pd(re + i + 12, r3);
+    _mm256_storeu_pd(im + i, s0);
+    _mm256_storeu_pd(im + i + 4, s1);
+    _mm256_storeu_pd(im + i + 8, s2);
+    _mm256_storeu_pd(im + i + 12, s3);
+    a0 = _mm256_add_pd(a0, _mm256_add_pd(r0, r2));
+    a1 = _mm256_add_pd(a1, _mm256_add_pd(r1, r3));
+    b0 = _mm256_add_pd(b0, _mm256_add_pd(s0, s2));
+    b1 = _mm256_add_pd(b1, _mm256_add_pd(s1, s3));
+  }
+  double sr = hsum(_mm256_add_pd(a0, a1));
+  double si = hsum(_mm256_add_pd(b0, b1));
+  for (; i < n; ++i) {
+    double r = re[i];
+    double s = im[i];
+    for (std::size_t k = 0; k < steps; ++k) {
+      r = t_re[k] - r;
+      s = t_im[k] - s;
+    }
+    re[i] = r;
+    im[i] = s;
+    sr += r;
+    si += s;
+  }
+  *sum_re = sr;
+  *sum_im = si;
+}
+
 void avx2_add(double* re, double* im, std::size_t n, double c_re, double c_im,
               double* sum_re, double* sum_im) {
   const __m256d cr = _mm256_set1_pd(c_re);
@@ -251,6 +312,7 @@ const KernelOps& avx2_kernel_ops() {
       .norm_sq = avx2_norm_sq,
       .inner = avx2_inner,
       .reflect = avx2_reflect,
+      .reflect_series = avx2_reflect_series,
       .add = avx2_add,
       .scale = avx2_scale,
       .gate1 = avx2_gate1,

@@ -130,6 +130,68 @@ void avx512_reflect(double* re, double* im, std::size_t n, double t_re,
   *sum_im = si;
 }
 
+/// 32 lanes per group (four registers per plane): eight independent
+/// subtraction chains cover the add latency on both FP ports, so a group's
+/// `steps` updates run from registers at the arithmetic rate.
+void avx512_reflect_series(double* re, double* im, std::size_t n,
+                           const double* t_re, const double* t_im,
+                           std::size_t steps, double* sum_re,
+                           double* sum_im) {
+  __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
+  __m512d b0 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m512d r0 = _mm512_loadu_pd(re + i);
+    __m512d r1 = _mm512_loadu_pd(re + i + 8);
+    __m512d r2 = _mm512_loadu_pd(re + i + 16);
+    __m512d r3 = _mm512_loadu_pd(re + i + 24);
+    __m512d s0 = _mm512_loadu_pd(im + i);
+    __m512d s1 = _mm512_loadu_pd(im + i + 8);
+    __m512d s2 = _mm512_loadu_pd(im + i + 16);
+    __m512d s3 = _mm512_loadu_pd(im + i + 24);
+    for (std::size_t k = 0; k < steps; ++k) {
+      const __m512d tr = _mm512_set1_pd(t_re[k]);
+      const __m512d ti = _mm512_set1_pd(t_im[k]);
+      r0 = _mm512_sub_pd(tr, r0);
+      r1 = _mm512_sub_pd(tr, r1);
+      r2 = _mm512_sub_pd(tr, r2);
+      r3 = _mm512_sub_pd(tr, r3);
+      s0 = _mm512_sub_pd(ti, s0);
+      s1 = _mm512_sub_pd(ti, s1);
+      s2 = _mm512_sub_pd(ti, s2);
+      s3 = _mm512_sub_pd(ti, s3);
+    }
+    _mm512_storeu_pd(re + i, r0);
+    _mm512_storeu_pd(re + i + 8, r1);
+    _mm512_storeu_pd(re + i + 16, r2);
+    _mm512_storeu_pd(re + i + 24, r3);
+    _mm512_storeu_pd(im + i, s0);
+    _mm512_storeu_pd(im + i + 8, s1);
+    _mm512_storeu_pd(im + i + 16, s2);
+    _mm512_storeu_pd(im + i + 24, s3);
+    a0 = _mm512_add_pd(a0, _mm512_add_pd(r0, r2));
+    a1 = _mm512_add_pd(a1, _mm512_add_pd(r1, r3));
+    b0 = _mm512_add_pd(b0, _mm512_add_pd(s0, s2));
+    b1 = _mm512_add_pd(b1, _mm512_add_pd(s1, s3));
+  }
+  double sr = _mm512_reduce_add_pd(_mm512_add_pd(a0, a1));
+  double si = _mm512_reduce_add_pd(_mm512_add_pd(b0, b1));
+  for (; i < n; ++i) {
+    double r = re[i];
+    double s = im[i];
+    for (std::size_t k = 0; k < steps; ++k) {
+      r = t_re[k] - r;
+      s = t_im[k] - s;
+    }
+    re[i] = r;
+    im[i] = s;
+    sr += r;
+    si += s;
+  }
+  *sum_re = sr;
+  *sum_im = si;
+}
+
 void avx512_add(double* re, double* im, std::size_t n, double c_re,
                 double c_im, double* sum_re, double* sum_im) {
   const __m512d cr = _mm512_set1_pd(c_re);
@@ -237,6 +299,7 @@ const KernelOps& avx512_kernel_ops() {
       .norm_sq = avx512_norm_sq,
       .inner = avx512_inner,
       .reflect = avx512_reflect,
+      .reflect_series = avx512_reflect_series,
       .add = avx512_add,
       .scale = avx512_scale,
       .gate1 = avx512_gate1,

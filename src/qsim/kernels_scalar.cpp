@@ -70,6 +70,16 @@ void scalar_reflect(double* re, double* im, std::size_t n, double t_re,
   *sum_im = si;
 }
 
+void scalar_reflect_series(double* re, double* im, std::size_t n,
+                           const double* t_re, const double* t_im,
+                           std::size_t steps, double* sum_re, double* sum_im) {
+  *sum_re = 0.0;
+  *sum_im = 0.0;
+  for (std::size_t k = 0; k < steps; ++k) {
+    scalar_reflect(re, im, n, t_re[k], t_im[k], sum_re, sum_im);
+  }
+}
+
 void scalar_add(double* re, double* im, std::size_t n, double c_re,
                 double c_im, double* sum_re, double* sum_im) {
   double sr = 0.0, si = 0.0;
@@ -126,6 +136,7 @@ const KernelOps& scalar_kernel_ops() {
       .norm_sq = scalar_norm_sq,
       .inner = scalar_inner,
       .reflect = scalar_reflect,
+      .reflect_series = scalar_reflect_series,
       .add = scalar_add,
       .scale = scalar_scale,
       .gate1 = scalar_gate1,

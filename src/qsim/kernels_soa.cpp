@@ -12,8 +12,11 @@
 // the values they store and refresh SoaVector's block-sum cache from them,
 // so the cache is always recomputed from stored data once per kernel call
 // (incremental oracle deltas never survive more than one iteration — no
-// drift accumulation). The scalar tier maintains the cache but never READS
-// it: it stays the two-pass reference the equivalence tests trust.
+// drift accumulation). grover_iterations refreshes it once per sweep the
+// same way, so its recurrence's rounding never outlives a sweep of
+// kSweepDepth iterations. The scalar tier maintains the cache but never
+// READS it: it stays the two-pass reference the equivalence tests trust,
+// and DenseBackend runs it per op rather than through grover_iterations.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -358,6 +361,120 @@ void rotate_blocks_about_uniform(SoaVector& v, std::size_t block_size,
     si[b] = add.imag();
   }
   block_update(v, block_size, ops, /*is_reflect=*/false, sr, si);
+}
+
+void grover_iterations(SoaVector& v, std::span<const Index> marked_sorted,
+                       std::size_t block_size, std::uint64_t count) {
+  PQS_CHECK(block_size > 0);
+  PQS_CHECK_MSG(v.size() % block_size == 0,
+                "block size must divide the state size");
+  for (std::size_t j = 0; j < marked_sorted.size(); ++j) {
+    PQS_CHECK_MSG(marked_sorted[j] < v.size(), "marked index out of range");
+    PQS_CHECK_MSG(j == 0 || marked_sorted[j - 1] < marked_sorted[j],
+                  "marked indices must be sorted and unique");
+  }
+  const Isa isa = active_isa();
+  const KernelOps& ops = kernel_ops(isa);
+  const std::size_t bs = block_size;
+  const std::size_t nb = v.size() / bs;
+  const std::size_t cpb = chunks_for(bs);
+  const std::size_t nm = marked_sorted.size();
+  const double inv = 2.0 / static_cast<double>(bs);
+
+  // One table row of per-iteration twice-means per block that holds a
+  // marked address. Every other block is cold: a sweep keeps its sum, so
+  // its twice-mean is one constant.
+  constexpr std::size_t kCold = ~std::size_t{0};
+  std::vector<std::size_t> hot_block;
+  std::vector<std::size_t> row_of(nb, kCold);
+  std::vector<std::size_t> marked_row(nm);
+  for (std::size_t j = 0; j < nm; ++j) {
+    const std::size_t b = marked_sorted[j] / bs;
+    if (row_of[b] == kCold) {
+      row_of[b] = hot_block.size();
+      hot_block.push_back(b);
+    }
+    marked_row[j] = row_of[b];
+  }
+  // The table, the tracked marked amplitudes and the chunk partials share
+  // one allocation: separate per-call vectors fragmented the heaps of
+  // Service workers that run many small jobs (peak RSS rose about 10%).
+  const std::size_t tab_len = hot_block.size() * kSweepDepth;
+  std::vector<double> scratch(2 * tab_len + 2 * nm + 2 * nb * cpb);
+  double* const tab_re = scratch.data();
+  double* const tab_im = tab_re + tab_len;
+  double* const am_re = tab_im + tab_len;
+  double* const am_im = am_re + nm;
+  double* const pr = am_im + nm;
+  double* const pi = pr + nb * cpb;
+  std::vector<double> sr, si;
+  const unsigned threads = parallel_threads(v.size());
+
+  for (std::uint64_t done = 0; done < count;) {
+    const auto depth = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kSweepDepth, count - done));
+    block_sums(v, bs, ops, /*may_use_cache=*/isa != Isa::kScalar, sr, si);
+    // The serial recurrence, in the order the per-op kernels apply it: the
+    // oracle's cache delta and flip, then the twice-means, then the marked
+    // amplitudes' own reflection t - (-a).
+    for (std::size_t j = 0; j < nm; ++j) {
+      am_re[j] = v.re()[marked_sorted[j]];
+      am_im[j] = v.im()[marked_sorted[j]];
+    }
+    for (std::size_t i = 0; i < depth; ++i) {
+      for (std::size_t j = 0; j < nm; ++j) {
+        const std::size_t b = marked_sorted[j] / bs;
+        sr[b] -= 2.0 * am_re[j];
+        si[b] -= 2.0 * am_im[j];
+        am_re[j] = -am_re[j];
+        am_im[j] = -am_im[j];
+      }
+      for (std::size_t h = 0; h < hot_block.size(); ++h) {
+        tab_re[h * kSweepDepth + i] = sr[hot_block[h]] * inv;
+        tab_im[h * kSweepDepth + i] = si[hot_block[h]] * inv;
+      }
+      for (std::size_t j = 0; j < nm; ++j) {
+        const std::size_t at = marked_row[j] * kSweepDepth + i;
+        am_re[j] = tab_re[at] - am_re[j];
+        am_im[j] = tab_im[at] - am_im[j];
+      }
+    }
+    // Every element takes all `depth` reflections; the marked ones are
+    // overwritten with their tracked values below.
+    parallel_for(static_cast<SIdx>(nb * cpb), threads, [&](SIdx t) {
+      const auto ut = static_cast<std::size_t>(t);
+      const std::size_t b = ut / cpb;
+      const std::size_t off = b * bs + (ut % cpb) * kChunk;
+      const std::size_t clen = std::min(kChunk, (b + 1) * bs - off);
+      double cold_re[kSweepDepth], cold_im[kSweepDepth];
+      const double* t_re = cold_re;
+      const double* t_im = cold_im;
+      if (row_of[b] == kCold) {
+        std::fill_n(cold_re, depth, sr[b] * inv);
+        std::fill_n(cold_im, depth, si[b] * inv);
+      } else {
+        t_re = tab_re + row_of[b] * kSweepDepth;
+        t_im = tab_im + row_of[b] * kSweepDepth;
+      }
+      ops.reflect_series(v.re() + off, v.im() + off, clen, t_re, t_im, depth,
+                         &pr[ut], &pi[ut]);
+    });
+    for (std::size_t j = 0; j < nm; ++j) {
+      const Index m = marked_sorted[j];
+      const std::size_t b = m / bs;
+      const std::size_t ut = b * cpb + (m - b * bs) / kChunk;
+      pr[ut] += am_re[j] - v.re()[m];
+      pi[ut] += am_im[j] - v.im()[m];
+      v.re()[m] = am_re[j];
+      v.im()[m] = am_im[j];
+    }
+    v.mark_sums(bs);
+    for (std::size_t b = 0; b < nb; ++b) {
+      v.sum_re()[b] = combine_pairwise(pr + b * cpb, cpb);
+      v.sum_im()[b] = combine_pairwise(pi + b * cpb, cpb);
+    }
+    done += depth;
+  }
 }
 
 void reflect_non_target_about_their_mean(SoaVector& v, Index t) {

@@ -10,7 +10,11 @@
 // The sum cache is what makes the SoA engine faster than memory bandwidth
 // naively allows: reflect/rotate kernels accumulate the sums of the values
 // they store, so the next same-partition reflection skips its read pass
-// entirely (see qsim/kernels.h, "SoA kernels").
+// entirely (see qsim/kernels.h, "SoA kernels"). The fused Grover kernel
+// (kernels::grover_iterations) reads the cache once per sweep of up to
+// kSweepDepth iterations and refreshes it from the stored values at the
+// sweep's end; between those points the block sums live in the kernel's
+// recurrence, not here.
 #pragma once
 
 #include <algorithm>

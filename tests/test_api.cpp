@@ -225,15 +225,10 @@ TEST(EngineEquivalenceTest, Interleave) {
   auto backend = qsim::make_backend(
       qsim::BackendKind::kAuto,
       qsim::BackendSpec::single_target(1024, 4, 333));
-  for (const auto& segment : opt.schedule.segments) {
-    for (std::uint64_t i = 0; i < segment.count; ++i) {
-      backend->apply_oracle();
-      if (segment.global) {
-        backend->apply_global_diffusion();
-      } else {
-        backend->apply_block_diffusion();
-      }
-    }
+  for (const auto& segment : opt.schedule.segments) {  // they alternate
+    backend->apply_grover_iterations(segment.global ? qsim::Partition::kGlobal
+                                                    : qsim::Partition::kBlocks,
+                                     segment.count);
   }
   backend->apply_step3();
   Rng rng(kSeed);

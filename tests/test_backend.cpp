@@ -21,6 +21,9 @@
 #include "partial/interleave.h"
 #include "partial/multi.h"
 #include "partial/optimizer.h"
+#include "qsim/gates.h"
+#include "qsim/isa.h"
+#include "qsim/parallel.h"
 
 namespace pqs::qsim {
 namespace {
@@ -225,6 +228,55 @@ TEST(BackendAgreement, GrkEntryPointAcrossSizes) {
 
 /// The scale unlock: 48-qubit partial search in O(K) per iteration, under a
 /// second, cross-checked against the exact analytic subspace model.
+// DenseBackend::apply_grover_iterations (the fused sweep on the SIMD tiers)
+// against the per-op default loop it overrides, on every supported tier:
+// the l1-global-then-l2-block shape of partial search, from a complex
+// non-uniform start, with the target in the first block, in the last block,
+// or a marked set spanning every block.
+TEST(DenseFusedIterations, MatchThePerOpLoopOnEveryTier) {
+  constexpr std::uint64_t kD = kSweepDepth;
+  // One thread: the results do not depend on the budget (test_threading),
+  // and a team would only fight concurrently running test binaries.
+  set_thread_budget(1);
+  for (const Isa isa : supported_isas()) {
+    force_isa(isa);
+    for (unsigned n = 10; n <= 20; ++n) {
+      const std::uint64_t size = pow2(n);
+      BackendSpec spec = BackendSpec::single_target(size, 4, 2 + n);
+      if (n % 3 == 0) {
+        spec.marked = {1, size / 4 + 2, size / 2 + 3, size - 3};
+      } else if (n % 2 == 1) {
+        spec.marked = {size - 1 - n};
+      }
+      const auto fused = make_backend(BackendKind::kDense, spec);
+      const auto per_op = make_backend(BackendKind::kDense, spec);
+      for (Backend* b : {fused.get(), per_op.get()}) {
+        b->apply_gate1(0, gates::Ry(0.3));
+        b->apply_oracle_phase(0.9);
+      }
+      fused->apply_grover_iterations(Partition::kGlobal, kD + 1);
+      fused->apply_grover_iterations(Partition::kBlocks, kD - 1);
+      per_op->Backend::apply_grover_iterations(Partition::kGlobal, kD + 1);
+      per_op->Backend::apply_grover_iterations(Partition::kBlocks, kD - 1);
+      EXPECT_LT(linf(fused->amplitudes_copy(), per_op->amplitudes_copy()),
+                1e-11)
+          << isa_name(isa) << " n=" << n << " marks=" << spec.marked.size();
+    }
+  }
+  force_isa(std::nullopt);
+  set_thread_budget(0);
+}
+
+TEST(DenseFusedIterations, ZeroCountLeavesTheStateAlone) {
+  const auto spec = BackendSpec::single_target(pow2(12), 4, 77);
+  const auto b = make_backend(BackendKind::kDense, spec);
+  b->apply_oracle_phase(0.4);
+  const auto before = b->amplitudes_copy();
+  b->apply_grover_iterations(Partition::kGlobal, 0);
+  b->apply_grover_iterations(Partition::kBlocks, 0);
+  EXPECT_EQ(linf(before, b->amplitudes_copy()), 0.0);
+}
+
 TEST(SymmetryBackendTest, RunsFortyEightQubitGrkUnderASecond) {
   const unsigned n = 48, k = 3;
   const std::uint64_t n_items = pow2(n);

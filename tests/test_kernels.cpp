@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "common/math.h"
 #include "common/random.h"
 #include "qsim/isa.h"
+#include "qsim/parallel.h"
 #include "qsim/soa.h"
 #include "reference_kernels.h"
 
@@ -450,6 +452,153 @@ TEST_P(IsaSweep, ReductionsMatchReference) {
                   kTierTol);
     }
   }
+}
+
+// ---- temporal blocking: grover_iterations against the per-op loop ---------
+//
+// kernels::grover_iterations takes each iteration's block means from the
+// sum recurrence and applies up to kSweepDepth reflections per sweep of the
+// state; the per-op loop (phase_flip_indices + reflect_blocks_about_uniform)
+// reads or recomputes the block sums every iteration. The two must agree to
+// 1e-11 per amplitude on every tier.
+
+constexpr double kFusedTol = 1e-11;
+constexpr std::uint64_t kD = kSweepDepth;
+
+void per_op_iterations(SoaVector& v, std::span<const Index> marked,
+                       std::size_t block_size, std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    kernels::phase_flip_indices(v, marked);
+    kernels::reflect_blocks_about_uniform(v, block_size);
+  }
+}
+
+double max_diff(const SoaVector& a, const SoaVector& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    d = std::max(d, std::abs(a.get(i) - b.get(i)));
+  }
+  return d;
+}
+
+/// Every `stride`-th address from `first`: a marked set spanning every
+/// block, with several marks per chunk.
+std::vector<Index> spread_marks(std::size_t size, Index first,
+                                std::size_t stride) {
+  std::vector<Index> marked;
+  for (Index x = first; x < size; x += stride) {
+    marked.push_back(x);
+  }
+  return marked;
+}
+
+TEST_P(IsaSweep, GroverIterationsMatchPerOpAtEveryCount) {
+  Rng rng(149);
+  const unsigned n = 13;  // two chunks per global sweep
+  const std::size_t size = pow2(n);
+  // Target in the first block, target in the last block, and a dense set
+  // spanning all four blocks.
+  const std::vector<std::vector<Index>> marked_sets = {
+      {3}, {size - 2}, spread_marks(size, 5, 97)};
+  for (const auto& marked : marked_sets) {
+    for (const std::size_t bs : {size, size / 4}) {
+      for (const std::uint64_t count :
+           {std::uint64_t{0}, std::uint64_t{1}, kD - 1, kD, kD + 1,
+            3 * kD + 5}) {
+        const SoaVector start = random_state(n, rng);  // complex, non-uniform
+        SoaVector fused = start;
+        SoaVector per_op = start;
+        kernels::grover_iterations(fused, marked, bs, count);
+        per_op_iterations(per_op, marked, bs, count);
+        EXPECT_LT(max_diff(fused, per_op), kFusedTol)
+            << "marks=" << marked.size() << " first=" << marked.front()
+            << " block_size=" << bs << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST_P(IsaSweep, GroverIterationsMatchPerOpOnOddBlockSizes) {
+  // 6000-wide blocks span a full and a partial chunk, 1000- and 40-wide
+  // blocks have SIMD tails and many blocks per chunk.
+  Rng rng(151);
+  const std::size_t size = 12000;
+  const std::vector<Index> marked{0, 999, 5999, 6000, 11999};
+  for (const std::size_t bs : {std::size_t{12000}, std::size_t{6000},
+                               std::size_t{1000}, std::size_t{40}}) {
+    const auto amps = random_amps(size, rng);
+    SoaVector fused = SoaVector::from_amplitudes(amps);
+    SoaVector per_op = fused;
+    kernels::grover_iterations(fused, marked, bs, 2 * kD + 3);
+    per_op_iterations(per_op, marked, bs, 2 * kD + 3);
+    EXPECT_LT(max_diff(fused, per_op), kFusedTol) << "block_size=" << bs;
+  }
+}
+
+TEST_P(IsaSweep, GroverIterationsMatchPerOpOnMixedSchedulesAcrossSizes) {
+  // The partial-search shape: l1 global iterations, then l2 block
+  // iterations (K = 4), from a complex non-uniform start. On one thread:
+  // test_threading pins every kernel, the fused one included, byte-identical
+  // at budgets 1, 2 and 4, and a team here would only fight concurrently
+  // running test binaries for the cores.
+  set_thread_budget(1);
+  Rng rng(157);
+  for (unsigned n = 10; n <= 20; ++n) {
+    const std::size_t size = pow2(n);
+    std::vector<Index> marked;
+    if (n % 3 == 0) {
+      marked = spread_marks(size, 1, size / 16 + 3);
+    } else if (n % 2 == 0) {
+      marked = {1};  // first block
+    } else {
+      marked = {size - 1 - n};  // last block
+    }
+    const SoaVector start = random_state(n, rng);
+    SoaVector fused = start;
+    SoaVector per_op = start;
+    kernels::grover_iterations(fused, marked, size, kD + 1);
+    kernels::grover_iterations(fused, marked, size / 4, kD - 1);
+    per_op_iterations(per_op, marked, size, kD + 1);
+    per_op_iterations(per_op, marked, size / 4, kD - 1);
+    EXPECT_LT(max_diff(fused, per_op), kFusedTol)
+        << "n=" << n << " marks=" << marked.size();
+  }
+  set_thread_budget(0);
+}
+
+TEST_P(IsaSweep, FusedSweepLeavesTheSumCacheOfItsStoredValues) {
+  // After a fused run, a per-op reflection that reads the cache must match
+  // one that recomputes the sums from the stored amplitudes. The per-op
+  // reflection before the run makes the cache valid for the partition, so
+  // a sweep that failed to refresh it would leave stale sums behind.
+  Rng rng(163);
+  const unsigned n = 14;
+  const std::size_t size = pow2(n);
+  const std::vector<Index> marked{7, size / 2 + 9};
+  for (const std::size_t bs : {size, size / 4}) {
+    SoaVector v = random_state(n, rng);
+    kernels::reflect_blocks_about_uniform(v, bs);
+    kernels::grover_iterations(v, marked, bs, kD + 5);
+    SoaVector cached = v;
+    SoaVector recomputed = v;
+    recomputed.invalidate_sums();
+    kernels::reflect_blocks_about_uniform(cached, bs);
+    kernels::reflect_blocks_about_uniform(recomputed, bs);
+    EXPECT_LT(max_diff(cached, recomputed), kFusedTol) << "block_size=" << bs;
+  }
+}
+
+TEST_P(IsaSweep, GroverIterationsRejectBadArguments) {
+  SoaVector v = reference::uniform_state(6);
+  const std::vector<Index> unsorted{9, 3};
+  const std::vector<Index> out_of_range{64};
+  const std::vector<Index> ok{3};
+  EXPECT_THROW(kernels::grover_iterations(v, ok, 48, 1), CheckFailure);
+  EXPECT_THROW(kernels::grover_iterations(v, ok, 0, 1), CheckFailure);
+  EXPECT_THROW(kernels::grover_iterations(v, unsorted, 16, 1), CheckFailure);
+  EXPECT_THROW(kernels::grover_iterations(v, out_of_range, 16, 1),
+               CheckFailure);
 }
 
 INSTANTIATE_TEST_SUITE_P(

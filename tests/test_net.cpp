@@ -509,6 +509,25 @@ TEST(NetWireTest, StatsNeedsNoIdButSubmitDoes) {
   server.stop();
 }
 
+TEST(NetWireTest, UnknownIdCancelAndTraceUseTheSharedWording) {
+  reset_driver_state();
+  Service service({.threads = 1}, net_test_registry());
+  net::NetServer server(service, {.listen = {"127.0.0.1", 0}});
+  server.start();
+  TestClient client(server.port());
+  // pqs_router answers these two from the same helpers, so a worker's ack
+  // must be exactly the helper's: no PQS_CHECK prefix.
+  client.send(R"({"op":"cancel","id":"ghost"})");
+  EXPECT_EQ(client.next_ack().dump(),
+            net::unknown_cancel_event("ghost").dump());
+  client.send(R"({"op":"trace","id":"ghost"})");
+  EXPECT_EQ(client.next_ack().dump(),
+            net::unknown_trace_event("ghost").dump());
+  EXPECT_EQ(net::unknown_cancel_event("ghost").at("message").as_string(),
+            "unknown or already-finished job id \"ghost\"");
+  server.stop();
+}
+
 TEST(NetWireTest, CarriageReturnsAreStripped) {
   reset_driver_state();
   Service service({.threads = 1}, net_test_registry());

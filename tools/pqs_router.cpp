@@ -233,12 +233,7 @@ class ClientRoute {
     UniqueLock lock(mutex_);
     const auto it = trace_owner_.find(id);
     if (it == trace_owner_.end()) {
-      write_locked(error_event("no trace for job id \"" + id +
-                               "\" (unknown, or forgotten — the router "
-                               "remembers the last " +
-                               std::to_string(kTraceOwnerCapacity) +
-                               " submitted ids)")
-                       .dump());
+      write_locked(net::unknown_trace_event(id).dump());
       return;
     }
     const std::size_t w = it->second;
@@ -254,9 +249,7 @@ class ClientRoute {
     UniqueLock lock(mutex_);
     const auto it = owner_.find(id);
     if (it == owner_.end()) {
-      write_locked(
-          error_event("unknown or already-finished job id \"" + id + "\"")
-              .dump());
+      write_locked(net::unknown_cancel_event(id).dump());
       return;
     }
     forward_and_ack(lock, it->second, line, "");
@@ -326,7 +319,7 @@ class ClientRoute {
     }
     trace_owner_.emplace(id, w);
     trace_owner_order_.push_back(id);
-    while (trace_owner_order_.size() > kTraceOwnerCapacity) {
+    while (trace_owner_order_.size() > net::kTraceIndexCapacity) {
       trace_owner_.erase(trace_owner_order_.front());
       trace_owner_order_.pop_front();
     }
@@ -438,8 +431,7 @@ class ClientRoute {
   /// Submits that will never produce a result (rejected, worker died).
   std::set<std::string> dropped_ PQS_GUARDED_BY(mutex_);
   /// id -> owning worker, kept past completion for `trace` routing
-  /// (bounded FIFO — the oldest remembered id is forgotten at the cap).
-  static constexpr std::size_t kTraceOwnerCapacity = 4096;
+  /// (bounded FIFO of net::kTraceIndexCapacity ids).
   std::map<std::string, std::size_t> trace_owner_ PQS_GUARDED_BY(mutex_);
   std::deque<std::string> trace_owner_order_ PQS_GUARDED_BY(mutex_);
   bool client_gone_ PQS_GUARDED_BY(mutex_) = false;
