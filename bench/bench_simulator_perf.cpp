@@ -338,7 +338,9 @@ int main(int argc, char** argv) {
   // -- section 1: SoA kernel tiers (dense_simd) ----------------------------
   // The same binary carries every compiled tier; force each supported one in
   // turn and measure the two reflection work-horses plus an end-to-end
-  // Grover loop. Scalar goes first so the speedup baseline exists.
+  // Grover loop. Scalar goes first so the speedup baseline exists. Every
+  // tier reads the block-sum cache, so each row is one pass per reflection
+  // and the speedups are the register width's alone.
   const unsigned simd_n = quick ? 18u : 22u;
   const unsigned simd_grover_n = 24u;
   const int simd_grover_iters = 100;

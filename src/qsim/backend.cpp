@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "qsim/isa.h"
 #include "qsim/kernels.h"
 
 namespace pqs::qsim {
@@ -152,11 +151,6 @@ class DenseBackend final : public Backend {
   }
   void apply_grover_iterations(Partition partition,
                                std::uint64_t count) override {
-    if (active_isa() == Isa::kScalar) {
-      // The scalar tier stays the per-op reference.
-      Backend::apply_grover_iterations(partition, count);
-      return;
-    }
     kernels::grover_iterations(
         amps_, spec_.marked,
         partition == Partition::kGlobal ? amps_.size() : block_size(), count);

@@ -14,7 +14,7 @@
 //                    ranges of N/K addresses), supports every operator and
 //                    arbitrary marked sets, and is the only engine that can
 //                    expose full amplitude vectors (snapshots, noise, the
-//                    Zalka hybrid argument). On the SIMD tiers, runs of
+//                    Zalka hybrid argument). On every ISA tier, runs of
 //                    Grover iterations (apply_grover_iterations) take many
 //                    iterations per sweep of the state, every per-element
 //                    update still applied. Capacity-limited to
@@ -138,11 +138,10 @@ class Backend {
   virtual void apply_block_rotation(double phi) = 0;
   /// `count` Grover iterations: the oracle, then the global or the block
   /// diffusion, `count` times. The default is that per-op loop, which the
-  /// symmetry engine and the dense engine's scalar tier run. The dense
-  /// engine's SIMD tiers run kernels::grover_iterations instead: many
-  /// iterations per sweep of the state, every per-element update still
-  /// applied, block means from the exact sum recurrence (agrees with the
-  /// per-op loop to rounding).
+  /// symmetry engine runs. The dense engine runs kernels::grover_iterations
+  /// instead, on every ISA tier: many iterations per sweep of the state,
+  /// every per-element update still applied, block means from the exact
+  /// sum recurrence (agrees with the per-op loop to rounding).
   virtual void apply_grover_iterations(Partition partition,
                                        std::uint64_t count);
   /// Step 3: keep the marked amplitudes, invert every other amplitude about

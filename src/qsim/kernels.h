@@ -29,9 +29,10 @@ namespace pqs::qsim::kernels {
 // (qsim/isa.h: scalar, AVX2+FMA, AVX-512F) and the reflection/rotation
 // kernels maintain SoaVector's block-sum cache so back-to-back
 // same-partition reflections skip their sum pass (one memory sweep per
-// kernel instead of two). The scalar tier never reads the cache, so it
-// stays a two-pass baseline; tests compare every tier against the serial
-// reference loops in tests/reference_kernels.h.
+// kernel instead of two). The tier only picks the segment primitives:
+// every tier reads the cache and runs the same composition, and tests
+// compare every tier against the serial reference loops in
+// tests/reference_kernels.h.
 //
 // All block means and reductions use deterministic fixed-chunk pairwise
 // summation (chunk partials combined pairwise), so results are independent

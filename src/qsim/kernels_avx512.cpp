@@ -1,10 +1,8 @@
-// AVX-512F tier of the SoA segment primitives (qsim/kernels_ops.h).
+// AVX-512F tier of the SoA segment primitives (qsim/kernels_ops.h): the
+// register traits SimdTier (qsim/kernels_simd.h) runs its loops on.
 //
 // Compiled with -mavx512f (per-file flag in CMakeLists.txt); without the
-// flag the __AVX512F__ guard degrades this TU to the scalar table. Same
-// shape notes as the AVX2 tier apply: ~1KB software prefetch, fused-sum
-// accumulation on the store passes, and NO non-temporal stores (they
-// regressed when measured).
+// flag the __AVX512F__ guard degrades this TU to the scalar table.
 #include "qsim/kernels_ops.h"
 
 #if defined(__AVX512F__)
@@ -13,299 +11,34 @@
 
 #include <cstddef>
 
+#include "qsim/kernels_simd.h"
+
 namespace pqs::qsim::kernels {
 
 namespace {
 
-/// Prefetch distance in bytes (per plane).
-constexpr int kPf = 1024;
+struct Avx512 {
+  using Reg = __m512d;
+  static constexpr std::size_t kWidth = 8;
+  static Reg zero() { return _mm512_setzero_pd(); }
+  static Reg set1(double x) { return _mm512_set1_pd(x); }
+  static Reg broadcast(const double* p) { return _mm512_set1_pd(*p); }
+  static Reg load(const double* p) { return _mm512_loadu_pd(p); }
+  static void store(double* p, Reg v) { _mm512_storeu_pd(p, v); }
+  static Reg add(Reg a, Reg b) { return _mm512_add_pd(a, b); }
+  static Reg sub(Reg a, Reg b) { return _mm512_sub_pd(a, b); }
+  static Reg mul(Reg a, Reg b) { return _mm512_mul_pd(a, b); }
+  static Reg fmadd(Reg a, Reg b, Reg c) { return _mm512_fmadd_pd(a, b, c); }
+  static Reg fnmadd(Reg a, Reg b, Reg c) { return _mm512_fnmadd_pd(a, b, c); }
+  static Reg fmsub(Reg a, Reg b, Reg c) { return _mm512_fmsub_pd(a, b, c); }
+  static double reduce(Reg v) { return _mm512_reduce_add_pd(v); }
+};
 
-inline void prefetch2(const double* re, const double* im, std::size_t i) {
-  _mm_prefetch(reinterpret_cast<const char*>(re + i) + kPf, _MM_HINT_T0);
-  _mm_prefetch(reinterpret_cast<const char*>(im + i) + kPf, _MM_HINT_T0);
-}
-
-void avx512_sum(const double* re, const double* im, std::size_t n,
-                double* sum_re, double* sum_im) {
-  __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-  __m512d b0 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    prefetch2(re, im, i);
-    a0 = _mm512_add_pd(a0, _mm512_loadu_pd(re + i));
-    a1 = _mm512_add_pd(a1, _mm512_loadu_pd(re + i + 8));
-    b0 = _mm512_add_pd(b0, _mm512_loadu_pd(im + i));
-    b1 = _mm512_add_pd(b1, _mm512_loadu_pd(im + i + 8));
-  }
-  double sr = _mm512_reduce_add_pd(_mm512_add_pd(a0, a1));
-  double si = _mm512_reduce_add_pd(_mm512_add_pd(b0, b1));
-  for (; i < n; ++i) {
-    sr += re[i];
-    si += im[i];
-  }
-  *sum_re = sr;
-  *sum_im = si;
-}
-
-double avx512_norm_sq(const double* re, const double* im, std::size_t n) {
-  __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    prefetch2(re, im, i);
-    const __m512d r0 = _mm512_loadu_pd(re + i);
-    const __m512d r1 = _mm512_loadu_pd(re + i + 8);
-    const __m512d s0 = _mm512_loadu_pd(im + i);
-    const __m512d s1 = _mm512_loadu_pd(im + i + 8);
-    a0 = _mm512_fmadd_pd(r0, r0, a0);
-    a1 = _mm512_fmadd_pd(r1, r1, a1);
-    a0 = _mm512_fmadd_pd(s0, s0, a0);
-    a1 = _mm512_fmadd_pd(s1, s1, a1);
-  }
-  double s = _mm512_reduce_add_pd(_mm512_add_pd(a0, a1));
-  for (; i < n; ++i) {
-    s += re[i] * re[i] + im[i] * im[i];
-  }
-  return s;
-}
-
-void avx512_inner(const double* a_re, const double* a_im, const double* b_re,
-                  const double* b_im, std::size_t n, double* sum_re,
-                  double* sum_im) {
-  __m512d acc_r = _mm512_setzero_pd();
-  __m512d acc_i = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d ar = _mm512_loadu_pd(a_re + i);
-    const __m512d ai = _mm512_loadu_pd(a_im + i);
-    const __m512d br = _mm512_loadu_pd(b_re + i);
-    const __m512d bi = _mm512_loadu_pd(b_im + i);
-    acc_r = _mm512_fmadd_pd(ar, br, acc_r);
-    acc_r = _mm512_fmadd_pd(ai, bi, acc_r);
-    acc_i = _mm512_fmadd_pd(ar, bi, acc_i);
-    acc_i = _mm512_fnmadd_pd(ai, br, acc_i);
-  }
-  double sr = _mm512_reduce_add_pd(acc_r);
-  double si = _mm512_reduce_add_pd(acc_i);
-  for (; i < n; ++i) {
-    sr += a_re[i] * b_re[i] + a_im[i] * b_im[i];
-    si += a_re[i] * b_im[i] - a_im[i] * b_re[i];
-  }
-  *sum_re = sr;
-  *sum_im = si;
-}
-
-void avx512_reflect(double* re, double* im, std::size_t n, double t_re,
-                    double t_im, double* sum_re, double* sum_im) {
-  const __m512d tr = _mm512_set1_pd(t_re);
-  const __m512d ti = _mm512_set1_pd(t_im);
-  __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-  __m512d b0 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    prefetch2(re, im, i);
-    const __m512d r0 = _mm512_sub_pd(tr, _mm512_loadu_pd(re + i));
-    const __m512d r1 = _mm512_sub_pd(tr, _mm512_loadu_pd(re + i + 8));
-    const __m512d s0 = _mm512_sub_pd(ti, _mm512_loadu_pd(im + i));
-    const __m512d s1 = _mm512_sub_pd(ti, _mm512_loadu_pd(im + i + 8));
-    _mm512_storeu_pd(re + i, r0);
-    _mm512_storeu_pd(re + i + 8, r1);
-    _mm512_storeu_pd(im + i, s0);
-    _mm512_storeu_pd(im + i + 8, s1);
-    a0 = _mm512_add_pd(a0, r0);
-    a1 = _mm512_add_pd(a1, r1);
-    b0 = _mm512_add_pd(b0, s0);
-    b1 = _mm512_add_pd(b1, s1);
-  }
-  double sr = _mm512_reduce_add_pd(_mm512_add_pd(a0, a1));
-  double si = _mm512_reduce_add_pd(_mm512_add_pd(b0, b1));
-  for (; i < n; ++i) {
-    const double r = t_re - re[i];
-    const double s = t_im - im[i];
-    re[i] = r;
-    im[i] = s;
-    sr += r;
-    si += s;
-  }
-  *sum_re = sr;
-  *sum_im = si;
-}
-
-/// 32 lanes per group (four registers per plane): eight independent
-/// subtraction chains cover the add latency on both FP ports, so a group's
-/// `steps` updates run from registers at the arithmetic rate.
-void avx512_reflect_series(double* re, double* im, std::size_t n,
-                           const double* t_re, const double* t_im,
-                           std::size_t steps, double* sum_re,
-                           double* sum_im) {
-  __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-  __m512d b0 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m512d r0 = _mm512_loadu_pd(re + i);
-    __m512d r1 = _mm512_loadu_pd(re + i + 8);
-    __m512d r2 = _mm512_loadu_pd(re + i + 16);
-    __m512d r3 = _mm512_loadu_pd(re + i + 24);
-    __m512d s0 = _mm512_loadu_pd(im + i);
-    __m512d s1 = _mm512_loadu_pd(im + i + 8);
-    __m512d s2 = _mm512_loadu_pd(im + i + 16);
-    __m512d s3 = _mm512_loadu_pd(im + i + 24);
-    for (std::size_t k = 0; k < steps; ++k) {
-      const __m512d tr = _mm512_set1_pd(t_re[k]);
-      const __m512d ti = _mm512_set1_pd(t_im[k]);
-      r0 = _mm512_sub_pd(tr, r0);
-      r1 = _mm512_sub_pd(tr, r1);
-      r2 = _mm512_sub_pd(tr, r2);
-      r3 = _mm512_sub_pd(tr, r3);
-      s0 = _mm512_sub_pd(ti, s0);
-      s1 = _mm512_sub_pd(ti, s1);
-      s2 = _mm512_sub_pd(ti, s2);
-      s3 = _mm512_sub_pd(ti, s3);
-    }
-    _mm512_storeu_pd(re + i, r0);
-    _mm512_storeu_pd(re + i + 8, r1);
-    _mm512_storeu_pd(re + i + 16, r2);
-    _mm512_storeu_pd(re + i + 24, r3);
-    _mm512_storeu_pd(im + i, s0);
-    _mm512_storeu_pd(im + i + 8, s1);
-    _mm512_storeu_pd(im + i + 16, s2);
-    _mm512_storeu_pd(im + i + 24, s3);
-    a0 = _mm512_add_pd(a0, _mm512_add_pd(r0, r2));
-    a1 = _mm512_add_pd(a1, _mm512_add_pd(r1, r3));
-    b0 = _mm512_add_pd(b0, _mm512_add_pd(s0, s2));
-    b1 = _mm512_add_pd(b1, _mm512_add_pd(s1, s3));
-  }
-  double sr = _mm512_reduce_add_pd(_mm512_add_pd(a0, a1));
-  double si = _mm512_reduce_add_pd(_mm512_add_pd(b0, b1));
-  for (; i < n; ++i) {
-    double r = re[i];
-    double s = im[i];
-    for (std::size_t k = 0; k < steps; ++k) {
-      r = t_re[k] - r;
-      s = t_im[k] - s;
-    }
-    re[i] = r;
-    im[i] = s;
-    sr += r;
-    si += s;
-  }
-  *sum_re = sr;
-  *sum_im = si;
-}
-
-void avx512_add(double* re, double* im, std::size_t n, double c_re,
-                double c_im, double* sum_re, double* sum_im) {
-  const __m512d cr = _mm512_set1_pd(c_re);
-  const __m512d ci = _mm512_set1_pd(c_im);
-  __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-  __m512d b0 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    prefetch2(re, im, i);
-    const __m512d r0 = _mm512_add_pd(cr, _mm512_loadu_pd(re + i));
-    const __m512d r1 = _mm512_add_pd(cr, _mm512_loadu_pd(re + i + 8));
-    const __m512d s0 = _mm512_add_pd(ci, _mm512_loadu_pd(im + i));
-    const __m512d s1 = _mm512_add_pd(ci, _mm512_loadu_pd(im + i + 8));
-    _mm512_storeu_pd(re + i, r0);
-    _mm512_storeu_pd(re + i + 8, r1);
-    _mm512_storeu_pd(im + i, s0);
-    _mm512_storeu_pd(im + i + 8, s1);
-    a0 = _mm512_add_pd(a0, r0);
-    a1 = _mm512_add_pd(a1, r1);
-    b0 = _mm512_add_pd(b0, s0);
-    b1 = _mm512_add_pd(b1, s1);
-  }
-  double sr = _mm512_reduce_add_pd(_mm512_add_pd(a0, a1));
-  double si = _mm512_reduce_add_pd(_mm512_add_pd(b0, b1));
-  for (; i < n; ++i) {
-    const double r = re[i] + c_re;
-    const double s = im[i] + c_im;
-    re[i] = r;
-    im[i] = s;
-    sr += r;
-    si += s;
-  }
-  *sum_re = sr;
-  *sum_im = si;
-}
-
-void avx512_scale(double* re, double* im, std::size_t n, double s_re,
-                  double s_im) {
-  const __m512d vr = _mm512_set1_pd(s_re);
-  const __m512d vi = _mm512_set1_pd(s_im);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    prefetch2(re, im, i);
-    const __m512d r = _mm512_loadu_pd(re + i);
-    const __m512d s = _mm512_loadu_pd(im + i);
-    _mm512_storeu_pd(re + i, _mm512_fmsub_pd(vr, r, _mm512_mul_pd(vi, s)));
-    _mm512_storeu_pd(im + i, _mm512_fmadd_pd(vr, s, _mm512_mul_pd(vi, r)));
-  }
-  for (; i < n; ++i) {
-    const double r = re[i];
-    const double s = im[i];
-    re[i] = s_re * r - s_im * s;
-    im[i] = s_re * s + s_im * r;
-  }
-}
-
-void avx512_gate1(double* re0, double* im0, double* re1, double* im1,
-                  std::size_t n, const double m[8]) {
-  const __m512d m00r = _mm512_set1_pd(m[0]), m00i = _mm512_set1_pd(m[1]);
-  const __m512d m01r = _mm512_set1_pd(m[2]), m01i = _mm512_set1_pd(m[3]);
-  const __m512d m10r = _mm512_set1_pd(m[4]), m10i = _mm512_set1_pd(m[5]);
-  const __m512d m11r = _mm512_set1_pd(m[6]), m11i = _mm512_set1_pd(m[7]);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d a0r = _mm512_loadu_pd(re0 + i);
-    const __m512d a0i = _mm512_loadu_pd(im0 + i);
-    const __m512d a1r = _mm512_loadu_pd(re1 + i);
-    const __m512d a1i = _mm512_loadu_pd(im1 + i);
-    __m512d r = _mm512_mul_pd(m00r, a0r);
-    r = _mm512_fnmadd_pd(m00i, a0i, r);
-    r = _mm512_fmadd_pd(m01r, a1r, r);
-    r = _mm512_fnmadd_pd(m01i, a1i, r);
-    __m512d s = _mm512_mul_pd(m00r, a0i);
-    s = _mm512_fmadd_pd(m00i, a0r, s);
-    s = _mm512_fmadd_pd(m01r, a1i, s);
-    s = _mm512_fmadd_pd(m01i, a1r, s);
-    _mm512_storeu_pd(re0 + i, r);
-    _mm512_storeu_pd(im0 + i, s);
-    r = _mm512_mul_pd(m10r, a0r);
-    r = _mm512_fnmadd_pd(m10i, a0i, r);
-    r = _mm512_fmadd_pd(m11r, a1r, r);
-    r = _mm512_fnmadd_pd(m11i, a1i, r);
-    s = _mm512_mul_pd(m10r, a0i);
-    s = _mm512_fmadd_pd(m10i, a0r, s);
-    s = _mm512_fmadd_pd(m11r, a1i, s);
-    s = _mm512_fmadd_pd(m11i, a1r, s);
-    _mm512_storeu_pd(re1 + i, r);
-    _mm512_storeu_pd(im1 + i, s);
-  }
-  for (; i < n; ++i) {
-    const double a0r = re0[i], a0i = im0[i];
-    const double a1r = re1[i], a1i = im1[i];
-    re0[i] = m[0] * a0r - m[1] * a0i + m[2] * a1r - m[3] * a1i;
-    im0[i] = m[0] * a0i + m[1] * a0r + m[2] * a1i + m[3] * a1r;
-    re1[i] = m[4] * a0r - m[5] * a0i + m[6] * a1r - m[7] * a1i;
-    im1[i] = m[4] * a0i + m[5] * a0r + m[6] * a1i + m[7] * a1r;
-  }
-}
+constexpr KernelOps kOps = SimdTier<Avx512>::ops();
 
 }  // namespace
 
-const KernelOps& avx512_kernel_ops() {
-  static const KernelOps ops{
-      .sum = avx512_sum,
-      .norm_sq = avx512_norm_sq,
-      .inner = avx512_inner,
-      .reflect = avx512_reflect,
-      .reflect_series = avx512_reflect_series,
-      .add = avx512_add,
-      .scale = avx512_scale,
-      .gate1 = avx512_gate1,
-  };
-  return ops;
-}
+const KernelOps& avx512_kernel_ops() { return kOps; }
 
 bool avx512_kernels_compiled() { return true; }
 

@@ -1,11 +1,13 @@
 // The per-ISA segment primitives behind the SoA kernels.
 //
-// Each tier (qsim/kernels_scalar.cpp, kernels_avx2.cpp, kernels_avx512.cpp)
-// fills one KernelOps table with implementations of the same contiguous-run
-// primitives; qsim/kernels_soa.cpp composes them into the block-structured
-// kernels (chunking, OpenMP, the sum cache) so the tier files stay tiny and
-// branch-free. All pointers operate on contiguous runs of the separated
-// re[]/im[] planes of a SoaVector.
+// Each tier fills one KernelOps table with implementations of the same
+// contiguous-run primitives: qsim/kernels_scalar.cpp with plain loops, and
+// kernels_avx2.cpp / kernels_avx512.cpp with the one width-generic SIMD
+// source (qsim/kernels_simd.h) over their register traits.
+// qsim/kernels_soa.cpp composes the table into the block-structured kernels
+// (chunking, OpenMP, the sum cache) the same way for every tier, so this
+// table is the only place the tier shows. All pointers operate on
+// contiguous runs of the separated re[]/im[] planes of a SoaVector.
 //
 // The mutating primitives that take sum_re/sum_im out-params accumulate the
 // sums of the values they STORE. That is the fused-sum trick this engine is
@@ -42,7 +44,7 @@ struct KernelOps {
                   double t_im, double* sum_re, double* sum_im);
   /// For k = 0 .. steps-1 in order: a <- t[k] - a, every step applied to
   /// every element. sum_re/sum_im <- sum of the values stored after the
-  /// last step.
+  /// last step (the segment's own sum when steps == 0).
   void (*reflect_series)(double* re, double* im, std::size_t n,
                          const double* t_re, const double* t_im,
                          std::size_t steps, double* sum_re, double* sum_im);

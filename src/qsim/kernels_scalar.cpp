@@ -1,9 +1,12 @@
 // Scalar tier of the SoA segment primitives (qsim/kernels_ops.h).
 //
-// Plain C++ loops with `omp simd` hints: this is the portable baseline every
-// other tier must agree with to 1e-10, and the tier CI pins with
-// PQS_ISA=scalar. Kept deliberately straight-line — when debugging a kernel
-// discrepancy this file is the specification.
+// Plain C++ loops with `omp simd` hints: the portable tier for CPUs without
+// AVX2+FMA, and one of the tiers CI pins with PQS_ISA. It runs through the
+// same composition as the SIMD tiers (qsim/kernels_soa.cpp, sum cache and
+// fused sweeps included); like them it must agree with the serial reference
+// loops in tests/reference_kernels.h to 1e-10. It is not a width-1
+// SimdTier (qsim/kernels_simd.h): baseline x86-64 has no FMA, so the
+// template's fmadd would become libm fma calls.
 #include <cstddef>
 
 #include "qsim/kernels_ops.h"
@@ -70,11 +73,15 @@ void scalar_reflect(double* re, double* im, std::size_t n, double t_re,
   *sum_im = si;
 }
 
+/// One reflect pass per step. With no step the segment is unchanged and the
+/// sums are its own.
 void scalar_reflect_series(double* re, double* im, std::size_t n,
                            const double* t_re, const double* t_im,
                            std::size_t steps, double* sum_re, double* sum_im) {
-  *sum_re = 0.0;
-  *sum_im = 0.0;
+  if (steps == 0) {
+    scalar_sum(re, im, n, sum_re, sum_im);
+    return;
+  }
   for (std::size_t k = 0; k < steps; ++k) {
     scalar_reflect(re, im, n, t_re[k], t_im[k], sum_re, sum_im);
   }

@@ -1,7 +1,8 @@
 // SoA kernel composition layer: chunking, threading (qsim/parallel.h), the
 // block-sum cache, and ISA dispatch. The arithmetic itself lives in the
-// per-tier segment primitives (qsim/kernels_scalar.cpp / kernels_avx2.cpp /
-// kernels_avx512.cpp).
+// per-tier segment primitives: qsim/kernels_scalar.cpp, and the one SIMD
+// source qsim/kernels_simd.h that kernels_avx2.cpp and kernels_avx512.cpp
+// instantiate with their register traits.
 //
 // Determinism contract: every mean/reduction is a fixed-chunk pairwise sum —
 // segments of kChunk elements are reduced by the tier primitive and the
@@ -14,9 +15,10 @@
 // (incremental oracle deltas never survive more than one iteration — no
 // drift accumulation). grover_iterations refreshes it once per sweep the
 // same way, so its recurrence's rounding never outlives a sweep of
-// kSweepDepth iterations. The scalar tier maintains the cache but never
-// READS it: it stays the two-pass reference the equivalence tests trust,
-// and DenseBackend runs it per op rather than through grover_iterations.
+// kSweepDepth iterations. Every tier reads and refreshes the cache the same
+// way: the tier only picks the KernelOps table (kernel_ops below), and the
+// serial reference loops in tests/reference_kernels.h are what the
+// equivalence tests trust.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -86,15 +88,14 @@ void sum_range(const double* re, const double* im, std::size_t lo,
   *out_im = combine_pairwise(pi.data(), nc);
 }
 
-/// Per-block sums for partition `bs`, from the cache when the active tier
-/// may use it, recomputed otherwise. Writes size()/bs entries.
+/// Per-block sums for partition `bs`, from the cache when it holds that
+/// partition, recomputed otherwise. Writes size()/bs entries.
 void block_sums(const SoaVector& v, std::size_t bs, const KernelOps& ops,
-                bool may_use_cache, std::vector<double>& sr,
-                std::vector<double>& si) {
+                std::vector<double>& sr, std::vector<double>& si) {
   const std::size_t nb = v.size() / bs;
   sr.resize(nb);
   si.resize(nb);
-  if (may_use_cache && v.sums_valid(bs)) {
+  if (v.sums_valid(bs)) {
     sr = v.sum_re();
     si = v.sum_im();
     return;
@@ -328,11 +329,9 @@ void reflect_blocks_about_uniform(SoaVector& v, std::size_t block_size) {
   PQS_CHECK(block_size > 0);
   PQS_CHECK_MSG(v.size() % block_size == 0,
                 "block size must divide the state size");
-  const Isa isa = active_isa();
-  const KernelOps& ops = kernel_ops(isa);
+  const KernelOps& ops = active_kernel_ops();
   std::vector<double> sr, si;
-  block_sums(v, block_size, ops, /*may_use_cache=*/isa != Isa::kScalar, sr,
-             si);
+  block_sums(v, block_size, ops, sr, si);
   const double inv = 2.0 / static_cast<double>(block_size);
   for (double& s : sr) {
     s *= inv;  // twice the block mean
@@ -348,11 +347,9 @@ void rotate_blocks_about_uniform(SoaVector& v, std::size_t block_size,
   PQS_CHECK(block_size > 0);
   PQS_CHECK_MSG(v.size() % block_size == 0,
                 "block size must divide the state size");
-  const Isa isa = active_isa();
-  const KernelOps& ops = kernel_ops(isa);
+  const KernelOps& ops = active_kernel_ops();
   std::vector<double> sr, si;
-  block_sums(v, block_size, ops, /*may_use_cache=*/isa != Isa::kScalar, sr,
-             si);
+  block_sums(v, block_size, ops, sr, si);
   const Amplitude factor =
       (std::polar(1.0, phi) - 1.0) / static_cast<double>(block_size);
   for (std::size_t b = 0; b < sr.size(); ++b) {
@@ -373,8 +370,7 @@ void grover_iterations(SoaVector& v, std::span<const Index> marked_sorted,
     PQS_CHECK_MSG(j == 0 || marked_sorted[j - 1] < marked_sorted[j],
                   "marked indices must be sorted and unique");
   }
-  const Isa isa = active_isa();
-  const KernelOps& ops = kernel_ops(isa);
+  const KernelOps& ops = active_kernel_ops();
   const std::size_t bs = block_size;
   const std::size_t nb = v.size() / bs;
   const std::size_t cpb = chunks_for(bs);
@@ -413,7 +409,7 @@ void grover_iterations(SoaVector& v, std::span<const Index> marked_sorted,
   for (std::uint64_t done = 0; done < count;) {
     const auto depth = static_cast<std::size_t>(
         std::min<std::uint64_t>(kSweepDepth, count - done));
-    block_sums(v, bs, ops, /*may_use_cache=*/isa != Isa::kScalar, sr, si);
+    block_sums(v, bs, ops, sr, si);
     // The serial recurrence, in the order the per-op kernels apply it: the
     // oracle's cache delta and flip, then the twice-means, then the marked
     // amplitudes' own reflection t - (-a).
@@ -522,14 +518,13 @@ void reflect_unmarked_about_their_mean(SoaVector& v,
 }
 
 Amplitude sum_all(const SoaVector& v) {
-  const Isa isa = active_isa();
-  if (isa != Isa::kScalar && v.sum_block_size() != 0) {
+  if (v.sum_block_size() != 0) {
     const std::size_t nb = v.sum_re().size();
     return Amplitude{combine_pairwise(v.sum_re().data(), nb),
                      combine_pairwise(v.sum_im().data(), nb)};
   }
   double sr = 0.0, si = 0.0;
-  sum_range(v.re(), v.im(), 0, v.size(), kernel_ops(isa), &sr, &si);
+  sum_range(v.re(), v.im(), 0, v.size(), active_kernel_ops(), &sr, &si);
   return Amplitude{sr, si};
 }
 

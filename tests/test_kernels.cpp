@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/math.h"
 #include "common/random.h"
 #include "qsim/isa.h"
+#include "qsim/kernels_ops.h"
 #include "qsim/parallel.h"
 #include "qsim/soa.h"
 #include "reference_kernels.h"
@@ -282,11 +285,15 @@ TEST(Kernels, ScaleMultipliesEverything) {
 // ---- ISA-parametrized sweep against the reference -------------------------
 //
 // Every SoA kernel must agree with its serial reference implementation
-// (reference_kernels.h) to 1e-10 on every tier compiled into this binary AND supported by this CPU
-// (qsim/isa.h). The sweep runs on random non-uniform states, non-power-of-
-// two sizes (SIMD tail paths), and n = 1 (N = 2, smaller than one vector
-// register). CI pins PQS_ISA=scalar and PQS_ISA=avx2 jobs so the narrower
-// tiers stay covered even when the runner has wider hardware.
+// (reference_kernels.h) to 1e-10 on every tier compiled into this binary AND
+// supported by this CPU (qsim/isa.h). Every tier runs the same composition,
+// sum cache and fused sweeps included; only the KernelOps table differs, and
+// EveryPrimitiveMatchesAPlainLoopAtEveryTail checks each table entry on its
+// own. The sweep runs on random non-uniform states, non-power-of-two sizes
+// (SIMD tail paths), and n = 1 (N = 2, smaller than one vector register).
+// CI also runs the whole suite under PQS_ISA=scalar and PQS_ISA=avx2, so the
+// narrower tiers stay covered end to end even when the runner has wider
+// hardware.
 
 constexpr double kTierTol = 1e-10;
 
@@ -451,6 +458,131 @@ TEST_P(IsaSweep, ReductionsMatchReference) {
                       std::span<const Amplitude>(ref).subspan(1, size - 2)),
                   kTierTol);
     }
+  }
+}
+
+std::vector<double> random_plane(std::size_t n, Rng& rng) {
+  std::vector<double> plane(n);
+  for (double& x : plane) {
+    x = rng.normal();
+  }
+  return plane;
+}
+
+double max_abs_diff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    d = std::max(d, std::abs(a[i] - b[i]));
+  }
+  return d;
+}
+
+TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
+  // Each KernelOps entry of the tier, called directly, against a plain
+  // serial loop. Lengths 0..65 cross every register-group tail of every
+  // width (the widest group is 32 lanes); 4096 and 4099 are one chunk with
+  // and without a tail. Stored values may differ from the loop only by FMA
+  // contraction, sums also by summation order; reflect_series with no step
+  // leaves the segment and reports its sum.
+  constexpr double kLaneTol = 1e-13;
+  const kernels::KernelOps& ops = kernels::kernel_ops(GetParam());
+  Rng rng(167);
+  std::vector<std::size_t> lengths(66);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(4096);
+  lengths.push_back(4099);
+  const std::vector<double> t_re = random_plane(kSweepDepth, rng);
+  const std::vector<double> t_im = random_plane(kSweepDepth, rng);
+  const double m[8] = {0.6, 0.1, -0.3, 0.2, 0.5, -0.4, 0.7, 0.05};
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<double> re = random_plane(n, rng);
+    const std::vector<double> im = random_plane(n, rng);
+    const std::vector<double> b_re = random_plane(n, rng);
+    const std::vector<double> b_im = random_plane(n, rng);
+    double sr = 0.0, si = 0.0, wr = 0.0, wi = 0.0, w = 0.0;
+
+    ops.sum(re.data(), im.data(), n, &sr, &si);
+    for (std::size_t i = 0; i < n; ++i) {
+      wr += re[i];
+      wi += im[i];
+      w += re[i] * re[i] + im[i] * im[i];
+    }
+    EXPECT_NEAR(sr, wr, kTierTol);
+    EXPECT_NEAR(si, wi, kTierTol);
+    EXPECT_NEAR(ops.norm_sq(re.data(), im.data(), n), w, kTierTol);
+
+    ops.inner(re.data(), im.data(), b_re.data(), b_im.data(), n, &sr, &si);
+    wr = wi = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      wr += re[i] * b_re[i] + im[i] * b_im[i];
+      wi += re[i] * b_im[i] - im[i] * b_re[i];
+    }
+    EXPECT_NEAR(sr, wr, kTierTol);
+    EXPECT_NEAR(si, wi, kTierTol);
+
+    // The mutating sum primitives against one loop: `steps` updates
+    // a <- t[k] - a (or a <- a + t[k]), then the sums of the stored values.
+    const auto expect_update = [&](const char* what, std::size_t steps,
+                                   bool is_add, auto&& apply) {
+      SCOPED_TRACE(std::string(what) + " steps=" + std::to_string(steps));
+      std::vector<double> r = re, s = im, want_r = re, want_s = im;
+      wr = wi = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = 0; k < steps; ++k) {
+          want_r[i] = is_add ? want_r[i] + t_re[k] : t_re[k] - want_r[i];
+          want_s[i] = is_add ? want_s[i] + t_im[k] : t_im[k] - want_s[i];
+        }
+        wr += want_r[i];
+        wi += want_s[i];
+      }
+      apply(r.data(), s.data());
+      EXPECT_LT(max_abs_diff(r, want_r), kLaneTol);
+      EXPECT_LT(max_abs_diff(s, want_s), kLaneTol);
+      EXPECT_NEAR(sr, wr, kTierTol);
+      EXPECT_NEAR(si, wi, kTierTol);
+    };
+    expect_update("reflect", 1, false, [&](double* r, double* s) {
+      ops.reflect(r, s, n, t_re[0], t_im[0], &sr, &si);
+    });
+    expect_update("add", 1, true, [&](double* r, double* s) {
+      ops.add(r, s, n, t_re[0], t_im[0], &sr, &si);
+    });
+    for (const std::size_t steps : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{5}, kSweepDepth}) {
+      expect_update("reflect_series", steps, false, [&](double* r, double* s) {
+        ops.reflect_series(r, s, n, t_re.data(), t_im.data(), steps, &sr,
+                           &si);
+      });
+    }
+
+    std::vector<double> r = re, s = im, want_r(n), want_s(n);
+    ops.scale(r.data(), s.data(), n, m[0], m[1]);
+    for (std::size_t i = 0; i < n; ++i) {
+      want_r[i] = m[0] * re[i] - m[1] * im[i];
+      want_s[i] = m[0] * im[i] + m[1] * re[i];
+    }
+    EXPECT_LT(max_abs_diff(r, want_r), kLaneTol);
+    EXPECT_LT(max_abs_diff(s, want_s), kLaneTol);
+
+    r = re;
+    s = im;
+    std::vector<double> r1 = b_re, s1 = b_im, want_r1(n), want_s1(n);
+    ops.gate1(r.data(), s.data(), r1.data(), s1.data(), n, m);
+    for (std::size_t i = 0; i < n; ++i) {
+      want_r[i] = m[0] * re[i] - m[1] * im[i] + m[2] * b_re[i] - m[3] * b_im[i];
+      want_s[i] = m[0] * im[i] + m[1] * re[i] + m[2] * b_im[i] + m[3] * b_re[i];
+      want_r1[i] =
+          m[4] * re[i] - m[5] * im[i] + m[6] * b_re[i] - m[7] * b_im[i];
+      want_s1[i] =
+          m[4] * im[i] + m[5] * re[i] + m[6] * b_im[i] + m[7] * b_re[i];
+    }
+    EXPECT_LT(max_abs_diff(r, want_r), kLaneTol);
+    EXPECT_LT(max_abs_diff(s, want_s), kLaneTol);
+    EXPECT_LT(max_abs_diff(r1, want_r1), kLaneTol);
+    EXPECT_LT(max_abs_diff(s1, want_s1), kLaneTol);
   }
 }
 
