@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto n = static_cast<unsigned>(
       cli.get_int("qubits", 12, "address qubits"));
-  const auto engine = qsim::parse_engine_flags(cli);
+  const qsim::BackendKind backend_kind = qsim::parse_engine_flags(cli);
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t m = 0; m <= m_star; m += m_star / 10) {
     const double closed = kHalfPi - grover::angle_after(n_items, m);
     db.reset_queries();
-    const auto backend = grover::evolve_on_backend(db, m, engine.backend);
+    const auto backend = grover::evolve_on_backend(db, m, backend_kind);
     const double a_t = backend->amplitudes_copy()[1].real();
     const double measured = std::acos(std::clamp(a_t, -1.0, 1.0));
     table.add_row({Table::num(m), Table::num(closed, 4),

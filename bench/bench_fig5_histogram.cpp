@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       cli.get_int("kbits", 2, "block bits (K = 2^k)"));
   // Snapshot capture needs full amplitude vectors: --backend symmetry is
   // rejected loudly by run_partial_search rather than silently ignored.
-  const auto engine = qsim::parse_engine_flags(cli);
+  const qsim::BackendKind backend = qsim::parse_engine_flags(cli);
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   Rng rng(5);
 
   partial::GrkOptions options;
-  options.backend = engine.backend;
+  options.backend = backend;
   options.capture_snapshots = true;
   options.min_success = 1.0 - 1.0 / std::sqrt(static_cast<double>(n_items));
   const auto result = partial::run_partial_search(db, k, rng, options);

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto n = static_cast<unsigned>(
       cli.get_int("qubits", 16, "address qubits for the simulated column"));
-  const auto engine = qsim::parse_engine_flags(cli);
+  const qsim::BackendKind backend = qsim::parse_engine_flags(cli);
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
       const oracle::Database db =
           oracle::Database::with_qubits(n, n_items / 2 + 17);
       partial::GrkOptions options;
-      options.backend = engine.backend;
+      options.backend = backend;
       options.min_success = 1.0 - 1.0 / sqrt_n;
       const auto run = partial::run_partial_search(db, k_bits, rng, options);
       sim_q = Table::num(static_cast<double>(run.queries) / sqrt_n, 3);

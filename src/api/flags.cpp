@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "qsim/flags.h"
 
 namespace pqs::api {
 
@@ -38,8 +39,7 @@ SearchSpec parse_search_spec(Cli& cli, const SpecFlagSet& flags,
     spec.n_blocks = pow2(default_kbits);
     spec.marked = {default_target % spec.n_items};
   }
-  spec.backend = qsim::parse_backend_kind(cli.get_string(
-      "backend", "auto", "simulation engine: auto | dense | symmetry"));
+  spec.backend = qsim::parse_engine_flags(cli);
   spec.seed = static_cast<std::uint64_t>(cli.get_int(
       "seed", static_cast<std::int64_t>(flags.seed_default),
       "seed of the run's RNG stream"));

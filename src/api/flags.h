@@ -1,9 +1,8 @@
-// CLI -> SearchSpec: the facade-era flag set. Where PR 2's qsim/flags.h
-// collapsed the engine knobs (--backend/--batch/--noise) across binaries,
-// this collapses the WHOLE request: --algo plus the shared knobs parse
-// straight into a SearchSpec, so every facade-ported bench and example
-// spells the full request identically and typos fail loudly through
-// Cli::finish().
+// CLI -> SearchSpec: the whole request as flags. --algo plus the shared
+// knobs parse straight into a SearchSpec, so every bench and example spells
+// the full request identically and typos fail loudly through Cli::finish().
+// --backend is declared through qsim/flags.h, the one place that defines
+// it.
 #pragma once
 
 #include "api/search_spec.h"

@@ -2,8 +2,6 @@
 //
 // A fleet front-end cannot publish every per-request latency, and a plain
 // mean hides exactly the tail a service is judged on. LogHistogram keeps a
-// (pqs::Histogram in common/stats.h is the fixed-range double-bin sibling
-// for amplitude pictures; this one is integer, log-spaced, mergeable.)
 // fixed 256-slot array of log-spaced buckets — values 0..7 exact, then four
 // sub-buckets per power of two (relative bucket width <= 25%) up to the full
 // uint64 range — so recording is O(1) with no allocation, merging client

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -58,65 +57,6 @@ double RunningStats::sem() const {
 }
 
 double RunningStats::ci95_halfwidth() const { return 1.96 * sem(); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  PQS_CHECK(lo < hi);
-  PQS_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double f = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::size_t>(f * static_cast<double>(counts_.size()));
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  PQS_CHECK(i < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  PQS_CHECK(i < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t bar_width) const {
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) {
-    peak = std::max(peak, c);
-  }
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto len = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(bar_width));
-    os << '[';
-    os.setf(std::ios::fixed);
-    os.precision(4);
-    os.width(10);
-    os << bin_lo(i) << ", ";
-    os.width(10);
-    os << bin_hi(i) << ") |" << std::string(len, '#') << "  " << counts_[i]
-       << '\n';
-  }
-  if (underflow_ != 0 || overflow_ != 0) {
-    os << "underflow: " << underflow_ << "  overflow: " << overflow_ << '\n';
-  }
-  return os.str();
-}
 
 std::string signed_bar(double value, double max_abs, std::size_t half_width) {
   PQS_CHECK(max_abs > 0.0);

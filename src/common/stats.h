@@ -1,11 +1,10 @@
-// Streaming statistics and histograms for the Monte-Carlo baselines and the
-// experiment reports.
+// Streaming statistics for the Monte-Carlo baselines and the experiment
+// reports, and the signed amplitude bars of the figure benches.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace pqs {
 
@@ -34,33 +33,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-range histogram with uniform bins; used for amplitude histograms
-/// (Figure 5) and query-count distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-
-  /// Multi-line ASCII rendering with proportional bars.
-  std::string render(std::size_t bar_width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
 };
 
 /// One-line signed bar chart used to render amplitude pictures like the

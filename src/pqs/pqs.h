@@ -30,7 +30,6 @@
 #include "qsim/batch.h"
 #include "qsim/circuit.h"
 #include "qsim/gates.h"
-#include "qsim/gates2.h"
 #include "qsim/kernels.h"
 #include "qsim/noise.h"
 #include "qsim/types.h"

@@ -70,9 +70,6 @@ void Backend::apply_grover_iterations(Partition partition,
 void Backend::apply_gate1(unsigned, const Gate2&) {
   PQS_CHECK_MSG(false, "single-qubit gates need the dense backend");
 }
-void Backend::apply_controlled_gate1(std::uint64_t, unsigned, const Gate2&) {
-  PQS_CHECK_MSG(false, "controlled gates need the dense backend");
-}
 void Backend::apply_phase_flip_known(Index) {
   PQS_CHECK_MSG(false, "single-state phase flips need the dense backend");
 }
@@ -180,10 +177,6 @@ class DenseBackend final : public Backend {
 
   void apply_gate1(unsigned q, const Gate2& g) override {
     kernels::apply_gate1(amps_, qubits(), q, g);
-  }
-  void apply_controlled_gate1(std::uint64_t control_mask, unsigned q,
-                              const Gate2& g) override {
-    kernels::apply_controlled_gate1(amps_, qubits(), control_mask, q, g);
   }
   void apply_phase_flip_known(Index x) override {
     kernels::phase_flip_index(amps_, x);
@@ -687,9 +680,6 @@ struct BackendApplyVisitor {
   Backend& backend;
 
   void operator()(const Gate1Op& op) const { backend.apply_gate1(op.q, op.g); }
-  void operator()(const CGate1Op& op) const {
-    backend.apply_controlled_gate1(op.control_mask, op.q, op.g);
-  }
   void operator()(const LayerOp& op) const {
     const unsigned n = log2_exact(backend.num_items());
     for (unsigned q = 0; q < n; ++q) {

@@ -170,8 +170,6 @@ class Backend {
 
   // -- gate-level ops (dense only; the defaults throw CheckFailure) --
   virtual void apply_gate1(unsigned q, const Gate2& g);
-  virtual void apply_controlled_gate1(std::uint64_t control_mask, unsigned q,
-                                      const Gate2& g);
   virtual void apply_phase_flip_known(Index x);
   virtual void apply_mcz(std::uint64_t mask);
 

@@ -23,10 +23,6 @@ struct NameVisitor {
   std::string operator()(const Gate1Op& op) const {
     return op.g.name + "(q" + std::to_string(op.q) + ")";
   }
-  std::string operator()(const CGate1Op& op) const {
-    return "C[" + std::to_string(op.control_mask) + "]" + op.g.name + "(q" +
-           std::to_string(op.q) + ")";
-  }
   std::string operator()(const LayerOp& op) const {
     return op.g.name + "^(x)n";
   }
@@ -74,12 +70,6 @@ Circuit& Circuit::add(Op op) {
 Circuit& Circuit::gate1(unsigned q, const Gate2& g) {
   PQS_CHECK_MSG(q < n_qubits_, "qubit index out of range");
   return add(Gate1Op{q, g});
-}
-
-Circuit& Circuit::controlled(std::uint64_t control_mask, unsigned q,
-                             const Gate2& g) {
-  PQS_CHECK_MSG(q < n_qubits_, "qubit index out of range");
-  return add(CGate1Op{control_mask, q, g});
 }
 
 Circuit& Circuit::layer(const Gate2& g) { return add(LayerOp{g}); }

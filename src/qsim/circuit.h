@@ -27,13 +27,6 @@ struct Gate1Op {
   Gate2 g;
 };
 
-/// Apply a 2x2 gate to qubit q, controlled on all qubits in `control_mask`.
-struct CGate1Op {
-  std::uint64_t control_mask;
-  unsigned q;
-  Gate2 g;
-};
-
 /// Apply the same 2x2 gate to every qubit (e.g. the H^(x)n / X^(x)n layers).
 struct LayerOp {
   Gate2 g;
@@ -83,7 +76,7 @@ struct GlobalPhaseOp {
 /// and invert all the *other* amplitudes about their mean. 1 query.
 struct NonTargetMeanOp {};
 
-using Op = std::variant<Gate1Op, CGate1Op, LayerOp, OracleOp, OraclePhaseOp,
+using Op = std::variant<Gate1Op, LayerOp, OracleOp, OraclePhaseOp,
                         GlobalDiffusionOp, BlockDiffusionOp, BlockRotationOp,
                         PhaseFlipKnownOp, MczOp, GlobalPhaseOp,
                         NonTargetMeanOp>;
@@ -105,7 +98,6 @@ class Circuit {
   // -- builders --
   Circuit& add(Op op);
   Circuit& gate1(unsigned q, const Gate2& g);
-  Circuit& controlled(std::uint64_t control_mask, unsigned q, const Gate2& g);
   Circuit& layer(const Gate2& g);
   Circuit& hadamard_all() { return layer(gates::H()); }
   Circuit& oracle();

@@ -1,39 +1,10 @@
 #include "qsim/flags.h"
 
-#include "common/check.h"
-
 namespace pqs::qsim {
 
-EngineFlags parse_engine_flags(Cli& cli) {
-  EngineFlags flags;
-  flags.backend = parse_backend_kind(cli.get_string(
+BackendKind parse_engine_flags(Cli& cli) {
+  return parse_backend_kind(cli.get_string(
       "backend", "auto", "simulation engine: auto | dense | symmetry"));
-  return flags;
-}
-
-EngineFlags parse_engine_flags_batched(Cli& cli) {
-  EngineFlags flags = parse_engine_flags(cli);
-  flags.batch = BatchOptions{
-      .threads = static_cast<unsigned>(cli.get_int(
-          "batch", 0, "shot fan-out threads (0 = all hardware threads)"))};
-  return flags;
-}
-
-EngineFlags parse_engine_flags_with_noise(Cli& cli) {
-  EngineFlags flags = parse_engine_flags_batched(cli);
-  flags.noise.kind = parse_noise_kind(cli.get_string(
-      "noise", "depolarizing",
-      "noise channel: none | depolarizing | dephasing | bitflip"));
-  flags.noise.probability = cli.get_double(
-      "noise-p", 0.0, "per-qubit error rate after each oracle call");
-  flags.noise.validate();
-  // A disabled channel with a nonzero rate would run clean while the
-  // output reports noisy rows; refuse the contradiction loudly.
-  PQS_CHECK_MSG(
-      flags.noise.kind != NoiseKind::kNone || flags.noise.probability == 0.0,
-      "--noise none contradicts a nonzero --noise-p (pick a channel, or "
-      "drop --noise-p)");
-  return flags;
 }
 
 }  // namespace pqs::qsim

@@ -1,38 +1,19 @@
-// Shared --backend / --batch / --noise flag handling for bench and example
-// binaries, so every CLI spells the engine knobs identically and typos fail
-// loudly through Cli::finish().
+// The one --backend flag of every CLI: its name, default and help text live
+// here, so every bench, example and api::parse_search_spec spells the engine
+// choice identically and typos fail loudly through Cli::finish().
 //
-// Only declare the flags a binary actually consumes: parse_engine_flags
-// declares --backend alone, so passing --batch to a binary with no shot
-// fan-out is an unknown-flag error instead of a silently ignored knob
-// (the bug class this layer exists to prevent).
+// Only binaries that pick an engine declare it: passing --backend to a
+// binary that never simulates is an unknown-flag error instead of a silently
+// ignored knob (the bug class this layer exists to prevent).
 #pragma once
 
 #include "common/cli.h"
 #include "qsim/backend.h"
-#include "qsim/batch.h"
-#include "qsim/noise.h"
 
 namespace pqs::qsim {
 
-/// The parsed engine knobs of one binary.
-struct EngineFlags {
-  BackendKind backend = BackendKind::kAuto;
-  BatchOptions batch;  ///< threads from --batch (0 = all hardware threads)
-  NoiseModel noise;    ///< channel from --noise, rate from --noise-p
-};
-
-/// Declare and parse --backend only (binaries whose runs are single-shot).
-/// Call before cli.finish().
-EngineFlags parse_engine_flags(Cli& cli);
-
-/// parse_engine_flags plus --batch, for binaries that fan shots or trials
-/// across threads.
-EngineFlags parse_engine_flags_batched(Cli& cli);
-
-/// parse_engine_flags_batched plus the --noise / --noise-p pair (validated
-/// once here: a negative or >1 rate throws instead of silently running
-/// clean). For the Monte-Carlo noise drivers.
-EngineFlags parse_engine_flags_with_noise(Cli& cli);
+/// Declare and parse --backend (auto | dense | symmetry). Call before
+/// cli.finish().
+BackendKind parse_engine_flags(Cli& cli);
 
 }  // namespace pqs::qsim

@@ -17,10 +17,6 @@
 #include "qsim/soa.h"
 #include "qsim/types.h"
 
-namespace pqs::qsim {
-struct Gate4;  // qsim/gates2.h
-}  // namespace pqs::qsim
-
 namespace pqs::qsim::kernels {
 
 // ---------------------------------------------------------------------------
@@ -68,22 +64,9 @@ namespace pqs::qsim::kernels {
 /// Apply a 2x2 unitary to qubit `q` (bit q of the index) of an n-qubit state.
 void apply_gate1(SoaVector& v, unsigned n_qubits, unsigned q, const Gate2& g);
 
-/// Apply the gate to qubit `q` only on basis states where every control bit in
-/// `control_mask` is 1. `control_mask` must not contain bit q.
-void apply_controlled_gate1(SoaVector& v, unsigned n_qubits,
-                            std::uint64_t control_mask, unsigned q,
-                            const Gate2& g);
-
-/// Apply a 4x4 unitary to qubits (q_high, q_low) of an n-qubit state. The
-/// qubits are arbitrary and distinct; the gate's basis order is |q_high q_low>.
-void apply_gate2(SoaVector& v, unsigned n_qubits, unsigned q_high,
-                 unsigned q_low, const Gate4& g);
-
 /// Multiply the amplitude of the single basis state `t` by -1 (the selective
-/// inversion I_t = I - 2|t><t| of the paper), or by e^{i phi} (the
-/// generalized selective phase of the sure-success variants).
+/// inversion I_t = I - 2|t><t| of the paper).
 void phase_flip_index(SoaVector& v, Index t);
-void phase_rotate_index(SoaVector& v, Index t, double phi);
 
 /// Oracle fast paths: flip the sign of, or multiply by e^{i phi}, exactly the
 /// listed basis states. `marked_sorted` must be sorted and unique. O(m).

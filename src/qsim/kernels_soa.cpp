@@ -25,7 +25,6 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "qsim/gates2.h"
 #include "qsim/kernels.h"
 #include "qsim/kernels_ops.h"
 #include "qsim/parallel.h"
@@ -185,86 +184,9 @@ void apply_gate1(SoaVector& v, unsigned n_qubits, unsigned q, const Gate2& g) {
   v.invalidate_sums();
 }
 
-void apply_controlled_gate1(SoaVector& v, unsigned n_qubits,
-                            std::uint64_t control_mask, unsigned q,
-                            const Gate2& g) {
-  PQS_CHECK_MSG(v.size() == pow2(n_qubits),
-                "state size does not match qubit count");
-  PQS_CHECK_MSG(q < n_qubits, "qubit index out of range");
-  PQS_CHECK_MSG((control_mask & (std::uint64_t{1} << q)) == 0,
-                "target qubit cannot be its own control");
-  PQS_CHECK_MSG(control_mask < v.size(), "control mask out of range");
-  const std::uint64_t stride = std::uint64_t{1} << q;
-  const auto n = static_cast<SIdx>(v.size());
-  const Amplitude m00 = g.m[0][0], m01 = g.m[0][1], m10 = g.m[1][0],
-                  m11 = g.m[1][1];
-  double* re = v.re();
-  double* im = v.im();
-  const auto pairs = n / (static_cast<SIdx>(stride) * 2);
-  parallel_for(pairs, parallel_threads(v.size()), [&](SIdx p) {
-    const SIdx base = p * static_cast<SIdx>(stride) * 2;
-    for (SIdx off = 0; off < static_cast<SIdx>(stride); ++off) {
-      const auto i0 = static_cast<std::uint64_t>(base + off);
-      if ((i0 & control_mask) != control_mask) {
-        continue;
-      }
-      const auto i1 = i0 + stride;
-      const Amplitude a0{re[i0], im[i0]};
-      const Amplitude a1{re[i1], im[i1]};
-      const Amplitude b0 = m00 * a0 + m01 * a1;
-      const Amplitude b1 = m10 * a0 + m11 * a1;
-      re[i0] = b0.real();
-      im[i0] = b0.imag();
-      re[i1] = b1.real();
-      im[i1] = b1.imag();
-    }
-  });
-  v.invalidate_sums();
-}
-
-void apply_gate2(SoaVector& v, unsigned n_qubits, unsigned q_high,
-                 unsigned q_low, const Gate4& g) {
-  PQS_CHECK_MSG(v.size() == pow2(n_qubits),
-                "state size does not match qubit count");
-  PQS_CHECK_MSG(q_high < n_qubits && q_low < n_qubits,
-                "qubit index out of range");
-  PQS_CHECK_MSG(q_high != q_low, "two-qubit gate needs distinct qubits");
-  const std::uint64_t bit_h = std::uint64_t{1} << q_high;
-  const std::uint64_t bit_l = std::uint64_t{1} << q_low;
-  const std::uint64_t below_lo = std::min(bit_h, bit_l) - 1;
-  const std::uint64_t below_hi = std::max(bit_h, bit_l) - 1;
-  double* re = v.re();
-  double* im = v.im();
-  // One iteration per four-tuple: spreading the tuple number around the two
-  // qubit positions gives its |00> member.
-  parallel_for(static_cast<SIdx>(v.size() / 4), parallel_threads(v.size()),
-               [&](SIdx t) {
-    auto x = static_cast<std::uint64_t>(t);
-    x = (x & below_lo) | ((x & ~below_lo) << 1);
-    x = (x & below_hi) | ((x & ~below_hi) << 1);
-    const std::uint64_t idx[4] = {x, x | bit_l, x | bit_h, x | bit_h | bit_l};
-    Amplitude a[4];
-    for (std::size_t j = 0; j < 4; ++j) {
-      a[j] = Amplitude{re[idx[j]], im[idx[j]]};
-    }
-    for (std::size_t r = 0; r < 4; ++r) {
-      const Amplitude b = g.m[r][0] * a[0] + g.m[r][1] * a[1] +
-                          g.m[r][2] * a[2] + g.m[r][3] * a[3];
-      re[idx[r]] = b.real();
-      im[idx[r]] = b.imag();
-    }
-  });
-  v.invalidate_sums();
-}
-
 void phase_flip_index(SoaVector& v, Index t) {
   const Index marked[1] = {t};
   phase_flip_indices(v, marked);
-}
-
-void phase_rotate_index(SoaVector& v, Index t, double phi) {
-  const Index marked[1] = {t};
-  phase_rotate_indices(v, marked, phi);
 }
 
 void phase_flip_indices(SoaVector& v, std::span<const Index> marked_sorted) {

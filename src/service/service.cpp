@@ -23,6 +23,27 @@ std::string_view to_string(JobStatus status) {
   return "?";
 }
 
+// ---- Job -------------------------------------------------------------------
+
+void detail::Job::settle_locked(JobStatus final_status,
+                                SearchReport final_report,
+                                std::string final_error) {
+  if (status != JobStatus::kQueued && status != JobStatus::kRunning) {
+    return;  // already settled
+  }
+  if (trace != nullptr) {
+    switch (final_status) {
+      case JobStatus::kDone: trace->span("finish.done"); break;
+      case JobStatus::kCancelled: trace->span("finish.cancelled"); break;
+      default: trace->span("finish.failed"); break;
+    }
+    trace_store->retire(trace);
+  }
+  status = final_status;
+  report = std::move(final_report);
+  error = std::move(final_error);
+}
+
 // ---- JobHandle -------------------------------------------------------------
 
 JobStatus JobHandle::status_locked() const {
@@ -97,9 +118,15 @@ void JobHandle::cancel() {
       return;  // this attachment already cancelled
     }
     // Last attached caller out stops the execution itself; otherwise the
-    // job keeps running for the still-attached callers.
+    // job keeps running for the still-attached callers. A queued job that
+    // every caller left never starts, so it settles here, before any waiter
+    // can read kCancelled; the service drops its queue entry later.
     if (job_->attached.fetch_sub(1) == 1) {
       job_->control.cancel();
+      if (job_->status == JobStatus::kQueued) {
+        job_->settle_locked(JobStatus::kCancelled, {},
+                            "cancelled while queued");
+      }
     }
   }
   job_->cv.notify_all();  // waiters on this handle see kCancelled now
@@ -309,6 +336,7 @@ JobHandle Service::submit(const SearchSpec& spec, int priority) {
   // contract as journal_id); from here every layer the job crosses can
   // emit spans through the control's sink.
   job->trace = trace_store_.mint();
+  job->trace_store = &trace_store_;
   if (job->trace != nullptr) {
     job->control.set_span_sink(job->trace.get());
     job->trace->span("submit");
@@ -345,36 +373,14 @@ Json Service::metrics_snapshot() const {
 
 void Service::reap_cancelled_locked() {
   for (auto it = queue_.begin(); it != queue_.end();) {
-    const std::shared_ptr<Job>& job = it->second;
-    if (!job->control.cancelled()) {
+    if (it->second->control.cancelled()) {
+      // Only a cancel that left no caller attached marks a queued job, and
+      // that cancel already settled it (JobHandle::cancel).
+      account_locked(it->second, JobStatus::kCancelled, {});
+      it = queue_.erase(it);
+    } else {
       ++it;
-      continue;
     }
-    // Inline finish() for a job that never ran, under the already-held
-    // mutex_ (mutex_ -> job->mutex is the sanctioned lock order).
-    if (const auto inflight = inflight_.find(job->key);
-        inflight != inflight_.end() && inflight->second == job) {
-      inflight_.erase(inflight);
-    }
-    inst_.cancelled.add();
-    if (options_.journal && job->journal_id != 0 && !stopping_) {
-      try {
-        options_.journal->append_completed(job->journal_id,
-                                           JobStatus::kCancelled, nullptr);
-      } catch (const std::exception&) {
-      }
-    }
-    if (job->trace != nullptr) {
-      job->trace->span("finish.cancelled");
-      trace_store_.retire(job->trace);
-    }
-    {
-      LockGuard job_lock(job->mutex);
-      job->status = JobStatus::kCancelled;
-      job->error = "cancelled while queued";
-    }
-    job->cv.notify_all();
-    it = queue_.erase(it);
   }
 }
 
@@ -403,14 +409,19 @@ void Service::worker_loop() {
 
 void Service::execute(const std::shared_ptr<Job>& job) {
   const std::uint64_t queue_ns = job->queued_at.nanos();
-  // Cancelled while queued (every attachment gone): never start.
-  if (job->control.cancelled()) {
+  bool start = false;
+  {
+    // Cancelled while queued (every attachment gone, or shutdown): never
+    // start. Decided under the job mutex, which cancel() settles under.
+    LockGuard lock(job->mutex);
+    start = job->status == JobStatus::kQueued && !job->control.cancelled();
+    if (start) {
+      job->status = JobStatus::kRunning;
+    }
+  }
+  if (!start) {
     finish(job, JobStatus::kCancelled, {}, "cancelled while queued");
     return;
-  }
-  {
-    LockGuard lock(job->mutex);
-    job->status = JobStatus::kRunning;
   }
   inst_.executed.add();
   job->control.span("exec.begin");
@@ -440,60 +451,54 @@ void Service::finish(const std::shared_ptr<Job>& job, JobStatus status,
   // in-between state.
   {
     LockGuard lock(mutex_);
-    // Erase only OUR index entry: a fully-cancelled job's key may already
-    // have been taken over by a fresh submission.
-    if (const auto it = inflight_.find(job->key);
-        it != inflight_.end() && it->second == job) {
-      inflight_.erase(it);
-    }
-    switch (status) {
-      case JobStatus::kDone:
-        inst_.done.add();
-        results_.put(job->key, report);
-        inst_.queue_ns.record(report.queue_ns);
-        inst_.plan_ns.record(report.plan_ns);
-        inst_.exec_ns.record(report.exec_ns);
-        break;
-      case JobStatus::kCancelled:
-        inst_.cancelled.add();
-        break;
-      case JobStatus::kFailed:
-        inst_.failed.add();
-        break;
-      default:
-        break;
-    }
-    // Completion marker — deliberately suppressed while stopping_, so jobs
-    // a shutdown (or crash) interrupted stay pending in the journal and are
-    // replayed at the next start. Explicit cancels while the service is
-    // live DO land a marker: cancelled work must not resurrect. A marker
-    // write failure only degrades exactly-once to at-least-once (the job
-    // replays; reports are deterministic), so it never takes down a worker.
-    if (options_.journal && job->journal_id != 0 && !stopping_) {
-      try {
-        options_.journal->append_completed(
-            job->journal_id, status,
-            status == JobStatus::kDone ? &report : nullptr);
-      } catch (const std::exception&) {
-      }
-    }
-  }
-  if (job->trace != nullptr) {
-    switch (status) {
-      case JobStatus::kDone: job->trace->span("finish.done"); break;
-      case JobStatus::kCancelled: job->trace->span("finish.cancelled"); break;
-      default: job->trace->span("finish.failed"); break;
-    }
-    trace_store_.retire(job->trace);  // outside mutex_: the slow-request
-                                      // callback may write to stderr
+    account_locked(job, status, report);
   }
   {
     LockGuard lock(job->mutex);
-    job->status = status;
-    job->report = std::move(report);
-    job->error = std::move(error);
+    job->settle_locked(status, std::move(report), std::move(error));
   }
   job->cv.notify_all();
+}
+
+void Service::account_locked(const std::shared_ptr<Job>& job,
+                             JobStatus status, const SearchReport& report) {
+  // Erase only OUR index entry: a fully-cancelled job's key may already
+  // have been taken over by a fresh submission.
+  if (const auto it = inflight_.find(job->key);
+      it != inflight_.end() && it->second == job) {
+    inflight_.erase(it);
+  }
+  switch (status) {
+    case JobStatus::kDone:
+      inst_.done.add();
+      results_.put(job->key, report);
+      inst_.queue_ns.record(report.queue_ns);
+      inst_.plan_ns.record(report.plan_ns);
+      inst_.exec_ns.record(report.exec_ns);
+      break;
+    case JobStatus::kCancelled:
+      inst_.cancelled.add();
+      break;
+    case JobStatus::kFailed:
+      inst_.failed.add();
+      break;
+    default:
+      break;
+  }
+  // Completion marker — deliberately suppressed while stopping_, so jobs
+  // a shutdown (or crash) interrupted stay pending in the journal and are
+  // replayed at the next start. Explicit cancels while the service is
+  // live DO land a marker: cancelled work must not resurrect. A marker
+  // write failure only degrades exactly-once to at-least-once (the job
+  // replays; reports are deterministic), so it never takes down a worker.
+  if (options_.journal && job->journal_id != 0 && !stopping_) {
+    try {
+      options_.journal->append_completed(
+          job->journal_id, status,
+          status == JobStatus::kDone ? &report : nullptr);
+    } catch (const std::exception&) {
+    }
+  }
 }
 
 }  // namespace pqs

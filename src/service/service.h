@@ -125,12 +125,26 @@ struct Job {
   /// once in submit() before the job is shared — same contract as
   /// journal_id — and also reachable through control's SpanSink.
   std::shared_ptr<obs::Trace> trace;
+  /// The store `trace` retires into, set with it. JobHandle::cancel reaches
+  /// it only for a still-queued job, and ~Service settles every queued job
+  /// under its mutex before the store dies.
+  obs::TraceStore* trace_store = nullptr;
 
   mutable Mutex mutex;
   std::condition_variable_any cv;
   JobStatus status PQS_GUARDED_BY(mutex) = JobStatus::kQueued;
   SearchReport report PQS_GUARDED_BY(mutex);  // valid once kDone
   std::string error PQS_GUARDED_BY(mutex);    // valid once kFailed
+
+  /// The job's half of finishing: the terminal span, the trace's
+  /// retirement and the status waiters read. Written once, by whichever
+  /// path settles the job first: a worker, shutdown, or the handle whose
+  /// cancel left a queued job with no callers. The trace retires before
+  /// the status is published, so a woken waiter finds it complete and in
+  /// the store; the store's slow-request callback therefore runs under
+  /// this job's mutex, where it can delay only this job's waiters.
+  void settle_locked(JobStatus final_status, SearchReport final_report,
+                     std::string final_error) PQS_REQUIRES(mutex);
 };
 
 }  // namespace detail
@@ -232,7 +246,13 @@ class Service {
   /// Move a job to a terminal state, publish the result, wake waiters.
   void finish(const std::shared_ptr<detail::Job>& job, JobStatus status,
               SearchReport report, std::string error) PQS_EXCLUDES(mutex_);
-  /// Settle every fully-cancelled job still waiting in the queue (called
+  /// The service's half of finishing a job that leaves the queue or a
+  /// worker: the coalescing index, the counters, the cached result and
+  /// the journal's completion marker.
+  void account_locked(const std::shared_ptr<detail::Job>& job,
+                      JobStatus status, const SearchReport& report)
+      PQS_REQUIRES(mutex_);
+  /// Drop every fully-cancelled job still waiting in the queue (called
   /// with mutex_ held when the queue hits capacity): cancellation must be
   /// able to shed load, not just mark jobs a worker will discard later.
   void reap_cancelled_locked() PQS_REQUIRES(mutex_);

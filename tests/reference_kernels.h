@@ -31,7 +31,6 @@
 #include "common/random.h"
 #include "oracle/marked_set.h"
 #include "qsim/gates.h"
-#include "qsim/gates2.h"
 #include "qsim/kernels.h"
 #include "qsim/soa.h"
 #include "qsim/types.h"
@@ -76,40 +75,16 @@ inline void scale(Amps& a, Amplitude s) {
   }
 }
 
-/// The 2x2 gate on qubit q, on basis states whose bits in `control_mask`
-/// are all set (mask 0: unconditionally).
-inline void apply_controlled_gate1(Amps& a, std::uint64_t control_mask,
-                                   unsigned q, const Gate2& g) {
+/// The 2x2 gate on qubit q.
+inline void apply_gate1(Amps& a, unsigned q, const Gate2& g) {
   const std::uint64_t bit = std::uint64_t{1} << q;
   for (std::uint64_t i0 = 0; i0 < a.size(); ++i0) {
-    if ((i0 & bit) != 0 || (i0 & control_mask) != control_mask) {
+    if ((i0 & bit) != 0) {
       continue;
     }
     const Amplitude a0 = a[i0], a1 = a[i0 | bit];
     a[i0] = g.m[0][0] * a0 + g.m[0][1] * a1;
     a[i0 | bit] = g.m[1][0] * a0 + g.m[1][1] * a1;
-  }
-}
-
-inline void apply_gate1(Amps& a, unsigned q, const Gate2& g) {
-  apply_controlled_gate1(a, 0, q, g);
-}
-
-/// The 4x4 gate on qubits (q_high, q_low), basis order |q_high q_low>.
-inline void apply_gate2(Amps& a, unsigned q_high, unsigned q_low,
-                        const Gate4& g) {
-  const std::uint64_t bh = std::uint64_t{1} << q_high;
-  const std::uint64_t bl = std::uint64_t{1} << q_low;
-  for (std::uint64_t x = 0; x < a.size(); ++x) {
-    if ((x & (bh | bl)) != 0) {
-      continue;  // each four-tuple once, from its |00> member
-    }
-    const std::uint64_t idx[4] = {x, x | bl, x | bh, x | bh | bl};
-    const Amplitude in[4] = {a[idx[0]], a[idx[1]], a[idx[2]], a[idx[3]]};
-    for (std::size_t r = 0; r < 4; ++r) {
-      a[idx[r]] = g.m[r][0] * in[0] + g.m[r][1] * in[1] + g.m[r][2] * in[2] +
-                  g.m[r][3] * in[3];
-    }
   }
 }
 

@@ -84,30 +84,6 @@ TEST(Kernels, Gate1RejectsBadArguments) {
   EXPECT_THROW(kernels::apply_gate1(v, 3, 0, gates::X()), CheckFailure);
 }
 
-TEST(Kernels, ControlledGateActsOnlyWhenControlsSet) {
-  // CNOT with control qubit 0, target qubit 1.
-  SoaVector v = basis_state(4, 1);  // |01>: control (bit 0) is 1
-  kernels::apply_controlled_gate1(v, 2, 0b01, 1, gates::X());
-  EXPECT_NEAR(std::abs(v.get(3)), 1.0, 1e-12);  // -> |11>
-
-  v = basis_state(4, 0);  // |00>: control clear -> no-op
-  kernels::apply_controlled_gate1(v, 2, 0b01, 1, gates::X());
-  EXPECT_NEAR(std::abs(v.get(0)), 1.0, 1e-12);
-}
-
-TEST(Kernels, ControlledGateRejectsSelfControl) {
-  SoaVector v(4);
-  EXPECT_THROW(kernels::apply_controlled_gate1(v, 2, 0b10, 1, gates::X()),
-               CheckFailure);
-}
-
-TEST(Kernels, MultiControlledGate) {
-  // Toffoli: controls 0 and 1, target 2.
-  SoaVector v = basis_state(8, 3);  // |011>
-  kernels::apply_controlled_gate1(v, 3, 0b011, 2, gates::X());
-  EXPECT_NEAR(std::abs(v.get(7)), 1.0, 1e-12);  // -> |111>
-}
-
 TEST(Kernels, PhaseFlipIndexIsInvolutive) {
   Rng rng(7);
   SoaVector v = random_state(4, rng);
@@ -122,8 +98,9 @@ TEST(Kernels, PhaseRotateIndexAtPiEqualsFlip) {
   Rng rng(9);
   SoaVector a = random_state(3, rng);
   SoaVector b = a;
+  const Index marked[1] = {2};
   kernels::phase_flip_index(a, 2);
-  kernels::phase_rotate_index(b, 2, kPi);
+  kernels::phase_rotate_indices(b, marked, kPi);
   expect_near(a, b, 1e-12);
 }
 
@@ -365,17 +342,6 @@ TEST_P(IsaSweep, Gate1MatchesReferenceAcrossStrides) {
     }
     expect_matches(v, ref);
   }
-}
-
-TEST_P(IsaSweep, ControlledGate1MatchesReference) {
-  Rng rng(113);
-  auto ref = random_amps(16, rng);
-  SoaVector v = SoaVector::from_amplitudes(ref);
-  for (const std::uint64_t mask : {0b0001ULL, 0b1010ULL}) {
-    reference::apply_controlled_gate1(ref, mask, 2, gates::H());
-    kernels::apply_controlled_gate1(v, 4, mask, 2, gates::H());
-  }
-  expect_matches(v, ref);
 }
 
 TEST_P(IsaSweep, PhaseKernelsMatchReference) {

@@ -14,7 +14,6 @@
 #include "partial/optimizer.h"
 #include "qsim/backend.h"
 #include "qsim/circuit.h"
-#include "qsim/gates2.h"
 #include "qsim/kernels.h"
 #include "reference_kernels.h"
 
@@ -40,7 +39,7 @@ TEST_P(RandomCircuitProperty, NormIsPreservedByAnyOpSequence) {
   SoaVector state = reference::uniform_state(n);
   const qsim::Index target = rng.uniform_below(pow2(n));
   for (int step = 0; step < 60; ++step) {
-    switch (rng.uniform_below(7)) {
+    switch (rng.uniform_below(6)) {
       case 0:
         kernels::apply_gate1(state, n,
                              static_cast<unsigned>(rng.uniform_below(n)),
@@ -67,14 +66,6 @@ TEST_P(RandomCircuitProperty, NormIsPreservedByAnyOpSequence) {
       case 5:
         kernels::reflect_non_target_about_their_mean(state, target);
         break;
-      case 6: {
-        const auto qa = static_cast<unsigned>(rng.uniform_below(n));
-        auto qb = static_cast<unsigned>(rng.uniform_below(n - 1));
-        qb += qb >= qa ? 1 : 0;
-        kernels::apply_gate2(state, n, qa, qb,
-                             qsim::gates::CPhase(rng.uniform(0.0, kPi)));
-        break;
-      }
     }
     ASSERT_NEAR(kernels::norm_squared(state), 1.0, 1e-9) << "step " << step;
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/random.h"
@@ -81,45 +83,6 @@ TEST(RunningStats, Ci95ShrinksWithSamples) {
     large.add(rng.normal());
   }
   EXPECT_LT(large.ci95_halfwidth(), small.ci95_halfwidth());
-}
-
-TEST(Histogram, BinningAndCounts) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);   // bin 0
-  h.add(1.9);   // bin 0
-  h.add(2.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (half-open)
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(-1.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), -1.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), -0.5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 0.5);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 1.0);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25);
-  h.add(0.75);
-  h.add(0.8);
-  const std::string r = h.render(10);
-  EXPECT_NE(r.find('#'), std::string::npos);
-  EXPECT_NE(r.find('2'), std::string::npos);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 0.0, 4), CheckFailure);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), CheckFailure);
 }
 
 TEST(SignedBar, PositiveGoesRightNegativeGoesLeft) {

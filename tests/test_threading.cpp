@@ -15,7 +15,6 @@
 
 #include "qsim/batch.h"
 #include "qsim/gates.h"
-#include "qsim/gates2.h"
 #include "qsim/kernels.h"
 #include "qsim/soa.h"
 #include "reference_kernels.h"
@@ -56,9 +55,8 @@ KernelOutputs run_kernels(unsigned n) {
   qsim::SoaVector state = qsim::reference::uniform_state(n);
   // Complex, non-uniform phases.
   kernels::apply_gate1(state, n, 0, qsim::gates::T());
-  kernels::apply_gate2(state, n, n - 1, 1,
-                       qsim::gates::tensor(qsim::gates::H(),
-                                           qsim::gates::S()));
+  kernels::apply_gate1(state, n, n - 1, qsim::gates::H());
+  kernels::apply_gate1(state, n, 1, qsim::gates::S());
   for (int i = 0; i < 3; ++i) {
     kernels::phase_flip_index(state, (qsim::Index{1} << n) / 3 + 1);
     kernels::reflect_about_uniform(state);
