@@ -7,11 +7,10 @@
 //               n = 24 Grover loop, once per tier this machine supports,
 //               with speedups relative to the scalar tier and the host it
 //               ran on
-//   grover_fused temporal blocking: per-op vs fused
+//   grover_folded folded Grover runs: per-op vs folded
 //               (Backend::apply_grover_iterations) ns per Grover iteration
 //               on DenseBackend, n = 16..24, K = 4, global and block
-//               partitions, with the sweep depth D, the team size and the
-//               host it ran on
+//               partitions, with the team size and the host it ran on
 //   backends    dense vs symmetry cost of one full GRK run at growing n —
 //               the O(N) -> O(K) gap the pluggable-backend refactor buys,
 //               including symmetry-only rows far beyond dense reach (n=48)
@@ -129,8 +128,8 @@ std::string json_num(double v) {
 }
 
 /// Best-of-`trials` mean seconds per call of `op` (reps calls per trial).
-/// Best-of filters scheduler noise; the repetitions keep the fused
-/// sum-cache warm, which is the steady state of the Grover loop.
+/// Best-of filters scheduler noise; the repetitions keep the block-sum
+/// cache warm, which is the steady state of the Grover loop.
 template <typename Op>
 double best_seconds_per_op(int trials, int reps, Op&& op) {
   double best = 1e100;
@@ -406,25 +405,23 @@ int main(int argc, char** argv) {
             << ", auto tier = " << qsim::isa_name(qsim::active_isa())
             << ")\n" << simd_table.render() << "\n";
 
-  // -- section 1a: temporal blocking (grover_fused) -------------------------
-  // The same iterations run per-op (the Backend default loop: one sweep of
-  // the state per iteration) and fused (DenseBackend's override: one sweep
-  // per qsim::kSweepDepth iterations). Each trial runs 2 * D iterations, so
-  // the fused side pays two sweeps and two block-sum refreshes. D is set so
-  // that the fused cost per amplitude stays at the arithmetic rate as the
-  // state outgrows the caches.
-  Json grover_fused = Json::make_object();
+  // -- section 1a: folded Grover runs (grover_folded) ---------------------
+  // The same iterations run per-op (the Backend default loop: two sweeps of
+  // the state per iteration) and folded (DenseBackend's override: the sum
+  // recurrence, then one affine pass per block for the whole run). Each
+  // trial runs 128 iterations, an even run, so the folded side pays one
+  // block-sum read and one add pass.
+  Json grover_folded = Json::make_object();
   {
     const int trials = quick ? 3 : 7;
     const unsigned n_max = quick ? 20u : 24u;
-    const std::uint64_t iterations = 2 * qsim::kSweepDepth;
-    grover_fused["host"] = host_json();
-    grover_fused["trials"] = trials;
-    grover_fused["sweep_depth"] = static_cast<std::uint64_t>(qsim::kSweepDepth);
-    grover_fused["iterations_per_trial"] = iterations;
-    grover_fused["k_blocks"] = 4;
-    Table fused_table({"n", "partition", "threads", "per-op ns/iter",
-                       "fused ns/iter", "speedup"});
+    const std::uint64_t iterations = 128;
+    grover_folded["host"] = host_json();
+    grover_folded["trials"] = trials;
+    grover_folded["iterations_per_trial"] = iterations;
+    grover_folded["k_blocks"] = 4;
+    Table folded_table({"n", "partition", "threads", "per-op ns/iter",
+                        "folded ns/iter", "speedup"});
     Json rows = Json::make_array();
     for (unsigned n = 16; n <= n_max; ++n) {
       for (const qsim::Partition partition :
@@ -441,35 +438,34 @@ int main(int argc, char** argv) {
         Json per_op = per_iteration(min_median_us(trials, 1, [&] {
           dense->Backend::apply_grover_iterations(partition, iterations);
         }));
-        Json fused = per_iteration(min_median_us(trials, 1, [&] {
+        Json folded = per_iteration(min_median_us(trials, 1, [&] {
           dense->apply_grover_iterations(partition, iterations);
         }));
         const double speedup = per_op.at("median_ns").as_double() /
-                               fused.at("median_ns").as_double();
+                               folded.at("median_ns").as_double();
         const char* name =
             partition == qsim::Partition::kGlobal ? "global" : "blocks";
         const unsigned threads = qsim::parallel_threads(pow2(n));
-        fused_table.add_row(
+        folded_table.add_row(
             {Table::num(std::uint64_t{n}), name,
              Table::num(std::uint64_t{threads}),
              Table::num(per_op.at("median_ns").as_double(), 0),
-             Table::num(fused.at("median_ns").as_double(), 0),
+             Table::num(folded.at("median_ns").as_double(), 1),
              Table::num(speedup, 2)});
         Json row = Json::make_object();
         row["n"] = n;
         row["partition"] = name;
         row["threads"] = threads;
         row["per_op"] = std::move(per_op);
-        row["fused"] = std::move(fused);
+        row["folded"] = std::move(folded);
         row["speedup_median"] = speedup;
         rows.push_back(std::move(row));
       }
     }
-    grover_fused["rows"] = std::move(rows);
-    std::cout << "grover_fused (K = 4, " << iterations
-              << " iterations per trial, D = " << qsim::kSweepDepth
-              << ", median of " << trials << ")\n"
-              << fused_table.render() << "\n";
+    grover_folded["rows"] = std::move(rows);
+    std::cout << "grover_folded (K = 4, " << iterations
+              << " iterations per trial, median of " << trials << ")\n"
+              << folded_table.render() << "\n";
   }
 
   // -- section 1b: threading ------------------------------------------------
@@ -649,7 +645,7 @@ int main(int argc, char** argv) {
   Table backend_table({"n", "k", "queries", "dense s", "symmetry s",
                        "dense/symmetry"});
   std::ostringstream backends_json;
-  backends_json << "[";
+  backends_json << "{\"rows\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows[i];
     backend_table.add_row(
@@ -670,7 +666,7 @@ int main(int argc, char** argv) {
                   << ",\"dense_over_symmetry\":" << json_num(row.speedup)
                   << "}";
   }
-  backends_json << "]";
+  backends_json << "], \"host\": " << host_json().dump() << "}";
   std::cout << backend_table.render() << "\n";
 
   // -- section 3: shot sampling, and noisy trajectories ---------------------
@@ -941,7 +937,7 @@ int main(int argc, char** argv) {
   json << "{\n  \"bench\": \"qsim\",\n"
        << "  \"isa\": \"" << qsim::isa_name(qsim::active_isa()) << "\",\n"
        << "  \"dense_simd\": " << simd_json.str() << ",\n"
-       << "  \"grover_fused\": " << grover_fused.dump() << ",\n"
+       << "  \"grover_folded\": " << grover_folded.dump() << ",\n"
        << "  \"grk_backends\": " << backends_json.str() << ",\n"
        << "  \"sampling\": " << sampling.dump() << ",\n"
        << "  \"trajectories\": " << trajectories.dump() << ",\n"
@@ -955,7 +951,7 @@ int main(int argc, char** argv) {
        << ", \"warm_request_plan_ns\": " << split.plan_ns
        << ", \"warm_request_exec_ns\": " << split.exec_ns
        << ", \"service_mean_queue_ns\": " << json_num(mean_queue_ns)
-       << "},\n"
+       << ", \"host\": " << host_json().dump() << "},\n"
        << "  \"obs\": {\"n\": " << fac_n << ", \"requests\": " << fac_reps
        << ", \"engine_no_control_seconds_per_request\": "
        << json_num(obs_no_control_seconds)
@@ -968,7 +964,7 @@ int main(int argc, char** argv) {
        << ", \"service_traced_on_seconds_per_request\": "
        << json_num(obs_service_on_seconds)
        << ", \"enabled_overhead_fraction\": " << json_num(enabled_overhead)
-       << "},\n"
+       << ", \"host\": " << host_json().dump() << "},\n"
        << "  \"threading\": " << threading.dump() << "\n}\n";
   json.close();
   std::cout << "\nwrote " << json_path << "\n";

@@ -14,11 +14,10 @@
 //                    ranges of N/K addresses), supports every operator and
 //                    arbitrary marked sets, and is the only engine that can
 //                    expose full amplitude vectors (snapshots, noise, the
-//                    Zalka hybrid argument). On every ISA tier, runs of
-//                    Grover iterations (apply_grover_iterations) take many
-//                    iterations per sweep of the state, every per-element
-//                    update still applied. Capacity-limited to
-//                    N <= 2^kMaxQubits.
+//                    Zalka hybrid argument). On every ISA tier, a run of
+//                    Grover iterations (apply_grover_iterations) folds into
+//                    one affine pass per block over the state, whatever its
+//                    length. Capacity-limited to N <= 2^kMaxQubits.
 //
 //   SymmetryBackend  the O(K)-per-operation engine. The partial-search state
 //                    is fully block-symmetric: at every point of the
@@ -139,9 +138,9 @@ class Backend {
   /// `count` Grover iterations: the oracle, then the global or the block
   /// diffusion, `count` times. The default is that per-op loop, which the
   /// symmetry engine runs. The dense engine runs kernels::grover_iterations
-  /// instead, on every ISA tier: many iterations per sweep of the state,
-  /// every per-element update still applied, block means from the exact
-  /// sum recurrence (agrees with the per-op loop to rounding).
+  /// instead, on every ISA tier: the block means and marked amplitudes from
+  /// the exact sum recurrence, then one affine pass per block over the
+  /// state (agrees with the per-op loop to rounding).
   virtual void apply_grover_iterations(Partition partition,
                                        std::uint64_t count);
   /// Step 3: keep the marked amplitudes, invert every other amplitude about

@@ -35,20 +35,24 @@ namespace pqs::qsim::kernels {
 // of the thread count and stay well under the 1e-10 dense≡symmetry
 // agreement bar.
 //
-// Temporal blocking: grover_iterations runs a run of Grover iterations in
-// sweeps of at most kSweepDepth (qsim/parallel.h) iterations. Per sweep it
-// (1) reads the block sums, from the cache or with one read pass; (2)
-// serially derives every iteration's twice-means from the exact recurrence —
-// a reflection keeps each block sum, an oracle flip moves its block's sum by
-// -2*a_m, and each marked amplitude is tracked as a scalar through its own
-// update a <- t + a — so only the blocks holding a marked address need a
-// per-iteration entry (O(|marked| * D + K) table); (3) runs one parallel_for
-// over the fixed chunk partition in which every chunk applies all of the
-// sweep's updates a <- t_i - a from registers (KernelOps::reflect_series);
-// (4) writes the tracked marked values, corrects their chunks' partial sums
-// and refreshes the block-sum cache from the stored values, so rounding in
-// the recurrence lives for at most one sweep. Every iteration's per-element
-// update still runs: the dense engine stays a brute-force simulator.
+// Folded Grover runs: between two reads of the state, every iteration maps
+// each unmarked amplitude of block b to t_b - a, with t_b the block's
+// twice-mean. So grover_iterations applies a run of `count` iterations as
+// one affine map per block, a <- alpha_b + (-1)^count * a. It (1) reads the
+// block sums, from the cache or with one read pass; (2) runs the exact
+// O(count * (|marked| + hot blocks)) recurrence serially — an oracle flip
+// moves its block's sum by -2*a_m, a reflection keeps every block sum, each
+// marked amplitude is tracked as a scalar through a <- t + a, and each
+// block's alpha follows alpha <- t - alpha (a block without a mark keeps its
+// sum, so its alpha is t_b for an odd count and 0 for an even one); (3) runs
+// one parallel_for over the fixed chunk partition, KernelOps::reflect with
+// t = alpha_b for an odd count and KernelOps::add with c = alpha_b for an
+// even one; (4) writes the tracked marked values, corrects their chunks'
+// partial sums and refreshes the block-sum cache from the stored values. A
+// run costs one or two passes over the state whatever its length, so the
+// dense engine does not brute-force each iteration: the brute-force
+// reference is the serial per-op loops of tests/reference_kernels.h, which
+// every tier is compared against.
 //
 // Who owns threads: no kernel picks its own team. Each parallel loop asks
 // parallel_threads(elements swept) (qsim/parallel.h) and runs through
@@ -91,7 +95,8 @@ void reflect_blocks_about_uniform(SoaVector& v, std::size_t block_size);
 /// unique) followed by the inversion about the average within each block of
 /// `block_size` amplitudes (block_size == v.size(): the global diffusion).
 /// Same result as `count` rounds of phase_flip_indices +
-/// reflect_blocks_about_uniform, to rounding (see "Temporal blocking" below).
+/// reflect_blocks_about_uniform, to rounding (see "Folded Grover runs"
+/// above).
 void grover_iterations(SoaVector& v, std::span<const Index> marked_sorted,
                        std::size_t block_size, std::uint64_t count);
 

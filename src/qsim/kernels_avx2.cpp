@@ -23,7 +23,6 @@ struct Avx2 {
   static constexpr std::size_t kWidth = 4;
   static Reg zero() { return _mm256_setzero_pd(); }
   static Reg set1(double x) { return _mm256_set1_pd(x); }
-  static Reg broadcast(const double* p) { return _mm256_broadcast_sd(p); }
   static Reg load(const double* p) { return _mm256_loadu_pd(p); }
   static void store(double* p, Reg v) { _mm256_storeu_pd(p, v); }
   static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }

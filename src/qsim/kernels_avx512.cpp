@@ -22,7 +22,6 @@ struct Avx512 {
   static constexpr std::size_t kWidth = 8;
   static Reg zero() { return _mm512_setzero_pd(); }
   static Reg set1(double x) { return _mm512_set1_pd(x); }
-  static Reg broadcast(const double* p) { return _mm512_set1_pd(*p); }
   static Reg load(const double* p) { return _mm512_loadu_pd(p); }
   static void store(double* p, Reg v) { _mm512_storeu_pd(p, v); }
   static Reg add(Reg a, Reg b) { return _mm512_add_pd(a, b); }

@@ -13,11 +13,9 @@
 // sums of the values they STORE. That is the fused-sum trick this engine is
 // built around: a reflection's store pass yields next iteration's block sums
 // for free, so steady-state Grover/GRK iterations touch memory once per
-// kernel instead of twice (sum pass + update pass). reflect_series goes one
-// step further: it applies a whole sweep of reflections to each group of
-// lanes while they sit in registers (kernels::grover_iterations), so a run
-// of Grover iterations touches memory once per sweep instead of once per
-// iteration.
+// kernel instead of twice (sum pass + update pass). A whole run of Grover
+// iterations folds into one reflect or add pass per block
+// (kernels::grover_iterations), which refreshes the sums the same way.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +40,6 @@ struct KernelOps {
   /// sum_re/sum_im <- sum of the stored values.
   void (*reflect)(double* re, double* im, std::size_t n, double t_re,
                   double t_im, double* sum_re, double* sum_im);
-  /// For k = 0 .. steps-1 in order: a <- t[k] - a, every step applied to
-  /// every element. sum_re/sum_im <- sum of the values stored after the
-  /// last step (the segment's own sum when steps == 0).
-  void (*reflect_series)(double* re, double* im, std::size_t n,
-                         const double* t_re, const double* t_im,
-                         std::size_t steps, double* sum_re, double* sum_im);
   /// a <- a + c (the block-rotation update); sums of the stored values.
   void (*add)(double* re, double* im, std::size_t n, double c_re, double c_im,
               double* sum_re, double* sum_im);

@@ -3,8 +3,8 @@
 // Plain C++ loops with `omp simd` hints: the portable tier for CPUs without
 // AVX2+FMA, and one of the tiers CI pins with PQS_ISA. It runs through the
 // same composition as the SIMD tiers (qsim/kernels_soa.cpp, sum cache and
-// fused sweeps included); like them it must agree with the serial reference
-// loops in tests/reference_kernels.h to 1e-10. It is not a width-1
+// folded Grover runs included); like them it must agree with the serial
+// reference loops in tests/reference_kernels.h to 1e-10. It is not a width-1
 // SimdTier (qsim/kernels_simd.h): baseline x86-64 has no FMA, so the
 // template's fmadd would become libm fma calls.
 #include <cstddef>
@@ -73,20 +73,6 @@ void scalar_reflect(double* re, double* im, std::size_t n, double t_re,
   *sum_im = si;
 }
 
-/// One reflect pass per step. With no step the segment is unchanged and the
-/// sums are its own.
-void scalar_reflect_series(double* re, double* im, std::size_t n,
-                           const double* t_re, const double* t_im,
-                           std::size_t steps, double* sum_re, double* sum_im) {
-  if (steps == 0) {
-    scalar_sum(re, im, n, sum_re, sum_im);
-    return;
-  }
-  for (std::size_t k = 0; k < steps; ++k) {
-    scalar_reflect(re, im, n, t_re[k], t_im[k], sum_re, sum_im);
-  }
-}
-
 void scalar_add(double* re, double* im, std::size_t n, double c_re,
                 double c_im, double* sum_re, double* sum_im) {
   double sr = 0.0, si = 0.0;
@@ -143,7 +129,6 @@ const KernelOps& scalar_kernel_ops() {
       .norm_sq = scalar_norm_sq,
       .inner = scalar_inner,
       .reflect = scalar_reflect,
-      .reflect_series = scalar_reflect_series,
       .add = scalar_add,
       .scale = scalar_scale,
       .gate1 = scalar_gate1,

@@ -7,8 +7,8 @@
 // intrinsics live only there, so this header carries no target flags and
 // every width runs the same loops in the same order. V provides:
 //
-//   Reg, kWidth (doubles per register), zero(), set1(x), broadcast(p),
-//   load(p), store(p, r), add(a, b), sub(a, b), mul(a, b),
+//   Reg, kWidth (doubles per register), zero(), set1(x), load(p),
+//   store(p, r), add(a, b), sub(a, b), mul(a, b),
 //   fmadd(a, b, c) = a*b + c, fnmadd(a, b, c) = c - a*b,
 //   fmsub(a, b, c) = a*b - c, reduce(r) = sum of the lanes.
 //
@@ -139,68 +139,6 @@ struct SimdTier {
     *sum_im = si;
   }
 
-  /// 4*W lanes per group (four registers per plane): eight independent
-  /// subtraction chains cover the add latency on both FP ports, so a
-  /// group's `steps` updates run from registers at the arithmetic rate.
-  static void reflect_series(double* re, double* im, std::size_t n,
-                             const double* t_re, const double* t_im,
-                             std::size_t steps, double* sum_re,
-                             double* sum_im) {
-    Reg a0 = V::zero(), a1 = V::zero();
-    Reg b0 = V::zero(), b1 = V::zero();
-    std::size_t i = 0;
-    for (; i + 4 * W <= n; i += 4 * W) {
-      Reg r0 = V::load(re + i);
-      Reg r1 = V::load(re + i + W);
-      Reg r2 = V::load(re + i + 2 * W);
-      Reg r3 = V::load(re + i + 3 * W);
-      Reg s0 = V::load(im + i);
-      Reg s1 = V::load(im + i + W);
-      Reg s2 = V::load(im + i + 2 * W);
-      Reg s3 = V::load(im + i + 3 * W);
-      for (std::size_t k = 0; k < steps; ++k) {
-        const Reg tr = V::broadcast(t_re + k);
-        const Reg ti = V::broadcast(t_im + k);
-        r0 = V::sub(tr, r0);
-        r1 = V::sub(tr, r1);
-        r2 = V::sub(tr, r2);
-        r3 = V::sub(tr, r3);
-        s0 = V::sub(ti, s0);
-        s1 = V::sub(ti, s1);
-        s2 = V::sub(ti, s2);
-        s3 = V::sub(ti, s3);
-      }
-      V::store(re + i, r0);
-      V::store(re + i + W, r1);
-      V::store(re + i + 2 * W, r2);
-      V::store(re + i + 3 * W, r3);
-      V::store(im + i, s0);
-      V::store(im + i + W, s1);
-      V::store(im + i + 2 * W, s2);
-      V::store(im + i + 3 * W, s3);
-      a0 = V::add(a0, V::add(r0, r2));
-      a1 = V::add(a1, V::add(r1, r3));
-      b0 = V::add(b0, V::add(s0, s2));
-      b1 = V::add(b1, V::add(s1, s3));
-    }
-    double sr = V::reduce(V::add(a0, a1));
-    double si = V::reduce(V::add(b0, b1));
-    for (; i < n; ++i) {
-      double r = re[i];
-      double s = im[i];
-      for (std::size_t k = 0; k < steps; ++k) {
-        r = t_re[k] - r;
-        s = t_im[k] - s;
-      }
-      re[i] = r;
-      im[i] = s;
-      sr += r;
-      si += s;
-    }
-    *sum_re = sr;
-    *sum_im = si;
-  }
-
   static void add(double* re, double* im, std::size_t n, double c_re,
                   double c_im, double* sum_re, double* sum_im) {
     const Reg cr = V::set1(c_re);
@@ -307,7 +245,6 @@ struct SimdTier {
         .norm_sq = norm_sq,
         .inner = inner,
         .reflect = reflect,
-        .reflect_series = reflect_series,
         .add = add,
         .scale = scale,
         .gate1 = gate1,

@@ -13,14 +13,16 @@
 // the values they store and refresh SoaVector's block-sum cache from them,
 // so the cache is always recomputed from stored data once per kernel call
 // (incremental oracle deltas never survive more than one iteration — no
-// drift accumulation). grover_iterations refreshes it once per sweep the
-// same way, so its recurrence's rounding never outlives a sweep of
-// kSweepDepth iterations. Every tier reads and refreshes the cache the same
-// way: the tier only picks the KernelOps table (kernel_ops below), and the
-// serial reference loops in tests/reference_kernels.h are what the
-// equivalence tests trust.
+// drift accumulation). grover_iterations refreshes it the same way once per
+// run: its recurrence carries the block sums through the whole run, and the
+// refresh drops the recurrence's rounding. Every tier reads and refreshes
+// the cache the same way: the tier only picks the KernelOps table
+// (kernel_ops below), and the serial reference loops in
+// tests/reference_kernels.h are what the equivalence tests trust.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -123,15 +125,21 @@ void block_sums(const SoaVector& v, std::size_t bs, const KernelOps& ops,
   }
 }
 
-/// Shared update pass of the two block kernels: per block apply either
-/// a <- t_b - a (reflect) or a <- a + t_b (rotate add), accumulating the
-/// stored values, then refresh the sum cache from the accumulation.
+/// Shared update pass of the block kernels: per block apply either
+/// a <- t_b - a (reflect) or a <- a + t_b (add), accumulating the stored
+/// values; then store `pinned_re/im[j]` at `pinned[j]` (sorted), correcting
+/// its chunk's partial sum, and refresh the sum cache from the partials.
 void block_update(SoaVector& v, std::size_t bs, const KernelOps& ops,
-                  bool is_reflect, const std::vector<double>& tr,
-                  const std::vector<double>& ti) {
+                  bool is_reflect, std::span<const double> tr,
+                  std::span<const double> ti,
+                  std::span<const Index> pinned = {},
+                  std::span<const double> pinned_re = {},
+                  std::span<const double> pinned_im = {}) {
   const std::size_t nb = v.size() / bs;
   const std::size_t cpb = chunks_for(bs);
-  std::vector<double> pr(nb * cpb), pi(nb * cpb);
+  std::vector<double> parts(2 * nb * cpb);
+  double* const pr = parts.data();
+  double* const pi = pr + nb * cpb;
   parallel_for(static_cast<SIdx>(nb * cpb), parallel_threads(v.size()),
                [&](SIdx t) {
     const auto ut = static_cast<std::size_t>(t);
@@ -146,10 +154,19 @@ void block_update(SoaVector& v, std::size_t bs, const KernelOps& ops,
               &pi[ut]);
     }
   });
+  for (std::size_t j = 0; j < pinned.size(); ++j) {
+    const Index m = pinned[j];
+    const std::size_t b = m / bs;
+    const std::size_t ut = b * cpb + (m - b * bs) / kChunk;
+    pr[ut] += pinned_re[j] - v.re()[m];
+    pi[ut] += pinned_im[j] - v.im()[m];
+    v.re()[m] = pinned_re[j];
+    v.im()[m] = pinned_im[j];
+  }
   v.mark_sums(bs);
   for (std::size_t b = 0; b < nb; ++b) {
-    v.sum_re()[b] = combine_pairwise(pr.data() + b * cpb, cpb);
-    v.sum_im()[b] = combine_pairwise(pi.data() + b * cpb, cpb);
+    v.sum_re()[b] = combine_pairwise(pr + b * cpb, cpb);
+    v.sum_im()[b] = combine_pairwise(pi + b * cpb, cpb);
   }
 }
 
@@ -292,107 +309,73 @@ void grover_iterations(SoaVector& v, std::span<const Index> marked_sorted,
     PQS_CHECK_MSG(j == 0 || marked_sorted[j - 1] < marked_sorted[j],
                   "marked indices must be sorted and unique");
   }
+  if (count == 0) {
+    return;
+  }
   const KernelOps& ops = active_kernel_ops();
   const std::size_t bs = block_size;
-  const std::size_t nb = v.size() / bs;
-  const std::size_t cpb = chunks_for(bs);
   const std::size_t nm = marked_sorted.size();
   const double inv = 2.0 / static_cast<double>(bs);
+  const bool odd = count % 2 == 1;
 
-  // One table row of per-iteration twice-means per block that holds a
-  // marked address. Every other block is cold: a sweep keeps its sum, so
-  // its twice-mean is one constant.
-  constexpr std::size_t kCold = ~std::size_t{0};
-  std::vector<std::size_t> hot_block;
-  std::vector<std::size_t> row_of(nb, kCold);
-  std::vector<std::size_t> marked_row(nm);
-  for (std::size_t j = 0; j < nm; ++j) {
-    const std::size_t b = marked_sorted[j] / bs;
-    if (row_of[b] == kCold) {
-      row_of[b] = hot_block.size();
-      hot_block.push_back(b);
-    }
-    marked_row[j] = row_of[b];
-  }
-  // The table, the tracked marked amplitudes and the chunk partials share
-  // one allocation: separate per-call vectors fragmented the heaps of
-  // Service workers that run many small jobs (peak RSS rose about 10%).
-  const std::size_t tab_len = hot_block.size() * kSweepDepth;
-  std::vector<double> scratch(2 * tab_len + 2 * nm + 2 * nb * cpb);
-  double* const tab_re = scratch.data();
-  double* const tab_im = tab_re + tab_len;
-  double* const am_re = tab_im + tab_len;
-  double* const am_im = am_re + nm;
-  double* const pr = am_im + nm;
-  double* const pi = pr + nb * cpb;
+  // After i iterations an unmarked amplitude a of block b reads
+  // alpha_i + (-1)^i a, with alpha_i = t_i - alpha_{i-1} and t_i the block's
+  // twice-mean in iteration i. A block without a mark keeps its sum, so its
+  // alpha alternates between t and 0; only the blocks holding a mark (hot,
+  // listed once each: the marks are sorted) iterate.
   std::vector<double> sr, si;
-  const unsigned threads = parallel_threads(v.size());
-
-  for (std::uint64_t done = 0; done < count;) {
-    const auto depth = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kSweepDepth, count - done));
-    block_sums(v, bs, ops, sr, si);
-    // The serial recurrence, in the order the per-op kernels apply it: the
-    // oracle's cache delta and flip, then the twice-means, then the marked
-    // amplitudes' own reflection t - (-a).
-    for (std::size_t j = 0; j < nm; ++j) {
-      am_re[j] = v.re()[marked_sorted[j]];
-      am_im[j] = v.im()[marked_sorted[j]];
-    }
-    for (std::size_t i = 0; i < depth; ++i) {
-      for (std::size_t j = 0; j < nm; ++j) {
-        const std::size_t b = marked_sorted[j] / bs;
-        sr[b] -= 2.0 * am_re[j];
-        si[b] -= 2.0 * am_im[j];
-        am_re[j] = -am_re[j];
-        am_im[j] = -am_im[j];
-      }
-      for (std::size_t h = 0; h < hot_block.size(); ++h) {
-        tab_re[h * kSweepDepth + i] = sr[hot_block[h]] * inv;
-        tab_im[h * kSweepDepth + i] = si[hot_block[h]] * inv;
-      }
-      for (std::size_t j = 0; j < nm; ++j) {
-        const std::size_t at = marked_row[j] * kSweepDepth + i;
-        am_re[j] = tab_re[at] - am_re[j];
-        am_im[j] = tab_im[at] - am_im[j];
-      }
-    }
-    // Every element takes all `depth` reflections; the marked ones are
-    // overwritten with their tracked values below.
-    parallel_for(static_cast<SIdx>(nb * cpb), threads, [&](SIdx t) {
-      const auto ut = static_cast<std::size_t>(t);
-      const std::size_t b = ut / cpb;
-      const std::size_t off = b * bs + (ut % cpb) * kChunk;
-      const std::size_t clen = std::min(kChunk, (b + 1) * bs - off);
-      double cold_re[kSweepDepth], cold_im[kSweepDepth];
-      const double* t_re = cold_re;
-      const double* t_im = cold_im;
-      if (row_of[b] == kCold) {
-        std::fill_n(cold_re, depth, sr[b] * inv);
-        std::fill_n(cold_im, depth, si[b] * inv);
-      } else {
-        t_re = tab_re + row_of[b] * kSweepDepth;
-        t_im = tab_im + row_of[b] * kSweepDepth;
-      }
-      ops.reflect_series(v.re() + off, v.im() + off, clen, t_re, t_im, depth,
-                         &pr[ut], &pi[ut]);
-    });
-    for (std::size_t j = 0; j < nm; ++j) {
-      const Index m = marked_sorted[j];
-      const std::size_t b = m / bs;
-      const std::size_t ut = b * cpb + (m - b * bs) / kChunk;
-      pr[ut] += am_re[j] - v.re()[m];
-      pi[ut] += am_im[j] - v.im()[m];
-      v.re()[m] = am_re[j];
-      v.im()[m] = am_im[j];
-    }
-    v.mark_sums(bs);
-    for (std::size_t b = 0; b < nb; ++b) {
-      v.sum_re()[b] = combine_pairwise(pr + b * cpb, cpb);
-      v.sum_im()[b] = combine_pairwise(pi + b * cpb, cpb);
-    }
-    done += depth;
+  block_sums(v, bs, ops, sr, si);
+  const std::size_t nb = sr.size();
+  // The alphas and the tracked marked amplitudes share one allocation, as
+  // block_update's partials do: Service workers run many small jobs, and
+  // every per-call allocation is one more chance to fragment a worker's
+  // arena (see PlaneCache in qsim/soa.h).
+  std::vector<double> track(2 * nb + 2 * nm);
+  const std::span<double> al_re(track.data(), nb);
+  const std::span<double> al_im(track.data() + nb, nb);
+  const std::span<double> am_re(track.data() + 2 * nb, nm);
+  const std::span<double> am_im(track.data() + 2 * nb + nm, nm);
+  for (std::size_t b = 0; b < nb; ++b) {
+    al_re[b] = odd ? sr[b] * inv : 0.0;
+    al_im[b] = odd ? si[b] * inv : 0.0;
   }
+  // A mark that starts its block (the marks are sorted) stands for the block.
+  const auto first_in_block = [&](std::size_t j) {
+    return j == 0 || marked_sorted[j - 1] / bs != marked_sorted[j] / bs;
+  };
+  for (std::size_t j = 0; j < nm; ++j) {
+    if (first_in_block(j)) {
+      al_re[marked_sorted[j] / bs] = 0.0;
+      al_im[marked_sorted[j] / bs] = 0.0;
+    }
+    am_re[j] = v.re()[marked_sorted[j]];
+    am_im[j] = v.im()[marked_sorted[j]];
+  }
+  // The serial recurrence, in the order the per-op kernels apply it: the
+  // oracle's cache delta and flip, then the twice-means, then the marked
+  // amplitudes' own reflection t - (-a).
+  for (std::uint64_t i = 0; i < count; ++i) {
+    for (std::size_t j = 0; j < nm; ++j) {
+      const std::size_t b = marked_sorted[j] / bs;
+      sr[b] -= 2.0 * am_re[j];
+      si[b] -= 2.0 * am_im[j];
+      am_re[j] = -am_re[j];
+      am_im[j] = -am_im[j];
+    }
+    for (std::size_t j = 0; j < nm; ++j) {
+      const std::size_t b = marked_sorted[j] / bs;
+      if (first_in_block(j)) {
+        al_re[b] = sr[b] * inv - al_re[b];
+        al_im[b] = si[b] * inv - al_im[b];
+      }
+      am_re[j] = sr[b] * inv - am_re[j];
+      am_im[j] = si[b] * inv - am_im[j];
+    }
+  }
+  // One pass: a <- alpha - a for an odd count, a <- a + alpha for an even
+  // one; the marked amplitudes take their tracked values.
+  block_update(v, bs, ops, /*is_reflect=*/odd, al_re, al_im, marked_sorted,
+               am_re, am_im);
 }
 
 void reflect_non_target_about_their_mean(SoaVector& v, Index t) {

@@ -33,21 +33,6 @@ namespace pqs::qsim {
 /// the chunk partition being fixed, whatever the thread count.
 inline constexpr std::size_t kChunk = 4096;
 
-/// Most Grover iterations kernels::grover_iterations applies per sweep of
-/// the state (D): each chunk runs up to this many reflections on its lanes
-/// while they sit in registers. Compile-time like kChunk: the sweep
-/// boundaries fix where the block sums are refreshed from stored data, so
-/// results depend on D but never on the thread count. From BENCH_qsim.json
-/// "grover_fused" (4-core AVX-512 host): at D = 64 a fused iteration costs
-/// 0.015-0.026 ns per amplitude from n = 20 to n = 24, against 0.2-0.4 ns
-/// per op. The low end is the arithmetic rate of 4 threads, so the sweep's
-/// memory traffic hardly shows even once the state outgrows the caches
-/// (the high end is a core shared with other load on that host). Doubling
-/// D bought under 10% at n = 22..24, within the host's run-to-run spread,
-/// and only lengthens the window in which block sums come from the
-/// recurrence.
-inline constexpr std::size_t kSweepDepth = 64;
-
 /// Regions that sweep fewer elements than this run on the calling thread.
 /// 8 chunks (n = 15), from the crossover table in BENCH_qsim.json
 /// "threading" (4-core AVX-512 host): one oracle flip plus two reflections

@@ -228,13 +228,12 @@ TEST(BackendAgreement, GrkEntryPointAcrossSizes) {
 
 /// The scale unlock: 48-qubit partial search in O(K) per iteration, under a
 /// second, cross-checked against the exact analytic subspace model.
-// DenseBackend::apply_grover_iterations (the fused sweep on the SIMD tiers)
+// DenseBackend::apply_grover_iterations (the folded run, on every tier)
 // against the per-op default loop it overrides, on every supported tier:
 // the l1-global-then-l2-block shape of partial search, from a complex
 // non-uniform start, with the target in the first block, in the last block,
 // or a marked set spanning every block.
-TEST(DenseFusedIterations, MatchThePerOpLoopOnEveryTier) {
-  constexpr std::uint64_t kD = kSweepDepth;
+TEST(DenseFoldedIterations, MatchThePerOpLoopOnEveryTier) {
   // One thread: the results do not depend on the budget (test_threading),
   // and a team would only fight concurrently running test binaries.
   set_thread_budget(1);
@@ -248,17 +247,17 @@ TEST(DenseFusedIterations, MatchThePerOpLoopOnEveryTier) {
       } else if (n % 2 == 1) {
         spec.marked = {size - 1 - n};
       }
-      const auto fused = make_backend(BackendKind::kDense, spec);
+      const auto folded = make_backend(BackendKind::kDense, spec);
       const auto per_op = make_backend(BackendKind::kDense, spec);
-      for (Backend* b : {fused.get(), per_op.get()}) {
+      for (Backend* b : {folded.get(), per_op.get()}) {
         b->apply_gate1(0, gates::Ry(0.3));
         b->apply_oracle_phase(0.9);
       }
-      fused->apply_grover_iterations(Partition::kGlobal, kD + 1);
-      fused->apply_grover_iterations(Partition::kBlocks, kD - 1);
-      per_op->Backend::apply_grover_iterations(Partition::kGlobal, kD + 1);
-      per_op->Backend::apply_grover_iterations(Partition::kBlocks, kD - 1);
-      EXPECT_LT(linf(fused->amplitudes_copy(), per_op->amplitudes_copy()),
+      folded->apply_grover_iterations(Partition::kGlobal, 65);
+      folded->apply_grover_iterations(Partition::kBlocks, 64);
+      per_op->Backend::apply_grover_iterations(Partition::kGlobal, 65);
+      per_op->Backend::apply_grover_iterations(Partition::kBlocks, 64);
+      EXPECT_LT(linf(folded->amplitudes_copy(), per_op->amplitudes_copy()),
                 1e-11)
           << isa_name(isa) << " n=" << n << " marks=" << spec.marked.size();
     }
@@ -267,7 +266,7 @@ TEST(DenseFusedIterations, MatchThePerOpLoopOnEveryTier) {
   set_thread_budget(0);
 }
 
-TEST(DenseFusedIterations, ZeroCountLeavesTheStateAlone) {
+TEST(DenseFoldedIterations, ZeroCountLeavesTheStateAlone) {
   const auto spec = BackendSpec::single_target(pow2(12), 4, 77);
   const auto b = make_backend(BackendKind::kDense, spec);
   b->apply_oracle_phase(0.4);

@@ -740,17 +740,23 @@ void write_all_fd(int fd, const std::string& bytes) {
 }
 
 std::string slow_submit_line(const std::string& id, std::uint64_t seed) {
-  // ~10^9 kernel ops per trial: far longer than the kill latency, so the
-  // SIGKILL below is guaranteed to land while these are unfinished.
+  // Noisy dense trajectories evolve one operator at a time: ~300 queries of
+  // two sweeps over 2^18 amplitudes, ~10^8 kernel ops per trajectory. Far
+  // longer than the kill latency, so the SIGKILL below is guaranteed to
+  // land while these are unfinished. (A plain Grover run is no use here:
+  // the dense engine folds it into one or two sweeps.)
   Json spec = Json::make_object();
-  spec["algorithm"] = std::string("grover");
+  spec["algorithm"] = std::string("noisy");
   spec["n_items"] = std::uint64_t{262144};
-  spec["n_blocks"] = std::uint64_t{1};
+  spec["n_blocks"] = std::uint64_t{4};
   Json marked = Json::make_array();
   marked.push_back(std::uint64_t{7});
   spec["marked"] = std::move(marked);
+  spec["backend"] = std::string("dense");
+  spec["noise"] = std::string("depolarizing");
+  spec["noise_p"] = 1e-3;
   spec["seed"] = seed;
-  spec["shots"] = std::uint64_t{1};
+  spec["shots"] = std::uint64_t{2};
   Json request = Json::make_object();
   request["op"] = std::string("submit");
   request["id"] = id;

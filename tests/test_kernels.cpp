@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -259,15 +260,38 @@ TEST(Kernels, ScaleMultipliesEverything) {
   EXPECT_LT(std::abs(v.get(1) - Amplitude{0.0, 2.0}), 1e-15);
 }
 
+TEST(SoaVectorTest, ReusesTheThreadsLastFreedPlanesOfTheSameSize) {
+  // A state takes the planes the previous same-size state on its thread
+  // freed, zero-filled like fresh ones; a state of another size does not.
+  constexpr std::size_t kSize = 1000;
+  const double* re = nullptr;
+  const double* im = nullptr;
+  {
+    SoaVector v(kSize);
+    v.fill(Amplitude{1.0, 2.0});
+    re = v.re();
+    im = v.im();
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(re) % 64, 0u);
+  }
+  SoaVector other(kSize + 1);
+  SoaVector again(kSize);
+  EXPECT_TRUE((again.re() == re && again.im() == im) ||
+              (again.re() == im && again.im() == re));
+  EXPECT_EQ(again.get(kSize - 1), (Amplitude{0.0, 0.0}));
+  EXPECT_NE(other.re(), re);
+  EXPECT_NE(other.re(), im);
+}
+
 // ---- ISA-parametrized sweep against the reference -------------------------
 //
 // Every SoA kernel must agree with its serial reference implementation
 // (reference_kernels.h) to 1e-10 on every tier compiled into this binary AND
 // supported by this CPU (qsim/isa.h). Every tier runs the same composition,
-// sum cache and fused sweeps included; only the KernelOps table differs, and
-// EveryPrimitiveMatchesAPlainLoopAtEveryTail checks each table entry on its
-// own. The sweep runs on random non-uniform states, non-power-of-two sizes
-// (SIMD tail paths), and n = 1 (N = 2, smaller than one vector register).
+// sum cache and folded Grover runs included; only the KernelOps table
+// differs, and EveryPrimitiveMatchesAPlainLoopAtEveryTail checks each of the
+// table's seven entries on its own. The sweep runs on random non-uniform
+// states, non-power-of-two sizes (SIMD tail paths), and n = 1 (N = 2,
+// smaller than one vector register).
 // CI also runs the whole suite under PQS_ISA=scalar and PQS_ISA=avx2, so the
 // narrower tiers stay covered end to end even when the runner has wider
 // hardware.
@@ -446,12 +470,11 @@ double max_abs_diff(const std::vector<double>& a,
 }
 
 TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
-  // Each KernelOps entry of the tier, called directly, against a plain
-  // serial loop. Lengths 0..65 cross every register-group tail of every
-  // width (the widest group is 32 lanes); 4096 and 4099 are one chunk with
-  // and without a tail. Stored values may differ from the loop only by FMA
-  // contraction, sums also by summation order; reflect_series with no step
-  // leaves the segment and reports its sum.
+  // Each of the seven KernelOps entries of the tier, called directly,
+  // against a plain serial loop. Lengths 0..65 cross every register-group
+  // tail of every width (the widest group is 16 lanes); 4096 and 4099 are
+  // one chunk with and without a tail. Stored values may differ from the
+  // loop only by FMA contraction, sums also by summation order.
   constexpr double kLaneTol = 1e-13;
   const kernels::KernelOps& ops = kernels::kernel_ops(GetParam());
   Rng rng(167);
@@ -459,8 +482,8 @@ TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
   std::iota(lengths.begin(), lengths.end(), std::size_t{0});
   lengths.push_back(4096);
   lengths.push_back(4099);
-  const std::vector<double> t_re = random_plane(kSweepDepth, rng);
-  const std::vector<double> t_im = random_plane(kSweepDepth, rng);
+  const double t_re = rng.normal();
+  const double t_im = rng.normal();
   const double m[8] = {0.6, 0.1, -0.3, 0.2, 0.5, -0.4, 0.7, 0.05};
   for (const std::size_t n : lengths) {
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -489,18 +512,16 @@ TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
     EXPECT_NEAR(sr, wr, kTierTol);
     EXPECT_NEAR(si, wi, kTierTol);
 
-    // The mutating sum primitives against one loop: `steps` updates
-    // a <- t[k] - a (or a <- a + t[k]), then the sums of the stored values.
-    const auto expect_update = [&](const char* what, std::size_t steps,
-                                   bool is_add, auto&& apply) {
-      SCOPED_TRACE(std::string(what) + " steps=" + std::to_string(steps));
+    // The mutating sum primitives against one loop: a <- t - a (or
+    // a <- a + t), then the sums of the stored values.
+    const auto expect_update = [&](const char* what, bool is_add,
+                                   auto&& apply) {
+      SCOPED_TRACE(what);
       std::vector<double> r = re, s = im, want_r = re, want_s = im;
       wr = wi = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t k = 0; k < steps; ++k) {
-          want_r[i] = is_add ? want_r[i] + t_re[k] : t_re[k] - want_r[i];
-          want_s[i] = is_add ? want_s[i] + t_im[k] : t_im[k] - want_s[i];
-        }
+        want_r[i] = is_add ? want_r[i] + t_re : t_re - want_r[i];
+        want_s[i] = is_add ? want_s[i] + t_im : t_im - want_s[i];
         wr += want_r[i];
         wi += want_s[i];
       }
@@ -510,19 +531,12 @@ TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
       EXPECT_NEAR(sr, wr, kTierTol);
       EXPECT_NEAR(si, wi, kTierTol);
     };
-    expect_update("reflect", 1, false, [&](double* r, double* s) {
-      ops.reflect(r, s, n, t_re[0], t_im[0], &sr, &si);
+    expect_update("reflect", false, [&](double* r, double* s) {
+      ops.reflect(r, s, n, t_re, t_im, &sr, &si);
     });
-    expect_update("add", 1, true, [&](double* r, double* s) {
-      ops.add(r, s, n, t_re[0], t_im[0], &sr, &si);
+    expect_update("add", true, [&](double* r, double* s) {
+      ops.add(r, s, n, t_re, t_im, &sr, &si);
     });
-    for (const std::size_t steps : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{5}, kSweepDepth}) {
-      expect_update("reflect_series", steps, false, [&](double* r, double* s) {
-        ops.reflect_series(r, s, n, t_re.data(), t_im.data(), steps, &sr,
-                           &si);
-      });
-    }
 
     std::vector<double> r = re, s = im, want_r(n), want_s(n);
     ops.scale(r.data(), s.data(), n, m[0], m[1]);
@@ -552,16 +566,17 @@ TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
   }
 }
 
-// ---- temporal blocking: grover_iterations against the per-op loop ---------
+// ---- folded Grover runs: grover_iterations against the per-op loop -------
 //
-// kernels::grover_iterations takes each iteration's block means from the
-// sum recurrence and applies up to kSweepDepth reflections per sweep of the
-// state; the per-op loop (phase_flip_indices + reflect_blocks_about_uniform)
-// reads or recomputes the block sums every iteration. The two must agree to
-// 1e-11 per amplitude on every tier.
+// kernels::grover_iterations takes every iteration's block means from the
+// sum recurrence and applies the whole run as one affine pass per block; the
+// per-op loop (phase_flip_indices + reflect_blocks_about_uniform) reads or
+// recomputes the block sums every iteration and sweeps the state twice per
+// iteration. The two must agree to 1e-11 per amplitude on every tier. The
+// counts cover 0, 1, both parities (an odd run is a reflect pass, an even
+// one an add pass) and runs of hundreds of iterations.
 
-constexpr double kFusedTol = 1e-11;
-constexpr std::uint64_t kD = kSweepDepth;
+constexpr double kFoldedTol = 1e-11;
 
 void per_op_iterations(SoaVector& v, std::span<const Index> marked,
                        std::size_t block_size, std::uint64_t count) {
@@ -593,7 +608,7 @@ std::vector<Index> spread_marks(std::size_t size, Index first,
 
 TEST_P(IsaSweep, GroverIterationsMatchPerOpAtEveryCount) {
   Rng rng(149);
-  const unsigned n = 13;  // two chunks per global sweep
+  const unsigned n = 13;  // two chunks per global pass
   const std::size_t size = pow2(n);
   // Target in the first block, target in the last block, and a dense set
   // spanning all four blocks.
@@ -601,18 +616,42 @@ TEST_P(IsaSweep, GroverIterationsMatchPerOpAtEveryCount) {
       {3}, {size - 2}, spread_marks(size, 5, 97)};
   for (const auto& marked : marked_sets) {
     for (const std::size_t bs : {size, size / 4}) {
-      for (const std::uint64_t count :
-           {std::uint64_t{0}, std::uint64_t{1}, kD - 1, kD, kD + 1,
-            3 * kD + 5}) {
+      for (const std::uint64_t count : {0, 1, 2, 63, 64, 65, 197}) {
         const SoaVector start = random_state(n, rng);  // complex, non-uniform
-        SoaVector fused = start;
+        SoaVector folded = start;
         SoaVector per_op = start;
-        kernels::grover_iterations(fused, marked, bs, count);
+        kernels::grover_iterations(folded, marked, bs, count);
         per_op_iterations(per_op, marked, bs, count);
-        EXPECT_LT(max_diff(fused, per_op), kFusedTol)
+        EXPECT_LT(max_diff(folded, per_op), kFoldedTol)
             << "marks=" << marked.size() << " first=" << marked.front()
             << " block_size=" << bs << " count=" << count;
       }
+    }
+  }
+}
+
+TEST_P(IsaSweep, GroverIterationsMatchPerOpAtTheDenseCapCount) {
+  // The longest run a dense request implies: pi/4 * sqrt(2^30) = 25,735.9
+  // iterations at kMaxDenseItems, rounded up. One recurrence carries the
+  // block sums through the whole run, so this is where its rounding would
+  // show. One marked set, both partitions, from a random complex start and
+  // from the uniform start; n = 12 keeps the per-op side at a few seconds
+  // over every tier.
+  constexpr std::uint64_t kCount = 25736;
+  Rng rng(173);
+  const unsigned n = 12;
+  const std::size_t size = pow2(n);
+  const std::vector<Index> marked{5, 2900};
+  for (const bool uniform : {false, true}) {
+    for (const std::size_t bs : {size, size / 4}) {
+      const SoaVector start =
+          uniform ? reference::uniform_state(n) : random_state(n, rng);
+      SoaVector folded = start;
+      SoaVector per_op = start;
+      kernels::grover_iterations(folded, marked, bs, kCount);
+      per_op_iterations(per_op, marked, bs, kCount);
+      EXPECT_LT(max_diff(folded, per_op), kFoldedTol)
+          << "uniform=" << uniform << " block_size=" << bs;
     }
   }
 }
@@ -625,19 +664,22 @@ TEST_P(IsaSweep, GroverIterationsMatchPerOpOnOddBlockSizes) {
   const std::vector<Index> marked{0, 999, 5999, 6000, 11999};
   for (const std::size_t bs : {std::size_t{12000}, std::size_t{6000},
                                std::size_t{1000}, std::size_t{40}}) {
-    const auto amps = random_amps(size, rng);
-    SoaVector fused = SoaVector::from_amplitudes(amps);
-    SoaVector per_op = fused;
-    kernels::grover_iterations(fused, marked, bs, 2 * kD + 3);
-    per_op_iterations(per_op, marked, bs, 2 * kD + 3);
-    EXPECT_LT(max_diff(fused, per_op), kFusedTol) << "block_size=" << bs;
+    for (const std::uint64_t count : {64, 197}) {
+      const auto amps = random_amps(size, rng);
+      SoaVector folded = SoaVector::from_amplitudes(amps);
+      SoaVector per_op = folded;
+      kernels::grover_iterations(folded, marked, bs, count);
+      per_op_iterations(per_op, marked, bs, count);
+      EXPECT_LT(max_diff(folded, per_op), kFoldedTol)
+          << "block_size=" << bs << " count=" << count;
+    }
   }
 }
 
 TEST_P(IsaSweep, GroverIterationsMatchPerOpOnMixedSchedulesAcrossSizes) {
   // The partial-search shape: l1 global iterations, then l2 block
   // iterations (K = 4), from a complex non-uniform start. On one thread:
-  // test_threading pins every kernel, the fused one included, byte-identical
+  // test_threading pins every kernel, the folded one included, byte-identical
   // at budgets 1, 2 and 4, and a team here would only fight concurrently
   // running test binaries for the cores.
   set_thread_budget(1);
@@ -653,37 +695,41 @@ TEST_P(IsaSweep, GroverIterationsMatchPerOpOnMixedSchedulesAcrossSizes) {
       marked = {size - 1 - n};  // last block
     }
     const SoaVector start = random_state(n, rng);
-    SoaVector fused = start;
+    SoaVector folded = start;
     SoaVector per_op = start;
-    kernels::grover_iterations(fused, marked, size, kD + 1);
-    kernels::grover_iterations(fused, marked, size / 4, kD - 1);
-    per_op_iterations(per_op, marked, size, kD + 1);
-    per_op_iterations(per_op, marked, size / 4, kD - 1);
-    EXPECT_LT(max_diff(fused, per_op), kFusedTol)
+    kernels::grover_iterations(folded, marked, size, 65);
+    kernels::grover_iterations(folded, marked, size / 4, 64);
+    per_op_iterations(per_op, marked, size, 65);
+    per_op_iterations(per_op, marked, size / 4, 64);
+    EXPECT_LT(max_diff(folded, per_op), kFoldedTol)
         << "n=" << n << " marks=" << marked.size();
   }
   set_thread_budget(0);
 }
 
-TEST_P(IsaSweep, FusedSweepLeavesTheSumCacheOfItsStoredValues) {
-  // After a fused run, a per-op reflection that reads the cache must match
+TEST_P(IsaSweep, FoldedRunLeavesTheSumCacheOfItsStoredValues) {
+  // After a folded run, a per-op reflection that reads the cache must match
   // one that recomputes the sums from the stored amplitudes. The per-op
   // reflection before the run makes the cache valid for the partition, so
-  // a sweep that failed to refresh it would leave stale sums behind.
+  // a run that failed to refresh it would leave stale sums behind. Both
+  // parities: an odd run ends in a reflect pass, an even one in an add pass.
   Rng rng(163);
   const unsigned n = 14;
   const std::size_t size = pow2(n);
   const std::vector<Index> marked{7, size / 2 + 9};
   for (const std::size_t bs : {size, size / 4}) {
-    SoaVector v = random_state(n, rng);
-    kernels::reflect_blocks_about_uniform(v, bs);
-    kernels::grover_iterations(v, marked, bs, kD + 5);
-    SoaVector cached = v;
-    SoaVector recomputed = v;
-    recomputed.invalidate_sums();
-    kernels::reflect_blocks_about_uniform(cached, bs);
-    kernels::reflect_blocks_about_uniform(recomputed, bs);
-    EXPECT_LT(max_diff(cached, recomputed), kFusedTol) << "block_size=" << bs;
+    for (const std::uint64_t count : {64, 65}) {
+      SoaVector v = random_state(n, rng);
+      kernels::reflect_blocks_about_uniform(v, bs);
+      kernels::grover_iterations(v, marked, bs, count);
+      SoaVector cached = v;
+      SoaVector recomputed = v;
+      recomputed.invalidate_sums();
+      kernels::reflect_blocks_about_uniform(cached, bs);
+      kernels::reflect_blocks_about_uniform(recomputed, bs);
+      EXPECT_LT(max_diff(cached, recomputed), kFoldedTol)
+          << "block_size=" << bs << " count=" << count;
+    }
   }
 }
 

@@ -65,11 +65,11 @@ KernelOutputs run_kernels(unsigned n) {
     kernels::phase_flip_index(state, (qsim::Index{1} << n) / 3 + 1);
     kernels::reflect_blocks_about_uniform(state, state.size() >> 2);
   }
-  // The fused path on each partition: two sweeps globally, one per block.
+  // The folded path on each partition: an odd run globally (a reflect
+  // pass), an even one per block (an add pass).
   const qsim::Index marked[2] = {1, (qsim::Index{1} << n) / 3 + 1};
-  kernels::grover_iterations(state, marked, state.size(),
-                             qsim::kSweepDepth + 3);
-  kernels::grover_iterations(state, marked, state.size() >> 2, 5);
+  kernels::grover_iterations(state, marked, state.size(), 65);
+  kernels::grover_iterations(state, marked, state.size() >> 2, 64);
   qsim::SoaVector other = qsim::reference::uniform_state(n);
   kernels::phase_flip_index(other, 5);
   KernelOutputs out;
