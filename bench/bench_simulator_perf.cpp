@@ -11,6 +11,10 @@
 //               (Backend::apply_grover_iterations) ns per Grover iteration
 //               on DenseBackend, n = 16..24, K = 4, global and block
 //               partitions, with the team size and the host it ran on
+//   dense_setup what building and dropping a dense state costs: the
+//               DenseBackend constructor, its first global reflection and
+//               its destructor at n = 20, 22, 24, min and median over
+//               trials, with the team size and the host it ran on
 //   backends    dense vs symmetry cost of one full GRK run at growing n —
 //               the O(N) -> O(K) gap the pluggable-backend refactor buys,
 //               including symmetry-only rows far beyond dense reach (n=48)
@@ -468,7 +472,65 @@ int main(int argc, char** argv) {
               << folded_table.render() << "\n";
   }
 
-  // -- section 1b: threading ------------------------------------------------
+  // -- section 1b: building a dense state (dense_setup) --------------------
+  // What every dense request pays around its kernels: the DenseBackend
+  // constructor (plane allocation plus the one parallel write of |psi0>),
+  // the first global reflection on the fresh planes (a block-sum read pass
+  // and a reflect pass), and the destructor.
+  Json dense_setup = Json::make_object();
+  {
+    const int trials = quick ? 3 : 7;
+    const unsigned n_max = quick ? 22u : 24u;
+    dense_setup["host"] = host_json();
+    dense_setup["trials"] = trials;
+    Table setup_table({"n", "plane MiB", "threads", "construct ms",
+                       "reflect ms", "destroy ms"});
+    Json rows = Json::make_array();
+    for (unsigned n = 20; n <= n_max; n += 2) {
+      std::vector<double> construct_ms, reflect_ms, destroy_ms;
+      for (int t = 0; t < trials; ++t) {
+        Stopwatch watch;
+        auto dense = dense_backend(n, 4, pow2(n) / 3 + 1);
+        construct_ms.push_back(watch.millis());
+        watch.reset();
+        dense->apply_global_diffusion();
+        reflect_ms.push_back(watch.millis());
+        watch.reset();
+        dense.reset();
+        destroy_ms.push_back(watch.millis());
+      }
+      const auto min_median = [](std::vector<double> ms) {
+        std::sort(ms.begin(), ms.end());
+        Json phase = Json::make_object();
+        phase["min_ms"] = ms.front();
+        phase["median_ms"] = ms[ms.size() / 2];
+        return phase;
+      };
+      const unsigned threads = qsim::parallel_threads(pow2(n));
+      Json row = Json::make_object();
+      row["n"] = n;
+      row["plane_mib"] = static_cast<double>(pow2(n) * sizeof(double)) /
+                         static_cast<double>(1u << 20);
+      row["threads"] = threads;
+      row["construct"] = min_median(construct_ms);
+      row["reflect"] = min_median(reflect_ms);
+      row["destroy"] = min_median(destroy_ms);
+      setup_table.add_row(
+          {Table::num(std::uint64_t{n}),
+           Table::num(row.at("plane_mib").as_double(), 0),
+           Table::num(std::uint64_t{threads}),
+           Table::num(row.at("construct").at("median_ms").as_double(), 2),
+           Table::num(row.at("reflect").at("median_ms").as_double(), 2),
+           Table::num(row.at("destroy").at("median_ms").as_double(), 2)});
+      rows.push_back(std::move(row));
+    }
+    dense_setup["rows"] = std::move(rows);
+    std::cout << "dense_setup (DenseBackend construct, first reflection, "
+                 "destroy; median of "
+              << trials << ")\n" << setup_table.render() << "\n";
+  }
+
+  // -- section 1c: threading ------------------------------------------------
   // Runs before the sections that start Services: each Service worker that
   // runs kernels gets its own OpenMP pool, and a process that has made many
   // of them times fork/join differently from one that only runs kernels.
@@ -938,6 +1000,7 @@ int main(int argc, char** argv) {
        << "  \"isa\": \"" << qsim::isa_name(qsim::active_isa()) << "\",\n"
        << "  \"dense_simd\": " << simd_json.str() << ",\n"
        << "  \"grover_folded\": " << grover_folded.dump() << ",\n"
+       << "  \"dense_setup\": " << dense_setup.dump() << ",\n"
        << "  \"grk_backends\": " << backends_json.str() << ",\n"
        << "  \"sampling\": " << sampling.dump() << ",\n"
        << "  \"trajectories\": " << trajectories.dump() << ",\n"

@@ -102,6 +102,15 @@ bool symmetry_supports(const BackendSpec& spec) {
   return true;
 }
 
+namespace {
+
+/// 1/sqrt(N): every amplitude of |psi0> over N items.
+Amplitude uniform_amplitude(std::uint64_t n_items) {
+  return Amplitude{1.0 / std::sqrt(static_cast<double>(n_items)), 0.0};
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // DenseBackend
 // ---------------------------------------------------------------------------
@@ -116,16 +125,13 @@ class DenseBackend final : public Backend {
     PQS_CHECK_MSG(spec_.n_items <= kMaxDenseItems,
                   "database too large for the dense backend; use the "
                   "symmetry backend");
-    amps_ = SoaVector(spec_.n_items);
-    reset_uniform();
+    amps_ = SoaVector(spec_.n_items, uniform_amplitude(spec_.n_items));
   }
 
   BackendKind kind() const override { return BackendKind::kDense; }
 
   void reset_uniform() override {
-    const double amp =
-        1.0 / std::sqrt(static_cast<double>(spec_.n_items));
-    amps_.fill(Amplitude{amp, 0.0});
+    amps_.fill(uniform_amplitude(spec_.n_items));
   }
 
   void apply_oracle() override {
@@ -274,9 +280,7 @@ class SymmetryBackend final : public Backend {
   BackendKind kind() const override { return BackendKind::kSymmetry; }
 
   void reset_uniform() override {
-    const Amplitude amp{1.0 / std::sqrt(static_cast<double>(spec_.n_items)),
-                        0.0};
-    a_t_ = a_b_ = a_o_ = amp;
+    a_t_ = a_b_ = a_o_ = uniform_amplitude(spec_.n_items);
     r_t_ = r_b_ = r_o_ = 0.0;
   }
 

@@ -1,11 +1,20 @@
 // Structure-of-arrays amplitude storage for the dense engine.
 //
 // The real and imaginary parts live in two separate contiguous double
-// planes, 64-byte aligned, so the SIMD kernel tiers (qsim/kernels_ops.h)
-// stream homogeneous lanes instead of shuffling interleaved re/im pairs.
-// SoaVector is a dumb container plus a block-sum cache; all arithmetic and
-// all cache POLICY lives in qsim::kernels — code that mutates the planes
-// without going through those kernels must call invalidate_sums().
+// planes, so the SIMD kernel tiers (qsim/kernels_ops.h) stream homogeneous
+// lanes instead of shuffling interleaved re/im pairs. SoaVector is a dumb
+// container plus a block-sum cache; all arithmetic and all cache POLICY
+// lives in qsim::kernels — code that mutates the planes without going
+// through those kernels must call invalidate_sums().
+//
+// A state costs one write pass to build: planes are allocated with nothing
+// written, and the constructor (or fill) writes every element once, in a
+// parallel_for over the kernels' fixed kChunk partition on the team
+// parallel_threads(size) picks, so each thread first-touches the pages it
+// later sweeps. Planes up to Plane::kCachedBytes come from the calling
+// thread's PlaneCache (qsim/soa.cpp); larger ones are 2 MiB aligned and
+// advised MADV_HUGEPAGE, so with transparent huge pages in `madvise` or
+// `always` mode they fault in, and are swept, a huge page at a time.
 //
 // The sum cache is what makes the SoA engine faster than memory bandwidth
 // naively allows: reflect/rotate kernels accumulate the sums of the values
@@ -16,123 +25,60 @@
 // block sums live in the kernel's recurrence, not here.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "qsim/types.h"
 
 namespace pqs::qsim {
 
-/// Plane memory, 64-byte aligned, with a per-thread cache of the last two
-/// planes of at most kCachedBytes the thread freed, handed back to its next
-/// allocations of the same size. A Service worker runs request after
-/// request on same-size states. Sent back through malloc, each request's
-/// planes leave holes in the worker's arena that small allocations
-/// outliving the request split, so the arena grows: the n = 14 fleet of
-/// perfbench serve_cached_routed peaks at 42 MB that way and at 18 MB with
-/// this cache (4-core host). Mapping every plane instead cost serve_fresh
-/// two thirds of its throughput. Larger planes go to malloc, so a thread
-/// pins at most 2 MiB here.
-class PlaneCache {
+/// One owning plane of doubles. Allocation writes nothing: SoaVector writes
+/// every element once.
+class Plane {
  public:
-  static constexpr std::align_val_t kAlign{64};
+  /// Planes of at most this many bytes are 64-byte aligned and cached per
+  /// thread; larger ones are 2 MiB aligned and advised MADV_HUGEPAGE.
   static constexpr std::size_t kCachedBytes = std::size_t{1} << 20;
 
-  PlaneCache() = default;
-  PlaneCache(const PlaneCache&) = delete;
-  PlaneCache& operator=(const PlaneCache&) = delete;
-  ~PlaneCache() {
-    for (Slot& slot : slots_) {
-      if (slot.p != nullptr) {
-        ::operator delete(slot.p, kAlign);
-      }
-    }
+  Plane() = default;
+  explicit Plane(std::size_t size)
+      : data_(size == 0 ? nullptr : allocate(size)), size_(size) {}
+  Plane(const Plane& other);
+  Plane(Plane&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
+  Plane& operator=(Plane other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    return *this;
   }
+  ~Plane() { release(data_, size_); }
 
-  static void* take(std::size_t bytes) {
-    Slot* slots = local().slots_;
-    for (int i = 0; i < 2; ++i) {
-      if (slots[i].p != nullptr && slots[i].bytes == bytes) {
-        void* p = slots[i].p;
-        if (i == 0) {
-          slots[0] = slots[1];
-        }
-        slots[1] = Slot{};
-        return p;
-      }
-    }
-    return ::operator new(bytes, kAlign);
-  }
-
-  /// Slots fill in order, so slots_[0] holds the older plane.
-  static void give(void* p, std::size_t bytes) {
-    if (bytes > kCachedBytes) {
-      ::operator delete(p, kAlign);
-      return;
-    }
-    Slot* slots = local().slots_;
-    if (slots[0].p == nullptr) {
-      slots[0] = Slot{p, bytes};
-      return;
-    }
-    if (slots[1].p != nullptr) {
-      ::operator delete(slots[0].p, kAlign);
-      slots[0] = slots[1];
-    }
-    slots[1] = Slot{p, bytes};
-  }
+  std::size_t size() const { return size_; }
+  double* data() { return data_; }
+  const double* data() const { return data_; }
 
  private:
-  struct Slot {
-    void* p = nullptr;
-    std::size_t bytes = 0;
-  };
+  static double* allocate(std::size_t size);
+  static void release(double* p, std::size_t size);
 
-  static PlaneCache& local() {
-    thread_local PlaneCache cache;
-    return cache;
-  }
-
-  Slot slots_[2];
-};
-
-/// Minimal allocator over PlaneCache: plane starts land on cache-line (and
-/// AVX-512 register) boundaries regardless of libc malloc behaviour.
-template <typename T>
-struct AlignedAlloc64 {
-  using value_type = T;
-
-  AlignedAlloc64() = default;
-  template <typename U>
-  AlignedAlloc64(const AlignedAlloc64<U>&) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(PlaneCache::take(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) { PlaneCache::give(p, n * sizeof(T)); }
-
-  template <typename U>
-  bool operator==(const AlignedAlloc64<U>&) const {
-    return true;
-  }
+  double* data_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 class SoaVector {
  public:
-  using Plane = std::vector<double, AlignedAlloc64<double>>;
-
   SoaVector() = default;
-  /// Zero-filled planes of the given length.
-  explicit SoaVector(std::size_t size) : re_(size, 0.0), im_(size, 0.0) {}
+  /// Planes of the given length with every element set to `a` (zero by
+  /// default), in one parallel write pass.
+  explicit SoaVector(std::size_t size, Amplitude a = {});
 
   static SoaVector from_amplitudes(const std::vector<Amplitude>& amps) {
-    SoaVector v(amps.size());
+    SoaVector v(amps.size(), Unfilled{});
     for (std::size_t i = 0; i < amps.size(); ++i) {
-      v.re_[i] = amps[i].real();
-      v.im_[i] = amps[i].imag();
+      v.set(i, amps[i]);
     }
     return v;
   }
@@ -143,23 +89,20 @@ class SoaVector {
   double* im() { return im_.data(); }
   const double* re() const { return re_.data(); }
   const double* im() const { return im_.data(); }
-  std::span<const double> re_span() const { return re_; }
-  std::span<const double> im_span() const { return im_; }
+  std::span<const double> re_span() const { return {re_.data(), size()}; }
+  std::span<const double> im_span() const { return {im_.data(), size()}; }
 
-  Amplitude get(std::size_t i) const { return Amplitude{re_[i], im_[i]}; }
+  Amplitude get(std::size_t i) const { return Amplitude{re()[i], im()[i]}; }
   /// Plain store. Does NOT touch the sum cache — callers mutating
   /// amplitudes outside qsim::kernels must invalidate_sums() afterwards.
   void set(std::size_t i, Amplitude a) {
-    re_[i] = a.real();
-    im_[i] = a.imag();
+    re()[i] = a.real();
+    im()[i] = a.imag();
   }
 
-  /// Every element <- a. Invalidates the sum cache.
-  void fill(Amplitude a) {
-    std::fill(re_.begin(), re_.end(), a.real());
-    std::fill(im_.begin(), im_.end(), a.imag());
-    invalidate_sums();
-  }
+  /// Every element <- a, in one parallel write pass. Invalidates the sum
+  /// cache.
+  void fill(Amplitude a);
 
   std::vector<Amplitude> to_amplitudes() const {
     std::vector<Amplitude> out(size());
@@ -191,6 +134,10 @@ class SoaVector {
   const std::vector<double>& sum_im() const { return sum_im_; }
 
  private:
+  /// Planes allocated with nothing written; the caller writes every element.
+  struct Unfilled {};
+  SoaVector(std::size_t size, Unfilled) : re_(size), im_(size) {}
+
   Plane re_, im_;
   std::size_t sum_block_size_ = 0;  ///< 0 = cache invalid
   std::vector<double> sum_re_, sum_im_;

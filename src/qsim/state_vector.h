@@ -20,8 +20,7 @@ class StateVector {
                   "qubit count out of supported range");
     const double amp = 1.0 / std::sqrt(static_cast<double>(pow2(n_qubits)));
     StateVector sv;
-    sv.soa_ = SoaVector(pow2(n_qubits));
-    sv.soa_.fill(Amplitude{amp, 0.0});
+    sv.soa_ = SoaVector(pow2(n_qubits), Amplitude{amp, 0.0});
     return sv;
   }
   void phase_flip(Index t) {

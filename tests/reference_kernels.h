@@ -181,9 +181,8 @@ inline SoaVector basis_state(unsigned n_qubits, Index x) {
 
 /// |psi0> = (1/sqrt(N)) sum_x |x> on n qubits.
 inline SoaVector uniform_state(unsigned n_qubits) {
-  SoaVector v(pow2(n_qubits));
-  v.fill(Amplitude{1.0 / std::sqrt(static_cast<double>(v.size())), 0.0});
-  return v;
+  const double amp = 1.0 / std::sqrt(static_cast<double>(pow2(n_qubits)));
+  return SoaVector(pow2(n_qubits), Amplitude{amp, 0.0});
 }
 
 /// Rescale to unit norm.

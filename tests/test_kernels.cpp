@@ -282,6 +282,56 @@ TEST(SoaVectorTest, ReusesTheThreadsLastFreedPlanesOfTheSameSize) {
   EXPECT_NE(other.re(), im);
 }
 
+TEST(SoaVectorTest, ConstructorSetsEveryElementAtAnyBudget) {
+  // The write pass splits the chunk partition over real teams: the lifted
+  // threshold opens them on small states whatever the host's core count.
+  force_parallel_threshold(0);
+  const Amplitude a{0.25, -3.5};
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk + 1,
+        9 * kChunk + 3}) {
+    for (const unsigned budget : {1u, 2u, 4u}) {
+      set_thread_budget(budget);
+      const SoaVector v(size, a);
+      EXPECT_EQ(v.size(), size);
+      std::size_t wrong = 0;
+      for (std::size_t i = 0; i < size; ++i) {
+        wrong += v.get(i) != a ? 1 : 0;
+      }
+      EXPECT_EQ(wrong, 0u) << "size=" << size << " budget=" << budget;
+    }
+  }
+  set_thread_budget(0);
+  force_parallel_threshold(std::nullopt);
+}
+
+TEST(SoaVectorTest, SizeOnlyConstructorZeroFillsReusedPlanes) {
+  constexpr std::size_t kSize = 9 * kChunk + 3;
+  { const SoaVector dirty(kSize, Amplitude{1.0, 2.0}); }
+  const SoaVector v(kSize);  // takes the dirty planes back
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < kSize; ++i) {
+    nonzero += v.get(i) != Amplitude{} ? 1 : 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
+}
+
+TEST(SoaVectorTest, LargePlanesStartOnHugePageBoundaries) {
+  constexpr std::size_t kCachedElems = Plane::kCachedBytes / sizeof(double);
+  const auto offset = [](const double* p, std::uintptr_t align) {
+    return reinterpret_cast<std::uintptr_t>(p) % align;
+  };
+  const SoaVector small(kCachedElems);
+  EXPECT_EQ(offset(small.re(), 64), 0u);
+  EXPECT_EQ(offset(small.im(), 64), 0u);
+  const SoaVector large(kCachedElems + 1);
+  EXPECT_EQ(offset(large.re(), std::uintptr_t{2} << 20), 0u);
+  EXPECT_EQ(offset(large.im(), std::uintptr_t{2} << 20), 0u);
+  const SoaVector copy = large;
+  EXPECT_EQ(offset(copy.re(), std::uintptr_t{2} << 20), 0u);
+  EXPECT_EQ(copy.get(kCachedElems), Amplitude{});
+}
+
 // ---- ISA-parametrized sweep against the reference -------------------------
 //
 // Every SoA kernel must agree with its serial reference implementation

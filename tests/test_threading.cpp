@@ -13,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "api/api.h"
 #include "qsim/batch.h"
 #include "qsim/gates.h"
 #include "qsim/kernels.h"
@@ -165,6 +166,25 @@ TEST(ThreadCountParityTest, KernelOutputsAreByteIdenticalAtBudgets124) {
           << where;
     }
   }
+}
+
+TEST(ThreadCountParityTest, DenseGrkReportIsByteIdenticalAtBudgets1And4) {
+  // The whole request, from the state's parallel construction to the shot:
+  // only the timing fields may differ.
+  ThreadingScope scope;
+  const auto report_bytes = [](unsigned budget) {
+    qsim::set_thread_budget(budget);
+    SearchSpec spec = SearchSpec::single_target(std::uint64_t{1} << 16, 4,
+                                                (std::uint64_t{1} << 16) / 3);
+    spec.algorithm = "grk";
+    spec.backend = qsim::BackendKind::kDense;
+    spec.seed = 7;
+    SearchReport report = Engine().run(spec);
+    EXPECT_EQ(report.backend_used, qsim::BackendKind::kDense);
+    report.queue_ns = report.plan_ns = report.exec_ns = 0;
+    return api::to_json(report).dump();
+  };
+  EXPECT_EQ(report_bytes(1), report_bytes(4));
 }
 
 TEST(BatchRunnerBudgetTest, DefaultTeamIsTheCallersBudget) {
