@@ -37,8 +37,8 @@ struct BbhtOptions {
   /// Give up after this many oracle queries (the algorithm cannot detect
   /// M = 0 on its own). 0 means use the BBHT default of 9 sqrt(N).
   std::uint64_t max_queries = 0;
-  /// Simulation engine for the Grover rounds (kAuto: dense while the state
-  /// fits in memory, symmetry beyond).
+  /// Simulation engine for the Grover rounds (kAuto: qsim::resolve_backend;
+  /// the K = 1 spec is always block-symmetric, so it runs symmetry).
   qsim::BackendKind backend = qsim::BackendKind::kAuto;
   /// Optional cancel handle: the generate-and-test loop checks it per round
   /// and a cancelled search throws CancelledError (in the batched form the

@@ -13,11 +13,10 @@
 
 namespace pqs::grover {
 
-/// Engine selection for the search pipelines. kAuto keeps the historical
-/// dense path whenever the state fits in memory and switches to the O(1)
-/// symmetry engine beyond qsim::auto_backend_cutoff() items — Grover's
-/// state is the K = 1 special case of the block symmetry: one amplitude on
-/// the target, one on everything else.
+/// Engine selection for the search pipelines (kAuto: qsim::resolve_backend).
+/// Grover's state is the K = 1 special case of the block symmetry: one
+/// amplitude on the target, one on everything else, so the O(1) symmetry
+/// engine runs it exactly.
 struct SearchOptions {
   qsim::BackendKind backend = qsim::BackendKind::kAuto;
 };

@@ -56,8 +56,7 @@ struct CertainResult {
 
 /// Run on the simulator: db.size() = 2^n, K = 2^k blocks. The generalized
 /// iteration only needs the oracle-phase and block-rotation operators, so
-/// both engines apply; kAuto picks dense up to qsim::auto_backend_cutoff()
-/// items, symmetry beyond.
+/// both engines apply (kAuto: qsim::resolve_backend).
 CertainResult run_partial_search_certain(
     const oracle::Database& db, unsigned k, Rng& rng,
     qsim::BackendKind backend = qsim::BackendKind::kAuto);

@@ -39,9 +39,10 @@ std::unique_ptr<qsim::Backend> evolve_partial_search_on_backend(
 GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
                              const GrkOptions& options) {
   const auto spec = grk_spec(db, k);
-  if (options.capture_snapshots) {
-    qsim::require_dense(options.backend, "snapshot capture");
-  }
+  const qsim::BackendKind kind =
+      options.capture_snapshots
+          ? qsim::require_dense(options.backend, "snapshot capture")
+          : options.backend;
 
   GrkResult result;
   if (options.l1.has_value() && options.l2.has_value()) {
@@ -57,7 +58,7 @@ GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
   }
 
   const std::uint64_t before = db.queries();
-  auto backend = qsim::make_backend(options.backend, spec);
+  auto backend = qsim::make_backend(kind, spec);
   result.backend_used = backend->kind();
   db.add_queries(result.l1);
   backend->apply_grover_iterations(qsim::Partition::kGlobal, result.l1);

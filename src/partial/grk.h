@@ -14,9 +14,8 @@
 // engine reproduces the historical O(N)-per-step state-vector run bit for
 // bit; the symmetry engine evolves the same dynamics in O(K) per step,
 // exact to machine precision, which is what makes n = 48..62-qubit partial
-// search instantaneous. kAuto picks dense up to qsim::auto_backend_cutoff()
-// items and symmetry beyond. Snapshot capture needs full amplitude vectors
-// and therefore the dense engine.
+// search instantaneous. kAuto follows qsim::resolve_backend. Snapshot
+// capture needs full amplitude vectors and therefore the dense engine.
 #pragma once
 
 #include <cstdint>

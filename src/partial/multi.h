@@ -40,8 +40,7 @@ struct MultiGrkOptions {
   double min_success = 0.0;
   /// Simulation engine. The clustered marked set keeps the state
   /// block-symmetric (three amplitude classes with |class t| = M), so the
-  /// symmetry engine applies verbatim; kAuto picks dense up to
-  /// qsim::auto_backend_cutoff() items.
+  /// symmetry engine applies verbatim (kAuto: qsim::resolve_backend).
   qsim::BackendKind backend = qsim::BackendKind::kAuto;
 };
 

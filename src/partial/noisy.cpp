@@ -29,8 +29,10 @@ NoisyRunResult run_trials(
                                     std::uint64_t&)>& trial) {
   PQS_CHECK_MSG(trials > 0, "need at least one trial");
   model.validate();  // once at entry; the per-trial hot loop is check-free
-  const qsim::BackendKind resolved =
-      qsim::resolve_backend(options.backend, spec);
+  const qsim::BackendKind resolved = qsim::resolve_backend(
+      options.backend, spec,
+      model.enabled() ? qsim::Needs::kDenseState
+                      : qsim::Needs::kBlockOperators);
   if (model.enabled()) {
     qsim::require_noise_support(resolved, spec, what);
   }
@@ -94,8 +96,9 @@ NoisyRunResult run_noisy_partial_search(const oracle::Database& db, unsigned k,
   // schedule optimizer (which is expensive at large N).
   model.validate();
   if (model.enabled()) {
-    qsim::require_noise_support(qsim::resolve_backend(options.backend, spec),
-                                spec, "noisy partial search");
+    qsim::require_noise_support(
+        qsim::resolve_backend(options.backend, spec, qsim::Needs::kDenseState),
+        spec, "noisy partial search");
   }
 
   struct Schedule {

@@ -29,8 +29,10 @@
 namespace pqs::partial {
 
 struct NoisyOptions {
-  /// Simulation engine for the trajectories (kAuto: dense while the state
-  /// fits in memory, symmetry beyond). Unsupported combinations fail
+  /// Simulation engine for the trajectories. Under an enabled noise model
+  /// kAuto takes the dense engine (exact trajectories) while the state fits
+  /// in memory and the symmetry engine's class moments beyond; a noiseless
+  /// run follows qsim::resolve_backend. Unsupported combinations fail
   /// loudly before any trial runs.
   qsim::BackendKind backend = qsim::BackendKind::kAuto;
   /// Shot fan-out (thread count). The seed field is ignored: per-shot

@@ -24,8 +24,9 @@ std::vector<double> real_parts(const std::vector<Amplitude>& amps) {
 
 /// The five-stage pattern on an arbitrary (N, K) database, run on the
 /// chosen engine. When `stages` is non-null each stage's amplitudes are
-/// materialized into it (both engines can, for N this small). Returns the
-/// evolved backend for the final observables.
+/// materialized into it (both engines can, for N this small; kAuto takes
+/// the dense engine for snapshots). Returns the evolved backend for the
+/// final observables.
 std::unique_ptr<qsim::Backend> run_pattern(
     std::uint64_t n_items, std::uint64_t k_blocks, Index target,
     qsim::BackendKind kind,
@@ -34,8 +35,13 @@ std::unique_ptr<qsim::Backend> run_pattern(
   PQS_CHECK(n_items / k_blocks >= 2);
   PQS_CHECK(target < n_items);
 
+  const auto spec =
+      qsim::BackendSpec::single_target(n_items, k_blocks, target);
   auto backend = qsim::make_backend(
-      kind, qsim::BackendSpec::single_target(n_items, k_blocks, target));
+      qsim::resolve_backend(kind, spec,
+                            stages != nullptr ? qsim::Needs::kDenseState
+                                              : qsim::Needs::kBlockOperators),
+      spec);
   const auto record = [&](std::size_t stage) {
     if (stages != nullptr) {
       (*stages)[stage] = real_parts(backend->amplitudes_copy());

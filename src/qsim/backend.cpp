@@ -269,8 +269,9 @@ class SymmetryBackend final : public Backend {
     m_ = spec_.marked.size();
     rest_ = block_size() - m_;
     others_ = spec_.n_items - block_size();
+    block_ = target_block();
     marked_offsets_.reserve(m_);
-    const Index lo = target_block() * block_size();
+    const Index lo = block_ * block_size();
     for (const Index m : spec_.marked) {
       marked_offsets_.push_back(m - lo);
     }
@@ -366,7 +367,7 @@ class SymmetryBackend final : public Backend {
 
   double probability(Index x) const override {
     PQS_CHECK_MSG(x < spec_.n_items, "index out of range");
-    if (block_of(x) != target_block()) {
+    if (block_of(x) != block_) {
       return mass_others() / static_cast<double>(others_);
     }
     return std::binary_search(spec_.marked.begin(), spec_.marked.end(), x)
@@ -376,7 +377,7 @@ class SymmetryBackend final : public Backend {
   double marked_probability() const override { return mass_marked(); }
   double block_probability(Index block) const override {
     PQS_CHECK_MSG(block < num_blocks(), "block index out of range");
-    if (block != target_block()) {
+    if (block != block_) {
       return mass_others() * static_cast<double>(block_size()) /
              static_cast<double>(others_);
     }
@@ -388,7 +389,7 @@ class SymmetryBackend final : public Backend {
         num_blocks() > 1 ? mass_others() * static_cast<double>(block_size()) /
                                static_cast<double>(others_)
                          : 0.0);
-    dist[target_block()] = mass_marked() + mass_rest();
+    dist[block_] = mass_marked() + mass_rest();
     return dist;
   }
   double norm_squared() const override {
@@ -397,46 +398,6 @@ class SymmetryBackend final : public Backend {
 
   std::unique_ptr<ShotSampler> sampler(Measure what) const override {
     return std::make_unique<ClassSampler>(*this, what);
-  }
-
-  /// One full-index draw: the class, then a uniform member of it.
-  Index draw_index(Rng& rng) const {
-    switch (sample_class(rng)) {
-      case Class::kMarked:
-        return spec_.marked[m_ == 1 ? 0 : rng.uniform_below(m_)];
-      case Class::kBlockRest: {
-        // The j-th unmarked offset of the target block: skip past marked
-        // offsets in ascending order.
-        std::uint64_t off = rest_ == 1 ? 0 : rng.uniform_below(rest_);
-        for (const Index mo : marked_offsets_) {
-          if (off >= mo) {
-            ++off;
-          }
-        }
-        return target_block() * block_size() + off;
-      }
-      case Class::kOthers: {
-        Index b = static_cast<Index>(rng.uniform_below(num_blocks() - 1));
-        if (b >= target_block()) {
-          ++b;
-        }
-        return b * block_size() + rng.uniform_below(block_size());
-      }
-    }
-    return spec_.marked.front();  // unreachable
-  }
-  /// One block draw: the class, then a uniform block of it.
-  Index draw_block(Rng& rng) const {
-    switch (sample_class(rng)) {
-      case Class::kMarked:
-      case Class::kBlockRest:
-        return target_block();
-      case Class::kOthers: {
-        Index b = static_cast<Index>(rng.uniform_below(num_blocks() - 1));
-        return b >= target_block() ? b + 1 : b;
-      }
-    }
-    return target_block();  // unreachable
   }
 
   std::vector<Amplitude> amplitudes_copy() const override {
@@ -448,7 +409,7 @@ class SymmetryBackend final : public Backend {
                   "dense backend for amplitude-level noise studies");
     std::vector<Amplitude> amps(spec_.n_items, a_o_);
     const std::size_t lo =
-        static_cast<std::size_t>(target_block()) * block_size();
+        static_cast<std::size_t>(block_) * block_size();
     std::fill(amps.begin() + lo, amps.begin() + lo + block_size(), a_b_);
     for (const Index m : spec_.marked) {
       amps[m] = a_t_;
@@ -460,20 +421,82 @@ class SymmetryBackend final : public Backend {
   enum class Class { kMarked, kBlockRest, kOthers };
 
   /// The O(1) class draw behind the ShotSampler interface: no table to
-  /// build, so a batch shares the backend itself.
+  /// build. The three class masses are read once, when the sampler is
+  /// built, and every draw picks a class from them and then a uniform
+  /// member (or block) of it from the backend's shape.
   class ClassSampler final : public ShotSampler {
    public:
     ClassSampler(const SymmetryBackend& backend, Measure what)
-        : backend_(backend), what_(what) {}
+        : backend_(backend),
+          what_(what),
+          w_t_(backend.mass_marked()),
+          w_b_(backend.mass_rest()),
+          total_(w_t_ + w_b_ + backend.mass_others()) {}
     Index draw(Rng& rng) const override {
-      return what_ == Measure::kBlock ? backend_.draw_block(rng)
-                                      : backend_.draw_index(rng);
+      const Class c = pick(rng);
+      return what_ == Measure::kBlock ? backend_.block_in(c, rng)
+                                      : backend_.index_in(c, rng);
     }
 
    private:
+    Class pick(Rng& rng) const {
+      double u = rng.uniform01() * total_;
+      u -= w_t_;
+      if (u <= 0.0) {
+        return Class::kMarked;
+      }
+      u -= w_b_;
+      if (u <= 0.0 || backend_.others_ == 0) {
+        return Class::kBlockRest;
+      }
+      return Class::kOthers;
+    }
+
     const SymmetryBackend& backend_;
     Measure what_;
+    double w_t_, w_b_, total_;  ///< marked and block-rest masses, their sum
   };
+
+  /// A uniform member of class `c`: a full address.
+  Index index_in(Class c, Rng& rng) const {
+    switch (c) {
+      case Class::kMarked:
+        return spec_.marked[m_ == 1 ? 0 : rng.uniform_below(m_)];
+      case Class::kBlockRest: {
+        // The j-th unmarked offset of the target block: skip past marked
+        // offsets in ascending order.
+        std::uint64_t off = rest_ == 1 ? 0 : rng.uniform_below(rest_);
+        for (const Index mo : marked_offsets_) {
+          if (off >= mo) {
+            ++off;
+          }
+        }
+        return block_ * block_size() + off;
+      }
+      case Class::kOthers: {
+        Index b = static_cast<Index>(rng.uniform_below(num_blocks() - 1));
+        if (b >= block_) {
+          ++b;
+        }
+        return b * block_size() + rng.uniform_below(block_size());
+      }
+    }
+    return spec_.marked.front();  // unreachable
+  }
+
+  /// The block of a uniform member of class `c`.
+  Index block_in(Class c, Rng& rng) const {
+    switch (c) {
+      case Class::kMarked:
+      case Class::kBlockRest:
+        return block_;
+      case Class::kOthers: {
+        Index b = static_cast<Index>(rng.uniform_below(num_blocks() - 1));
+        return b >= block_ ? b + 1 : b;
+      }
+    }
+    return block_;  // unreachable
+  }
 
   Amplitude global_mean() const {
     return (static_cast<double>(m_) * a_t_ +
@@ -496,22 +519,6 @@ class SymmetryBackend final : public Backend {
   }
   double mass_others() const {
     return static_cast<double>(others_) * std::norm(a_o_) + r_o_;
-  }
-
-  Class sample_class(Rng& rng) const {
-    const double w_t = mass_marked();
-    const double w_b = mass_rest();
-    const double w_o = mass_others();
-    double u = rng.uniform01() * (w_t + w_b + w_o);
-    u -= w_t;
-    if (u <= 0.0) {
-      return Class::kMarked;
-    }
-    u -= w_b;
-    if (u <= 0.0 || others_ == 0) {
-      return Class::kBlockRest;
-    }
-    return Class::kOthers;
   }
 
   /// Pauli X on address bit q. Bits below `split` index within a block,
@@ -588,7 +595,7 @@ class SymmetryBackend final : public Backend {
       }
     } else {
       // Block bit: every state of a block shares the block index's sign.
-      const bool tb_bit = ((target_block() >> (q - split)) & 1) != 0;
+      const bool tb_bit = ((block_ >> (q - split)) & 1) != 0;
       if (tb_bit) {
         a_t_ = -a_t_;
         a_b_ = -a_b_;
@@ -609,6 +616,7 @@ class SymmetryBackend final : public Backend {
   std::uint64_t m_ = 0;       ///< marked states
   std::uint64_t rest_ = 0;    ///< unmarked states of the target block
   std::uint64_t others_ = 0;  ///< states outside the target block
+  Index block_ = 0;           ///< the target block (target_block())
   std::vector<Index> marked_offsets_;  ///< marked addresses within the block
   Amplitude a_t_, a_b_, a_o_;
   /// Incoherent residual mass per class (zero until noise fires).
@@ -619,15 +627,19 @@ class SymmetryBackend final : public Backend {
 // Factory and circuit execution
 // ---------------------------------------------------------------------------
 
-BackendKind resolve_backend(BackendKind kind, const BackendSpec& spec) {
+BackendKind resolve_backend(BackendKind kind, const BackendSpec& spec,
+                            Needs needs) {
   if (kind == BackendKind::kAuto) {
-    kind = spec.n_items <= auto_backend_cutoff() ? BackendKind::kDense
-                                                 : BackendKind::kSymmetry;
+    const bool dense_fits = spec.n_items <= kMaxDenseItems;
+    kind = symmetry_supports(spec) &&
+                   (needs == Needs::kBlockOperators || !dense_fits)
+               ? BackendKind::kSymmetry
+               : BackendKind::kDense;
   }
   if (kind == BackendKind::kDense) {
     PQS_CHECK_MSG(spec.n_items <= kMaxDenseItems,
-                  "database too large for the dense backend; pass "
-                  "--backend symmetry (or kAuto)");
+                  "database too large for the dense backend; the symmetry "
+                  "backend runs it when the marked set lies in one block");
   } else {
     PQS_CHECK_MSG(symmetry_supports(spec),
                   "symmetry backend needs a non-empty marked set inside a "
@@ -672,10 +684,11 @@ void require_noise_support(BackendKind kind, const BackendSpec& spec,
                     "K = 2^k and a unique marked address)");
 }
 
-void require_dense(BackendKind kind, std::string_view what) {
+BackendKind require_dense(BackendKind kind, std::string_view what) {
   PQS_CHECK_MSG(kind == BackendKind::kAuto || kind == BackendKind::kDense,
                 std::string(what) + " needs full amplitude vectors and "
                 "therefore the dense backend");
+  return BackendKind::kDense;
 }
 
 namespace {

@@ -12,12 +12,13 @@
 //                    qsim/kernels. Works for ANY database size N (the kernels
 //                    are dimension-agnostic; blocks are the K contiguous
 //                    ranges of N/K addresses), supports every operator and
-//                    arbitrary marked sets, and is the only engine that can
-//                    expose full amplitude vectors (snapshots, noise, the
-//                    Zalka hybrid argument). On every ISA tier, a run of
-//                    Grover iterations (apply_grover_iterations) folds into
-//                    one affine pass per block over the state, whatever its
-//                    length. Capacity-limited to N <= 2^kMaxQubits.
+//                    arbitrary marked sets, and is the only engine that
+//                    computes exact Pauli-noise trajectories, gate-level ops
+//                    and amplitude snapshots (the Zalka hybrid argument). On
+//                    every ISA tier, a run of Grover iterations
+//                    (apply_grover_iterations) folds into one affine pass per
+//                    block over the state, whatever its length.
+//                    Capacity-limited to N <= 2^kMaxQubits.
 //
 //   SymmetryBackend  the O(K)-per-operation engine. The partial-search state
 //                    is fully block-symmetric: at every point of the
@@ -31,9 +32,12 @@
 //                    simulation (n = 60+ qubits) exact and effectively free.
 //
 // Pick an engine with BackendKind: kDense / kSymmetry force one, kAuto takes
-// the dense engine whenever the state fits in memory (bit-identical to the
-// pre-backend code paths) and the symmetry engine beyond that. Construction
-// goes through make_backend(kind, spec).
+// the cheapest exact one. resolve_backend holds that one rule: the symmetry
+// engine whenever it supports the spec (the marked set lies in one block)
+// and the request needs nothing that only the dense engine computes exactly
+// (Needs::kDenseState: noise trajectories, gate-level ops, snapshots); the
+// dense engine otherwise, unless the state would not fit in memory.
+// Construction goes through make_backend(kind, spec).
 //
 // Thread-safety: backends are single-owner mutable state. The batched
 // execution layer (qsim/batch.h) gives each shot its own backend or builds
@@ -57,7 +61,7 @@ namespace pqs::qsim {
 
 /// Which simulation engine to use.
 enum class BackendKind {
-  kAuto,      ///< dense when N fits in memory, symmetry beyond
+  kAuto,      ///< the cheapest exact engine (resolve_backend's rule)
   kDense,     ///< full amplitude array, O(N) per operation
   kSymmetry,  ///< block-symmetric amplitudes, O(K) per operation
 };
@@ -69,13 +73,6 @@ std::string to_string(BackendKind kind);
 
 /// Largest database a DenseBackend will allocate (2^kMaxQubits items).
 inline constexpr std::uint64_t kMaxDenseItems = std::uint64_t{1} << kMaxQubits;
-
-/// The kAuto dense -> symmetry crossover: databases up to this many items
-/// resolve to the dense engine (bit-identical to the historical code paths),
-/// larger ones to the O(K) symmetry engine. The ONE definition of the
-/// cutoff — module headers (grover/grover.h, partial/grk.h, ...) reference
-/// this function instead of restating the 2^30 constant.
-constexpr std::uint64_t auto_backend_cutoff() { return kMaxDenseItems; }
 
 /// The static shape of a simulation: database size, block structure, and the
 /// marked set. Blocks are the K contiguous ranges of N/K addresses; for the
@@ -204,18 +201,32 @@ class Backend {
 /// precondition for the symmetry engine.
 bool symmetry_supports(const BackendSpec& spec);
 
-/// Resolve kAuto against the spec (dense when it fits, symmetry beyond).
-/// Checked: the resolved engine must actually support the spec.
-BackendKind resolve_backend(BackendKind kind, const BackendSpec& spec);
+/// What a request asks of its engine beyond the spec.
+enum class Needs {
+  kBlockOperators,  ///< Backend's operators, observables and samplers only
+  /// Something only the dense engine computes exactly: Pauli-noise
+  /// trajectories (the symmetry engine's class moments are an
+  /// approximation after the first error), gate-level ops and circuits, or
+  /// amplitude snapshots.
+  kDenseState,
+};
+
+/// The engine-choice rule. kDense and kSymmetry pass through; kAuto
+/// resolves to the symmetry engine when symmetry_supports(spec) and either
+/// `needs` is kBlockOperators or the state is too large for the dense
+/// engine, and to the dense engine otherwise. Checked: the resolved engine
+/// must actually support the spec.
+BackendKind resolve_backend(BackendKind kind, const BackendSpec& spec,
+                            Needs needs = Needs::kBlockOperators);
 
 /// Construct the chosen engine in the uniform start state.
 std::unique_ptr<Backend> make_backend(BackendKind kind,
                                       const BackendSpec& spec);
 
-/// Guard for code paths that genuinely need full amplitude vectors
-/// (snapshots, the Zalka hybrid argument): throws CheckFailure naming
-/// `what` when `kind` resolves to anything but dense.
-void require_dense(BackendKind kind, std::string_view what);
+/// Resolution for code paths that need the dense engine itself (amplitude
+/// snapshots, the Zalka hybrid argument): kAuto and kDense resolve to
+/// kDense; kSymmetry throws CheckFailure naming `what`.
+BackendKind require_dense(BackendKind kind, std::string_view what);
 
 /// True when the resolved engine can run Pauli noise channels on `spec`:
 /// the dense engine needs a power-of-two N (per-qubit gates), the symmetry

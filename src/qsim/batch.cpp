@@ -29,6 +29,71 @@ std::string ShotReport::to_string(std::size_t max_rows) const {
   return os.str();
 }
 
+namespace {
+
+/// Shots per counting chunk of draw_shots. Fixed, so the chunk partition,
+/// and the order the chunks' counts merge in, never depend on the team.
+constexpr std::uint64_t kShotChunk = 1024;
+
+/// The fan-out of map_shots and draw_shots: shots [0, shots) in chunks of
+/// `chunk` consecutive shots, one parallel_for index per chunk, on
+/// min(threads, chunks) threads. Every shot first checks the cancel flag (a
+/// cancelled fan-out skips its remaining shots), then runs shot(c, i) and
+/// reports one unit of progress; chunk_done(c) follows a chunk's last shot.
+/// A cancelled fan-out throws CancelledError once it has joined.
+template <typename Shot, typename ChunkDone>
+void fan_out(std::uint64_t shots, std::uint64_t chunk, unsigned threads,
+             RunControl* control, Shot&& shot, ChunkDone&& chunk_done) {
+  const std::uint64_t chunks = (shots + chunk - 1) / chunk;
+  // Never more threads than chunks: a 1-shot run opens no region, so its
+  // kernels keep the caller's budget; with a team, kernels inside the shot
+  // bodies run serially (qsim/parallel.h).
+  const auto team =
+      static_cast<unsigned>(std::min<std::uint64_t>(threads, chunks));
+  // Spans bracket the whole fan-out, OUTSIDE the parallel region — the
+  // trace wants "when did the shot sweep run", never a per-shot event.
+  if (control != nullptr) {
+    control->span("shots.begin");
+  }
+  parallel_for(static_cast<std::int64_t>(chunks), team, [&](std::int64_t c) {
+    const auto uc = static_cast<std::uint64_t>(c);
+    const std::uint64_t end = std::min(shots, (uc + 1) * chunk);
+    for (std::uint64_t i = uc * chunk; i < end; ++i) {
+      // Exceptions cannot cross an OpenMP region: skip the remaining shots
+      // and throw once, below, after the join.
+      if (control != nullptr && control->cancelled()) {
+        return;
+      }
+      shot(uc, i);
+      if (control != nullptr) {
+        control->add_work_done();
+      }
+    }
+    chunk_done(uc);
+  });
+  checkpoint(control);
+  if (control != nullptr) {
+    control->span("shots.end");
+  }
+}
+
+/// Mode and frequency of a report whose counts are final.
+void settle_mode(ShotReport& report) {
+  std::uint64_t best = 0;
+  for (const auto& [outcome, count] : report.counts) {
+    if (count > best) {  // ties resolve to the smallest outcome
+      best = count;
+      report.mode = outcome;
+    }
+  }
+  if (report.shots > 0) {
+    report.mode_frequency =
+        static_cast<double>(best) / static_cast<double>(report.shots);
+  }
+}
+
+}  // namespace
+
 BatchRunner::BatchRunner(BatchOptions options) : options_(options) {
 #ifdef PQS_HAVE_OPENMP
   threads_ = options_.threads != 0 ? options_.threads : thread_budget();
@@ -51,34 +116,13 @@ std::vector<Index> BatchRunner::map_shots(
     const std::function<Index(std::uint64_t, Rng&)>& body) const {
   PQS_CHECK_MSG(shots > 0, "need at least one shot");
   std::vector<Index> outcomes(shots);
-  RunControl* const control = options_.control;
-  // Never more threads than shots: a 1-shot run opens no region, so its
-  // kernels keep the caller's budget; with a team, kernels inside the shot
-  // bodies run serially (qsim/parallel.h).
-  const auto team =
-      static_cast<unsigned>(std::min<std::uint64_t>(threads_, shots));
-  // Spans bracket the whole fan-out, OUTSIDE the parallel region — the
-  // trace wants "when did the shot sweep run", never a per-shot event.
-  if (control != nullptr) {
-    control->span("shots.begin");
-  }
-  parallel_for(static_cast<std::int64_t>(shots), team, [&](std::int64_t i) {
-    // Exceptions cannot cross an OpenMP region: skip the remaining bodies
-    // and throw once, below, after the join.
-    if (control != nullptr && control->cancelled()) {
-      return;
-    }
-    const auto shot = static_cast<std::uint64_t>(i);
-    Rng rng = shot_rng(shot);
-    outcomes[static_cast<std::size_t>(i)] = body(shot, rng);
-    if (control != nullptr) {
-      control->add_work_done();
-    }
-  });
-  checkpoint(control);
-  if (control != nullptr) {
-    control->span("shots.end");
-  }
+  fan_out(
+      shots, /*chunk=*/1, threads_, options_.control,
+      [&](std::uint64_t, std::uint64_t shot) {
+        Rng rng = shot_rng(shot);
+        outcomes[static_cast<std::size_t>(shot)] = body(shot, rng);
+      },
+      [](std::uint64_t) {});
   return outcomes;
 }
 
@@ -90,42 +134,77 @@ ShotReport BatchRunner::tally(const std::vector<Index>& outcomes,
   for (const Index outcome : outcomes) {
     ++report.counts[outcome];
   }
-  std::uint64_t best = 0;
-  for (const auto& [outcome, count] : report.counts) {
-    if (count > best) {  // ties resolve to the smallest outcome
-      best = count;
-      report.mode = outcome;
-    }
-  }
-  if (report.shots > 0) {
-    report.mode_frequency =
-        static_cast<double>(best) / static_cast<double>(report.shots);
-  }
+  settle_mode(report);
   return report;
 }
 
 ShotReport BatchRunner::draw_shots(const ShotSampler& sampler,
-                                   std::uint64_t shots,
+                                   std::uint64_t outcomes, std::uint64_t shots,
                                    std::uint64_t queries_per_shot) const {
-  return tally(map_shots(shots,
-                         [&sampler](std::uint64_t, Rng& rng) {
-                           return sampler.draw(rng);
-                         }),
-               queries_per_shot);
+  PQS_CHECK_MSG(shots > 0, "need at least one shot");
+  const std::uint64_t chunks = (shots + kShotChunk - 1) / kShotChunk;
+  // A range of at most kShotChunk outcomes (block shots, small databases)
+  // counts into one row per chunk; a larger one keeps each chunk's draws
+  // and sorts them, so the merge reads each chunk's counts as runs. Either
+  // way the counts are integers, summed in chunk order.
+  const bool rows_fit = outcomes <= kShotChunk;
+  std::vector<std::uint64_t> rows(rows_fit ? chunks * outcomes : 0);
+  std::vector<Index> drawn(rows_fit ? 0 : shots);
+  fan_out(
+      shots, kShotChunk, threads_, options_.control,
+      [&](std::uint64_t c, std::uint64_t shot) {
+        Rng rng = shot_rng(shot);
+        const Index x = sampler.draw(rng);
+        if (rows_fit) {
+          ++rows[c * outcomes + x];
+        } else {
+          drawn[shot] = x;
+        }
+      },
+      [&](std::uint64_t c) {
+        if (!rows_fit) {
+          std::sort(drawn.begin() + static_cast<std::ptrdiff_t>(c * kShotChunk),
+                    drawn.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(shots, (c + 1) * kShotChunk)));
+        }
+      });
+
+  ShotReport report;
+  report.shots = shots;
+  report.queries_per_shot = queries_per_shot;
+  if (rows_fit) {
+    for (Index x = 0; x < outcomes; ++x) {
+      std::uint64_t count = 0;
+      for (std::uint64_t c = 0; c < chunks; ++c) {
+        count += rows[c * outcomes + x];
+      }
+      if (count > 0) {
+        report.counts.emplace_hint(report.counts.end(), x, count);
+      }
+    }
+  } else {
+    for (std::size_t i = 0, j = 0; i < drawn.size(); i = j) {
+      for (j = i + 1; j < drawn.size() && drawn[j] == drawn[i]; ++j) {
+      }
+      report.counts[drawn[i]] += j - i;
+    }
+  }
+  settle_mode(report);
+  return report;
 }
 
 ShotReport BatchRunner::sample_shots(const Backend& backend,
                                      std::uint64_t shots,
                                      std::uint64_t queries_per_shot) const {
-  return draw_shots(*backend.sampler(Measure::kIndex), shots,
-                    queries_per_shot);
+  return draw_shots(*backend.sampler(Measure::kIndex), backend.num_items(),
+                    shots, queries_per_shot);
 }
 
 ShotReport BatchRunner::sample_block_shots(
     const Backend& backend, std::uint64_t shots,
     std::uint64_t queries_per_shot) const {
-  return draw_shots(*backend.sampler(Measure::kBlock), shots,
-                    queries_per_shot);
+  return draw_shots(*backend.sampler(Measure::kBlock), backend.num_blocks(),
+                    shots, queries_per_shot);
 }
 
 }  // namespace pqs::qsim

@@ -62,7 +62,8 @@ class BatchRunner {
   explicit BatchRunner(BatchOptions options = {});
 
   const BatchOptions& options() const { return options_; }
-  /// The resolved worker count (>= 1); map_shots uses min(threads, shots).
+  /// The resolved worker count (>= 1); map_shots uses min(threads, shots),
+  /// the sampler wrappers min(threads, chunks of 1024 shots).
   unsigned threads() const { return threads_; }
 
   /// The RNG stream of one shot: seeded from (options.seed, shot) only, so
@@ -96,8 +97,12 @@ class BatchRunner {
                                 std::uint64_t queries_per_shot) const;
 
  private:
-  /// tally(map_shots(one sampler.draw per shot)).
-  ShotReport draw_shots(const ShotSampler& sampler, std::uint64_t shots,
+  /// One sampler.draw per shot, with map_shots' streams, cancellation and
+  /// progress, counted per fixed chunk of shots inside the fan-out; the
+  /// report equals tally(map_shots(...)) at any thread count. Every draw
+  /// lies in [0, outcomes).
+  ShotReport draw_shots(const ShotSampler& sampler, std::uint64_t outcomes,
+                        std::uint64_t shots,
                         std::uint64_t queries_per_shot) const;
 
   BatchOptions options_;

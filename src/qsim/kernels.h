@@ -119,6 +119,12 @@ void reflect_unmarked_about_their_mean(SoaVector& v,
 /// Deterministic chunked-pairwise sum of all amplitudes. Uses the block-sum
 /// cache when it is valid (summing K cached block sums instead of N values).
 Amplitude sum_all(const SoaVector& v);
+/// Seed the sum cache for the global partition of a state whose elements
+/// all hold one value (SoaVector's constructor and fill call this): every
+/// full chunk has the same partial sum, so one chunk's sum and the tail
+/// chunk's, combined pairwise as block_sums' read pass combines them, give
+/// the cache that pass's bytes without reading the state.
+void seed_uniform_sums(SoaVector& v);
 /// sum |a_x|^2 over [lo, lo + len) / over the whole vector.
 double norm_squared_range(const SoaVector& v, std::size_t lo,
                           std::size_t len);

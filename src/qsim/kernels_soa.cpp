@@ -170,6 +170,18 @@ void block_update(SoaVector& v, std::size_t bs, const KernelOps& ops,
   }
 }
 
+/// The cache partition an O(1) in-place update (an oracle phase, a global
+/// scale) carries its delta into; 0 when there is none. The fill seed is
+/// dropped instead: the folded Grover runs read it before any op, and a
+/// per-op path then reads the state exactly as it did before fills were
+/// seeded, so its results keep their bytes.
+std::size_t incremental_partition(SoaVector& v) {
+  if (v.sums_seeded()) {
+    v.invalidate_sums();
+  }
+  return v.sum_block_size();
+}
+
 void pack_gate(const Gate2& g, double m[8]) {
   m[0] = g.m[0][0].real();
   m[1] = g.m[0][0].imag();
@@ -209,7 +221,7 @@ void phase_flip_index(SoaVector& v, Index t) {
 void phase_flip_indices(SoaVector& v, std::span<const Index> marked_sorted) {
   double* re = v.re();
   double* im = v.im();
-  const std::size_t bs = v.sum_block_size();
+  const std::size_t bs = incremental_partition(v);
   for (std::size_t j = 0; j < marked_sorted.size(); ++j) {
     const Index m = marked_sorted[j];
     PQS_CHECK_MSG(m < v.size(), "marked index out of range");
@@ -229,7 +241,7 @@ void phase_rotate_indices(SoaVector& v, std::span<const Index> marked_sorted,
   const Amplitude factor = std::polar(1.0, phi);
   double* re = v.re();
   double* im = v.im();
-  const std::size_t bs = v.sum_block_size();
+  const std::size_t bs = incremental_partition(v);
   for (std::size_t j = 0; j < marked_sorted.size(); ++j) {
     const Index m = marked_sorted[j];
     PQS_CHECK_MSG(m < v.size(), "marked index out of range");
@@ -433,6 +445,34 @@ Amplitude sum_all(const SoaVector& v) {
   return Amplitude{sr, si};
 }
 
+void seed_uniform_sums(SoaVector& v) {
+  const std::size_t n = v.size();
+  if (n == 0) {
+    return;
+  }
+  const KernelOps& ops = active_kernel_ops();
+  double sr = 0.0, si = 0.0;
+  const std::size_t nc = chunks_for(n);
+  if (nc == 1) {
+    ops.sum(v.re(), v.im(), n, &sr, &si);  // block_sums' one-chunk case
+  } else {
+    std::vector<double> pr(nc), pi(nc);
+    ops.sum(v.re(), v.im(), kChunk, &pr[0], &pi[0]);
+    std::fill(pr.begin() + 1, pr.end(), pr[0]);
+    std::fill(pi.begin() + 1, pi.end(), pi[0]);
+    const std::size_t tail = n - (nc - 1) * kChunk;
+    if (tail != kChunk) {
+      ops.sum(v.re() + (nc - 1) * kChunk, v.im() + (nc - 1) * kChunk, tail,
+              &pr[nc - 1], &pi[nc - 1]);
+    }
+    sr = combine_pairwise(pr.data(), nc);
+    si = combine_pairwise(pi.data(), nc);
+  }
+  v.mark_sums(n, /*seeded=*/true);
+  v.sum_re()[0] = sr;
+  v.sum_im()[0] = si;
+}
+
 double norm_squared_range(const SoaVector& v, std::size_t lo,
                           std::size_t len) {
   PQS_CHECK_MSG(lo + len <= v.size(), "range out of bounds");
@@ -533,7 +573,7 @@ void scale(SoaVector& v, Amplitude s) {
   // rescaling it. In floating point s*sum(a) and sum(s*a) can differ by a few
   // ulps, far below the 1e-10 agreement bar; reflect() refreshes the sums from
   // stored data when exact refresh semantics matter.
-  if (v.sum_block_size() != 0) {
+  if (incremental_partition(v) != 0) {
     for (std::size_t b = 0; b < v.sum_re().size(); ++b) {
       const Amplitude next = s * Amplitude{v.sum_re()[b], v.sum_im()[b]};
       v.sum_re()[b] = next.real();

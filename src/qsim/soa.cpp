@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <new>
 
+#include "qsim/kernels.h"
 #include "qsim/parallel.h"
 
 namespace pqs::qsim {
@@ -111,7 +112,7 @@ void SoaVector::fill(Amplitude a) {
                  std::fill_n(re + off, len, a_re);
                  std::fill_n(im + off, len, a_im);
                });
-  invalidate_sums();
+  kernels::seed_uniform_sums(*this);
 }
 
 }  // namespace pqs::qsim

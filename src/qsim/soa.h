@@ -93,15 +93,18 @@ class SoaVector {
   std::span<const double> im_span() const { return {im_.data(), size()}; }
 
   Amplitude get(std::size_t i) const { return Amplitude{re()[i], im()[i]}; }
-  /// Plain store. Does NOT touch the sum cache — callers mutating
-  /// amplitudes outside qsim::kernels must invalidate_sums() afterwards.
+  /// Plain store; invalidates the sum cache, which cannot follow an
+  /// arbitrary store. Code writing through re()/im() outside qsim::kernels
+  /// must invalidate_sums() itself.
   void set(std::size_t i, Amplitude a) {
     re()[i] = a.real();
     im()[i] = a.imag();
+    invalidate_sums();
   }
 
-  /// Every element <- a, in one parallel write pass. Invalidates the sum
-  /// cache.
+  /// Every element <- a, in one parallel write pass. Seeds the sum cache
+  /// for the global partition (kernels::seed_uniform_sums), so the first
+  /// global reflection skips its read pass.
   void fill(Amplitude a);
 
   std::vector<Amplitude> to_amplitudes() const {
@@ -120,11 +123,19 @@ class SoaVector {
     return sum_block_size_ == block_size && block_size != 0;
   }
   std::size_t sum_block_size() const { return sum_block_size_; }
-  void invalidate_sums() { sum_block_size_ = 0; }
+  /// True while the cache holds the fill seed (kernels::seed_uniform_sums)
+  /// and no kernel pass has stored sums since.
+  bool sums_seeded() const { return sums_seeded_; }
+  void invalidate_sums() {
+    sum_block_size_ = 0;
+    sums_seeded_ = false;
+  }
   /// Declare the cache valid for `block_size`, resizing the sum arrays to
-  /// size()/block_size (the kernel that calls this fills them).
-  void mark_sums(std::size_t block_size) {
+  /// size()/block_size (the kernel that calls this fills them). `seeded`
+  /// marks the fill seed.
+  void mark_sums(std::size_t block_size, bool seeded = false) {
     sum_block_size_ = block_size;
+    sums_seeded_ = seeded;
     sum_re_.assign(block_size == 0 ? 0 : size() / block_size, 0.0);
     sum_im_.assign(block_size == 0 ? 0 : size() / block_size, 0.0);
   }
@@ -140,6 +151,7 @@ class SoaVector {
 
   Plane re_, im_;
   std::size_t sum_block_size_ = 0;  ///< 0 = cache invalid
+  bool sums_seeded_ = false;
   std::vector<double> sum_re_, sum_im_;
 };
 

@@ -62,7 +62,8 @@ qsim::SoaVector run(qsim::Backend& backend, const qsim::Circuit& circuit,
 
 ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
                             const ZalkaOptions& options) {
-  qsim::require_dense(options.backend, "the Zalka hybrid argument");
+  const qsim::BackendKind kind =
+      qsim::require_dense(options.backend, "the Zalka hybrid argument");
   ZalkaReport report;
   report.n_qubits = circuit.num_qubits();
   report.n_items = pow2(report.n_qubits);
@@ -83,8 +84,7 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   const auto no_snapshots = [](std::uint64_t) {};
   const auto backend_for = [&](qsim::Index y) {
     return qsim::make_backend(
-        qsim::BackendKind::kDense,
-        qsim::BackendSpec::single_target(n, circuit_blocks(circuit), y));
+        kind, qsim::BackendSpec::single_target(n, circuit_blocks(circuit), y));
   };
 
   // All-identity run (oracle target irrelevant): |phi_i> before each query.

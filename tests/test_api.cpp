@@ -269,6 +269,31 @@ TEST(EngineEquivalenceTest, Noisy) {
   EXPECT_EQ(report.queries, direct.trials * direct.queries_per_trial);
 }
 
+// kAuto reports the engine that ran: the symmetry engine for single-block
+// requests, the dense one for noise trajectories and gate-level circuits.
+TEST(EngineBackendChoiceTest, AutoReportsTheEngineThatRan) {
+  SearchSpec grk = SearchSpec::single_target(16384, 4, 5000);
+  grk.algorithm = "grk";
+  grk.seed = kSeed;
+  EXPECT_EQ(shared_engine().run(grk).backend_used,
+            qsim::BackendKind::kSymmetry);
+  grk.shots = 2000;
+  EXPECT_EQ(shared_engine().run(grk).backend_used,
+            qsim::BackendKind::kSymmetry);
+
+  SearchSpec noisy = SearchSpec::single_target(256, 4, 100);
+  noisy.algorithm = "noisy";
+  noisy.noise = {qsim::NoiseKind::kDepolarizing, 0.01};
+  noisy.shots = 40;
+  EXPECT_EQ(shared_engine().run(noisy).backend_used,
+            qsim::BackendKind::kDense);
+
+  SearchSpec zalka = SearchSpec::single_target(64, 1, 3);
+  zalka.algorithm = "zalka";
+  EXPECT_EQ(shared_engine().run(zalka).backend_used,
+            qsim::BackendKind::kDense);
+}
+
 TEST(EngineEquivalenceTest, Reduction) {
   SearchSpec spec = SearchSpec::single_target(4096, 4, 1365);
   spec.algorithm = "reduction";

@@ -20,10 +20,12 @@
 #include "partial/grk.h"
 #include "partial/interleave.h"
 #include "partial/multi.h"
+#include "partial/noisy.h"
 #include "partial/optimizer.h"
 #include "qsim/gates.h"
 #include "qsim/isa.h"
 #include "qsim/parallel.h"
+#include "zalka/zalka.h"
 
 namespace pqs::qsim {
 namespace {
@@ -58,14 +60,89 @@ TEST(BackendKindTest, ParsesAndRenders) {
   EXPECT_THROW(parse_backend_kind("gpu"), CheckFailure);
 }
 
-TEST(BackendKindTest, AutoPicksDenseWhenItFitsAndSymmetryBeyond) {
-  const auto small = BackendSpec::single_target(1u << 10, 4, 7);
-  EXPECT_EQ(resolve_backend(BackendKind::kAuto, small), BackendKind::kDense);
+TEST(BackendKindTest, AutoPicksSymmetryForSingleBlockSpecsOfAnySize) {
+  // A single-target GRK spec at small N (n = 14, K = 4): the symmetry
+  // engine follows it exactly, so kAuto runs it.
+  const auto small = BackendSpec::single_target(1u << 14, 4, 7);
+  EXPECT_EQ(resolve_backend(BackendKind::kAuto, small),
+            BackendKind::kSymmetry);
+  EXPECT_EQ(make_backend(BackendKind::kAuto, small)->kind(),
+            BackendKind::kSymmetry);
   const auto huge =
       BackendSpec::single_target(std::uint64_t{1} << 48, 8, 12345);
   EXPECT_EQ(resolve_backend(BackendKind::kAuto, huge),
             BackendKind::kSymmetry);
+  // Past the dense capacity kAuto keeps the only engine that can hold the
+  // state, whatever the request needs.
+  EXPECT_EQ(resolve_backend(BackendKind::kAuto, huge, Needs::kDenseState),
+            BackendKind::kSymmetry);
   EXPECT_THROW(resolve_backend(BackendKind::kDense, huge), CheckFailure);
+  // A forced engine passes through.
+  EXPECT_EQ(resolve_backend(BackendKind::kDense, small),
+            BackendKind::kDense);
+  EXPECT_EQ(resolve_backend(BackendKind::kSymmetry, small,
+                            Needs::kDenseState),
+            BackendKind::kSymmetry);
+}
+
+TEST(BackendKindTest, AutoRunsDenseForNoiseTrajectories) {
+  const oracle::Database db = oracle::Database::with_qubits(8, 100);
+  const NoiseModel noise{NoiseKind::kDepolarizing, 0.01};
+  Rng rng(5);
+  EXPECT_EQ(partial::run_noisy_partial_search(db, 2, noise, 16, rng)
+                .backend_used,
+            BackendKind::kDense);
+  EXPECT_EQ(partial::run_noisy_full_search_block(db, 2, noise, 16, rng)
+                .backend_used,
+            BackendKind::kDense);
+  // Without a noise model there is no trajectory to follow.
+  EXPECT_EQ(partial::run_noisy_partial_search(db, 2, NoiseModel{}, 16, rng)
+                .backend_used,
+            BackendKind::kSymmetry);
+}
+
+TEST(BackendKindTest, AutoRunsDenseForGateLevelCircuits) {
+  EXPECT_EQ(require_dense(BackendKind::kAuto, "a circuit"),
+            BackendKind::kDense);
+  EXPECT_EQ(require_dense(BackendKind::kDense, "a circuit"),
+            BackendKind::kDense);
+  EXPECT_THROW(require_dense(BackendKind::kSymmetry, "a circuit"),
+               CheckFailure);
+  // The Zalka hybrid argument drives a gate-level circuit op by op: it runs
+  // under kAuto and refuses the symmetry engine.
+  const Circuit circuit = make_grover_circuit(4, 2);
+  EXPECT_NO_THROW(zalka::analyze_circuit(circuit, {}));
+  zalka::ZalkaOptions symmetry;
+  symmetry.backend = BackendKind::kSymmetry;
+  EXPECT_THROW(zalka::analyze_circuit(circuit, symmetry), CheckFailure);
+}
+
+TEST(BackendKindTest, AutoRunsDenseForSnapshots) {
+  const oracle::Database db = oracle::Database::with_qubits(8, 77);
+  partial::GrkOptions options;
+  options.capture_snapshots = true;
+  Rng rng(3);
+  const auto with_snapshots = partial::run_partial_search(db, 2, rng, options);
+  EXPECT_EQ(with_snapshots.backend_used, BackendKind::kDense);
+  EXPECT_EQ(with_snapshots.snapshots.after_step3.size(), db.size());
+  options.capture_snapshots = false;
+  EXPECT_EQ(partial::run_partial_search(db, 2, rng, options).backend_used,
+            BackendKind::kSymmetry);
+  EXPECT_EQ(resolve_backend(BackendKind::kAuto,
+                            BackendSpec::single_target(256, 4, 77),
+                            Needs::kDenseState),
+            BackendKind::kDense);
+}
+
+TEST(BackendKindTest, AutoRunsDenseForMarkedSetsSpanningBlocks) {
+  const BackendSpec spread{1u << 10, 4, {1, 700}};
+  EXPECT_EQ(resolve_backend(BackendKind::kAuto, spread), BackendKind::kDense);
+  EXPECT_EQ(make_backend(BackendKind::kAuto, spread)->kind(),
+            BackendKind::kDense);
+  // Within one block the same two marks stay symmetric.
+  const BackendSpec clustered{1u << 10, 4, {1, 200}};
+  EXPECT_EQ(resolve_backend(BackendKind::kAuto, clustered),
+            BackendKind::kSymmetry);
 }
 
 TEST(BackendKindTest, SymmetryRejectsMarkedSetsSpanningBlocks) {

@@ -783,6 +783,50 @@ TEST_P(IsaSweep, FoldedRunLeavesTheSumCacheOfItsStoredValues) {
   }
 }
 
+TEST_P(IsaSweep, FillSeedsTheGlobalSumsOfTheReadPass) {
+  // A filled state's global sum cache comes from one chunk's sum and the
+  // tail chunk's; it must hold the read pass's bytes at sizes with and
+  // without a tail chunk, from the constructor and from fill, and the
+  // folded run and the oracle-then-reflect step that follow must store the
+  // same amplitudes as on a state whose cache was dropped.
+  const Amplitude values[] = {{1.0 / std::sqrt(3.0 * kChunk + 5.0), 0.0},
+                              {0.1, -0.7}};
+  for (const std::size_t size :
+       {std::size_t{2}, std::size_t{7}, kChunk, kChunk + 1, 3 * kChunk,
+        3 * kChunk + 5, 16 * kChunk, 37 * kChunk + 4095}) {
+    for (const Amplitude a : values) {
+      SCOPED_TRACE("size " + std::to_string(size));
+      SoaVector built(size, a);
+      SoaVector filled(size);
+      filled.fill(a);
+      for (const SoaVector* v : {&built, &filled}) {
+        ASSERT_TRUE(v->sums_valid(size));
+        EXPECT_TRUE(v->sums_seeded());
+        SoaVector read = *v;
+        read.invalidate_sums();
+        const Amplitude sum = kernels::sum_all(read);
+        EXPECT_EQ(v->sum_re()[0], sum.real());
+        EXPECT_EQ(v->sum_im()[0], sum.imag());
+      }
+      const std::vector<Index> marked{size / 3};
+      for (const bool folded : {true, false}) {
+        SoaVector seeded(size, a);
+        SoaVector read(size, a);
+        read.invalidate_sums();
+        for (SoaVector* v : {&seeded, &read}) {
+          if (folded) {
+            kernels::grover_iterations(*v, marked, size, 3);
+          } else {
+            kernels::phase_flip_indices(*v, marked);
+            kernels::reflect_about_uniform(*v);
+          }
+        }
+        EXPECT_EQ(max_diff(seeded, read), 0.0) << "folded " << folded;
+      }
+    }
+  }
+}
+
 TEST_P(IsaSweep, GroverIterationsRejectBadArguments) {
   SoaVector v = reference::uniform_state(6);
   const std::vector<Index> unsorted{9, 3};

@@ -380,6 +380,46 @@ TEST(SamplerDeterminismTest, OutcomesIgnoreThreadBudgetAndTeamSize) {
   force_parallel_threshold(std::nullopt);
 }
 
+TEST(SamplerDeterminismTest, ChunkedCountsEqualTheTallyOfEveryShot) {
+  // The wrappers count per fixed chunk of shots inside the fan-out: a row
+  // per chunk for at most 1024 outcomes (block shots, N = 2^8 index shots),
+  // sorted runs beyond (N = 2^11 index shots). Either way the report must
+  // be the tally of the per-shot outcomes, across chunk edges and teams.
+  for (const unsigned n : {8u, 11u}) {
+    const Evolved e = evolve_grk(n, 2);
+    for (const Backend* backend : {e.dense.get(), e.symmetry.get()}) {
+      for (const Measure what : {Measure::kBlock, Measure::kIndex}) {
+        const auto sampler = backend->sampler(what);
+        for (const std::uint64_t shots : {1u, 1023u, 1024u, 1025u, 5000u}) {
+          for (const unsigned team : {1u, 3u, 4u}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " " +
+                         to_string(backend->kind()) + " block " +
+                         std::to_string(what == Measure::kBlock) + " shots " +
+                         std::to_string(shots) + " team " +
+                         std::to_string(team));
+            const BatchRunner runner({.threads = team, .seed = 99});
+            const ShotReport expected = BatchRunner::tally(
+                runner.map_shots(shots,
+                                 [&](std::uint64_t, Rng& rng) {
+                                   return sampler->draw(rng);
+                                 }),
+                5);
+            const ShotReport report =
+                what == Measure::kBlock
+                    ? runner.sample_block_shots(*backend, shots, 5)
+                    : runner.sample_shots(*backend, shots, 5);
+            EXPECT_EQ(report.counts, expected.counts);
+            EXPECT_EQ(report.shots, expected.shots);
+            EXPECT_EQ(report.queries_per_shot, expected.queries_per_shot);
+            EXPECT_EQ(report.mode, expected.mode);
+            EXPECT_EQ(report.mode_frequency, expected.mode_frequency);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SamplerDeterminismTest, SingleDrawMatchesTheBatchStream) {
   // Backend::sample_block is "build, draw once": shot i of a batch equals
   // a single draw on shot i's stream.
