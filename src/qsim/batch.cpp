@@ -31,19 +31,19 @@ std::string ShotReport::to_string(std::size_t max_rows) const {
 
 namespace {
 
-/// Shots per counting chunk of draw_shots. Fixed, so the chunk partition,
-/// and the order the chunks' counts merge in, never depend on the team.
-constexpr std::uint64_t kShotChunk = 1024;
+/// The largest outcome range draw_shots counts into per-chunk rows; a
+/// larger one tallies map_shots' outcomes instead.
+constexpr std::uint64_t kMaxRowOutcomes = 1024;
 
 /// The fan-out of map_shots and draw_shots: shots [0, shots) in chunks of
 /// `chunk` consecutive shots, one parallel_for index per chunk, on
 /// min(threads, chunks) threads. Every shot first checks the cancel flag (a
 /// cancelled fan-out skips its remaining shots), then runs shot(c, i) and
-/// reports one unit of progress; chunk_done(c) follows a chunk's last shot.
-/// A cancelled fan-out throws CancelledError once it has joined.
-template <typename Shot, typename ChunkDone>
+/// reports one unit of progress. A cancelled fan-out throws CancelledError
+/// once it has joined.
+template <typename Shot>
 void fan_out(std::uint64_t shots, std::uint64_t chunk, unsigned threads,
-             RunControl* control, Shot&& shot, ChunkDone&& chunk_done) {
+             RunControl* control, Shot&& shot) {
   const std::uint64_t chunks = (shots + chunk - 1) / chunk;
   // Never more threads than chunks: a 1-shot run opens no region, so its
   // kernels keep the caller's budget; with a team, kernels inside the shot
@@ -69,7 +69,6 @@ void fan_out(std::uint64_t shots, std::uint64_t chunk, unsigned threads,
         control->add_work_done();
       }
     }
-    chunk_done(uc);
   });
   checkpoint(control);
   if (control != nullptr) {
@@ -121,8 +120,7 @@ std::vector<Index> BatchRunner::map_shots(
       [&](std::uint64_t, std::uint64_t shot) {
         Rng rng = shot_rng(shot);
         outcomes[static_cast<std::size_t>(shot)] = body(shot, rng);
-      },
-      [](std::uint64_t) {});
+      });
   return outcomes;
 }
 
@@ -142,51 +140,39 @@ ShotReport BatchRunner::draw_shots(const ShotSampler& sampler,
                                    std::uint64_t outcomes, std::uint64_t shots,
                                    std::uint64_t queries_per_shot) const {
   PQS_CHECK_MSG(shots > 0, "need at least one shot");
-  const std::uint64_t chunks = (shots + kShotChunk - 1) / kShotChunk;
-  // A range of at most kShotChunk outcomes (block shots, small databases)
-  // counts into one row per chunk; a larger one keeps each chunk's draws
-  // and sorts them, so the merge reads each chunk's counts as runs. Either
-  // way the counts are integers, summed in chunk order.
-  const bool rows_fit = outcomes <= kShotChunk;
-  std::vector<std::uint64_t> rows(rows_fit ? chunks * outcomes : 0);
-  std::vector<Index> drawn(rows_fit ? 0 : shots);
-  fan_out(
-      shots, kShotChunk, threads_, options_.control,
-      [&](std::uint64_t c, std::uint64_t shot) {
-        Rng rng = shot_rng(shot);
-        const Index x = sampler.draw(rng);
-        if (rows_fit) {
-          ++rows[c * outcomes + x];
-        } else {
-          drawn[shot] = x;
-        }
-      },
-      [&](std::uint64_t c) {
-        if (!rows_fit) {
-          std::sort(drawn.begin() + static_cast<std::ptrdiff_t>(c * kShotChunk),
-                    drawn.begin() + static_cast<std::ptrdiff_t>(
-                                        std::min(shots, (c + 1) * kShotChunk)));
-        }
-      });
+  if (outcomes > kMaxRowOutcomes) {
+    return tally(map_shots(shots,
+                           [&sampler](std::uint64_t, Rng& rng) {
+                             return sampler.draw(rng);
+                           }),
+                 queries_per_shot);
+  }
+  // One chunk of consecutive shots per thread, each counting into its own
+  // row. The counts are integers, so any partition sums to the same report.
+  // A row's stride leaves a whole cache line after its counts, so no two
+  // threads ever write the same line.
+  const std::uint64_t chunk = (shots + threads_ - 1) / threads_;
+  const std::uint64_t chunks = (shots + chunk - 1) / chunk;
+  constexpr std::uint64_t kLineWords = 64 / sizeof(std::uint64_t);
+  const std::uint64_t stride =
+      (outcomes + kLineWords - 1) / kLineWords * kLineWords + kLineWords;
+  std::vector<std::uint64_t> rows(chunks * stride);
+  fan_out(shots, chunk, threads_, options_.control,
+          [&](std::uint64_t c, std::uint64_t shot) {
+            Rng rng = shot_rng(shot);
+            ++rows[c * stride + sampler.draw(rng)];
+          });
 
   ShotReport report;
   report.shots = shots;
   report.queries_per_shot = queries_per_shot;
-  if (rows_fit) {
-    for (Index x = 0; x < outcomes; ++x) {
-      std::uint64_t count = 0;
-      for (std::uint64_t c = 0; c < chunks; ++c) {
-        count += rows[c * outcomes + x];
-      }
-      if (count > 0) {
-        report.counts.emplace_hint(report.counts.end(), x, count);
-      }
+  for (Index x = 0; x < outcomes; ++x) {
+    std::uint64_t count = 0;
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+      count += rows[c * stride + x];
     }
-  } else {
-    for (std::size_t i = 0, j = 0; i < drawn.size(); i = j) {
-      for (j = i + 1; j < drawn.size() && drawn[j] == drawn[i]; ++j) {
-      }
-      report.counts[drawn[i]] += j - i;
+    if (count > 0) {
+      report.counts.emplace_hint(report.counts.end(), x, count);
     }
   }
   settle_mode(report);

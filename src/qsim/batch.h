@@ -62,8 +62,8 @@ class BatchRunner {
   explicit BatchRunner(BatchOptions options = {});
 
   const BatchOptions& options() const { return options_; }
-  /// The resolved worker count (>= 1); map_shots uses min(threads, shots),
-  /// the sampler wrappers min(threads, chunks of 1024 shots).
+  /// The resolved worker count (>= 1); every fan-out uses at most
+  /// min(threads, shots) of them.
   unsigned threads() const { return threads_; }
 
   /// The RNG stream of one shot: seeded from (options.seed, shot) only, so
@@ -98,9 +98,10 @@ class BatchRunner {
 
  private:
   /// One sampler.draw per shot, with map_shots' streams, cancellation and
-  /// progress, counted per fixed chunk of shots inside the fan-out; the
-  /// report equals tally(map_shots(...)) at any thread count. Every draw
-  /// lies in [0, outcomes).
+  /// progress; the report equals tally(map_shots(...)) at any thread count.
+  /// Over at most 1024 outcomes each thread counts its chunk of shots into
+  /// its own row inside the fan-out; a larger range is tallied afterwards.
+  /// Every draw lies in [0, outcomes).
   ShotReport draw_shots(const ShotSampler& sampler, std::uint64_t outcomes,
                         std::uint64_t shots,
                         std::uint64_t queries_per_shot) const;

@@ -406,7 +406,9 @@ TEST(EngineTest, SymmetryBackendMatchesDenseProbabilities) {
   SearchSpec spec = SearchSpec::single_target(1u << 14, 8, 9999);
   spec.algorithm = "grk";
   spec.seed = kSeed;
+  spec.backend = qsim::BackendKind::kDense;
   const auto dense = shared_engine().run(spec);
+  EXPECT_EQ(dense.backend_used, qsim::BackendKind::kDense);
   spec.backend = qsim::BackendKind::kSymmetry;
   const auto symmetry = shared_engine().run(spec);
   EXPECT_EQ(symmetry.backend_used, qsim::BackendKind::kSymmetry);

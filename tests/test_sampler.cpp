@@ -381,16 +381,18 @@ TEST(SamplerDeterminismTest, OutcomesIgnoreThreadBudgetAndTeamSize) {
 }
 
 TEST(SamplerDeterminismTest, ChunkedCountsEqualTheTallyOfEveryShot) {
-  // The wrappers count per fixed chunk of shots inside the fan-out: a row
-  // per chunk for at most 1024 outcomes (block shots, N = 2^8 index shots),
-  // sorted runs beyond (N = 2^11 index shots). Either way the report must
-  // be the tally of the per-shot outcomes, across chunk edges and teams.
+  // The wrappers count each thread's chunk of shots into its own row inside
+  // the fan-out for at most 1024 outcomes (block shots, N = 2^8 index
+  // shots) and tally the outcomes beyond (N = 2^11 index shots). Either way
+  // the report must be the tally of the per-shot outcomes, across chunk
+  // edges and teams.
   for (const unsigned n : {8u, 11u}) {
     const Evolved e = evolve_grk(n, 2);
     for (const Backend* backend : {e.dense.get(), e.symmetry.get()}) {
       for (const Measure what : {Measure::kBlock, Measure::kIndex}) {
         const auto sampler = backend->sampler(what);
-        for (const std::uint64_t shots : {1u, 1023u, 1024u, 1025u, 5000u}) {
+        for (const std::uint64_t shots :
+             {1u, 2u, 7u, 1023u, 1024u, 1025u, 5000u}) {
           for (const unsigned team : {1u, 3u, 4u}) {
             SCOPED_TRACE("n " + std::to_string(n) + " " +
                          to_string(backend->kind()) + " block " +
