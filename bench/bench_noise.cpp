@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
                    Table::num(full.success_rate, 3),
                    Table::num(full.queries_per_trial),
                    part.plan_cache_hit ? "cached" : "computed",
-                   qsim::to_string(part.backend_used)});
+                   qsim::to_string(part.backend_used.value())});
   }
   std::cout << table.render();
   std::cout << "\nreading: both decay toward the 1/K guess rate at "

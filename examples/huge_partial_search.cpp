@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::cout << "schedule: l1 = " << report.l1 << " global + l2 = "
             << report.l2 << " local iterations + 1 (Step 3), planned in "
             << Table::num(static_cast<double>(report.plan_ns) * 1e-9, 6) << " s\n"
-            << "engine: " << qsim::to_string(report.backend_used)
+            << "engine: " << qsim::to_string(report.backend_used.value())
             << ", evolved + " << report.trials << " shots in "
             << Table::num(static_cast<double>(report.exec_ns) * 1e-9, 6) << " s\n"
             << "measured mode: block " << report.measured

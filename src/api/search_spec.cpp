@@ -106,8 +106,10 @@ std::string SearchReport::to_string() const {
     os << " (" << trials << " trials x " << queries_per_trial
        << " queries)";
   }
-  os << "\n  success " << success_probability << ", engine "
-     << qsim::to_string(backend_used);
+  os << "\n  success " << success_probability;
+  if (backend_used.has_value()) {
+    os << ", engine " << qsim::to_string(*backend_used);
+  }
   if (l1 != 0 || l2 != 0) {
     os << ", schedule l1=" << l1 << " l2=" << l2
        << (plan_cache_hit ? " (cached plan)" : "");

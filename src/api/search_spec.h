@@ -118,7 +118,8 @@ struct SearchReport {
   double success_probability = 0.0;
   std::uint64_t l1 = 0;       ///< schedule actually run (0 where n/a)
   std::uint64_t l2 = 0;
-  qsim::BackendKind backend_used = qsim::BackendKind::kDense;
+  /// The engine that ran; unset when the algorithm runs none (classical).
+  std::optional<qsim::BackendKind> backend_used;
   bool plan_cache_hit = false;  ///< the schedule came from the plan cache
   // -- the timing split: one wall-clock number would hide queueing delay,
   //    the dominant latency term of a loaded service --

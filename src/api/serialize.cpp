@@ -102,7 +102,9 @@ Json to_json(const SearchReport& report) {
   json["success_probability"] = report.success_probability;
   json["l1"] = report.l1;
   json["l2"] = report.l2;
-  json["backend_used"] = qsim::to_string(report.backend_used);
+  if (report.backend_used.has_value()) {
+    json["backend_used"] = qsim::to_string(*report.backend_used);
+  }
   json["plan_cache_hit"] = report.plan_cache_hit;
   json["queue_ns"] = report.queue_ns;
   json["plan_ns"] = report.plan_ns;

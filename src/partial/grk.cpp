@@ -18,21 +18,37 @@ qsim::BackendSpec grk_spec(const oracle::Database& db, unsigned k) {
   return qsim::BackendSpec::single_target(db.size(), pow2(k), db.target());
 }
 
+/// Steps 1-3 on `backend`, metering each step's queries on db. With
+/// `snapshots`, the amplitude vector is recorded after every step.
+void run_steps(qsim::Backend& backend, const oracle::Database& db,
+               std::uint64_t l1, std::uint64_t l2, GrkSnapshots* snapshots) {
+  db.add_queries(l1);
+  backend.apply_grover_iterations(qsim::Partition::kGlobal, l1);  // (I0 It)^l1
+  if (snapshots != nullptr) {
+    snapshots->after_step1 = backend.amplitudes_copy();
+  }
+  db.add_queries(l2);
+  // (I_[K] (x) I0,[N/K] It)^l2
+  backend.apply_grover_iterations(qsim::Partition::kBlocks, l2);
+  if (snapshots != nullptr) {
+    snapshots->after_step2 = backend.amplitudes_copy();
+  }
+  // Step 3: one oracle query marks the target out; inversion about the mean
+  // of the remaining amplitudes.
+  db.add_queries(1);
+  backend.apply_step3();
+  if (snapshots != nullptr) {
+    snapshots->after_step3 = backend.amplitudes_copy();
+  }
+}
+
 }  // namespace
 
 std::unique_ptr<qsim::Backend> evolve_partial_search_on_backend(
     const oracle::Database& db, unsigned k, std::uint64_t l1,
     std::uint64_t l2, qsim::BackendKind kind) {
   auto backend = qsim::make_backend(kind, grk_spec(db, k));
-  db.add_queries(l1);
-  backend->apply_grover_iterations(qsim::Partition::kGlobal, l1);  // (I0 It)^l1
-  db.add_queries(l2);
-  // (I_[K] (x) I0,[N/K] It)^l2
-  backend->apply_grover_iterations(qsim::Partition::kBlocks, l2);
-  // Step 3: one oracle query marks the target out; inversion about the mean
-  // of the remaining amplitudes.
-  db.add_queries(1);
-  backend->apply_step3();
+  run_steps(*backend, db, l1, l2, nullptr);
   return backend;
 }
 
@@ -60,21 +76,8 @@ GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
   const std::uint64_t before = db.queries();
   auto backend = qsim::make_backend(kind, spec);
   result.backend_used = backend->kind();
-  db.add_queries(result.l1);
-  backend->apply_grover_iterations(qsim::Partition::kGlobal, result.l1);
-  if (options.capture_snapshots) {
-    result.snapshots.after_step1 = backend->amplitudes_copy();
-  }
-  db.add_queries(result.l2);
-  backend->apply_grover_iterations(qsim::Partition::kBlocks, result.l2);
-  if (options.capture_snapshots) {
-    result.snapshots.after_step2 = backend->amplitudes_copy();
-  }
-  db.add_queries(1);
-  backend->apply_step3();
-  if (options.capture_snapshots) {
-    result.snapshots.after_step3 = backend->amplitudes_copy();
-  }
+  run_steps(*backend, db, result.l1, result.l2,
+            options.capture_snapshots ? &result.snapshots : nullptr);
 
   result.queries = db.queries() - before;
   PQS_CHECK(result.queries == result.l1 + result.l2 + 1);

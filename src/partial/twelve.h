@@ -11,7 +11,7 @@
 //
 // N = 12 is not a power of two; the stage pattern runs on qsim::Backend,
 // whose engines are dimension-agnostic (blocks are contiguous address
-// ranges; only gate-level ops need N = 2^n). Both engines apply: the dense
+// ranges; only Pauli noise needs N = 2^n). Both engines apply: the dense
 // engine replays the raw O(N) kernels, the symmetry engine evolves the
 // three class amplitudes in O(1) per stage, and the per-stage pictures come
 // from Backend::amplitudes_copy.

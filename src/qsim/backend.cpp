@@ -67,19 +67,6 @@ void Backend::apply_grover_iterations(Partition partition,
   }
 }
 
-void Backend::apply_gate1(unsigned, const Gate2&) {
-  PQS_CHECK_MSG(false, "single-qubit gates need the dense backend");
-}
-void Backend::apply_phase_flip_known(Index) {
-  PQS_CHECK_MSG(false, "single-state phase flips need the dense backend");
-}
-void Backend::apply_mcz(std::uint64_t) {
-  PQS_CHECK_MSG(false, "multi-controlled Z needs the dense backend");
-}
-std::uint64_t Backend::apply_noise(const NoiseModel&, Rng&) {
-  throw CheckFailure("this backend implements no noise channel");
-}
-
 Index Backend::sample(Rng& rng) const {
   return sampler(Measure::kIndex)->draw(rng);
 }
@@ -117,8 +104,8 @@ Amplitude uniform_amplitude(std::uint64_t n_items) {
 
 /// The exact engine: SoA amplitude planes (qsim/soa.h) driven by the
 /// ISA-dispatched SoA kernels (qsim/kernels.h). It is the library's one
-/// dense state; gate-level circuits and the Zalka hybrid argument run on it
-/// too.
+/// dense state; noise trajectories, snapshots and the Zalka hybrid argument
+/// run on it.
 class DenseBackend final : public Backend {
  public:
   explicit DenseBackend(BackendSpec spec) : Backend(std::move(spec)) {
@@ -166,29 +153,18 @@ class DenseBackend final : public Backend {
       kernels::reflect_unmarked_about_their_mean(amps_, spec_.marked);
     }
   }
-  void apply_global_phase(Amplitude phase) override {
-    kernels::scale(amps_, phase);
-  }
 
   std::uint64_t apply_noise(const NoiseModel& model, Rng& rng) override {
     model.validate();  // an out-of-range rate must throw, never read clean
     if (!model.enabled()) {
       return 0;
     }
-    const unsigned n = qubits();  // checks the power-of-two requirement
+    PQS_CHECK_MSG(is_pow2(spec_.n_items),
+                  "Pauli noise needs a power-of-two database");
+    const unsigned n = log2_exact(spec_.n_items);
     return for_each_error_qubit(n, model.probability, rng, [&](unsigned q) {
       kernels::apply_gate1(amps_, n, q, sample_pauli(model.kind, rng));
     });
-  }
-
-  void apply_gate1(unsigned q, const Gate2& g) override {
-    kernels::apply_gate1(amps_, qubits(), q, g);
-  }
-  void apply_phase_flip_known(Index x) override {
-    kernels::phase_flip_index(amps_, x);
-  }
-  void apply_mcz(std::uint64_t mask) override {
-    kernels::phase_flip_mask_all_ones(amps_, mask);
   }
 
   double probability(Index x) const override {
@@ -225,12 +201,6 @@ class DenseBackend final : public Backend {
   }
 
  private:
-  unsigned qubits() const {
-    PQS_CHECK_MSG(is_pow2(spec_.n_items),
-                  "gate-level ops need a power-of-two database");
-    return log2_exact(spec_.n_items);
-  }
-
   SoaVector amps_;
 };
 
@@ -330,12 +300,6 @@ class SymmetryBackend final : public Backend {
     a_o_ = twice_mean - a_o_;
   }
 
-  void apply_global_phase(Amplitude phase) override {
-    a_t_ *= phase;
-    a_b_ *= phase;
-    a_o_ *= phase;
-  }
-
   std::uint64_t apply_noise(const NoiseModel& model, Rng& rng) override {
     model.validate();  // an out-of-range rate must throw, never read clean
     if (!model.enabled()) {
@@ -356,7 +320,7 @@ class SymmetryBackend final : public Backend {
         case Pauli::kY:  // Y = i X Z: dephase, permute, global i
           noise_z(q, split);
           noise_x(q, split);
-          apply_global_phase(Amplitude{0.0, 1.0});
+          times_i();
           break;
         case Pauli::kZ:
           noise_z(q, split);
@@ -519,6 +483,13 @@ class SymmetryBackend final : public Backend {
   }
   double mass_others() const {
     return static_cast<double>(others_) * std::norm(a_o_) + r_o_;
+  }
+
+  /// Multiply every class amplitude by i: the global phase of Y = i X Z.
+  void times_i() {
+    a_t_ *= Amplitude{0.0, 1.0};
+    a_b_ *= Amplitude{0.0, 1.0};
+    a_o_ *= Amplitude{0.0, 1.0};
   }
 
   /// Pauli X on address bit q. Bits below `split` index within a block,
@@ -696,13 +667,6 @@ namespace {
 struct BackendApplyVisitor {
   Backend& backend;
 
-  void operator()(const Gate1Op& op) const { backend.apply_gate1(op.q, op.g); }
-  void operator()(const LayerOp& op) const {
-    const unsigned n = log2_exact(backend.num_items());
-    for (unsigned q = 0; q < n; ++q) {
-      backend.apply_gate1(q, op.g);
-    }
-  }
   void operator()(const OracleOp&) const { backend.apply_oracle(); }
   void operator()(const OraclePhaseOp& op) const {
     backend.apply_oracle_phase(op.phi);
@@ -717,13 +681,6 @@ struct BackendApplyVisitor {
   void operator()(const BlockRotationOp& op) const {
     check_blocks(op.k);
     backend.apply_block_rotation(op.phi);
-  }
-  void operator()(const PhaseFlipKnownOp& op) const {
-    backend.apply_phase_flip_known(op.x);
-  }
-  void operator()(const MczOp& op) const { backend.apply_mcz(op.mask); }
-  void operator()(const GlobalPhaseOp& op) const {
-    backend.apply_global_phase(op.phase);
   }
   void operator()(const NonTargetMeanOp&) const { backend.apply_step3(); }
 

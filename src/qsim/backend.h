@@ -13,8 +13,8 @@
 //                    are dimension-agnostic; blocks are the K contiguous
 //                    ranges of N/K addresses), supports every operator and
 //                    arbitrary marked sets, and is the only engine that
-//                    computes exact Pauli-noise trajectories, gate-level ops
-//                    and amplitude snapshots (the Zalka hybrid argument). On
+//                    computes exact Pauli-noise trajectories and amplitude
+//                    snapshots (the Zalka hybrid argument). On
 //                    every ISA tier, a run of Grover iterations
 //                    (apply_grover_iterations) folds into one affine pass per
 //                    block over the state, whatever its length.
@@ -31,11 +31,16 @@
 //                    above preserves that structure, which makes huge-N
 //                    simulation (n = 60+ qubits) exact and effectively free.
 //
+// Both engines implement every operator below, so none throws because of
+// the engine it runs on (Pauli noise has shape limits of its own, see
+// backend_supports_noise). Circuits (qsim/circuit.h) are built from the
+// same operators, so apply_circuit runs on either engine.
+//
 // Pick an engine with BackendKind: kDense / kSymmetry force one, kAuto takes
 // the cheapest exact one. resolve_backend holds that one rule: the symmetry
 // engine whenever it supports the spec (the marked set lies in one block)
 // and the request needs nothing that only the dense engine computes exactly
-// (Needs::kDenseState: noise trajectories, gate-level ops, snapshots); the
+// (Needs::kDenseState: noise trajectories, snapshots); the
 // dense engine otherwise, unless the state would not fit in memory.
 // Construction goes through make_backend(kind, spec).
 //
@@ -143,8 +148,6 @@ class Backend {
   /// Step 3: keep the marked amplitudes, invert every other amplitude about
   /// their common mean.
   virtual void apply_step3() = 0;
-  /// Multiply the whole state by a fixed phase.
-  virtual void apply_global_phase(Amplitude phase) = 0;
 
   // -- noise channels (trajectory sampling) --
   /// Sample one noise-trajectory step: for each address qubit, with
@@ -162,12 +165,7 @@ class Backend {
   /// reading as a clean run); drivers additionally validate once at entry
   /// so the error surfaces before any trial work. Checked: the spec must
   /// support noise — see require_noise_support.
-  virtual std::uint64_t apply_noise(const NoiseModel& model, Rng& rng);
-
-  // -- gate-level ops (dense only; the defaults throw CheckFailure) --
-  virtual void apply_gate1(unsigned q, const Gate2& g);
-  virtual void apply_phase_flip_known(Index x);
-  virtual void apply_mcz(std::uint64_t mask);
+  virtual std::uint64_t apply_noise(const NoiseModel& model, Rng& rng) = 0;
 
   // -- observables --
   virtual double probability(Index x) const = 0;
@@ -206,8 +204,7 @@ enum class Needs {
   kBlockOperators,  ///< Backend's operators, observables and samplers only
   /// Something only the dense engine computes exactly: Pauli-noise
   /// trajectories (the symmetry engine's class moments are an
-  /// approximation after the first error), gate-level ops and circuits, or
-  /// amplitude snapshots.
+  /// approximation after the first error) or amplitude snapshots.
   kDenseState,
 };
 
@@ -244,9 +241,8 @@ void require_noise_support(BackendKind kind, const BackendSpec& spec,
 
 /// Apply one circuit op to `backend`: the step apply_circuit repeats, for
 /// callers that drive a circuit op by op (the Zalka hybrid argument).
-/// Oracle ops act on the backend's marked set. Checked: the op must be
-/// applicable — gate-level ops need the dense engine, block ops a matching
-/// block count.
+/// Oracle ops act on the backend's marked set. Checked: block ops need a
+/// matching block count.
 void apply_op(Backend& backend, const Op& op);
 
 /// Execute every op of `circuit` on `backend` (which must already be in the

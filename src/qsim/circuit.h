@@ -1,36 +1,29 @@
-// A small circuit IR.
+// A small circuit IR at the query level.
 //
 // Circuits separate *description* from *execution*: algorithms build an op
 // list once; qsim::apply_circuit (qsim/backend.h) runs it on a Backend,
 // counting oracle queries. Oracle calls are symbolic (OracleOp /
-// NonTargetMeanOp) and read the backend's marked set, so the same circuit
-// runs against different databases — and, for the Zalka hybrid argument
-// (zalka/zalka.h), one op at a time with some oracle calls replaced by the
-// identity.
+// OraclePhaseOp / NonTargetMeanOp) and read the backend's marked set, so the
+// same circuit runs against different databases — and, for the Zalka hybrid
+// argument (zalka/zalka.h), one op at a time with some oracle calls replaced
+// by the identity.
+//
+// Every op is one of the paper's query-model operators: the oracle phase,
+// the global and per-block reflections and rotations, and the Step-3
+// reflection. When the marked set lies in one block, each keeps the state in
+// the three-class invariant subspace, so the symmetry engine runs every
+// circuit as exactly as the dense engine.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <variant>
 #include <vector>
 
-#include "qsim/gates.h"
 #include "qsim/types.h"
 
 namespace pqs::qsim {
 
 // --- Ops ---
-
-/// Apply a 2x2 gate to one qubit.
-struct Gate1Op {
-  unsigned q;
-  Gate2 g;
-};
-
-/// Apply the same 2x2 gate to every qubit (e.g. the H^(x)n / X^(x)n layers).
-struct LayerOp {
-  Gate2 g;
-};
 
 /// Phase oracle: flip the sign of every marked basis state. Costs 1 query.
 struct OracleOp {};
@@ -55,36 +48,15 @@ struct BlockRotationOp {
   double phi;
 };
 
-/// Flip the sign of one *known* basis state (no oracle involved). Used for
-/// the |0...0> phase in the gate-level diffusion decomposition. 0 queries.
-struct PhaseFlipKnownOp {
-  Index x;
-};
-
-/// Multi-controlled Z: flip the sign of states with all bits of `mask` set.
-struct MczOp {
-  std::uint64_t mask;
-};
-
-/// Multiply the whole state by a fixed phase (tracks the -1 that the
-/// gate-level diffusion decomposition introduces). 0 queries.
-struct GlobalPhaseOp {
-  Amplitude phase;
-};
-
 /// Step 3 of the partial-search algorithm: mark the target out with one query
 /// and invert all the *other* amplitudes about their mean. 1 query.
 struct NonTargetMeanOp {};
 
-using Op = std::variant<Gate1Op, LayerOp, OracleOp, OraclePhaseOp,
-                        GlobalDiffusionOp, BlockDiffusionOp, BlockRotationOp,
-                        PhaseFlipKnownOp, MczOp, GlobalPhaseOp,
-                        NonTargetMeanOp>;
+using Op = std::variant<OracleOp, OraclePhaseOp, GlobalDiffusionOp,
+                        BlockDiffusionOp, BlockRotationOp, NonTargetMeanOp>;
 
 /// How many oracle queries an op consumes.
 std::uint64_t op_query_cost(const Op& op);
-/// Human-readable op name.
-std::string op_name(const Op& op);
 
 /// An ordered op list for a fixed qubit count.
 class Circuit {
@@ -97,9 +69,6 @@ class Circuit {
 
   // -- builders --
   Circuit& add(Op op);
-  Circuit& gate1(unsigned q, const Gate2& g);
-  Circuit& layer(const Gate2& g);
-  Circuit& hadamard_all() { return layer(gates::H()); }
   Circuit& oracle();
   Circuit& oracle_phase(double phi);
   Circuit& global_diffusion();
@@ -109,17 +78,11 @@ class Circuit {
   Circuit& grover_iteration();
   /// One per-block iteration A_[N/K] = (I_[K] (x) I0,[N/K]) . It (1 query).
   Circuit& partial_iteration(unsigned k);
-  /// Gate-level I0: H layer, X layer, MCZ on all qubits, X layer, H layer,
-  /// global phase -1. Equal to GlobalDiffusionOp as an operator (tested).
-  Circuit& global_diffusion_gate_level();
   /// Step 3 of the partial-search algorithm (1 query).
   Circuit& non_target_mean_reflection();
 
   /// Total oracle queries the circuit would consume.
   std::uint64_t query_count() const;
-
-  /// Multi-line rendering of the op list.
-  std::string to_string() const;
 
  private:
   unsigned n_qubits_;

@@ -78,10 +78,6 @@ void phase_flip_indices(SoaVector& v, std::span<const Index> marked_sorted);
 void phase_rotate_indices(SoaVector& v, std::span<const Index> marked_sorted,
                           double phi);
 
-/// Multiply by -1 every amplitude whose index has all bits of `mask` set
-/// (a multi-controlled Z on the qubits in `mask`).
-void phase_flip_mask_all_ones(SoaVector& v, std::uint64_t mask);
-
 /// In-place I0 = 2|psi0><psi0| - I where |psi0> is the uniform superposition:
 /// a_x <- 2*mean(a) - a_x. ("Inversion about the average".)
 void reflect_about_uniform(SoaVector& v);
@@ -141,7 +137,5 @@ Index find_mass_offset(const SoaVector& v, std::size_t lo, std::size_t len,
                        double offset);
 /// <a|b>.
 Amplitude inner_product(const SoaVector& a, const SoaVector& b);
-/// Multiply every amplitude by s.
-void scale(SoaVector& v, Amplitude s);
 
 }  // namespace pqs::qsim::kernels

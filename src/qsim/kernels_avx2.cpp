@@ -30,7 +30,6 @@ struct Avx2 {
   static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
   static Reg fmadd(Reg a, Reg b, Reg c) { return _mm256_fmadd_pd(a, b, c); }
   static Reg fnmadd(Reg a, Reg b, Reg c) { return _mm256_fnmadd_pd(a, b, c); }
-  static Reg fmsub(Reg a, Reg b, Reg c) { return _mm256_fmsub_pd(a, b, c); }
   static double reduce(Reg v) {
     const __m128d lo = _mm256_castpd256_pd128(v);
     const __m128d hi = _mm256_extractf128_pd(v, 1);

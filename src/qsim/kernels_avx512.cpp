@@ -29,7 +29,6 @@ struct Avx512 {
   static Reg mul(Reg a, Reg b) { return _mm512_mul_pd(a, b); }
   static Reg fmadd(Reg a, Reg b, Reg c) { return _mm512_fmadd_pd(a, b, c); }
   static Reg fnmadd(Reg a, Reg b, Reg c) { return _mm512_fnmadd_pd(a, b, c); }
-  static Reg fmsub(Reg a, Reg b, Reg c) { return _mm512_fmsub_pd(a, b, c); }
   static double reduce(Reg v) { return _mm512_reduce_add_pd(v); }
 };
 

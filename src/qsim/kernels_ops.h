@@ -9,6 +9,11 @@
 // table is the only place the tier shows. All pointers operate on
 // contiguous runs of the separated re[]/im[] planes of a SoaVector.
 //
+// The table holds six primitives, each with a caller in the engine: three
+// reductions (sum, norm_sq, inner), the two fused update-and-sum passes of
+// the reflections and rotations (reflect, add), and gate1, which applies
+// the dense engine's Pauli noise.
+//
 // The mutating primitives that take sum_re/sum_im out-params accumulate the
 // sums of the values they STORE. That is the fused-sum trick this engine is
 // built around: a reflection's store pass yields next iteration's block sums
@@ -43,9 +48,6 @@ struct KernelOps {
   /// a <- a + c (the block-rotation update); sums of the stored values.
   void (*add)(double* re, double* im, std::size_t n, double c_re, double c_im,
               double* sum_re, double* sum_im);
-  /// a <- s * a (complex scale).
-  void (*scale)(double* re, double* im, std::size_t n, double s_re,
-                double s_im);
   /// 2x2 unitary on the paired runs (re0,im0) / (re1,im1): the caller hands
   /// the two half-planes of an apply_gate1 stride block.
   void (*gate1)(double* re0, double* im0, double* re1, double* im1,

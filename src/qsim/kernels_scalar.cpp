@@ -91,19 +91,6 @@ void scalar_add(double* re, double* im, std::size_t n, double c_re,
   *sum_im = si;
 }
 
-void scalar_scale(double* re, double* im, std::size_t n, double s_re,
-                  double s_im) {
-#ifdef PQS_HAVE_OPENMP
-#pragma omp simd
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = re[i];
-    const double s = im[i];
-    re[i] = s_re * r - s_im * s;
-    im[i] = s_re * s + s_im * r;
-  }
-}
-
 void scalar_gate1(double* re0, double* im0, double* re1, double* im1,
                   std::size_t n, const double m[8]) {
   const double m00r = m[0], m00i = m[1], m01r = m[2], m01i = m[3];
@@ -130,7 +117,6 @@ const KernelOps& scalar_kernel_ops() {
       .inner = scalar_inner,
       .reflect = scalar_reflect,
       .add = scalar_add,
-      .scale = scalar_scale,
       .gate1 = scalar_gate1,
   };
   return ops;

@@ -10,7 +10,7 @@
 //   Reg, kWidth (doubles per register), zero(), set1(x), load(p),
 //   store(p, r), add(a, b), sub(a, b), mul(a, b),
 //   fmadd(a, b, c) = a*b + c, fnmadd(a, b, c) = c - a*b,
-//   fmsub(a, b, c) = a*b - c, reduce(r) = sum of the lanes.
+//   reduce(r) = sum of the lanes.
 //
 // Shape notes (measured on the target fleet, see BENCH_qsim.json):
 //   - the streaming loops take 2*W doubles per plane per iteration with two
@@ -175,26 +175,6 @@ struct SimdTier {
     *sum_im = si;
   }
 
-  static void scale(double* re, double* im, std::size_t n, double s_re,
-                    double s_im) {
-    const Reg vr = V::set1(s_re);
-    const Reg vi = V::set1(s_im);
-    std::size_t i = 0;
-    for (; i + W <= n; i += W) {
-      prefetch2(re, im, i);
-      const Reg r = V::load(re + i);
-      const Reg s = V::load(im + i);
-      V::store(re + i, V::fmsub(vr, r, V::mul(vi, s)));
-      V::store(im + i, V::fmadd(vr, s, V::mul(vi, r)));
-    }
-    for (; i < n; ++i) {
-      const double r = re[i];
-      const double s = im[i];
-      re[i] = s_re * r - s_im * s;
-      im[i] = s_re * s + s_im * r;
-    }
-  }
-
   static void gate1(double* re0, double* im0, double* re1, double* im1,
                     std::size_t n, const double m[8]) {
     const Reg m00r = V::set1(m[0]), m00i = V::set1(m[1]);
@@ -246,7 +226,6 @@ struct SimdTier {
         .inner = inner,
         .reflect = reflect,
         .add = add,
-        .scale = scale,
         .gate1 = gate1,
     };
   }

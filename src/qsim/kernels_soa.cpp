@@ -170,8 +170,8 @@ void block_update(SoaVector& v, std::size_t bs, const KernelOps& ops,
   }
 }
 
-/// The cache partition an O(1) in-place update (an oracle phase, a global
-/// scale) carries its delta into; 0 when there is none. The fill seed is
+/// The cache partition an O(1) in-place update (an oracle phase) carries
+/// its delta into; 0 when there is none. The fill seed is
 /// dropped instead: the folded Grover runs read it before any op, and a
 /// per-op path then reads the state exactly as it did before fills were
 /// seeded, so its results keep their bytes.
@@ -255,21 +255,6 @@ void phase_rotate_indices(SoaVector& v, std::span<const Index> marked_sorted,
     re[m] = next.real();
     im[m] = next.imag();
   }
-}
-
-void phase_flip_mask_all_ones(SoaVector& v, std::uint64_t mask) {
-  PQS_CHECK_MSG(mask < v.size(), "mask out of range");
-  double* re = v.re();
-  double* im = v.im();
-  parallel_for(static_cast<SIdx>(v.size()), parallel_threads(v.size()),
-               [&](SIdx i) {
-    const auto u = static_cast<std::uint64_t>(i);
-    if ((u & mask) == mask) {
-      re[u] = -re[u];
-      im[u] = -im[u];
-    }
-  });
-  v.invalidate_sums();
 }
 
 void reflect_about_uniform(SoaVector& v) {
@@ -559,27 +544,6 @@ Amplitude inner_product(const SoaVector& a, const SoaVector& b) {
   });
   return Amplitude{combine_pairwise(pr.data(), nc),
                    combine_pairwise(pi.data(), nc)};
-}
-
-void scale(SoaVector& v, Amplitude s) {
-  const KernelOps& ops = active_kernel_ops();
-  const std::size_t nc = chunks_for(v.size());
-  parallel_for(static_cast<SIdx>(nc), parallel_threads(v.size()), [&](SIdx c) {
-    const std::size_t off = static_cast<std::size_t>(c) * kChunk;
-    const std::size_t clen = std::min(kChunk, v.size() - off);
-    ops.scale(v.re() + off, v.im() + off, clen, s.real(), s.imag());
-  });
-  // A global scale maps every block sum linearly, so keep the cache alive by
-  // rescaling it. In floating point s*sum(a) and sum(s*a) can differ by a few
-  // ulps, far below the 1e-10 agreement bar; reflect() refreshes the sums from
-  // stored data when exact refresh semantics matter.
-  if (incremental_partition(v) != 0) {
-    for (std::size_t b = 0; b < v.sum_re().size(); ++b) {
-      const Amplitude next = s * Amplitude{v.sum_re()[b], v.sum_im()[b]};
-      v.sum_re()[b] = next.real();
-      v.sum_im()[b] = next.imag();
-    }
-  }
 }
 
 }  // namespace pqs::qsim::kernels

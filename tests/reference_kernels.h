@@ -8,7 +8,9 @@
 // Means use pairwise sums so that long reflection sequences stay within the
 // tests' 1e-10 tolerance of the chunked pairwise sums of the SoA kernels.
 //
-// Below them sit three groups that do run the production SoA kernels:
+// Below them sit three groups that run the production SoA kernels, plus the
+// serial scale and mask loops on a SoaVector that the library has no kernel
+// for:
 //   - dense-state helpers (random, basis and uniform SoaVectors, the
 //     L-infinity distance);
 //   - the diffusion views: I0 and I_[K] (x) I0,[N/K] as a gate sequence and
@@ -172,6 +174,28 @@ inline void reflect_non_target_about_their_mean(Amps& a, Index t) {
 
 // ---- Dense-state helpers ---------------------------------------------------
 
+/// Multiply every amplitude of a SoaVector by s, serially.
+inline void scale(SoaVector& v, Amplitude s) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const Amplitude a{v.re()[i], v.im()[i]};
+    v.re()[i] = (s * a).real();
+    v.im()[i] = (s * a).imag();
+  }
+  v.invalidate_sums();
+}
+
+/// Multiply by -1 every amplitude of a SoaVector whose index has all bits
+/// of `mask` set (a multi-controlled Z on the qubits in `mask`), serially.
+inline void phase_flip_mask_all_ones(SoaVector& v, std::uint64_t mask) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if ((i & mask) == mask) {
+      v.re()[i] = -v.re()[i];
+      v.im()[i] = -v.im()[i];
+    }
+  }
+  v.invalidate_sums();
+}
+
 /// |x> on n qubits.
 inline SoaVector basis_state(unsigned n_qubits, Index x) {
   SoaVector v(pow2(n_qubits));
@@ -188,7 +212,7 @@ inline SoaVector uniform_state(unsigned n_qubits) {
 /// Rescale to unit norm.
 inline void normalize(SoaVector& v) {
   const double norm = std::sqrt(kernels::norm_squared(v));
-  kernels::scale(v, Amplitude{1.0 / norm, 0.0});
+  scale(v, Amplitude{1.0 / norm, 0.0});
 }
 
 /// A normalized state with independent normal re/im parts.
@@ -227,13 +251,13 @@ inline void apply_diffusion_gate_level(SoaVector& v, unsigned n_qubits,
       kernels::apply_gate1(v, n_qubits, q, g);
     }
   }
-  kernels::phase_flip_mask_all_ones(v, pow2(bits) - 1);
+  phase_flip_mask_all_ones(v, pow2(bits) - 1);
   for (const Gate2& g : {gates::X(), gates::H()}) {
     for (unsigned q = 0; q < bits; ++q) {
       kernels::apply_gate1(v, n_qubits, q, g);
     }
   }
-  kernels::scale(v, Amplitude{-1.0, 0.0});
+  scale(v, Amplitude{-1.0, 0.0});
 }
 
 /// I0 = 2|psi0><psi0| - I as gates; equal (phase included) to
@@ -313,7 +337,7 @@ inline void amplification_step(SoaVector& v, const Preparation& prep,
   prep.apply_inverse(v);                        // A^{-1}
   kernels::phase_flip_index(v, 0);              // S0 = I - 2|0><0|
   prep.apply(v);                                // A
-  kernels::scale(v, Amplitude{-1.0, 0.0});      // overall -1 of Q
+  scale(v, Amplitude{-1.0, 0.0});               // overall -1 of Q
 }
 
 /// A|0> followed by `iterations` amplification steps.

@@ -270,7 +270,8 @@ TEST(EngineEquivalenceTest, Noisy) {
 }
 
 // kAuto reports the engine that ran: the symmetry engine for single-block
-// requests, the dense one for noise trajectories and gate-level circuits.
+// requests, the dense one for noise trajectories and the Zalka circuit. A
+// classical scan runs no engine and reports none.
 TEST(EngineBackendChoiceTest, AutoReportsTheEngineThatRan) {
   SearchSpec grk = SearchSpec::single_target(16384, 4, 5000);
   grk.algorithm = "grk";
@@ -292,6 +293,11 @@ TEST(EngineBackendChoiceTest, AutoReportsTheEngineThatRan) {
   zalka.algorithm = "zalka";
   EXPECT_EQ(shared_engine().run(zalka).backend_used,
             qsim::BackendKind::kDense);
+
+  SearchSpec classical = SearchSpec::single_target(64, 1, 40);
+  classical.algorithm = "classical";
+  classical.seed = kSeed;
+  EXPECT_FALSE(shared_engine().run(classical).backend_used.has_value());
 }
 
 TEST(EngineEquivalenceTest, Reduction) {

@@ -22,7 +22,6 @@
 #include "partial/multi.h"
 #include "partial/noisy.h"
 #include "partial/optimizer.h"
-#include "qsim/gates.h"
 #include "qsim/isa.h"
 #include "qsim/parallel.h"
 #include "zalka/zalka.h"
@@ -101,15 +100,15 @@ TEST(BackendKindTest, AutoRunsDenseForNoiseTrajectories) {
             BackendKind::kSymmetry);
 }
 
-TEST(BackendKindTest, AutoRunsDenseForGateLevelCircuits) {
+TEST(BackendKindTest, AutoRunsDenseForTheZalkaHybridArgument) {
   EXPECT_EQ(require_dense(BackendKind::kAuto, "a circuit"),
             BackendKind::kDense);
   EXPECT_EQ(require_dense(BackendKind::kDense, "a circuit"),
             BackendKind::kDense);
   EXPECT_THROW(require_dense(BackendKind::kSymmetry, "a circuit"),
                CheckFailure);
-  // The Zalka hybrid argument drives a gate-level circuit op by op: it runs
-  // under kAuto and refuses the symmetry engine.
+  // The Zalka hybrid argument reads every amplitude of a circuit's states
+  // op by op: it runs under kAuto and refuses the symmetry engine.
   const Circuit circuit = make_grover_circuit(4, 2);
   EXPECT_NO_THROW(zalka::analyze_circuit(circuit, {}));
   zalka::ZalkaOptions symmetry;
@@ -196,7 +195,7 @@ TEST(BackendAgreement, RandomizedGeneralizedSequences) {
     auto dense = make_backend(BackendKind::kDense, spec);
     auto symmetry = make_backend(BackendKind::kSymmetry, spec);
     for (int step = 0; step < 12; ++step) {
-      const auto op = rng.uniform_int(0, 5);
+      const auto op = rng.uniform_int(0, 4);
       const double phi = rng.uniform(-kPi, kPi);
       for (auto* b : {dense.get(), symmetry.get()}) {
         switch (op) {
@@ -205,7 +204,6 @@ TEST(BackendAgreement, RandomizedGeneralizedSequences) {
           case 2: b->apply_global_rotation(phi); break;
           case 3: b->apply_block_rotation(phi); break;
           case 4: b->apply_step3(); break;
-          case 5: b->apply_global_phase(std::polar(1.0, phi)); break;
         }
       }
     }
@@ -308,8 +306,12 @@ TEST(BackendAgreement, GrkEntryPointAcrossSizes) {
 // DenseBackend::apply_grover_iterations (the folded run, on every tier)
 // against the per-op default loop it overrides, on every supported tier:
 // the l1-global-then-l2-block shape of partial search, from a complex
-// non-uniform start, with the target in the first block, in the last block,
-// or a marked set spanning every block.
+// non-uniform start that is not block-symmetric: Z on every qubit signs
+// each amplitude by its parity, the oracle phase makes it complex, and Step
+// 3 reflects the unmarked amplitudes about their mean, which moves blocks
+// without a mark off a zero sum whenever the marks' signs do not cancel.
+// The target sits in the first block, in the last block, or a marked set
+// spans every block.
 TEST(DenseFoldedIterations, MatchThePerOpLoopOnEveryTier) {
   // One thread: the results do not depend on the budget (test_threading),
   // and a team would only fight concurrently running test binaries.
@@ -327,8 +329,10 @@ TEST(DenseFoldedIterations, MatchThePerOpLoopOnEveryTier) {
       const auto folded = make_backend(BackendKind::kDense, spec);
       const auto per_op = make_backend(BackendKind::kDense, spec);
       for (Backend* b : {folded.get(), per_op.get()}) {
-        b->apply_gate1(0, gates::Ry(0.3));
+        Rng unused(1);  // p = 1 hits every qubit without a draw
+        b->apply_noise(NoiseModel{NoiseKind::kDephasing, 1.0}, unused);
         b->apply_oracle_phase(0.9);
+        b->apply_step3();
       }
       folded->apply_grover_iterations(Partition::kGlobal, 65);
       folded->apply_grover_iterations(Partition::kBlocks, 64);
@@ -438,6 +442,8 @@ TEST(SymmetryBackendTest, SamplingMatchesDistribution) {
   }
 }
 
+/// Every op kind a circuit can hold runs on both engines, with the same
+/// state to 1e-10.
 TEST(BackendCircuitTest, SymmetricCircuitExecutionMatchesDense) {
   const unsigned n = 8, k = 2;
   const oracle::Database db = oracle::Database::with_qubits(n, 200);
@@ -445,6 +451,7 @@ TEST(BackendCircuitTest, SymmetricCircuitExecutionMatchesDense) {
   for (int i = 0; i < 6; ++i) {
     circuit.grover_iteration();
   }
+  circuit.oracle_phase(1.1).block_rotation(k, -0.7);
   for (int i = 0; i < 3; ++i) {
     circuit.partial_iteration(k);
   }
@@ -455,24 +462,11 @@ TEST(BackendCircuitTest, SymmetricCircuitExecutionMatchesDense) {
   auto backend = make_backend(BackendKind::kSymmetry, spec);
   const std::uint64_t queries = apply_circuit(*backend, circuit);
   EXPECT_EQ(queries, circuit.query_count());
+  EXPECT_EQ(queries, 11u);
 
   auto state = make_backend(BackendKind::kDense, spec);
   apply_circuit(*state, circuit);
-  for (Index b = 0; b < pow2(k); ++b) {
-    EXPECT_NEAR(state->block_probability(b), backend->block_probability(b),
-                1e-10);
-  }
-}
-
-TEST(BackendCircuitTest, GateLevelCircuitsRunOnlyOnDense) {
-  Circuit circuit(5);
-  circuit.oracle();
-  circuit.global_diffusion_gate_level();  // H/X layers + MCZ: dense only
-  const BackendSpec spec = BackendSpec::single_target(32, 1, 3);
-  const auto symmetry = make_backend(BackendKind::kSymmetry, spec);
-  EXPECT_THROW(apply_circuit(*symmetry, circuit), CheckFailure);
-  const auto dense = make_backend(BackendKind::kDense, spec);
-  EXPECT_EQ(apply_circuit(*dense, circuit), 1u);
+  expect_backends_agree(*state, *backend);
 }
 
 TEST(BackendDispatchTest, InterleavedScheduleRunsOnBothEngines) {

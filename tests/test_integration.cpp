@@ -1,5 +1,5 @@
 // Cross-module integration tests: the different realizations of the same
-// mathematics (dense kernels, gate-level circuits, the 3-D subspace
+// mathematics (dense kernels, gate-level decompositions, the 3-D subspace
 // model, closed forms) must all agree, and the end-to-end pipelines must
 // compose.
 #include <gtest/gtest.h>

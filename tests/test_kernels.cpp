@@ -105,18 +105,6 @@ TEST(Kernels, PhaseRotateIndexAtPiEqualsFlip) {
   expect_near(a, b, 1e-12);
 }
 
-TEST(Kernels, PhaseFlipMaskMatchesAllOnesOnly) {
-  Rng rng(13);
-  SoaVector v = random_state(3, rng);
-  const SoaVector before = v;
-  kernels::phase_flip_mask_all_ones(v, 0b101);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const bool flipped = (i & 0b101u) == 0b101u;
-    EXPECT_LT(std::abs(v.get(i) - (flipped ? -before.get(i) : before.get(i))),
-              1e-15);
-  }
-}
-
 TEST(Kernels, ReflectAboutUniformFixesUniform) {
   const double amp = 1.0 / std::sqrt(8.0);
   SoaVector v(8);
@@ -183,7 +171,7 @@ TEST(Kernels, RotateBlocksAtPiEqualsMinusReflection) {
   kernels::reflect_blocks_about_uniform(a, 4);
   kernels::rotate_blocks_about_uniform(b, 4, kPi);
   // rotate(pi) = I - 2|u><u| = -(2|u><u| - I).
-  kernels::scale(b, -1.0);
+  reference::scale(b, -1.0);
   expect_near(a, b, 1e-12);
 }
 
@@ -250,14 +238,6 @@ TEST(Kernels, InnerProductConjugatesFirstArgument) {
   // <a|b> = conj(i) * 1 = -i.
   EXPECT_LT(std::abs(kernels::inner_product(a, b) - Amplitude{0.0, -1.0}),
             1e-15);
-}
-
-TEST(Kernels, ScaleMultipliesEverything) {
-  const std::vector<Amplitude> amps{{1.0, 0.0}, {2.0, 0.0}};
-  SoaVector v = SoaVector::from_amplitudes(amps);
-  kernels::scale(v, Amplitude{0.0, 1.0});
-  EXPECT_LT(std::abs(v.get(0) - Amplitude{0.0, 1.0}), 1e-15);
-  EXPECT_LT(std::abs(v.get(1) - Amplitude{0.0, 2.0}), 1e-15);
 }
 
 TEST(SoaVectorTest, ReusesTheThreadsLastFreedPlanesOfTheSameSize) {
@@ -339,7 +319,7 @@ TEST(SoaVectorTest, LargePlanesStartOnHugePageBoundaries) {
 // supported by this CPU (qsim/isa.h). Every tier runs the same composition,
 // sum cache and folded Grover runs included; only the KernelOps table
 // differs, and EveryPrimitiveMatchesAPlainLoopAtEveryTail checks each of the
-// table's seven entries on its own. The sweep runs on random non-uniform
+// table's six entries on its own. The sweep runs on random non-uniform
 // states, non-power-of-two sizes (SIMD tail paths), and n = 1 (N = 2,
 // smaller than one vector register).
 // CI also runs the whole suite under PQS_ISA=scalar and PQS_ISA=avx2, so the
@@ -427,10 +407,6 @@ TEST_P(IsaSweep, PhaseKernelsMatchReference) {
   kernels::phase_flip_indices(v, marked);
   reference::phase_rotate_indices(ref, marked, 1.1);
   kernels::phase_rotate_indices(v, marked, 1.1);
-  reference::phase_flip_mask_all_ones(ref, 0b10100);
-  kernels::phase_flip_mask_all_ones(v, 0b10100);
-  reference::scale(ref, Amplitude{0.6, -0.8});
-  kernels::scale(v, Amplitude{0.6, -0.8});
   expect_matches(v, ref);
 }
 
@@ -520,7 +496,7 @@ double max_abs_diff(const std::vector<double>& a,
 }
 
 TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
-  // Each of the seven KernelOps entries of the tier, called directly,
+  // Each of the six KernelOps entries of the tier, called directly,
   // against a plain serial loop. Lengths 0..65 cross every register-group
   // tail of every width (the widest group is 16 lanes); 4096 and 4099 are
   // one chunk with and without a tail. Stored values may differ from the
@@ -589,16 +565,6 @@ TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
     });
 
     std::vector<double> r = re, s = im, want_r(n), want_s(n);
-    ops.scale(r.data(), s.data(), n, m[0], m[1]);
-    for (std::size_t i = 0; i < n; ++i) {
-      want_r[i] = m[0] * re[i] - m[1] * im[i];
-      want_s[i] = m[0] * im[i] + m[1] * re[i];
-    }
-    EXPECT_LT(max_abs_diff(r, want_r), kLaneTol);
-    EXPECT_LT(max_abs_diff(s, want_s), kLaneTol);
-
-    r = re;
-    s = im;
     std::vector<double> r1 = b_re, s1 = b_im, want_r1(n), want_s1(n);
     ops.gate1(r.data(), s.data(), r1.data(), s1.data(), n, m);
     for (std::size_t i = 0; i < n; ++i) {

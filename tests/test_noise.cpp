@@ -48,19 +48,19 @@ TEST(Noise, ProbabilityOneDephasingFlipsEveryOneBit) {
 }
 
 TEST(Noise, ProbabilityOneBitFlipPermutesBasis) {
-  // X on every qubit maps |x> -> |~x>. H^n takes |psi0> to |0000>, then
-  // X on qubits 1 and 2 prepares |0110>.
-  const auto sv = uniform(4);
-  for (unsigned q = 0; q < 4; ++q) {
-    sv->apply_gate1(q, gates::H());
-  }
-  sv->apply_gate1(1, gates::X());
-  sv->apply_gate1(2, gates::X());
-  ASSERT_NEAR(sv->probability(0b0110), 1.0, 1e-12);
+  // X on every qubit maps |x> -> |~x>: the amplitude the oracle phase put on
+  // |0110> moves to |1001>, and |0110> takes the uniform amplitude of |1001>.
+  const auto sv = make_backend(BackendKind::kDense,
+                               BackendSpec::single_target(16, 1, 0b0110));
+  sv->apply_oracle_phase(1.2);
+  const Amplitude phased = std::polar(0.25, 1.2);
+  ASSERT_LT(std::abs(sv->amplitudes_copy()[0b0110] - phased), 1e-15);
   Rng rng(3);
   const NoiseModel model{NoiseKind::kBitFlip, 1.0};
   sv->apply_noise(model, rng);
-  EXPECT_NEAR(sv->probability(0b1001), 1.0, 1e-12);
+  const auto amps = sv->amplitudes_copy();
+  EXPECT_LT(std::abs(amps[0b1001] - phased), 1e-15);
+  EXPECT_LT(std::abs(amps[0b0110] - Amplitude{0.25, 0.0}), 1e-15);
 }
 
 TEST(Noise, InjectionRateMatchesProbability) {

@@ -210,8 +210,7 @@ TEST(DenseSamplerTest, EdgesSkipEmptyChunksAndElements) {
 }
 
 TEST(DenseSamplerTest, ZeroStateIsRejected) {
-  auto sv = reference::uniform_state(4);
-  kernels::scale(sv, Amplitude{0.0, 0.0});
+  const SoaVector sv(16);
   EXPECT_THROW((void)DenseSampler::indices(sv), CheckFailure);
   EXPECT_THROW((void)DenseSampler::blocks(sv, 4), CheckFailure);
 }

@@ -169,15 +169,20 @@ TEST(SerializeReportTest, EveryFieldRoundTripsForRandomReports) {
         static_cast<double>(rng.uniform_below(10000)) / 1e4;
     report.l1 = rng.uniform_below(1u << 20);
     report.l2 = rng.uniform_below(1u << 20);
-    report.backend_used = static_cast<qsim::BackendKind>(rng.uniform_below(3));
+    // One draw in four leaves the engine unset, as a classical run does.
+    const std::uint64_t engine = rng.uniform_below(4);
+    if (engine < 3) {
+      report.backend_used = static_cast<qsim::BackendKind>(engine);
+    }
     report.plan_cache_hit = rng.uniform_below(2) == 0;
     report.queue_ns = rng.next();
     report.plan_ns = rng.next();
     report.exec_ns = rng.next();
     report.detail = "detail line \"quoted\" #" + std::to_string(iteration);
 
-    const SearchReport back =
-        api::report_from_json(Json::parse(api::to_json(report).dump()));
+    const Json json = api::to_json(report);
+    EXPECT_EQ(json.has("backend_used"), report.backend_used.has_value());
+    const SearchReport back = api::report_from_json(Json::parse(json.dump()));
     EXPECT_EQ(back.algorithm, report.algorithm);
     EXPECT_EQ(back.measured, report.measured);
     EXPECT_EQ(back.block_answer, report.block_answer);
