@@ -18,6 +18,23 @@
 #include "common/check.h"
 #include "common/json.h"
 
+namespace {
+
+/// api::write_json's bytes, or empty where it throws (as dump does on a
+/// non-finite double).
+template <class Record>
+std::string written(const Record& record) {
+  std::string out;
+  try {
+    pqs::api::write_json(record, out);
+  } catch (const pqs::CheckFailure&) {
+    out.clear();
+  }
+  return out;
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string_view text(reinterpret_cast<const char*>(data), size);
@@ -42,6 +59,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     } catch (const pqs::CheckFailure&) {
       first.clear();  // non-finite double (e.g. noise_p:1e999): dump refuses
     }
+    if (written(*spec) != first) {
+      __builtin_trap();  // the writer and the tree disagree
+    }
     if (!first.empty()) {
       const pqs::SearchSpec again =
           pqs::api::spec_from_json(pqs::Json::parse(first));
@@ -58,6 +78,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       first = pqs::api::to_json(report).dump();
     } catch (const pqs::CheckFailure&) {
       first.clear();
+    }
+    if (written(report) != first) {
+      __builtin_trap();
     }
     if (!first.empty()) {
       const pqs::SearchReport again =

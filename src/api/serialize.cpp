@@ -1,8 +1,8 @@
 #include "api/serialize.h"
 
-#include <cstdio>
 #include <set>
 #include <string_view>
+#include <vector>
 
 #include "common/check.h"
 #include "qsim/noise.h"
@@ -23,33 +23,135 @@ void check_known_keys(const Json& json, const std::set<std::string_view>& known,
 
 }  // namespace
 
-Json to_json(const SearchSpec& spec) {
+namespace {
+
+/// THE field list of a spec, in sorted key order (the writer relies on it;
+/// the tree sorts anyway). "threads" comes last and only with
+/// `with_threads`: the coalescing digest leaves it out.
+template <class Visitor>
+void visit_fields(const SearchSpec& spec, bool with_threads, Visitor& visit) {
   PQS_CHECK_MSG(!spec.predicate,
                 "a predicate spec cannot be serialized (the predicate is "
                 "code); materialize it via resolve_marked() first");
-  Json json = Json::make_object();
-  json["algorithm"] = spec.algorithm;
-  json["n_items"] = spec.n_items;
-  json["n_blocks"] = spec.n_blocks;
-  Json marked = Json::make_array();
-  for (const auto m : spec.marked) {
-    marked.push_back(std::uint64_t{m});
-  }
-  json["marked"] = std::move(marked);
-  json["backend"] = qsim::to_string(spec.backend);
-  json["threads"] = std::uint64_t{spec.batch.threads};
-  json["noise"] = std::string(qsim::noise_kind_name(spec.noise.kind));
-  json["noise_p"] = spec.noise.probability;
-  json["seed"] = spec.seed;
-  json["min_success"] = spec.min_success;
+  visit("algorithm", std::string_view(spec.algorithm));
+  visit("backend", std::string_view(qsim::to_string(spec.backend)));
   if (spec.l1.has_value()) {
-    json["l1"] = *spec.l1;
+    visit("l1", *spec.l1);
   }
   if (spec.l2.has_value()) {
-    json["l2"] = *spec.l2;
+    visit("l2", *spec.l2);
   }
-  json["shots"] = spec.shots;
-  return json;
+  visit("marked", spec.marked);
+  visit("min_success", spec.min_success);
+  visit("n_blocks", spec.n_blocks);
+  visit("n_items", spec.n_items);
+  visit("noise", std::string_view(qsim::noise_kind_name(spec.noise.kind)));
+  visit("noise_p", spec.noise.probability);
+  visit("seed", spec.seed);
+  visit("shots", spec.shots);
+  if (with_threads) {
+    visit("threads", std::uint64_t{spec.batch.threads});
+  }
+}
+
+/// THE field list of a report, in sorted key order.
+template <class Visitor>
+void visit_fields(const SearchReport& report, Visitor& visit) {
+  visit("algorithm", std::string_view(report.algorithm));
+  if (report.backend_used.has_value()) {
+    visit("backend_used",
+          std::string_view(qsim::to_string(*report.backend_used)));
+  }
+  visit("block_answer", report.block_answer);
+  visit("correct", report.correct);
+  visit("detail", std::string_view(report.detail));
+  visit("exec_ns", report.exec_ns);
+  visit("l1", report.l1);
+  visit("l2", report.l2);
+  visit("measured", std::uint64_t{report.measured});
+  visit("plan_cache_hit", report.plan_cache_hit);
+  visit("plan_ns", report.plan_ns);
+  visit("queries", report.queries);
+  visit("queries_per_trial", report.queries_per_trial);
+  visit("queue_ns", report.queue_ns);
+  visit("success_probability", report.success_probability);
+  visit("trials", report.trials);
+}
+
+/// Builds the Json tree of the visited fields.
+struct TreeBuilder {
+  Json json = Json::make_object();
+
+  void operator()(std::string_view key, Json value) {
+    json.as_object().emplace(std::string(key), std::move(value));
+  }
+  void operator()(std::string_view key, std::string_view value) {
+    (*this)(key, Json(std::string(value)));
+  }
+  void operator()(std::string_view key, const std::vector<qsim::Index>& v) {
+    Json array = Json::make_array();
+    for (const qsim::Index m : v) {
+      array.push_back(std::uint64_t{m});
+    }
+    (*this)(key, std::move(array));
+  }
+};
+
+/// Appends the visited fields as one canonical JSON object (keys are
+/// emitted verbatim: the field lists above need no escaping).
+struct Writer {
+  std::string& out;
+  char separator = '{';
+
+  void key(std::string_view key) {
+    out += separator;
+    separator = ',';
+    out += '"';
+    out += key;
+    out += "\":";
+  }
+  void operator()(std::string_view k, std::string_view value) {
+    key(k);
+    Json::dump_string(value, out);
+  }
+  void operator()(std::string_view k, const std::vector<qsim::Index>& v) {
+    key(k);
+    out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i != 0) {
+        out += ',';
+      }
+      Json::dump_uint(v[i], out);
+    }
+    out += ']';
+  }
+  void operator()(std::string_view k, std::uint64_t value) {
+    key(k);
+    Json::dump_uint(value, out);
+  }
+  void operator()(std::string_view k, double value) {
+    key(k);
+    Json::dump_double(value, out);
+  }
+  void operator()(std::string_view k, bool value) {
+    key(k);
+    out += value ? "true" : "false";
+  }
+  void close() { out += '}'; }
+};
+
+}  // namespace
+
+Json to_json(const SearchSpec& spec) {
+  TreeBuilder tree;
+  visit_fields(spec, /*with_threads=*/true, tree);
+  return std::move(tree.json);
+}
+
+void write_json(const SearchSpec& spec, std::string& out) {
+  Writer writer{out};
+  visit_fields(spec, /*with_threads=*/true, writer);
+  writer.close();
 }
 
 SearchSpec spec_from_json(const Json& json) {
@@ -91,26 +193,15 @@ SearchSpec spec_from_json(const Json& json) {
 }
 
 Json to_json(const SearchReport& report) {
-  Json json = Json::make_object();
-  json["algorithm"] = report.algorithm;
-  json["measured"] = std::uint64_t{report.measured};
-  json["block_answer"] = report.block_answer;
-  json["correct"] = report.correct;
-  json["queries"] = report.queries;
-  json["queries_per_trial"] = report.queries_per_trial;
-  json["trials"] = report.trials;
-  json["success_probability"] = report.success_probability;
-  json["l1"] = report.l1;
-  json["l2"] = report.l2;
-  if (report.backend_used.has_value()) {
-    json["backend_used"] = qsim::to_string(*report.backend_used);
-  }
-  json["plan_cache_hit"] = report.plan_cache_hit;
-  json["queue_ns"] = report.queue_ns;
-  json["plan_ns"] = report.plan_ns;
-  json["exec_ns"] = report.exec_ns;
-  json["detail"] = report.detail;
-  return json;
+  TreeBuilder tree;
+  visit_fields(report, tree);
+  return std::move(tree.json);
+}
+
+void write_json(const SearchReport& report, std::string& out) {
+  Writer writer{out};
+  visit_fields(report, writer);
+  writer.close();
 }
 
 SearchReport report_from_json(const Json& json) {
@@ -154,40 +245,50 @@ SearchReport report_from_json(const Json& json) {
 
 namespace {
 
-/// FNV-1a over `bytes` from a caller-chosen basis (two bases give the two
-/// independent halves of the 128-bit digest below).
-std::uint64_t fnv1a(std::string_view bytes, std::uint64_t basis) {
-  std::uint64_t hash = basis;
+/// The 128-bit coalescing digest of `bytes` as 32 hex digits: FNV-1a from
+/// two bases, the two independent halves, run in one pass.
+std::string digest_hex(std::string_view bytes) {
+  std::uint64_t halves[2] = {0xcbf29ce484222325ULL, 0x9e3779b97f4a7c15ULL};
   for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
+    for (std::uint64_t& hash : halves) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ULL;
+    }
   }
-  return hash;
+  std::string hex(32, '0');
+  for (std::size_t i = 0; i < 32; ++i) {
+    const std::uint64_t half = halves[i / 16];
+    hex[i] = "0123456789abcdef"[(half >> (60 - 4 * (i % 16))) & 0xF];
+  }
+  return hex;
 }
 
 }  // namespace
 
+void CanonicalSpec::write_spec(std::string& out) const {
+  PQS_CHECK_MSG(json.size() >= 2 && json.back() == '}',
+                "CanonicalSpec::write_spec needs canonicalize's bytes");
+  out.append(json, 0, json.size() - 1);
+  out += R"(,"threads":)";
+  Json::dump_uint(spec.batch.threads, out);
+  out += '}';
+}
+
 CanonicalSpec canonicalize(const SearchSpec& spec) {
   spec.validate_knobs();
-  CanonicalSpec canonical{spec, {}};
+  CanonicalSpec canonical{spec, {}, {}};
   canonical.spec.marked = spec.resolve_marked();  // the one predicate scan
   canonical.spec.predicate = nullptr;
-  Json json = to_json(canonical.spec);
   // Thread fan-out does not change the answer: per-shot RNG streams derive
   // from (seed, shot index) alone, so any thread count yields the identical
   // report and specs differing only there should coalesce.
-  json.as_object().erase("threads");
-  const std::string dump = json.dump();
+  Writer writer{canonical.json};
+  visit_fields(canonical.spec, /*with_threads=*/false, writer);
+  writer.close();
   // Digest rather than the dump itself: a materialized marked set can be
   // huge, and the key is stored per job / per cache entry and compared on
   // every submit. 128 bits keeps accidental collisions out of reach.
-  char digest[34];
-  std::snprintf(digest, sizeof(digest), "%016llx%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a(dump, 0xcbf29ce484222325ULL)),
-                static_cast<unsigned long long>(
-                    fnv1a(dump, 0x9e3779b97f4a7c15ULL)));
-  canonical.key.assign(digest, 32);
+  canonical.key = digest_hex(canonical.json);
   return canonical;
 }
 

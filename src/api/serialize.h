@@ -9,6 +9,13 @@
 //     dump of its result-relevant fields, so concurrent jobs that would
 //     compute the same answer attach to one execution (pqs::Service).
 //
+// Each record type has ONE field list (serialize.cpp's visit_fields), walked
+// by two serializers: to_json builds a Json tree, write_json appends the
+// same canonical bytes (== to_json(...).dump(), pinned by
+// tests/test_serialize.cpp and fuzz/fuzz_from_json.cpp) straight to a
+// string. The serve path — journal records, result lines — uses the writer
+// and builds no tree.
+//
 // Round-trip contract (pinned by tests/test_serialize.cpp): for every spec
 // s without a predicate, spec_from_json(to_json(s)) compares equal field by
 // field, and likewise for reports. Predicate specs cannot cross the wire —
@@ -35,6 +42,11 @@ SearchSpec spec_from_json(const Json& json);
 /// Report -> JSON object (every field, including the timing split).
 Json to_json(const SearchReport& report);
 
+/// Append to_json(spec).dump() / to_json(report).dump() to `out` without
+/// building the tree. Same throws as to_json + dump.
+void write_json(const SearchSpec& spec, std::string& out);
+void write_json(const SearchReport& report, std::string& out);
+
 /// JSON object -> report. Unknown keys throw, naming the key.
 SearchReport report_from_json(const Json& json);
 
@@ -48,6 +60,14 @@ struct CanonicalSpec {
   /// SearchReports (modulo timing), which is what lets the Service hand one
   /// execution's report to every attached caller.
   std::string key;
+  /// The digest input: the canonical JSON of `spec` without "threads".
+  /// "threads" sorts after every other key, so the spec's full JSON is
+  /// these bytes with one member appended (write_spec).
+  std::string json;
+
+  /// Append write_json(spec)'s bytes, built from `json` (the spec is not
+  /// serialized again).
+  void write_spec(std::string& out) const;
 };
 
 /// The one admission check of a spec: validate_knobs, then resolve_marked

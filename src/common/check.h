@@ -5,6 +5,8 @@
 // PQS_DCHECK compiles out in Release for hot kernels.
 #pragma once
 
+#include <cstddef>
+#include <exception>
 #include <source_location>
 #include <stdexcept>
 #include <string>
@@ -12,11 +14,31 @@
 
 namespace pqs {
 
-/// Thrown by PQS_CHECK failures; carries file:line and the failed expression.
+/// Thrown by PQS_CHECK failures; what() carries the failed expression, the
+/// file:line and the message.
 class CheckFailure : public std::logic_error {
  public:
   explicit CheckFailure(const std::string& what) : std::logic_error(what) {}
+
+  /// A failed check whose what() holds its source location at
+  /// [location_begin, location_end) (" at file:line").
+  CheckFailure(const std::string& what, std::size_t location_begin,
+               std::size_t location_end)
+      : std::logic_error(what),
+        location_begin_(location_begin),
+        location_end_(location_end) {}
+
+ private:
+  friend std::string wire_message(const std::exception& e);
+
+  std::size_t location_begin_ = 0;
+  std::size_t location_end_ = 0;
 };
+
+/// The text of `e` a peer may read (error events, failed results): a
+/// CheckFailure's expression and message without its file:line, which moves
+/// with every edit above the check; any other exception's what().
+std::string wire_message(const std::exception& e);
 
 namespace detail {
 [[noreturn]] void check_failed(std::string_view expr, std::string_view message,

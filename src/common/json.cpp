@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -28,30 +29,6 @@ std::string_view kind_name(Json::Kind kind) {
   throw CheckFailure(std::string("JSON: expected ") +
                      std::string(kind_name(want)) + ", got " +
                      std::string(kind_name(got)));
-}
-
-void dump_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through
-        }
-    }
-  }
-  out += '"';
 }
 
 /// Recursive-descent JSON parser over a string_view.
@@ -276,22 +253,6 @@ class Parser {
 
 void dump_value(const Json& v, std::string& out);
 
-void dump_double(double d, std::string& out) {
-  PQS_CHECK_MSG(std::isfinite(d), "JSON cannot carry a non-finite number");
-  char buf[32];
-  // Shortest representation that round-trips — the canonical form.
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), d);
-  PQS_CHECK(ec == std::errc());
-  out.append(buf, ptr);
-  // Keep doubles distinguishable from integers on the wire ("1" vs "1.0"):
-  // a double that prints as a bare integer gains ".0".
-  const std::string_view printed(buf, static_cast<std::size_t>(ptr - buf));
-  if (printed.find('.') == std::string_view::npos &&
-      printed.find('e') == std::string_view::npos) {
-    out += ".0";
-  }
-}
-
 void dump_value(const Json& v, std::string& out) {
   switch (v.kind()) {
     case Json::Kind::kNull:
@@ -301,13 +262,13 @@ void dump_value(const Json& v, std::string& out) {
       out += v.as_bool() ? "true" : "false";
       break;
     case Json::Kind::kUInt:
-      out += std::to_string(v.as_uint());
+      Json::dump_uint(v.as_uint(), out);
       break;
     case Json::Kind::kDouble:
-      dump_double(v.as_double(), out);
+      Json::dump_double(v.as_double(), out);
       break;
     case Json::Kind::kString:
-      dump_string(v.as_string(), out);
+      Json::dump_string(v.as_string(), out);
       break;
     case Json::Kind::kArray: {
       out += '[';
@@ -326,7 +287,7 @@ void dump_value(const Json& v, std::string& out) {
       for (const auto& [key, value] : v.as_object()) {
         if (!first) out += ',';
         first = false;
-        dump_string(key, out);
+        Json::dump_string(key, out);
         out += ':';
         dump_value(value, out);
       }
@@ -411,6 +372,62 @@ void Json::push_back(Json v) {
     value_ = Array{};
   }
   as_array().push_back(std::move(v));
+}
+
+void Json::dump_string(std::string_view s, std::string& out) {
+  out += '"';
+  // Runs of bytes that need no escape are appended whole.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
+    switch (c) {
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\b': escape = "\\b"; break;
+      case '\f': escape = "\\f"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) {
+          continue;  // UTF-8 bytes pass through
+        }
+    }
+    out.append(s, run, i - run);
+    run = i + 1;
+    if (escape != nullptr) {
+      out += escape;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    }
+  }
+  out.append(s, run);
+  out += '"';
+}
+
+void Json::dump_double(double d, std::string& out) {
+  PQS_CHECK_MSG(std::isfinite(d), "JSON cannot carry a non-finite number");
+  char buf[32];
+  // Shortest representation that round-trips — the canonical form.
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), d);
+  PQS_CHECK(ec == std::errc());
+  out.append(buf, ptr);
+  // Keep doubles distinguishable from integers on the wire ("1" vs "1.0"):
+  // a double that prints as a bare integer gains ".0".
+  const std::string_view printed(buf, static_cast<std::size_t>(ptr - buf));
+  if (printed.find('.') == std::string_view::npos &&
+      printed.find('e') == std::string_view::npos) {
+    out += ".0";
+  }
+}
+
+void Json::dump_uint(std::uint64_t u, std::string& out) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), u);
+  out.append(buf, ptr);
 }
 
 std::string Json::dump() const {

@@ -88,6 +88,15 @@ class Json {
   /// shortest-round-trip doubles). Throws on non-finite doubles.
   std::string dump() const;
 
+  /// The scalar encoders dump() is made of, for writers that append
+  /// canonical JSON straight to a string without building a tree
+  /// (api/serialize.h, the journal, net/session): a writer that emits its
+  /// keys in sorted order through these gets dump()'s exact bytes.
+  static void dump_string(std::string_view s, std::string& out);
+  /// Throws CheckFailure on a non-finite double.
+  static void dump_double(double d, std::string& out);
+  static void dump_uint(std::uint64_t u, std::string& out);
+
   /// Parse one JSON document (the whole string must be consumed). Throws
   /// CheckFailure with the byte offset on malformed input.
   static Json parse(std::string_view text);

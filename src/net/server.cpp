@@ -128,14 +128,19 @@ NetServer::NetServer(Service& service, NetServerOptions options)
           [&service, session_options = options.session](Socket& socket) {
             Session session(
                 service,
-                [&socket](const std::string& line) {
-                  return socket.write_all(line + "\n");
+                [&socket](std::string_view lines) {
+                  return socket.write_all(lines);
                 },
                 session_options);
             LineReader reader(socket);
             std::string line;
             while (reader.next_line(line)) {
               session.handle_line(line);
+              // One send for every ack of the lines already read: flush
+              // only before the reader may block on the socket.
+              if (!reader.has_line()) {
+                session.flush();
+              }
             }
             // EOF or error: the peer is gone. Cancel its in-flight jobs —
             // a dropped connection sheds load (clients keep the connection

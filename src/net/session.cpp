@@ -12,13 +12,24 @@ namespace pqs::net {
 
 namespace {
 
-Json result_event(const std::string& id, const JobHandle& handle,
-                  bool with_timing) {
+/// Buffered output past this many bytes is flushed at once, so a long run
+/// of finished results neither grows the buffer without bound nor holds
+/// the first of them back until the last is serialized.
+constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+
+/// Append the `result` line of a settled job, keys in dump()'s order:
+/// error (failed only), event, id, report (done only), status.
+void write_result(const std::string& id, const JobHandle& handle,
+                  bool with_timing, std::string& out) {
   const JobStatus status = handle.status();
-  Json event = Json::make_object();
-  event["event"] = "result";
-  event["id"] = id;
-  event["status"] = std::string(to_string(status));
+  out += '{';
+  if (status == JobStatus::kFailed) {
+    out += R"("error":)";
+    Json::dump_string(handle.error(), out);
+    out += ',';
+  }
+  out += R"("event":"result","id":)";
+  Json::dump_string(id, out);
   if (status == JobStatus::kDone) {
     SearchReport report = handle.report();
     if (!with_timing) {
@@ -30,11 +41,22 @@ Json result_event(const std::string& id, const JobHandle& handle,
       report.exec_ns = 0;
       report.plan_cache_hit = false;
     }
-    event["report"] = api::to_json(report);
-  } else if (status == JobStatus::kFailed) {
-    event["error"] = handle.error();
+    out += R"(,"report":)";
+    api::write_json(report, out);
   }
-  return event;
+  out += R"(,"status":")";
+  out += to_string(status);
+  out += R"("})";
+}
+
+/// An ack that carries only its event kind and the request id.
+std::string id_event(std::string_view event, const std::string& id) {
+  std::string line = R"({"event":")";
+  line += event;
+  line += R"(","id":)";
+  Json::dump_string(id, line);
+  line += '}';
+  return line;
 }
 
 Json overloaded_event(const std::string& id, const std::string& reason) {
@@ -124,14 +146,25 @@ std::optional<Json> submit_refusal(const std::string& id, bool id_in_flight,
   return std::nullopt;
 }
 
-Session::Session(Service& service, WriteLine write_line,
+std::vector<std::string> split_lines(std::string_view lines) {
+  std::vector<std::string> out;
+  while (!lines.empty()) {
+    const std::size_t end = lines.find('\n');
+    out.emplace_back(lines.substr(0, end));
+    lines.remove_prefix(end == std::string_view::npos ? lines.size()
+                                                      : end + 1);
+  }
+  return out;
+}
+
+Session::Session(Service& service, WriteLines write_lines,
                  SessionOptions options)
     : service_(service), options_(options) {
   {
-    // The session is not shared yet, but write_line_ is a guarded member
+    // The session is not shared yet, but write_lines_ is a guarded member
     // and the analysis (rightly) has no notion of "not shared yet".
     LockGuard lock(out_mutex_);
-    write_line_ = std::move(write_line);
+    write_lines_ = std::move(write_lines);
   }
   emitter_ = std::thread([this] { emitter_loop(); });
 }
@@ -143,21 +176,44 @@ Session::~Session() {
   }
 }
 
-void Session::emit(const Json& event) {
-  const std::string line = event.dump();
+bool Session::write_out_locked() {
+  if (peer_gone_ || out_.empty()) {
+    return false;
+  }
+  const bool written = write_lines_(out_);
+  out_.clear();
+  peer_gone_ = !written;
+  return !written;
+}
+
+void Session::emit_line(std::string_view line) {
   bool gone = false;
   {
     LockGuard lock(out_mutex_);
     if (peer_gone_) {
       return;
     }
-    if (!write_line_(line)) {
-      peer_gone_ = true;
-      gone = true;
+    out_ += line;
+    out_ += '\n';
+    if (out_.size() >= kFlushBytes) {
+      gone = write_out_locked();
     }
   }
   if (gone) {
     abort();  // a dead sink sheds its load like a dropped connection
+  }
+}
+
+void Session::emit(const Json& event) { emit_line(event.dump()); }
+
+void Session::flush() {
+  bool gone = false;
+  {
+    LockGuard lock(out_mutex_);
+    gone = write_out_locked();
+  }
+  if (gone) {
+    abort();
   }
 }
 
@@ -311,10 +367,7 @@ void Session::handle_line(const std::string& line) {
       remember_trace(id, handle->trace());
       // Ack BEFORE the emitter can see the handle: a cache-served job is
       // already done, and its result must not precede the accepted event.
-      Json event = Json::make_object();
-      event["event"] = "accepted";
-      event["id"] = id;
-      emit(event);
+      emit_line(id_event("accepted", id));
       {
         LockGuard lock(mutex_);
         pending_.emplace_back(id, std::move(*handle));
@@ -333,10 +386,7 @@ void Session::handle_line(const std::string& line) {
         return;
       }
       target->cancel();
-      Json event = Json::make_object();
-      event["event"] = "cancelling";
-      event["id"] = id;
-      emit(event);
+      emit_line(id_event("cancelling", id));
     } else if (request.op == Request::Op::kMetrics) {
       emit(metrics_event(id));
     } else if (request.op == Request::Op::kTrace) {
@@ -345,7 +395,7 @@ void Session::handle_line(const std::string& line) {
       emit(stats_event(id));
     }
   } catch (const std::exception& e) {
-    emit(error_event(e.what()));
+    emit(error_event(wire_message(e)));
   }
 }
 
@@ -385,27 +435,44 @@ void Session::abort() {
 }
 
 void Session::emitter_loop() {
+  std::string line;  // reused for every result line
   while (true) {
     UniqueLock lock(mutex_);
-    while (!input_done_ && !aborted_ && pending_.empty()) {
-      cv_.wait(lock);  // inline predicate loop: see thread_annotations.h
+    if (!input_done_ && !aborted_ && pending_.empty()) {
+      // About to sleep: what is buffered goes out first.
+      lock.unlock();
+      flush();
+      lock.lock();
+      while (!input_done_ && !aborted_ && pending_.empty()) {
+        cv_.wait(lock);  // inline predicate loop: see thread_annotations.h
+      }
     }
     if (aborted_ || pending_.empty()) {
-      return;  // aborted, or input finished and everything announced
+      // Aborted, or input finished and everything announced.
+      lock.unlock();
+      flush();
+      return;
     }
     auto next = std::move(pending_.front());
     pending_.pop_front();
     lock.unlock();
+    if (!next.second.finished()) {
+      flush();  // about to wait on the job
+    }
     next.second.wait();  // abort()'s cancel also wakes this
     // Free the id BEFORE the result line goes out: a client that reacts
     // to the result by reusing the id must never race the erase.
     lock.lock();
     if (aborted_) {
+      lock.unlock();
+      flush();
       return;  // peer gone while we waited: announce nothing
     }
     jobs_.erase(next.first);
     lock.unlock();
-    emit(result_event(next.first, next.second, options_.with_timing));
+    line.clear();
+    write_result(next.first, next.second, options_.with_timing, line);
+    emit_line(line);
   }
 }
 

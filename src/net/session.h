@@ -18,6 +18,18 @@
 //     Service's bounded queue or past this session's inflight cap gets an
 //     immediate `overloaded` event naming the reason.
 //
+// Output is batched, and flushed before any thread blocks. Event lines are
+// appended to one per-session buffer, which goes to the sink in one write
+// (one send(2) on TCP). The buffer is flushed before either thread waits:
+//   * the transport calls flush() before it blocks for more input — a TCP
+//     connection when its LineReader holds no further complete line, a
+//     stdin transport after every line;
+//   * the emitter flushes before it waits for a new submission and before
+//     it waits on an unfinished job, and when it exits.
+// So pipelined requests share sends, and no line waits in the buffer while
+// both threads sleep: an event is on the wire before the session next
+// waits for anything.
+//
 // End-of-input has two shapes because transports differ: drain() (stdin
 // EOF: the pipe is done but the reader still wants its results) blocks
 // until every accepted job is announced; abort() (TCP peer gone) cancels
@@ -33,8 +45,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/json.h"
 #include "common/thread_annotations.h"
@@ -95,24 +109,32 @@ Json unknown_trace_event(const std::string& id);
 std::optional<Json> submit_refusal(const std::string& id, bool id_in_flight,
                                    std::size_t in_flight, std::size_t limit);
 
+/// The lines of a Session::WriteLines batch, without their terminators.
+std::vector<std::string> split_lines(std::string_view lines);
+
 class Session {
  public:
-  /// Sink for one complete event line (no terminator). Returns false when
-  /// the peer is unreachable — the session then aborts itself. Called from
-  /// both the session's thread and its emitter thread, but never
-  /// concurrently (the session serializes).
-  using WriteLine = std::function<bool(const std::string&)>;
+  /// Sink for a batch of one or more complete event lines, each terminated
+  /// by '\n'. Returns false when the peer is unreachable — the session then
+  /// aborts itself. Called from both the session's thread and its emitter
+  /// thread, but never concurrently (the session serializes).
+  using WriteLines = std::function<bool(std::string_view lines)>;
 
-  Session(Service& service, WriteLine write_line, SessionOptions options = {});
+  Session(Service& service, WriteLines write_lines,
+          SessionOptions options = {});
   /// Aborts (cancelling any still-unannounced jobs) unless drained first.
   ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Process one request line (empty lines are ignored). Call from one
-  /// thread only.
+  /// Process one request line (empty lines are ignored). Its ack is
+  /// buffered, not written: call flush() before blocking for input. Call
+  /// from one thread only.
   void handle_line(const std::string& line);
+
+  /// Write every buffered event line to the sink in one call.
+  void flush() PQS_EXCLUDES(out_mutex_);
 
   /// Input exhausted cleanly: block until every accepted job's result is
   /// announced, then stop the emitter.
@@ -127,8 +149,13 @@ class Session {
 
  private:
   void emitter_loop();
-  /// Serialize + write one event; on a dead sink, aborts the session.
-  void emit(const Json& event);
+  /// Buffer one event line (given without its '\n'); on a dead sink,
+  /// aborts the session.
+  void emit_line(std::string_view line) PQS_EXCLUDES(out_mutex_);
+  void emit(const Json& event) PQS_EXCLUDES(out_mutex_);
+  /// Hand the buffer to the sink; true when the sink just reported the
+  /// peer gone (the caller then aborts, outside out_mutex_).
+  bool write_out_locked() PQS_REQUIRES(out_mutex_);
   /// The extended `stats` event: a projection of the Service's registry
   /// snapshot (queue depth, counters, coalescing hit-rate, cache counters,
   /// per-stage latency histograms) plus the deployment shape.
@@ -146,15 +173,16 @@ class Session {
   Service& service_;
   SessionOptions options_;
 
-  /// Serializes event lines onto the sink (conn thread acks vs emitter
-  /// results) and guards the peer-gone latch.
+  /// Serializes event lines into the buffer and the buffer onto the sink
+  /// (conn thread acks vs emitter results), and guards the peer-gone latch.
   mutable Mutex out_mutex_;
-  WriteLine write_line_ PQS_GUARDED_BY(out_mutex_);
+  WriteLines write_lines_ PQS_GUARDED_BY(out_mutex_);
+  std::string out_ PQS_GUARDED_BY(out_mutex_);  ///< lines not yet flushed
   bool peer_gone_ PQS_GUARDED_BY(out_mutex_) = false;
 
   /// Guards the submission-order queue and the cancel index. Never held
-  /// together with out_mutex_ (emit() runs outside mutex_, and a failed
-  /// write releases out_mutex_ before abort() takes mutex_).
+  /// together with out_mutex_ (emit() and flush() run outside mutex_, and
+  /// a failed write releases out_mutex_ before abort() takes mutex_).
   mutable Mutex mutex_;
   std::condition_variable_any cv_;
   /// (id, handle) in submission order; the emitter announces front first.

@@ -178,6 +178,14 @@ bool LineReader::next_line(std::string& line) {
   }
 }
 
+bool LineReader::has_line() {
+  if (buffer_.find('\n', scanned_) != std::string::npos) {
+    return true;
+  }
+  scanned_ = buffer_.size();
+  return false;
+}
+
 // ---- Listener --------------------------------------------------------------
 
 Listener::~Listener() {

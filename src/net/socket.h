@@ -81,6 +81,10 @@ class LineReader {
   /// that forgot the last '\n' still gets its request answered.
   bool next_line(std::string& line);
 
+  /// True when next_line would return a complete line without reading the
+  /// socket — false means the next call may block.
+  bool has_line();
+
  private:
   Socket& socket_;
   std::string buffer_;

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -61,17 +62,46 @@ Journal::~Journal() {
   }
 }
 
-void Journal::append_line(const std::string& line) {
+namespace {
+
+/// Room in front of an `accepted` record for `{"id":` and up to 20 digits:
+/// append_accepted writes the id right-aligned into it under the lock, and
+/// the record is written from there.
+constexpr std::size_t kIdPrefix = 6;
+constexpr std::size_t kIdSlot = kIdPrefix + 20;
+
+/// The record up to its spec: the id slot, then
+/// `,"journal":"accepted","priority":P,"spec":`.
+std::string accepted_head(int priority, std::size_t spec_size) {
+  std::string record;
+  record.reserve(kIdSlot + 48 + spec_size + 32);
+  record.assign(kIdSlot, ' ');
+  record += R"(,"journal":"accepted","priority":)";
+  // Wire convention (net/session.cpp): a negative priority is a double.
+  if (priority >= 0) {
+    Json::dump_uint(static_cast<std::uint64_t>(priority), record);
+  } else {
+    Json::dump_double(static_cast<double>(priority), record);
+  }
+  record += R"(,"spec":)";
+  return record;
+}
+
+void close_accepted(std::uint64_t t_ns, std::string& record) {
+  record += R"(,"t_ns":)";
+  Json::dump_uint(t_ns, record);
+  record += "}\n";
+}
+
+}  // namespace
+
+void Journal::write_record(std::string_view framed) {
   // One write(2) per record: O_APPEND makes the append atomic with respect
   // to position, and a single syscall means process death either lands the
   // whole record or (on a kernel/power failure mid-flush) leaves a torn
   // tail that recovery skips. No userspace buffering, ever.
-  std::string framed = line;
-  framed.push_back('\n');
-  std::size_t written = 0;
-  while (written < framed.size()) {
-    const ssize_t n =
-        ::write(fd_, framed.data() + written, framed.size() - written);
+  while (!framed.empty()) {
+    const ssize_t n = ::write(fd_, framed.data(), framed.size());
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -79,7 +109,7 @@ void Journal::append_line(const std::string& line) {
       throw CheckFailure("Journal: write to \"" + path_ +
                          "\" failed: " + std::strerror(errno));
     }
-    written += static_cast<std::size_t>(n);
+    framed.remove_prefix(static_cast<std::size_t>(n));
   }
   if (sync_ == JournalSync::kAlways) {
     PQS_CHECK_MSG(::fsync(fd_) == 0, "Journal: fsync of \"" + path_ +
@@ -87,44 +117,72 @@ void Journal::append_line(const std::string& line) {
   }
 }
 
-std::uint64_t Journal::append_accepted(const SearchSpec& canonical_spec,
-                                       int priority) {
-  Json record = Json::make_object();
-  record["journal"] = "accepted";
-  record["priority"] =
-      priority >= 0 ? Json(std::uint64_t(priority))
-                    : Json(static_cast<double>(priority));  // ints < 0: double
-  record["spec"] = api::to_json(canonical_spec);
-  record["t_ns"] = opened_at_.nanos();
+std::string Journal::accepted_record(const api::CanonicalSpec& canonical,
+                                     int priority) const {
+  std::string record = accepted_head(priority, canonical.json.size());
+  canonical.write_spec(record);
+  close_accepted(opened_at_.nanos(), record);
+  return record;
+}
+
+std::uint64_t Journal::append_accepted(std::string& record) {
+  PQS_CHECK_MSG(record.size() > kIdSlot && record.back() == '\n',
+                "Journal::append_accepted needs a record from "
+                "accepted_record");
   LockGuard lock(mutex_);
   const std::uint64_t id = next_id_++;
-  record["id"] = id;
-  append_line(record.dump());
+  char digits[20];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), id);
+  const auto length = static_cast<std::size_t>(end - digits);
+  const std::size_t start = kIdSlot - kIdPrefix - length;
+  record.replace(start, kIdPrefix, R"({"id":)");
+  record.replace(start + kIdPrefix, length, digits, length);
+  write_record(std::string_view(record).substr(start));
   if (accepted_appends_ != nullptr) {
     accepted_appends_->add();
   }
   return id;
 }
 
-void Journal::append_completed(std::uint64_t id, JobStatus status,
-                               const SearchReport* report) {
+std::uint64_t Journal::append_accepted(const SearchSpec& canonical_spec,
+                                       int priority) {
+  std::string record = accepted_head(priority, 0);
+  api::write_json(canonical_spec, record);
+  close_accepted(opened_at_.nanos(), record);
+  return append_accepted(record);
+}
+
+std::string Journal::completed_record(std::uint64_t id, JobStatus status,
+                                      const SearchReport* report) {
   PQS_CHECK_MSG(status == JobStatus::kDone || status == JobStatus::kCancelled ||
                     status == JobStatus::kFailed,
                 "Journal: completion marker needs a terminal status");
-  Json record = Json::make_object();
-  record["journal"] = "completed";
-  record["id"] = id;
-  record["status"] = std::string(to_string(status));
+  std::string record = R"({"id":)";
+  Json::dump_uint(id, record);
+  record += R"(,"journal":"completed")";
   if (status == JobStatus::kDone) {
     PQS_CHECK_MSG(report != nullptr,
                   "Journal: a done marker must embed its report");
-    record["report"] = api::to_json(*report);
+    record += R"(,"report":)";
+    api::write_json(*report, record);
   }
+  record += R"(,"status":")";
+  record += to_string(status);
+  record += "\"}\n";
+  return record;
+}
+
+void Journal::append_completed(std::string_view record) {
   LockGuard lock(mutex_);
-  append_line(record.dump());
+  write_record(record);
   if (completed_appends_ != nullptr) {
     completed_appends_->add();
   }
+}
+
+void Journal::append_completed(std::uint64_t id, JobStatus status,
+                               const SearchReport* report) {
+  append_completed(completed_record(id, status, report));
 }
 
 void Journal::sync() {

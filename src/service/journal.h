@@ -5,8 +5,9 @@
 // in memory, so without a journal every accepted-but-unfinished job simply
 // vanishes — work a client was promised (its submit was acked) and nobody
 // will ever run. The Journal closes that hole with two record kinds, one
-// canonical-JSON line each (the PR 5 serialization layer, reused verbatim,
-// is what makes the format byte-deterministic and replayable):
+// canonical-JSON line each, written by api/serialize.h's tree-free writers
+// (the exact bytes of the canonical dump, which is what makes the format
+// byte-deterministic and replayable):
 //
 //   {"id":1,"journal":"accepted","priority":0,"spec":{...},"t_ns":...}
 //   {"id":1,"journal":"completed","report":{...},"status":"done"}
@@ -52,6 +53,7 @@
 #include <vector>
 
 #include "api/search_spec.h"
+#include "api/serialize.h"
 #include "common/thread_annotations.h"
 #include "common/timing.h"
 #include "obs/metrics.h"
@@ -73,7 +75,10 @@ JournalSync parse_journal_sync(const std::string& name);
 struct JournalRecord {
   std::uint64_t id = 0;  ///< journal-assigned, monotonic within one file
   int priority = 0;
-  std::uint64_t t_ns = 0;  ///< ns since the journal opened (replay pacing)
+  /// ns since the journal opened (replay pacing). Stamped when the record
+  /// is serialized, before its id is assigned, so concurrent submits can
+  /// record it a little out of id order.
+  std::uint64_t t_ns = 0;
   SearchSpec spec;         ///< canonical: marked materialized, no predicate
 };
 
@@ -103,9 +108,12 @@ struct RecoveredJournal {
   std::vector<std::string> warnings;
 };
 
-/// The append side. Thread-safe; Service calls it with Service::mutex_
-/// held, so the lock order is Service::mutex_ -> Journal::mutex_ (never
-/// the reverse — recovery is static and lock-free).
+/// The append side. Thread-safe. Records are serialized by the caller's
+/// thread outside every lock (accepted_record, completed_record); the
+/// appends only stamp an id and write. Service calls append_accepted with
+/// Service::mutex_ held, so the lock order is Service::mutex_ ->
+/// Journal::mutex_ (never the reverse — recovery is static and lock-free),
+/// and append_completed with no Service lock held.
 class Journal {
  public:
   /// Opens (creating if needed) `path` for appending. Record ids start at
@@ -121,15 +129,32 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Append one `accepted` record; returns its journal record id. The spec
-  /// must be canonical (marked materialized, no predicate) — Service
-  /// journals the same canonical copy it keys and executes.
+  /// Serialize the `accepted` record of `canonical` (api::canonicalize's
+  /// output: its spec bytes are reused, not rebuilt), stamped with the
+  /// current t_ns. Takes no lock. The record leaves room in front for its
+  /// id, which append_accepted fills in.
+  std::string accepted_record(const api::CanonicalSpec& canonical,
+                              int priority) const;
+
+  /// Stamp the next record id into `record` (from accepted_record) and
+  /// append it; returns the id.
+  std::uint64_t append_accepted(std::string& record) PQS_EXCLUDES(mutex_);
+
+  /// Both steps for a canonical spec (marked materialized, no predicate)
+  /// that comes without canonicalize's bytes.
   std::uint64_t append_accepted(const SearchSpec& canonical_spec,
                                 int priority) PQS_EXCLUDES(mutex_);
 
-  /// Append the completion marker of record `id`. `report` is embedded for
-  /// kDone (that is what pqs_replay --check diffs against) and must be
+  /// Serialize the completion marker of record `id`. `report` is embedded
+  /// for kDone (that is what pqs_replay --check diffs against) and must be
   /// non-null then; it is ignored for kCancelled / kFailed.
+  static std::string completed_record(std::uint64_t id, JobStatus status,
+                                      const SearchReport* report);
+
+  /// Append a record from completed_record.
+  void append_completed(std::string_view record) PQS_EXCLUDES(mutex_);
+
+  /// Both steps.
   void append_completed(std::uint64_t id, JobStatus status,
                         const SearchReport* report) PQS_EXCLUDES(mutex_);
 
@@ -172,7 +197,8 @@ class Journal {
   static std::string recovering_path(const std::string& path);
 
  private:
-  void append_line(const std::string& line) PQS_REQUIRES(mutex_);
+  /// One write(2) of a framed record (fsync under kAlways).
+  void write_record(std::string_view framed) PQS_REQUIRES(mutex_);
 
   const std::string path_;
   const JournalSync sync_;

@@ -243,7 +243,14 @@ JobHandle Service::attach(const std::shared_ptr<Job>& job) {
 JobHandle Service::submit(const SearchSpec& spec, int priority) {
   // Validate and canonicalize HERE, synchronously: a malformed spec throws
   // at the submission site, and a predicate is scanned exactly once.
-  auto [canonical, key] = api::canonicalize(spec);
+  api::CanonicalSpec canonical = api::canonicalize(spec);
+  // A fresh execution's `accepted` record, serialized before the lock from
+  // the digest's own bytes (coalesced and cached submits discard it).
+  std::string record;
+  if (options_.journal) {
+    record = options_.journal->accepted_record(canonical, priority);
+  }
+  std::string& key = canonical.key;
 
   LockGuard lock(mutex_);
   PQS_CHECK_MSG(!stopping_, "Service is shutting down");
@@ -284,7 +291,7 @@ JobHandle Service::submit(const SearchSpec& spec, int priority) {
     inst_.submitted.add();
     inst_.cache_hits.add();
     auto job = std::make_shared<Job>();
-    job->spec = std::move(canonical);
+    job->spec = std::move(canonical.spec);
     job->key = std::move(key);
     {
       // The job is not shared yet, but status/report are guarded members
@@ -312,7 +319,7 @@ JobHandle Service::submit(const SearchSpec& spec, int priority) {
                           "queue_capacity");
   }
   auto job = std::make_shared<Job>();
-  job->spec = std::move(canonical);
+  job->spec = std::move(canonical.spec);
   job->key = key;
   job->priority = priority;
   job->seq = next_seq_++;
@@ -321,15 +328,15 @@ JobHandle Service::submit(const SearchSpec& spec, int priority) {
   // implies the work survives a crash. A failed append throws out of
   // submit — the job was never accepted, and no counter moved.
   //
-  // The append runs under mutex_ DELIBERATELY: released first, a same-key
-  // submit could coalesce onto (and be acked against) a job that is not
-  // yet durable. The cost is that every append — a single write(2), plus
-  // one fsync per record under --journal-sync always — stalls all
-  // submits, completions, and stats behind it; kAlways therefore bounds
+  // The record was serialized before the lock; only its id and its one
+  // write(2) (plus one fsync under --journal-sync always) run under mutex_,
+  // DELIBERATELY: released first, a same-key submit could coalesce onto
+  // (and be acked against) a job that is not yet durable. Each append still
+  // stalls the submits, completions and stats behind it, so kAlways bounds
   // service-wide submit throughput by disk-flush latency (the documented
   // trade-off; see README "Durability & replay").
   if (options_.journal) {
-    job->journal_id = options_.journal->append_accepted(job->spec, priority);
+    job->journal_id = options_.journal->append_accepted(record);
   }
   inst_.submitted.add();  // after capacity + journal: rejects are not accepts
   // Mint the trace last, pre-publication (same once-before-sharing
@@ -375,8 +382,11 @@ void Service::reap_cancelled_locked() {
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (it->second->control.cancelled()) {
       // Only a cancel that left no caller attached marks a queued job, and
-      // that cancel already settled it (JobHandle::cancel).
+      // that cancel already settled it (JobHandle::cancel). Its marker is
+      // written here, under the lock: reaping runs only when the queue is
+      // full, and a cancelled marker carries no report.
       account_locked(it->second, JobStatus::kCancelled, {});
+      write_marker(completion_marker(*it->second, JobStatus::kCancelled, {}));
       it = queue_.erase(it);
     } else {
       ++it;
@@ -440,24 +450,59 @@ void Service::execute(const std::shared_ptr<Job>& job) {
   } catch (const qsim::CancelledError&) {
     finish(job, JobStatus::kCancelled, {}, "cancelled while running");
   } catch (const std::exception& e) {
-    finish(job, JobStatus::kFailed, {}, e.what());
+    finish(job, JobStatus::kFailed, {}, wire_message(e));
   }
 }
 
 void Service::finish(const std::shared_ptr<Job>& job, JobStatus status,
                      SearchReport report, std::string error) {
+  // The completion marker is serialized before mutex_ is taken.
+  const std::string marker = completion_marker(*job, status, report);
   // Service-level bookkeeping FIRST: a waiter woken by the notify below
   // must observe the final counters and the cached result, not a stale
   // in-between state.
+  bool stopping = false;
   {
     LockGuard lock(mutex_);
     account_locked(job, status, report);
+    stopping = stopping_;
+  }
+  // Marker deliberately suppressed while stopping, so jobs a shutdown (or
+  // crash) interrupted stay pending in the journal and are replayed at the
+  // next start. Explicit cancels while the service is live DO land a
+  // marker: cancelled work must not resurrect. It is written after mutex_
+  // is released but before the job settles, so a caller that reads the
+  // result (a front-end's result line) knows its marker was written.
+  if (!stopping) {
+    write_marker(marker);
   }
   {
     LockGuard lock(job->mutex);
     job->settle_locked(status, std::move(report), std::move(error));
   }
   job->cv.notify_all();
+}
+
+std::string Service::completion_marker(const Job& job, JobStatus status,
+                                       const SearchReport& report) const {
+  if (!options_.journal || job.journal_id == 0) {
+    return {};
+  }
+  return Journal::completed_record(
+      job.journal_id, status, status == JobStatus::kDone ? &report : nullptr);
+}
+
+void Service::write_marker(const std::string& marker) {
+  if (marker.empty()) {
+    return;
+  }
+  // A marker write failure only degrades exactly-once to at-least-once
+  // (the job replays; reports are deterministic), so it never takes down
+  // a worker.
+  try {
+    options_.journal->append_completed(marker);
+  } catch (const std::exception&) {
+  }
 }
 
 void Service::account_locked(const std::shared_ptr<Job>& job,
@@ -484,20 +529,6 @@ void Service::account_locked(const std::shared_ptr<Job>& job,
       break;
     default:
       break;
-  }
-  // Completion marker — deliberately suppressed while stopping_, so jobs
-  // a shutdown (or crash) interrupted stay pending in the journal and are
-  // replayed at the next start. Explicit cancels while the service is
-  // live DO land a marker: cancelled work must not resurrect. A marker
-  // write failure only degrades exactly-once to at-least-once (the job
-  // replays; reports are deterministic), so it never takes down a worker.
-  if (options_.journal && job->journal_id != 0 && !stopping_) {
-    try {
-      options_.journal->append_completed(
-          job->journal_id, status,
-          status == JobStatus::kDone ? &report : nullptr);
-    } catch (const std::exception&) {
-    }
   }
 }
 

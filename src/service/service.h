@@ -176,7 +176,8 @@ class JobHandle {
 
   /// The report. Requires status() == kDone (throws otherwise).
   const SearchReport& report() const;
-  /// The failure message. Requires status() == kFailed (throws otherwise).
+  /// The failure message, without a failed check's source location
+  /// (wire_message). Requires status() == kFailed (throws otherwise).
   const std::string& error() const;
 
   /// The canonicalized spec this job executes and its coalescing key.
@@ -247,11 +248,17 @@ class Service {
   void finish(const std::shared_ptr<detail::Job>& job, JobStatus status,
               SearchReport report, std::string error) PQS_EXCLUDES(mutex_);
   /// The service's half of finishing a job that leaves the queue or a
-  /// worker: the coalescing index, the counters, the cached result and
-  /// the journal's completion marker.
+  /// worker: the coalescing index, the counters and the cached result.
   void account_locked(const std::shared_ptr<detail::Job>& job,
                       JobStatus status, const SearchReport& report)
       PQS_REQUIRES(mutex_);
+  /// The job's serialized completion marker, or empty when it has no
+  /// `accepted` record (no journal, or served from the result cache).
+  std::string completion_marker(const detail::Job& job, JobStatus status,
+                                const SearchReport& report) const;
+  /// Append a marker from completion_marker (empty: nothing); a failed
+  /// write is swallowed.
+  void write_marker(const std::string& marker);
   /// Drop every fully-cancelled job still waiting in the queue (called
   /// with mutex_ held when the queue hits capacity): cancellation must be
   /// able to shed load, not just mark jobs a worker will discard later.

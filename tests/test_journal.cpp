@@ -627,9 +627,11 @@ TEST(SessionJournalTest, StdinDrainSettlesEveryJournalledJob) {
   std::mutex events_mutex;
   {
     Service service({.threads = 2, .journal = journal}, test_registry());
-    net::Session session(service, [&](const std::string& line) {
+    net::Session session(service, [&](std::string_view batch) {
       std::lock_guard lock(events_mutex);
-      events.push_back(line);
+      for (std::string& line : net::split_lines(batch)) {
+        events.push_back(std::move(line));
+      }
       return true;
     });
     session.handle_line(submit_line("counting", "a", 61));

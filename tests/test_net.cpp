@@ -6,7 +6,9 @@
 // shedding through RunControl, the extended `stats` op, and the
 // byte-determinism of the result stream across worker counts — replaying
 // tests/fixtures/serve_session.jsonl through a 1-thread and a 4-thread
-// NetServer must produce identical bytes.
+// NetServer must produce identical bytes — and the session's output
+// batching (one write per ready batch of lines, flushed before a thread
+// blocks, never a line stranded in the buffer).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +19,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -70,10 +74,24 @@ class NetGatedAlgorithm final : public Algorithm {
   }
 };
 
+/// Finishes on its own after 100 ms, so its result is produced after the
+/// caller's own writes are done.
+class NetSleepyAlgorithm final : public Algorithm {
+ public:
+  std::string_view name() const override { return "net-sleepy"; }
+  std::string_view summary() const override { return "test driver"; }
+  SearchReport run(RunContext& ctx) const override {
+    std::this_thread::sleep_for(100ms);
+    return net_test_report(ctx);
+  }
+};
+
 Registry net_test_registry() {
   Registry registry = Registry::with_builtin_algorithms();
   registry.register_algorithm(
       "net-gated", [] { return std::make_unique<NetGatedAlgorithm>(); });
+  registry.register_algorithm(
+      "net-sleepy", [] { return std::make_unique<NetSleepyAlgorithm>(); });
   return registry;
 }
 
@@ -394,9 +412,11 @@ TEST(NetStatsTest, StatsEventWireBytesMatchFixture) {
   Service service(options);
   std::mutex mutex;
   std::vector<Json> events;
-  net::Session session(service, [&](const std::string& line) {
+  net::Session session(service, [&](std::string_view batch) {
     std::lock_guard lock(mutex);
-    events.push_back(Json::parse(line));
+    for (const std::string& line : net::split_lines(batch)) {
+      events.push_back(Json::parse(line));
+    }
     return true;
   });
   const auto results = [&] {
@@ -525,6 +545,115 @@ TEST(NetWireTest, UnknownIdCancelAndTraceUseTheSharedWording) {
             net::unknown_trace_event("ghost").dump());
   EXPECT_EQ(net::unknown_cancel_event("ghost").at("message").as_string(),
             "unknown or already-finished job id \"ghost\"");
+  server.stop();
+}
+
+// ---- output batching: one write per ready batch, flushed before blocking ---
+
+TEST(SessionFlushTest, PipelinedSubmitsShareWritesAndResultsAreNeverStranded) {
+  reset_driver_state();
+  Service service({.threads = 1}, net_test_registry());
+  std::mutex mutex;
+  std::size_t writes = 0;
+  std::vector<Json> events;
+  net::Session session(service, [&](std::string_view batch) {
+    std::lock_guard lock(mutex);
+    ++writes;
+    for (const std::string& line : net::split_lines(batch)) {
+      events.push_back(Json::parse(line));
+      // Canonical bytes: the same line the Json-tree builders wrote.
+      EXPECT_EQ(events.back().dump(), line);
+    }
+    return true;
+  });
+  const auto of_kind = [&](const std::string& kind) {
+    std::lock_guard lock(mutex);
+    std::vector<std::string> ids;
+    for (const Json& event : events) {
+      if ((event.at("event").as_string() == "result") == (kind == "result")) {
+        ids.push_back(event.at("id").as_string());
+      }
+    }
+    return ids;
+  };
+
+  // A transport holding every line handles them all and flushes once,
+  // before it would block for more input. A job that finishes by itself
+  // after 100 ms runs first (its id needs escapes); the gate holds every
+  // job after it.
+  constexpr std::size_t kGated = 16;
+  session.handle_line(
+      R"({"op":"submit","id":"slow \"1\"\\\t","spec":{)"
+      R"("algorithm":"net-sleepy","n_items":64,"n_blocks":1,"marked":[9]}})");
+  std::vector<std::string> expected = {"slow \"1\"\\\t"};
+  for (std::size_t i = 0; i < kGated; ++i) {
+    expected.push_back("p" + std::to_string(i));
+    session.handle_line(submit_line(expected.back(), 100 + i));
+  }
+  session.flush();
+  EXPECT_EQ(of_kind("ack"), expected);  // exactly one ack per line, in order
+
+  // With no further input, the slow job's result must reach the sink
+  // while the emitter waits on the first gated job: it flushes before it
+  // waits on an unfinished job.
+  ASSERT_TRUE(wait_until([&] { return of_kind("result").size() == 1; }))
+      << "a finished result was stranded in the session buffer";
+  {
+    std::lock_guard lock(mutex);
+    // The transport's one flush plus the emitter's, each before it waited:
+    // for the first submission, on the slow job and on the first gated
+    // one. However many lines were pipelined, at most four writes.
+    EXPECT_LE(writes, 4u);
+    EXPECT_LT(writes, events.size());
+  }
+
+  // Open the gate and send nothing more: the emitter flushes before it
+  // sleeps, so every result arrives, in submission order.
+  g_gate = true;
+  ASSERT_TRUE(
+      wait_until([&] { return of_kind("result").size() == 1 + kGated; }))
+      << "results stranded in the session buffer";
+  EXPECT_EQ(of_kind("result"), expected);
+  {
+    std::lock_guard lock(mutex);
+    EXPECT_LT(writes, events.size());
+    for (const Json& event : events) {
+      if (event.at("event").as_string() == "result") {
+        EXPECT_EQ(event.at("status").as_string(), "done");
+      }
+    }
+  }
+  session.drain();
+}
+
+TEST(SessionFlushTest, TcpPipelineGetsEveryAckAndResultInOrder) {
+  reset_driver_state();
+  g_gate = true;
+  Service service({.threads = 2}, net_test_registry());
+  net::NetServer server(service, {.listen = {"127.0.0.1", 0}});
+  server.start();
+  TestClient client(server.port());
+  // One write carrying every request: the server reads several lines per
+  // recv and must flush their acks before it blocks on the next recv.
+  constexpr std::size_t kJobs = 64;
+  std::string pipeline;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    pipeline += submit_line("t" + std::to_string(i), 500 + i) + "\n";
+  }
+  pipeline += "{\"op\":\"stats\",\"id\":\"s\"}\n";
+  ASSERT_TRUE(client.socket.write_all(pipeline));
+  std::vector<std::string> acks;
+  std::vector<std::string> results;
+  while (acks.size() < kJobs + 1 || results.size() < kJobs) {
+    const Json event = client.next_event();
+    (event.at("event").as_string() == "result" ? results : acks)
+        .push_back(event.at("id").as_string());
+  }
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(acks[i], "t" + std::to_string(i));
+    EXPECT_EQ(results[i], "t" + std::to_string(i));
+  }
+  EXPECT_EQ(acks[kJobs], "s");
   server.stop();
 }
 

@@ -1,8 +1,17 @@
 // The wire-format contract: every SearchSpec / SearchReport field survives
 // to_json -> dump -> parse -> from_json unchanged, for randomized values of
-// every field — the property pqs_serve and the coalescing key stand on.
+// every field — the property pqs_serve and the coalescing key stand on —
+// and the tree-free writers (write_json, the journal's records) produce
+// exactly the bytes of the equivalent tree's dump().
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,6 +19,7 @@
 #include "common/check.h"
 #include "common/json.h"
 #include "common/random.h"
+#include "service/journal.h"
 #include "service/service.h"
 
 namespace pqs {
@@ -154,32 +164,36 @@ TEST(SerializeSpecTest, PredicateSpecsCannotSerialize) {
 
 // ---- randomized report round trip ------------------------------------------
 
+SearchReport random_report(Rng& rng, int iteration) {
+  SearchReport report;
+  report.algorithm = iteration % 2 == 0 ? "grk" : "noisy";
+  report.measured = rng.next();
+  report.block_answer = rng.uniform_below(2) == 0;
+  report.correct = rng.uniform_below(2) == 0;
+  report.queries = rng.next();
+  report.queries_per_trial = rng.next();
+  report.trials = 1 + rng.uniform_below(1000);
+  report.success_probability =
+      static_cast<double>(rng.uniform_below(10000)) / 1e4;
+  report.l1 = rng.uniform_below(1u << 20);
+  report.l2 = rng.uniform_below(1u << 20);
+  // One draw in four leaves the engine unset, as a classical run does.
+  const std::uint64_t engine = rng.uniform_below(4);
+  if (engine < 3) {
+    report.backend_used = static_cast<qsim::BackendKind>(engine);
+  }
+  report.plan_cache_hit = rng.uniform_below(2) == 0;
+  report.queue_ns = rng.next();
+  report.plan_ns = rng.next();
+  report.exec_ns = rng.next();
+  report.detail = "detail line \"quoted\" #" + std::to_string(iteration);
+  return report;
+}
+
 TEST(SerializeReportTest, EveryFieldRoundTripsForRandomReports) {
   Rng rng(424242);
   for (int iteration = 0; iteration < 300; ++iteration) {
-    SearchReport report;
-    report.algorithm = iteration % 2 == 0 ? "grk" : "noisy";
-    report.measured = rng.next();
-    report.block_answer = rng.uniform_below(2) == 0;
-    report.correct = rng.uniform_below(2) == 0;
-    report.queries = rng.next();
-    report.queries_per_trial = rng.next();
-    report.trials = 1 + rng.uniform_below(1000);
-    report.success_probability =
-        static_cast<double>(rng.uniform_below(10000)) / 1e4;
-    report.l1 = rng.uniform_below(1u << 20);
-    report.l2 = rng.uniform_below(1u << 20);
-    // One draw in four leaves the engine unset, as a classical run does.
-    const std::uint64_t engine = rng.uniform_below(4);
-    if (engine < 3) {
-      report.backend_used = static_cast<qsim::BackendKind>(engine);
-    }
-    report.plan_cache_hit = rng.uniform_below(2) == 0;
-    report.queue_ns = rng.next();
-    report.plan_ns = rng.next();
-    report.exec_ns = rng.next();
-    report.detail = "detail line \"quoted\" #" + std::to_string(iteration);
-
+    const SearchReport report = random_report(rng, iteration);
     const Json json = api::to_json(report);
     EXPECT_EQ(json.has("backend_used"), report.backend_used.has_value());
     const SearchReport back = api::report_from_json(Json::parse(json.dump()));
@@ -202,7 +216,186 @@ TEST(SerializeReportTest, EveryFieldRoundTripsForRandomReports) {
   }
 }
 
+// ---- tree-free writers vs tree dumps ---------------------------------------
+
+std::string written(const SearchSpec& spec) {
+  std::string out = "prefix:";  // the writers append, never assign
+  api::write_json(spec, out);
+  return out.substr(7);
+}
+
+std::string written(const SearchReport& report) {
+  std::string out = "prefix:";
+  api::write_json(report, out);
+  return out.substr(7);
+}
+
+TEST(WriterTest, SpecBytesEqualTheTreeDump) {
+  SearchSpec spec = SearchSpec::single_target(4096, 4, 2731);
+  EXPECT_EQ(written(spec), api::to_json(spec).dump());  // l1, l2 absent
+  spec.l1 = 3;
+  EXPECT_EQ(written(spec), api::to_json(spec).dump());  // l1 alone
+  spec.l2 = 0;
+  spec.algorithm = "q\"uo\\te\t\x01\xE2\x80\x94";  // escapes, raw UTF-8
+  spec.min_success = 1e-300;
+  spec.noise.probability = 1.0;
+  spec.marked.clear();  // an empty array
+  EXPECT_EQ(written(spec), api::to_json(spec).dump());
+  EXPECT_NE(written(spec).find(R"("min_success":1e-300)"), std::string::npos);
+  EXPECT_NE(written(spec).find(R"("noise_p":1.0)"), std::string::npos);
+
+  Rng rng(20261019);
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    const SearchSpec random = random_spec(rng);
+    ASSERT_EQ(written(random), api::to_json(random).dump());
+  }
+}
+
+TEST(WriterTest, ReportBytesEqualTheTreeDump) {
+  SearchReport report;
+  report.algorithm = "classical";
+  report.success_probability = 1.0;
+  ASSERT_FALSE(report.backend_used.has_value());
+  EXPECT_EQ(written(report), api::to_json(report).dump());
+  report.backend_used = qsim::BackendKind::kSymmetry;
+  report.success_probability = 1e-300;
+  report.detail = "line\nbreak \"quoted\" back\\slash \x1f";
+  EXPECT_EQ(written(report), api::to_json(report).dump());
+
+  Rng rng(1019);
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    const SearchReport random = random_report(rng, iteration);
+    ASSERT_EQ(written(random), api::to_json(random).dump());
+  }
+}
+
+TEST(WriterTest, NonFiniteDoublesThrowLikeTheTreeDump) {
+  SearchSpec spec = SearchSpec::single_target(4096, 4, 2731);
+  spec.min_success = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)api::to_json(spec).dump(), CheckFailure);
+  EXPECT_THROW((void)written(spec), CheckFailure);
+}
+
+TEST(WriterTest, CanonicalBytesAreTheSpecWithoutThreads) {
+  Rng rng(77);
+  int canonical = 0;
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    SearchSpec spec = random_spec(rng);
+    std::optional<api::CanonicalSpec> c;
+    try {
+      c = api::canonicalize(spec);
+    } catch (const CheckFailure&) {
+      continue;  // a random spec may not validate (duplicate marks)
+    }
+    ++canonical;
+    Json without_threads = api::to_json(c->spec);
+    without_threads.as_object().erase("threads");
+    ASSERT_EQ(c->json, without_threads.dump());
+    std::string full;
+    c->write_spec(full);
+    ASSERT_EQ(full, written(c->spec));
+  }
+  EXPECT_GT(canonical, 100);
+}
+
+// The journal's records as the Json-tree builders assembled them before the
+// writers replaced them: the bytes the writers must reproduce.
+Json tree_accepted(std::uint64_t id, int priority, const SearchSpec& spec,
+                   std::uint64_t t_ns) {
+  Json record = Json::make_object();
+  record["journal"] = "accepted";
+  record["priority"] = priority >= 0 ? Json(std::uint64_t(priority))
+                                     : Json(static_cast<double>(priority));
+  record["spec"] = api::to_json(spec);
+  record["t_ns"] = t_ns;
+  record["id"] = id;
+  return record;
+}
+
+Json tree_completed(std::uint64_t id, JobStatus status,
+                    const SearchReport* report) {
+  Json record = Json::make_object();
+  record["journal"] = "completed";
+  record["id"] = id;
+  record["status"] = std::string(to_string(status));
+  if (status == JobStatus::kDone) {
+    record["report"] = api::to_json(*report);
+  }
+  return record;
+}
+
+TEST(JournalRecordTest, AcceptedRecordsEqualTheTreeDump) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pqs_serialize_" + std::to_string(::getpid()) + ".wal"))
+          .string();
+  std::remove(path.c_str());
+  SearchSpec spec = SearchSpec::single_target(4096, 4, 2731);
+  spec.batch.threads = 3;
+  spec.l1 = 2;
+  const std::vector<int> priorities = {-3, 0, 7};
+  {
+    Journal journal(path, JournalSync::kNone, 41);
+    for (const int priority : priorities) {
+      std::string record =
+          journal.accepted_record(api::canonicalize(spec), priority);
+      journal.append_accepted(record);
+    }
+    journal.append_accepted(spec, -1);  // the spec-only overload
+  }
+  std::ifstream in(path);
+  std::string line;
+  std::uint64_t id = 41;
+  for (const int priority : {-3, 0, 7, -1}) {
+    ASSERT_TRUE(std::getline(in, line));
+    const std::uint64_t t_ns = Json::parse(line).at("t_ns").as_uint();
+    EXPECT_EQ(line, tree_accepted(id++, priority, spec, t_ns).dump());
+  }
+  EXPECT_FALSE(std::getline(in, line));
+  std::remove(path.c_str());
+}
+
+TEST(JournalRecordTest, CompletedRecordsEqualTheTreeDump) {
+  Rng rng(5);
+  const SearchReport report = random_report(rng, 3);
+  for (const JobStatus status :
+       {JobStatus::kDone, JobStatus::kCancelled, JobStatus::kFailed}) {
+    const SearchReport* embedded =
+        status == JobStatus::kDone ? &report : nullptr;
+    EXPECT_EQ(Journal::completed_record(18446744073709551615ULL, status,
+                                        embedded),
+              tree_completed(18446744073709551615ULL, status, embedded).dump() +
+                  "\n");
+  }
+}
+
 // ---- canonicalize ----------------------------------------------------------
+
+TEST(CanonicalKeyTest, KeysArePinned) {
+  // pqs_router shards on these keys and the result cache is keyed by them:
+  // a change here moves every spec to another worker and invalidates
+  // every cached result, so the bytes of the digest input are pinned.
+  SearchSpec grk = SearchSpec::single_target(16384, 4, 12345);
+  grk.algorithm = "grk";
+  grk.seed = 7;
+  EXPECT_EQ(api::canonicalize(grk).key, "0294bf83ac4086a9c80cd9cd6f4bdff9");
+
+  SearchSpec noisy;
+  noisy.algorithm = "noisy";
+  noisy.n_items = 1024;
+  noisy.n_blocks = 4;
+  noisy.marked = {700, 3, 41};
+  noisy.noise.kind = qsim::NoiseKind::kDepolarizing;
+  noisy.noise.probability = 0.001;
+  noisy.seed = 99;
+  noisy.shots = 64;
+  noisy.l1 = 2;
+  noisy.l2 = 15;
+  noisy.min_success = 0.5;
+  noisy.batch.threads = 3;
+  noisy.backend = qsim::BackendKind::kDense;
+  EXPECT_EQ(api::canonicalize(noisy).key, "90600271812588c75ce3863bab377e97");
+}
 
 TEST(CanonicalKeyTest, ThreadFanOutDoesNotChangeTheKey) {
   SearchSpec a = SearchSpec::single_target(4096, 4, 2731);

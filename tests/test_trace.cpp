@@ -327,15 +327,18 @@ TEST(TraceWireTest, TraceOpReturnsTheTimelineAfterTheResult) {
   Service service({.threads = 1});
   std::vector<std::string> lines;
   Mutex lines_mutex;
-  net::Session session(service, [&](const std::string& line) {
+  net::Session session(service, [&](std::string_view batch) {
     LockGuard lock(lines_mutex);
-    lines.push_back(line);
+    for (std::string& line : net::split_lines(batch)) {
+      lines.push_back(std::move(line));
+    }
     return true;
   });
   session.handle_line(wire_submit("job-1", 3));
   session.drain();  // result announced; the trace op arrives AFTER it
 
   session.handle_line(R"({"op":"trace","id":"job-1"})");
+  session.flush();
   Json trace_event;
   {
     LockGuard lock(lines_mutex);
@@ -349,6 +352,7 @@ TEST(TraceWireTest, TraceOpReturnsTheTimelineAfterTheResult) {
 
   // Unknown ids answer with an error event, not a dropped line.
   session.handle_line(R"({"op":"trace","id":"never-submitted"})");
+  session.flush();
   {
     LockGuard lock(lines_mutex);
     trace_event = Json::parse(lines.back());
@@ -362,15 +366,18 @@ TEST(TraceWireTest, MetricsOpDumpsTheRegistrySnapshot) {
   Service service({.threads = 1});
   std::vector<std::string> lines;
   Mutex lines_mutex;
-  net::Session session(service, [&](const std::string& line) {
+  net::Session session(service, [&](std::string_view batch) {
     LockGuard lock(lines_mutex);
-    lines.push_back(line);
+    for (std::string& line : net::split_lines(batch)) {
+      lines.push_back(std::move(line));
+    }
     return true;
   });
   session.handle_line(wire_submit("m-1", 4));
   session.drain();
 
   session.handle_line(R"({"op":"metrics","id":"m"})");
+  session.flush();
   Json event;
   {
     LockGuard lock(lines_mutex);

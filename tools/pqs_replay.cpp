@@ -71,10 +71,10 @@ void zero_timing(SearchReport& report) {
 }
 
 /// Error events carry CheckFailure messages, which lead with the failed
-/// expression and the COMPILE-TIME file:line ("PQS_CHECK failed: (...) at
-/// src/...:58 — n_blocks must divide n_items") — bytes that change with
-/// every checkout path and code motion. Strip down to the human message so
-/// recorded fixtures survive both; all other events pass through verbatim.
+/// expression ("PQS_CHECK failed: (...) — n_blocks must divide n_items"),
+/// and fixtures recorded by older builds also carry the check's file:line
+/// after it. Strip down to the human message so recorded fixtures survive
+/// code motion; all other events pass through verbatim.
 std::string normalize_event_line(const std::string& line, bool& is_result) {
   is_result = false;
   try {
@@ -157,9 +157,11 @@ Summary run_session(const std::vector<std::string>& lines,
     Service service(options);
     net::Session session(
         service,
-        [&captured](const std::string& line) {
-          captured.push_back(line);
-          std::cout << line << "\n";
+        [&captured](std::string_view batch) {
+          for (std::string& line : net::split_lines(batch)) {
+            captured.push_back(std::move(line));
+          }
+          std::cout << batch;
           return static_cast<bool>(std::cout);
         },
         net::SessionOptions{});
@@ -168,6 +170,7 @@ Summary run_session(const std::vector<std::string>& lines,
         ++summary.records;
       }
       session.handle_line(line);
+      session.flush();
     }
     session.drain();
   }

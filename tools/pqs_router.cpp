@@ -154,7 +154,7 @@ class ClientRoute {
       }
     } catch (const std::exception& e) {
       LockGuard lock(mutex_);
-      write_locked(error_event(e.what()).dump());
+      write_locked(error_event(wire_message(e)).dump());
     }
   }
 
@@ -495,7 +495,7 @@ int main(int argc, char** argv) {
           ClientRoute route(client, workers, net_options.inflight_per_conn);
           route.run();
         } catch (const std::exception& e) {
-          client.write_all(error_event(e.what()).dump() + "\n");
+          client.write_all(error_event(wire_message(e)).dump() + "\n");
         }
       });
   acceptor.start();

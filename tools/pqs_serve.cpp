@@ -68,14 +68,15 @@ int run_stdio(Service& service, const net::SessionOptions& session_options,
   pthread_sigmask(SIG_UNBLOCK, &stop_signals, nullptr);
   net::Session session(
       service,
-      [](const std::string& line) {
-        std::cout << line << "\n" << std::flush;
+      [](std::string_view lines) {
+        std::cout << lines << std::flush;
         return static_cast<bool>(std::cout);
       },
       session_options);
   std::string line;
   while (std::getline(std::cin, line)) {
     session.handle_line(line);
+    session.flush();  // getline may block: the ack goes out first
   }
   session.drain();
   return 0;
