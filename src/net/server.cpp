@@ -135,12 +135,10 @@ NetServer::NetServer(Service& service, NetServerOptions options)
             LineReader reader(socket);
             std::string line;
             while (reader.next_line(line)) {
-              session.handle_line(line);
-              // One send for every ack of the lines already read: flush
-              // only before the reader may block on the socket.
-              if (!reader.has_line()) {
-                session.flush();
-              }
+              // One send for every ack of the lines already read: the
+              // session flushes only before the reader may block on the
+              // socket.
+              session.handle_line(line, reader.has_line());
             }
             // EOF or error: the peer is gone. Cancel its in-flight jobs —
             // a dropped connection sheds load (clients keep the connection

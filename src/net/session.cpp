@@ -330,10 +330,16 @@ std::size_t Session::inflight() const {
   return jobs_.size();
 }
 
-void Session::handle_line(const std::string& line) {
-  if (line.empty()) {
-    return;
+void Session::handle_line(const std::string& line, bool more_input) {
+  if (!line.empty()) {
+    handle_request(line, more_input);
   }
+  if (!more_input) {
+    flush();
+  }
+}
+
+void Session::handle_request(const std::string& line, bool more_input) {
   try {
     const Json json = Json::parse(line);
     Request request = parse_request_header(json);
@@ -368,6 +374,9 @@ void Session::handle_line(const std::string& line) {
       // Ack BEFORE the emitter can see the handle: a cache-served job is
       // already done, and its result must not precede the accepted event.
       emit_line(id_event("accepted", id));
+      if (!more_input) {
+        flush();  // the ack leaves before the emitter can wake
+      }
       {
         LockGuard lock(mutex_);
         pending_.emplace_back(id, std::move(*handle));

@@ -21,9 +21,11 @@
 // Output is batched, and flushed before any thread blocks. Event lines are
 // appended to one per-session buffer, which goes to the sink in one write
 // (one send(2) on TCP). The buffer is flushed before either thread waits:
-//   * the transport calls flush() before it blocks for more input — a TCP
-//     connection when its LineReader holds no further complete line, a
-//     stdin transport after every line;
+//   * handle_line flushes unless the transport says it holds the next
+//     line — a TCP connection passes whether its LineReader holds a
+//     further complete line, a stdin transport leaves it false. A submit's ack
+//     is flushed before its job reaches the emitter, so the connection
+//     thread, not the emitter, writes it;
 //   * the emitter flushes before it waits for a new submission and before
 //     it waits on an unfinished job, and when it exits.
 // So pipelined requests share sends, and no line waits in the buffer while
@@ -128,13 +130,13 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Process one request line (empty lines are ignored). Its ack is
-  /// buffered, not written: call flush() before blocking for input. Call
-  /// from one thread only.
-  void handle_line(const std::string& line);
-
-  /// Write every buffered event line to the sink in one call.
-  void flush() PQS_EXCLUDES(out_mutex_);
+  /// Process one request line (empty lines are ignored). Call from one
+  /// thread only. `more_input` says the transport already holds the next
+  /// line: the line's ack then stays buffered, to share a write with the
+  /// acks after it. Otherwise the buffer is flushed before this returns,
+  /// and a submit's ack before its job is handed to the emitter, so the
+  /// ack of the last line read never waits on a result being serialized.
+  void handle_line(const std::string& line, bool more_input = false);
 
   /// Input exhausted cleanly: block until every accepted job's result is
   /// announced, then stop the emitter.
@@ -149,6 +151,10 @@ class Session {
 
  private:
   void emitter_loop();
+  /// handle_line's body; `more_input` as there.
+  void handle_request(const std::string& line, bool more_input);
+  /// Write every buffered event line to the sink in one call.
+  void flush() PQS_EXCLUDES(out_mutex_);
   /// Buffer one event line (given without its '\n'); on a dead sink,
   /// aborts the session.
   void emit_line(std::string_view line) PQS_EXCLUDES(out_mutex_);

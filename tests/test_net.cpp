@@ -577,20 +577,21 @@ TEST(SessionFlushTest, PipelinedSubmitsShareWritesAndResultsAreNeverStranded) {
     return ids;
   };
 
-  // A transport holding every line handles them all and flushes once,
-  // before it would block for more input. A job that finishes by itself
-  // after 100 ms runs first (its id needs escapes); the gate holds every
-  // job after it.
+  // A transport holding every line handles them all and says so, so the
+  // session flushes once, after the last line. A job that finishes by
+  // itself after 100 ms runs first (its id needs escapes); the gate holds
+  // every job after it.
   constexpr std::size_t kGated = 16;
   session.handle_line(
       R"({"op":"submit","id":"slow \"1\"\\\t","spec":{)"
-      R"("algorithm":"net-sleepy","n_items":64,"n_blocks":1,"marked":[9]}})");
+      R"("algorithm":"net-sleepy","n_items":64,"n_blocks":1,"marked":[9]}})",
+      /*more_input=*/true);
   std::vector<std::string> expected = {"slow \"1\"\\\t"};
   for (std::size_t i = 0; i < kGated; ++i) {
     expected.push_back("p" + std::to_string(i));
-    session.handle_line(submit_line(expected.back(), 100 + i));
+    session.handle_line(submit_line(expected.back(), 100 + i),
+                        /*more_input=*/i + 1 < kGated);
   }
-  session.flush();
   EXPECT_EQ(of_kind("ack"), expected);  // exactly one ack per line, in order
 
   // With no further input, the slow job's result must reach the sink
@@ -621,6 +622,44 @@ TEST(SessionFlushTest, PipelinedSubmitsShareWritesAndResultsAreNeverStranded) {
       if (event.at("event").as_string() == "result") {
         EXPECT_EQ(event.at("status").as_string(), "done");
       }
+    }
+  }
+  session.drain();
+}
+
+TEST(SessionFlushTest, LastLineAckIsWrittenBeforeItsJobReachesTheEmitter) {
+  reset_driver_state();
+  g_gate = true;
+  Service service({.threads = 1}, net_test_registry());
+  std::mutex mutex;
+  std::vector<std::vector<std::string>> batches;
+  net::Session session(service, [&](std::string_view batch) {
+    std::lock_guard lock(mutex);
+    batches.push_back(net::split_lines(batch));
+    return true;
+  });
+  // One spec throughout: after the first run every submit is served from
+  // the result cache, so its job is finished before its ack is written.
+  // An emitter that could see the job first would put the result in the
+  // ack's write; the connection thread writes the ack alone instead.
+  constexpr std::size_t kSubmits = 50;
+  for (std::size_t i = 0; i < kSubmits; ++i) {
+    const std::string id = "r" + std::to_string(i);
+    session.handle_line(submit_line(id, 7));
+    std::lock_guard lock(mutex);
+    const auto holds_ack = [&](const std::vector<std::string>& batch) {
+      return std::any_of(batch.begin(), batch.end(), [&](const auto& line) {
+        return line == R"({"event":"accepted","id":")" + id + R"("})";
+      });
+    };
+    const auto ack_batch =
+        std::find_if(batches.begin(), batches.end(), holds_ack);
+    ASSERT_NE(ack_batch, batches.end()) << "ack " << id << " not written";
+    for (const std::string& line : *ack_batch) {
+      const Json event = Json::parse(line);
+      EXPECT_FALSE(event.at("event").as_string() == "result" &&
+                   event.at("id").as_string() == id)
+          << "result " << id << " shared its ack's write";
     }
   }
   session.drain();

@@ -338,7 +338,6 @@ TEST(TraceWireTest, TraceOpReturnsTheTimelineAfterTheResult) {
   session.drain();  // result announced; the trace op arrives AFTER it
 
   session.handle_line(R"({"op":"trace","id":"job-1"})");
-  session.flush();
   Json trace_event;
   {
     LockGuard lock(lines_mutex);
@@ -352,7 +351,6 @@ TEST(TraceWireTest, TraceOpReturnsTheTimelineAfterTheResult) {
 
   // Unknown ids answer with an error event, not a dropped line.
   session.handle_line(R"({"op":"trace","id":"never-submitted"})");
-  session.flush();
   {
     LockGuard lock(lines_mutex);
     trace_event = Json::parse(lines.back());
@@ -377,7 +375,6 @@ TEST(TraceWireTest, MetricsOpDumpsTheRegistrySnapshot) {
   session.drain();
 
   session.handle_line(R"({"op":"metrics","id":"m"})");
-  session.flush();
   Json event;
   {
     LockGuard lock(lines_mutex);

@@ -170,7 +170,6 @@ Summary run_session(const std::vector<std::string>& lines,
         ++summary.records;
       }
       session.handle_line(line);
-      session.flush();
     }
     session.drain();
   }

@@ -75,8 +75,7 @@ int run_stdio(Service& service, const net::SessionOptions& session_options,
       session_options);
   std::string line;
   while (std::getline(std::cin, line)) {
-    session.handle_line(line);
-    session.flush();  // getline may block: the ack goes out first
+    session.handle_line(line);  // flushed: getline may block
   }
   session.drain();
   return 0;
