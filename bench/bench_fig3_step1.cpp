@@ -33,10 +33,6 @@ int main(int argc, char** argv) {
   const std::uint64_t n_items = pow2(n);
   const double sqrt_n = std::sqrt(static_cast<double>(n_items));
   const oracle::Database db = oracle::Database::with_qubits(n, 1);
-  // The amplitude readout is a snapshot: kAuto takes the dense engine.
-  const qsim::BackendKind snapshot_kind = qsim::resolve_backend(
-      backend_kind, qsim::BackendSpec::single_target(n_items, 1, db.target()),
-      qsim::Needs::kDenseState);
 
   std::cout << "F3 - Step 1 moves the state toward the target by 2*theta "
                "per iteration (N = "
@@ -48,7 +44,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t m = 0; m <= m_star; m += m_star / 10) {
     const double closed = kHalfPi - grover::angle_after(n_items, m);
     db.reset_queries();
-    const auto backend = grover::evolve_on_backend(db, m, snapshot_kind);
+    const auto backend = grover::evolve_on_backend(db, m, backend_kind);
     const double a_t = backend->amplitudes_copy()[1].real();
     const double measured = std::acos(std::clamp(a_t, -1.0, 1.0));
     table.add_row({Table::num(m), Table::num(closed, 4),

@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
       cli.get_int("qubits", 12, "address qubits"));
   const auto k = static_cast<unsigned>(
       cli.get_int("kbits", 2, "block bits (K = 2^k)"));
-  // Snapshot capture needs full amplitude vectors: --backend symmetry is
-  // rejected loudly by run_partial_search rather than silently ignored.
+  // Snapshots materialize the full amplitude vector, which both engines
+  // give exactly; --backend picks the one that runs (auto: symmetry).
   const qsim::BackendKind backend = qsim::parse_engine_flags(cli);
   if (cli.help_requested()) {
     std::cout << cli.help();

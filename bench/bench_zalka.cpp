@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto max_n = static_cast<unsigned>(
       cli.get_int("max-qubits", 9, "largest n to analyze"));
-  // The hybrid argument manipulates full amplitude vectors; --backend
-  // symmetry is rejected loudly by analyze_grover, never silently ignored.
+  // --backend picks the engine of every circuit run (auto: symmetry); both
+  // engines give the same report.
   api::SpecFlagSet spec_flags;
   spec_flags.algo = false;
   spec_flags.problem = false;

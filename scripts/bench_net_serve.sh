@@ -11,9 +11,12 @@
 # what survives that, and BENCH_qsim.json records the core count so the
 # numbers stay honest.
 #
+# Every server binds 127.0.0.1:0 and reports its port (scripts/start_server.sh).
+#
 # Usage: scripts/bench_net_serve.sh [build-dir] [workers] [clients] [requests] [unique_keys] [cache] [n_items] [window]
 set -eu
 cd "$(dirname "$0")/.."
+. scripts/start_server.sh
 build="${1:-build}"
 n_workers="${2:-4}"
 clients="${3:-64}"
@@ -29,6 +32,7 @@ window="${8:-4}"   # shallow per-client pipeline: keeps total inflight (clients
 serve="${build}/tools/pqs_serve"
 router="${build}/tools/pqs_router"
 loadgen="${build}/tools/pqs_loadgen"
+out="$(mktemp -d)"
 pids=()
 
 cleanup() {
@@ -36,30 +40,26 @@ cleanup() {
     kill "${pid}" 2>/dev/null || true
   done
   wait 2>/dev/null || true
+  rm -rf "${out}"
 }
 trap cleanup EXIT
 
-base=$(( 21000 + ($$ % 20000) ))
-
 echo "== 1 worker, direct ==" >&2
-"${serve}" --listen "127.0.0.1:$((base))" --threads 2 \
-  --result-cache "${cache}" --max-connections 256 2>/dev/null &
-pids+=($!)
-"${loadgen}" --connect "127.0.0.1:$((base))" --clients "${clients}" \
+start_server "${out}/serve_direct.log" "${serve}" --threads 2 \
+  --result-cache "${cache}" --max-connections 256
+"${loadgen}" --connect "${listen_addr}" --clients "${clients}" \
   --requests "${requests}" --unique-keys "${unique_keys}" \
   --n-items "${n_items}" --inflight-per-conn "${window}"
 
 echo "== ${n_workers} workers behind pqs_router ==" >&2
 workers=""
 for w in $(seq 1 "${n_workers}"); do
-  "${serve}" --listen "127.0.0.1:$((base + w))" --threads 2 \
-    --result-cache "${cache}" --max-connections 256 2>/dev/null &
-  pids+=($!)
-  workers="${workers}${workers:+,}127.0.0.1:$((base + w))"
+  start_server "${out}/serve_w${w}.log" "${serve}" --threads 2 \
+    --result-cache "${cache}" --max-connections 256
+  workers="${workers}${workers:+,}${listen_addr}"
 done
-"${router}" --listen "127.0.0.1:$((base + n_workers + 1))" \
-  --workers "${workers}" --max-connections 256 2>/dev/null &
-pids+=($!)
-"${loadgen}" --connect "127.0.0.1:$((base + n_workers + 1))" \
+start_server "${out}/router.log" "${router}" --workers "${workers}" \
+  --max-connections 256
+"${loadgen}" --connect "${listen_addr}" \
   --clients "${clients}" --requests "${requests}" \
   --unique-keys "${unique_keys}" --n-items "${n_items}" --inflight-per-conn "${window}"

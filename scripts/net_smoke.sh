@@ -27,9 +27,12 @@
 # text of a failed check carries no file:line). The unknown-id cancel and
 # trace acks must match byte for byte, with no prefix to strip.
 #
+# Every server binds 127.0.0.1:0 and reports its port (scripts/start_server.sh).
+#
 # Usage: scripts/net_smoke.sh [build-dir]   (default: build)
 set -eu
 cd "$(dirname "$0")/.."
+. scripts/start_server.sh
 build="${1:-build}"
 serve="${build}/tools/pqs_serve"
 router="${build}/tools/pqs_router"
@@ -46,10 +49,6 @@ cleanup() {
   rm -rf "${out}"
 }
 trap cleanup EXIT
-
-# Ephemeral base port, offset into the dynamic range by PID to keep
-# concurrent CI shards from colliding.
-base=$(( 20000 + ($$ % 20000) ))
 
 # Probe the observability ops against a live endpoint: submit one job on a
 # fresh connection, then require `trace` to return that job's span timeline
@@ -115,27 +114,23 @@ PY
 }
 
 echo "== direct: one worker =="
-"${serve}" --listen "127.0.0.1:$((base))" --threads 2 \
-  2>"${out}/serve_direct.log" &
-pids+=($!)
-"${loadgen}" --connect "127.0.0.1:$((base))" --fixture "${fixture}" \
+start_server "${out}/serve_direct.log" "${serve}" --threads 2
+direct="${listen_addr}"
+"${loadgen}" --connect "${direct}" --fixture "${fixture}" \
   > "${out}/direct.jsonl"
-probe_obs_ops "127.0.0.1:$((base))" direct
+probe_obs_ops "${direct}" direct
 
 echo "== routed: pqs_router over four workers =="
 workers=""
 for w in 1 2 3 4; do
-  "${serve}" --listen "127.0.0.1:$((base + w))" --threads 2 \
-    2>"${out}/serve_w${w}.log" &
-  pids+=($!)
-  workers="${workers}${workers:+,}127.0.0.1:$((base + w))"
+  start_server "${out}/serve_w${w}.log" "${serve}" --threads 2
+  workers="${workers}${workers:+,}${listen_addr}"
 done
-"${router}" --listen "127.0.0.1:$((base + 5))" --workers "${workers}" \
-  2>"${out}/router.log" &
-pids+=($!)
-"${loadgen}" --connect "127.0.0.1:$((base + 5))" --fixture "${fixture}" \
+start_server "${out}/router.log" "${router}" --workers "${workers}"
+routed="${listen_addr}"
+"${loadgen}" --connect "${routed}" --fixture "${fixture}" \
   > "${out}/routed.jsonl"
-probe_obs_ops "127.0.0.1:$((base + 5))" router
+probe_obs_ops "${routed}" router
 
 # Send one script of request lines to each endpoint and require the two
 # ack streams to agree (see the header for what "agree" means).
@@ -221,14 +216,12 @@ PY
 }
 
 echo "== parity: a worker and a 1-worker router, both at --inflight-per-conn 1 =="
-"${serve}" --listen "127.0.0.1:$((base + 6))" --threads 2 \
-  --inflight-per-conn 1 2>"${out}/serve_parity.log" &
-pids+=($!)
-"${router}" --listen "127.0.0.1:$((base + 7))" \
-  --workers "127.0.0.1:$((base + 6))" --inflight-per-conn 1 \
-  2>"${out}/router_parity.log" &
-pids+=($!)
-probe_rejection_parity "127.0.0.1:$((base + 6))" "127.0.0.1:$((base + 7))"
+start_server "${out}/serve_parity.log" "${serve}" --threads 2 \
+  --inflight-per-conn 1
+parity_worker="${listen_addr}"
+start_server "${out}/router_parity.log" "${router}" \
+  --workers "${parity_worker}" --inflight-per-conn 1
+probe_rejection_parity "${parity_worker}" "${listen_addr}"
 
 echo "== verdict =="
 test "$(wc -l < "${out}/direct.jsonl")" = 7

@@ -46,7 +46,7 @@ class ZalkaAlgorithm final : public Algorithm {
     report.queries_per_trial = r.queries;
     report.success_probability = r.min_success;
     report.correct = r.lemma2_holds;  // the bound's hypotheses verified
-    report.backend_used = qsim::BackendKind::kDense;
+    report.backend_used = r.backend_used;
     std::ostringstream detail;
     detail << "implied query floor " << r.implied_query_floor
            << " (Theorem-3 closed form "

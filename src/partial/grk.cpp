@@ -55,11 +55,6 @@ std::unique_ptr<qsim::Backend> evolve_partial_search_on_backend(
 GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
                              const GrkOptions& options) {
   const auto spec = grk_spec(db, k);
-  const qsim::BackendKind kind =
-      options.capture_snapshots
-          ? qsim::require_dense(options.backend, "snapshot capture")
-          : options.backend;
-
   GrkResult result;
   if (options.l1.has_value() && options.l2.has_value()) {
     result.l1 = *options.l1;
@@ -74,7 +69,7 @@ GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
   }
 
   const std::uint64_t before = db.queries();
-  auto backend = qsim::make_backend(kind, spec);
+  auto backend = qsim::make_backend(options.backend, spec);
   result.backend_used = backend->kind();
   run_steps(*backend, db, result.l1, result.l2,
             options.capture_snapshots ? &result.snapshots : nullptr);

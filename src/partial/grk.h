@@ -15,7 +15,8 @@
 // bit; the symmetry engine evolves the same dynamics in O(K) per step,
 // exact to machine precision, which is what makes n = 48..62-qubit partial
 // search instantaneous. kAuto follows qsim::resolve_backend. Snapshot
-// capture needs full amplitude vectors and therefore the dense engine.
+// capture materializes the full amplitude vector, which both engines give
+// exactly (small N only).
 #pragma once
 
 #include <cstdint>
@@ -37,8 +38,8 @@ struct GrkOptions {
   /// Success floor for the automatic choice; <= 0 means the default
   /// 1 - 4/sqrt(N).
   double min_success = 0.0;
-  /// Record the full amplitude vector after each step (small N only;
-  /// requires the dense engine).
+  /// Record the full amplitude vector after each step (small N only: the
+  /// copy is checked against the dense capacity on either engine).
   bool capture_snapshots = false;
   /// Simulation engine (see header comment).
   qsim::BackendKind backend = qsim::BackendKind::kAuto;

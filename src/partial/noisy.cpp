@@ -29,10 +29,8 @@ NoisyRunResult run_trials(
                                     std::uint64_t&)>& trial) {
   PQS_CHECK_MSG(trials > 0, "need at least one trial");
   model.validate();  // once at entry; the per-trial hot loop is check-free
-  const qsim::BackendKind resolved = qsim::resolve_backend(
-      options.backend, spec,
-      model.enabled() ? qsim::Needs::kDenseState
-                      : qsim::Needs::kBlockOperators);
+  const qsim::BackendKind resolved =
+      qsim::resolve_backend(options.backend, spec, model);
   if (model.enabled()) {
     qsim::require_noise_support(resolved, spec, what);
   }
@@ -97,7 +95,7 @@ NoisyRunResult run_noisy_partial_search(const oracle::Database& db, unsigned k,
   model.validate();
   if (model.enabled()) {
     qsim::require_noise_support(
-        qsim::resolve_backend(options.backend, spec, qsim::Needs::kDenseState),
+        qsim::resolve_backend(options.backend, spec, model),
         spec, "noisy partial search");
   }
 

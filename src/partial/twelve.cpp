@@ -24,9 +24,8 @@ std::vector<double> real_parts(const std::vector<Amplitude>& amps) {
 
 /// The five-stage pattern on an arbitrary (N, K) database, run on the
 /// chosen engine. When `stages` is non-null each stage's amplitudes are
-/// materialized into it (both engines can, for N this small; kAuto takes
-/// the dense engine for snapshots). Returns the evolved backend for the
-/// final observables.
+/// materialized into it (both engines can, for N this small). Returns the
+/// evolved backend for the final observables.
 std::unique_ptr<qsim::Backend> run_pattern(
     std::uint64_t n_items, std::uint64_t k_blocks, Index target,
     qsim::BackendKind kind,
@@ -37,11 +36,7 @@ std::unique_ptr<qsim::Backend> run_pattern(
 
   const auto spec =
       qsim::BackendSpec::single_target(n_items, k_blocks, target);
-  auto backend = qsim::make_backend(
-      qsim::resolve_backend(kind, spec,
-                            stages != nullptr ? qsim::Needs::kDenseState
-                                              : qsim::Needs::kBlockOperators),
-      spec);
+  auto backend = qsim::make_backend(kind, spec);
   const auto record = [&](std::size_t stage) {
     if (stages != nullptr) {
       (*stages)[stage] = real_parts(backend->amplitudes_copy());

@@ -45,8 +45,8 @@ struct Figure1Trace {
 
 /// Run the Figure-1 example. `target` is the marked address in [0, 12).
 /// Either engine works (the trace materializes per-stage amplitudes, which
-/// both engines expose for N this small); kAuto takes the dense engine, as
-/// for every snapshot.
+/// both engines expose exactly for N this small); kAuto takes the symmetry
+/// engine, as for every single-target spec.
 Figure1Trace run_figure1(qsim::Index target = 7,
                          qsim::BackendKind backend = qsim::BackendKind::kAuto);
 

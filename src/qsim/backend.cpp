@@ -599,11 +599,10 @@ class SymmetryBackend final : public Backend {
 // ---------------------------------------------------------------------------
 
 BackendKind resolve_backend(BackendKind kind, const BackendSpec& spec,
-                            Needs needs) {
+                            const NoiseModel& noise) {
   if (kind == BackendKind::kAuto) {
     const bool dense_fits = spec.n_items <= kMaxDenseItems;
-    kind = symmetry_supports(spec) &&
-                   (needs == Needs::kBlockOperators || !dense_fits)
+    kind = symmetry_supports(spec) && (!noise.enabled() || !dense_fits)
                ? BackendKind::kSymmetry
                : BackendKind::kDense;
   }
@@ -653,13 +652,6 @@ void require_noise_support(BackendKind kind, const BackendSpec& spec,
                     " backend cannot run Pauli noise on this problem shape "
                     "(dense needs N = 2^n; symmetry additionally needs "
                     "K = 2^k and a unique marked address)");
-}
-
-BackendKind require_dense(BackendKind kind, std::string_view what) {
-  PQS_CHECK_MSG(kind == BackendKind::kAuto || kind == BackendKind::kDense,
-                std::string(what) + " needs full amplitude vectors and "
-                "therefore the dense backend");
-  return BackendKind::kDense;
 }
 
 namespace {

@@ -13,9 +13,8 @@
 //                    are dimension-agnostic; blocks are the K contiguous
 //                    ranges of N/K addresses), supports every operator and
 //                    arbitrary marked sets, and is the only engine that
-//                    computes exact Pauli-noise trajectories and amplitude
-//                    snapshots (the Zalka hybrid argument). On
-//                    every ISA tier, a run of Grover iterations
+//                    computes exact Pauli-noise trajectories. On every ISA
+//                    tier, a run of Grover iterations
 //                    (apply_grover_iterations) folds into one affine pass per
 //                    block over the state, whatever its length.
 //                    Capacity-limited to N <= 2^kMaxQubits.
@@ -39,9 +38,10 @@
 // Pick an engine with BackendKind: kDense / kSymmetry force one, kAuto takes
 // the cheapest exact one. resolve_backend holds that one rule: the symmetry
 // engine whenever it supports the spec (the marked set lies in one block)
-// and the request needs nothing that only the dense engine computes exactly
-// (Needs::kDenseState: noise trajectories, snapshots); the
-// dense engine otherwise, unless the state would not fit in memory.
+// and the request runs no noise model; the dense engine otherwise, unless
+// the state would not fit in memory. A noiseless symmetry state is exact,
+// so amplitude snapshots and the Zalka hybrid argument run on either
+// engine.
 // Construction goes through make_backend(kind, spec).
 //
 // Thread-safety: backends are single-owner mutable state. The batched
@@ -199,31 +199,19 @@ class Backend {
 /// precondition for the symmetry engine.
 bool symmetry_supports(const BackendSpec& spec);
 
-/// What a request asks of its engine beyond the spec.
-enum class Needs {
-  kBlockOperators,  ///< Backend's operators, observables and samplers only
-  /// Something only the dense engine computes exactly: Pauli-noise
-  /// trajectories (the symmetry engine's class moments are an
-  /// approximation after the first error) or amplitude snapshots.
-  kDenseState,
-};
-
 /// The engine-choice rule. kDense and kSymmetry pass through; kAuto
 /// resolves to the symmetry engine when symmetry_supports(spec) and either
-/// `needs` is kBlockOperators or the state is too large for the dense
-/// engine, and to the dense engine otherwise. Checked: the resolved engine
-/// must actually support the spec.
+/// `noise` is disabled or the state is too large for the dense engine, and
+/// to the dense engine otherwise: only the dense engine follows a Pauli-noise
+/// trajectory exactly (the symmetry engine's class moments are an
+/// approximation after the first error). Checked: the resolved engine must
+/// actually support the spec.
 BackendKind resolve_backend(BackendKind kind, const BackendSpec& spec,
-                            Needs needs = Needs::kBlockOperators);
+                            const NoiseModel& noise = {});
 
 /// Construct the chosen engine in the uniform start state.
 std::unique_ptr<Backend> make_backend(BackendKind kind,
                                       const BackendSpec& spec);
-
-/// Resolution for code paths that need the dense engine itself (amplitude
-/// snapshots, the Zalka hybrid argument): kAuto and kDense resolve to
-/// kDense; kSymmetry throws CheckFailure naming `what`.
-BackendKind require_dense(BackendKind kind, std::string_view what);
 
 /// True when the resolved engine can run Pauli noise channels on `spec`:
 /// the dense engine needs a power-of-two N (per-qubit gates), the symmetry

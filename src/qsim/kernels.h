@@ -135,7 +135,5 @@ std::vector<double> block_norms(const SoaVector& v, std::size_t block_size);
 /// the last positive-mass index of the range.
 Index find_mass_offset(const SoaVector& v, std::size_t lo, std::size_t len,
                        double offset);
-/// <a|b>.
-Amplitude inner_product(const SoaVector& a, const SoaVector& b);
 
 }  // namespace pqs::qsim::kernels

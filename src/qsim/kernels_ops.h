@@ -9,10 +9,10 @@
 // table is the only place the tier shows. All pointers operate on
 // contiguous runs of the separated re[]/im[] planes of a SoaVector.
 //
-// The table holds six primitives, each with a caller in the engine: three
-// reductions (sum, norm_sq, inner), the two fused update-and-sum passes of
-// the reflections and rotations (reflect, add), and gate1, which applies
-// the dense engine's Pauli noise.
+// The table holds five primitives, each with a caller in the engine: two
+// reductions (sum, norm_sq), the two fused update-and-sum passes of the
+// reflections and rotations (reflect, add), and gate1, which applies the
+// dense engine's Pauli noise.
 //
 // The mutating primitives that take sum_re/sum_im out-params accumulate the
 // sums of the values they STORE. That is the fused-sum trick this engine is
@@ -37,10 +37,6 @@ struct KernelOps {
               double* sum_re, double* sum_im);
   /// Returns sum of re^2 + im^2 over the segment.
   double (*norm_sq)(const double* re, const double* im, std::size_t n);
-  /// sum_re/sum_im <- sum of conj(a) * b over the segment.
-  void (*inner)(const double* a_re, const double* a_im, const double* b_re,
-                const double* b_im, std::size_t n, double* sum_re,
-                double* sum_im);
   /// a <- t - a (the inversion-about-the-mean update with t = 2*mean);
   /// sum_re/sum_im <- sum of the stored values.
   void (*reflect)(double* re, double* im, std::size_t n, double t_re,

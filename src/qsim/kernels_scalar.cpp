@@ -40,21 +40,6 @@ double scalar_norm_sq(const double* re, const double* im, std::size_t n) {
   return s;
 }
 
-void scalar_inner(const double* a_re, const double* a_im, const double* b_re,
-                  const double* b_im, std::size_t n, double* sum_re,
-                  double* sum_im) {
-  double sr = 0.0, si = 0.0;
-#ifdef PQS_HAVE_OPENMP
-#pragma omp simd reduction(+ : sr, si)
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    sr += a_re[i] * b_re[i] + a_im[i] * b_im[i];
-    si += a_re[i] * b_im[i] - a_im[i] * b_re[i];
-  }
-  *sum_re = sr;
-  *sum_im = si;
-}
-
 void scalar_reflect(double* re, double* im, std::size_t n, double t_re,
                     double t_im, double* sum_re, double* sum_im) {
   double sr = 0.0, si = 0.0;
@@ -114,7 +99,6 @@ const KernelOps& scalar_kernel_ops() {
   static const KernelOps ops{
       .sum = scalar_sum,
       .norm_sq = scalar_norm_sq,
-      .inner = scalar_inner,
       .reflect = scalar_reflect,
       .add = scalar_add,
       .gate1 = scalar_gate1,

@@ -77,32 +77,6 @@ struct SimdTier {
     return s;
   }
 
-  static void inner(const double* a_re, const double* a_im,
-                    const double* b_re, const double* b_im, std::size_t n,
-                    double* sum_re, double* sum_im) {
-    Reg acc_r = V::zero();
-    Reg acc_i = V::zero();
-    std::size_t i = 0;
-    for (; i + W <= n; i += W) {
-      const Reg ar = V::load(a_re + i);
-      const Reg ai = V::load(a_im + i);
-      const Reg br = V::load(b_re + i);
-      const Reg bi = V::load(b_im + i);
-      acc_r = V::fmadd(ar, br, acc_r);
-      acc_r = V::fmadd(ai, bi, acc_r);
-      acc_i = V::fmadd(ar, bi, acc_i);
-      acc_i = V::fnmadd(ai, br, acc_i);
-    }
-    double sr = V::reduce(acc_r);
-    double si = V::reduce(acc_i);
-    for (; i < n; ++i) {
-      sr += a_re[i] * b_re[i] + a_im[i] * b_im[i];
-      si += a_re[i] * b_im[i] - a_im[i] * b_re[i];
-    }
-    *sum_re = sr;
-    *sum_im = si;
-  }
-
   static void reflect(double* re, double* im, std::size_t n, double t_re,
                       double t_im, double* sum_re, double* sum_im) {
     const Reg tr = V::set1(t_re);
@@ -223,7 +197,6 @@ struct SimdTier {
     return KernelOps{
         .sum = sum,
         .norm_sq = norm_sq,
-        .inner = inner,
         .reflect = reflect,
         .add = add,
         .gate1 = gate1,

@@ -525,25 +525,4 @@ Index find_mass_offset(const SoaVector& v, std::size_t lo, std::size_t len,
   return static_cast<Index>(last);
 }
 
-Amplitude inner_product(const SoaVector& a, const SoaVector& b) {
-  PQS_CHECK_MSG(a.size() == b.size(), "dimension mismatch");
-  const KernelOps& ops = active_kernel_ops();
-  const std::size_t nc = chunks_for(a.size());
-  if (nc <= 1) {
-    double sr = 0.0, si = 0.0;
-    ops.inner(a.re(), a.im(), b.re(), b.im(), a.size(), &sr, &si);
-    return Amplitude{sr, si};
-  }
-  std::vector<double> pr(nc), pi(nc);
-  parallel_for(static_cast<SIdx>(nc), parallel_threads(a.size()), [&](SIdx c) {
-    const auto uc = static_cast<std::size_t>(c);
-    const std::size_t off = uc * kChunk;
-    const std::size_t clen = std::min(kChunk, a.size() - off);
-    ops.inner(a.re() + off, a.im() + off, b.re() + off, b.im() + off, clen,
-              &pr[uc], &pi[uc]);
-  });
-  return Amplitude{combine_pairwise(pr.data(), nc),
-                   combine_pairwise(pi.data(), nc)};
-}
-
 }  // namespace pqs::qsim::kernels

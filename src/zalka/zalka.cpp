@@ -7,12 +7,17 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "qsim/kernels.h"
 
 namespace pqs::zalka {
 
-double state_angle(const qsim::SoaVector& a, const qsim::SoaVector& b) {
-  return clamped_acos(std::abs(qsim::kernels::inner_product(a, b)));
+double state_angle(const std::vector<qsim::Amplitude>& a,
+                   const std::vector<qsim::Amplitude>& b) {
+  PQS_CHECK_MSG(a.size() == b.size(), "dimension mismatch");
+  qsim::Amplitude inner{0.0, 0.0};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    inner += std::conj(a[i]) * b[i];
+  }
+  return clamped_acos(std::abs(inner));
 }
 
 namespace {
@@ -36,7 +41,7 @@ std::uint64_t circuit_blocks(const qsim::Circuit& circuit) {
 /// oracle iff it costs a query. `before_query(i)` sees the backend just
 /// before query i (identity or not). Returns the final state.
 template <typename BeforeQuery>
-qsim::SoaVector run(qsim::Backend& backend, const qsim::Circuit& circuit,
+std::vector<qsim::Amplitude> run(qsim::Backend& backend, const qsim::Circuit& circuit,
                     std::uint64_t identity_until, qsim::RunControl* control,
                     BeforeQuery&& before_query) {
   qsim::checkpoint(control);
@@ -55,15 +60,13 @@ qsim::SoaVector run(qsim::Backend& backend, const qsim::Circuit& circuit,
   if (control != nullptr) {
     control->add_work_done();
   }
-  return qsim::SoaVector::from_amplitudes(backend.amplitudes_copy());
+  return backend.amplitudes_copy();
 }
 
 }  // namespace
 
 ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
                             const ZalkaOptions& options) {
-  const qsim::BackendKind kind =
-      qsim::require_dense(options.backend, "the Zalka hybrid argument");
   ZalkaReport report;
   report.n_qubits = circuit.num_qubits();
   report.n_items = pow2(report.n_qubits);
@@ -84,7 +87,8 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   const auto no_snapshots = [](std::uint64_t) {};
   const auto backend_for = [&](qsim::Index y) {
     return qsim::make_backend(
-        kind, qsim::BackendSpec::single_target(n, circuit_blocks(circuit), y));
+        options.backend,
+        qsim::BackendSpec::single_target(n, circuit_blocks(circuit), y));
   };
 
   // All-identity run (oracle target irrelevant): |phi_i> before each query.
@@ -93,7 +97,8 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   report.per_query_sums.resize(t_queries, 0.0);
   std::vector<double> p_sampled(t_queries * sample);  // [i * sample + s]
   const auto identity_backend = backend_for(0);
-  const qsim::SoaVector phi_final = run(
+  report.backend_used = identity_backend->kind();
+  const std::vector<qsim::Amplitude> phi_final = run(
       *identity_backend, circuit, /*identity_until=*/t_queries,
       options.control, [&](std::uint64_t i) {
         const auto amps = identity_backend->amplitudes_copy();
@@ -113,8 +118,9 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   report.min_success = 1.0;
   for (qsim::Index y = 0; y < n; ++y) {
     const auto backend = backend_for(y);
-    const qsim::SoaVector phi_y = run(*backend, circuit, /*identity_until=*/0,
-                                      options.control, no_snapshots);
+    const std::vector<qsim::Amplitude> phi_y =
+        run(*backend, circuit, /*identity_until=*/0, options.control,
+            no_snapshots);
     report.sum_final_angles += state_angle(phi_final, phi_y);
     report.min_success = std::min(report.min_success, backend->probability(y));
   }
@@ -129,11 +135,11 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   // (every query identity) is the all-identity run itself.
   for (std::uint64_t s = 0; s < sample; ++s) {
     const auto backend = backend_for(s * stride);
-    qsim::SoaVector prev = phi_final;
+    std::vector<qsim::Amplitude> prev = phi_final;
     for (std::uint64_t i = 1; i <= t_queries; ++i) {
-      qsim::SoaVector cur = run(*backend, circuit,
-                                /*identity_until=*/t_queries - i,
-                                options.control, no_snapshots);
+      std::vector<qsim::Amplitude> cur =
+          run(*backend, circuit, /*identity_until=*/t_queries - i,
+              options.control, no_snapshots);
       const double lhs = state_angle(prev, cur);
       const double rhs = 2.0 * clamped_asin(std::sqrt(
                                    p_sampled[(t_queries - i) * sample + s]));

@@ -1,9 +1,10 @@
 // Numerical machinery for Theorem 3 (Appendix B): the small-error refinement
 // of Zalka's optimality bound for quantum search.
 //
-// For a T-query algorithm given as a qsim::Circuit we compute, on the dense
-// engine (one DenseBackend per oracle, the circuit driven op by op through
-// qsim::apply_op), every quantity in the appendix:
+// For a T-query algorithm given as a qsim::Circuit we compute, on either
+// exact engine (one backend per oracle, the circuit driven op by op through
+// qsim::apply_op, each state read through Backend::amplitudes_copy), every
+// quantity in the appendix:
 //
 //   |phi_t>      states of the all-identity-oracle run,
 //   |phi^y_t>    states of the O_y run,
@@ -22,13 +23,14 @@
 #include "qsim/backend.h"
 #include "qsim/circuit.h"
 #include "qsim/run_control.h"
-#include "qsim/soa.h"
+#include "qsim/types.h"
 
 namespace pqs::zalka {
 
 /// arccos |<a|b>| in [0, pi/2]; the angle metric of the appendix, on two
-/// dense snapshots (kernels::inner_product).
-double state_angle(const qsim::SoaVector& a, const qsim::SoaVector& b);
+/// amplitude vectors (Backend::amplitudes_copy). Checked: equal sizes.
+double state_angle(const std::vector<qsim::Amplitude>& a,
+                   const std::vector<qsim::Amplitude>& b);
 
 /// All Appendix-B quantities for one algorithm (circuit) on n qubits.
 struct ZalkaReport {
@@ -64,17 +66,20 @@ struct ZalkaReport {
   bool lemma2_holds = true;
   /// Largest violation margin found (<= 0 when lemma2_holds).
   double lemma2_worst_slack = 0.0;
+
+  /// The engine the circuit ran on (options.backend resolved).
+  qsim::BackendKind backend_used = qsim::BackendKind::kDense;
 };
 
 struct ZalkaOptions {
   /// Verify Lemma 2's hybrid inequality for at most this many y values
   /// (the full check is O(N T) circuit runs). 0 = all y.
   std::uint64_t lemma2_sample = 0;
-  /// Engine selection, for symmetry with the other layers' options. The
-  /// hybrid argument takes inner products between runs against DIFFERENT
-  /// oracles — states that are not block-symmetric relative to each other —
-  /// so only the dense engine applies: kAuto resolves to dense and an
-  /// explicit kSymmetry request throws CheckFailure.
+  /// Engine for every circuit run, resolved per oracle by
+  /// qsim::resolve_backend (kAuto: the symmetry engine). Each run has one
+  /// target, so its state is block-symmetric and both engines give it
+  /// exactly; the inner products between runs against different oracles
+  /// are taken on the materialized amplitude vectors.
   qsim::BackendKind backend = qsim::BackendKind::kAuto;
   /// Optional cancel/progress handle, as BbhtOptions carries. The analysis
   /// makes 1 + N + S * T circuit runs: the all-identity run, one run per

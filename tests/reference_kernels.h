@@ -62,15 +62,6 @@ inline double norm_squared(std::span<const Amplitude> a) {
   return sum;
 }
 
-/// <a|b>.
-inline Amplitude inner_product(const Amps& a, const Amps& b) {
-  Amplitude sum{0.0, 0.0};
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    sum += std::conj(a[i]) * b[i];
-  }
-  return sum;
-}
-
 inline void scale(Amps& a, Amplitude s) {
   for (Amplitude& x : a) {
     x *= s;

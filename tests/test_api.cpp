@@ -270,8 +270,8 @@ TEST(EngineEquivalenceTest, Noisy) {
 }
 
 // kAuto reports the engine that ran: the symmetry engine for single-block
-// requests, the dense one for noise trajectories and the Zalka circuit. A
-// classical scan runs no engine and reports none.
+// requests (the Zalka circuit included), the dense one for noise
+// trajectories. A classical scan runs no engine and reports none.
 TEST(EngineBackendChoiceTest, AutoReportsTheEngineThatRan) {
   SearchSpec grk = SearchSpec::single_target(16384, 4, 5000);
   grk.algorithm = "grk";
@@ -291,6 +291,9 @@ TEST(EngineBackendChoiceTest, AutoReportsTheEngineThatRan) {
 
   SearchSpec zalka = SearchSpec::single_target(64, 1, 3);
   zalka.algorithm = "zalka";
+  EXPECT_EQ(shared_engine().run(zalka).backend_used,
+            qsim::BackendKind::kSymmetry);
+  zalka.backend = qsim::BackendKind::kDense;
   EXPECT_EQ(shared_engine().run(zalka).backend_used,
             qsim::BackendKind::kDense);
 

@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/math.h"
@@ -22,6 +25,7 @@
 #include "partial/multi.h"
 #include "partial/noisy.h"
 #include "partial/optimizer.h"
+#include "partial/twelve.h"
 #include "qsim/isa.h"
 #include "qsim/parallel.h"
 #include "zalka/zalka.h"
@@ -72,15 +76,15 @@ TEST(BackendKindTest, AutoPicksSymmetryForSingleBlockSpecsOfAnySize) {
   EXPECT_EQ(resolve_backend(BackendKind::kAuto, huge),
             BackendKind::kSymmetry);
   // Past the dense capacity kAuto keeps the only engine that can hold the
-  // state, whatever the request needs.
-  EXPECT_EQ(resolve_backend(BackendKind::kAuto, huge, Needs::kDenseState),
+  // state, even for a noise model.
+  const NoiseModel noise{NoiseKind::kDepolarizing, 0.01};
+  EXPECT_EQ(resolve_backend(BackendKind::kAuto, huge, noise),
             BackendKind::kSymmetry);
   EXPECT_THROW(resolve_backend(BackendKind::kDense, huge), CheckFailure);
   // A forced engine passes through.
   EXPECT_EQ(resolve_backend(BackendKind::kDense, small),
             BackendKind::kDense);
-  EXPECT_EQ(resolve_backend(BackendKind::kSymmetry, small,
-                            Needs::kDenseState),
+  EXPECT_EQ(resolve_backend(BackendKind::kSymmetry, small, noise),
             BackendKind::kSymmetry);
 }
 
@@ -98,39 +102,6 @@ TEST(BackendKindTest, AutoRunsDenseForNoiseTrajectories) {
   EXPECT_EQ(partial::run_noisy_partial_search(db, 2, NoiseModel{}, 16, rng)
                 .backend_used,
             BackendKind::kSymmetry);
-}
-
-TEST(BackendKindTest, AutoRunsDenseForTheZalkaHybridArgument) {
-  EXPECT_EQ(require_dense(BackendKind::kAuto, "a circuit"),
-            BackendKind::kDense);
-  EXPECT_EQ(require_dense(BackendKind::kDense, "a circuit"),
-            BackendKind::kDense);
-  EXPECT_THROW(require_dense(BackendKind::kSymmetry, "a circuit"),
-               CheckFailure);
-  // The Zalka hybrid argument reads every amplitude of a circuit's states
-  // op by op: it runs under kAuto and refuses the symmetry engine.
-  const Circuit circuit = make_grover_circuit(4, 2);
-  EXPECT_NO_THROW(zalka::analyze_circuit(circuit, {}));
-  zalka::ZalkaOptions symmetry;
-  symmetry.backend = BackendKind::kSymmetry;
-  EXPECT_THROW(zalka::analyze_circuit(circuit, symmetry), CheckFailure);
-}
-
-TEST(BackendKindTest, AutoRunsDenseForSnapshots) {
-  const oracle::Database db = oracle::Database::with_qubits(8, 77);
-  partial::GrkOptions options;
-  options.capture_snapshots = true;
-  Rng rng(3);
-  const auto with_snapshots = partial::run_partial_search(db, 2, rng, options);
-  EXPECT_EQ(with_snapshots.backend_used, BackendKind::kDense);
-  EXPECT_EQ(with_snapshots.snapshots.after_step3.size(), db.size());
-  options.capture_snapshots = false;
-  EXPECT_EQ(partial::run_partial_search(db, 2, rng, options).backend_used,
-            BackendKind::kSymmetry);
-  EXPECT_EQ(resolve_backend(BackendKind::kAuto,
-                            BackendSpec::single_target(256, 4, 77),
-                            Needs::kDenseState),
-            BackendKind::kDense);
 }
 
 TEST(BackendKindTest, AutoRunsDenseForMarkedSetsSpanningBlocks) {
@@ -483,14 +454,92 @@ TEST(BackendDispatchTest, InterleavedScheduleRunsOnBothEngines) {
   EXPECT_NEAR(dense_p, optimum.success, 1e-9);
 }
 
-TEST(BackendDispatchTest, SnapshotsRequireDense) {
-  const oracle::Database db = oracle::Database::with_qubits(6, 5);
-  Rng rng(3);
-  partial::GrkOptions options;
-  options.capture_snapshots = true;
-  options.backend = BackendKind::kSymmetry;
-  EXPECT_THROW(partial::run_partial_search(db, 2, rng, options),
-               CheckFailure);
+/// The Zalka hybrid argument reads every amplitude of every run, so each
+/// engine's report must match field for field, on circuits that together
+/// use each of the six ops. kAuto runs the symmetry engine.
+TEST(BackendDispatchTest, ZalkaReportsAgreeAcrossEngines) {
+  std::vector<Circuit> circuits;
+  for (unsigned n = 3; n <= 6; ++n) {
+    circuits.push_back(make_grover_circuit(n, pow2(n / 2)));
+    Circuit mixed(n);
+    mixed.oracle().block_diffusion(2).oracle_phase(0.7).global_diffusion();
+    mixed.block_rotation(2, -1.3).non_target_mean_reflection();
+    circuits.push_back(std::move(mixed));
+  }
+  for (const Circuit& circuit : circuits) {
+    SCOPED_TRACE("n=" + std::to_string(circuit.num_qubits()) +
+                 " T=" + std::to_string(circuit.query_count()));
+    zalka::ZalkaOptions dense_opts, sym_opts;
+    dense_opts.backend = BackendKind::kDense;
+    sym_opts.backend = BackendKind::kSymmetry;
+    const auto dense = zalka::analyze_circuit(circuit, dense_opts);
+    const auto sym = zalka::analyze_circuit(circuit, sym_opts);
+    EXPECT_EQ(dense.backend_used, BackendKind::kDense);
+    EXPECT_EQ(sym.backend_used, BackendKind::kSymmetry);
+    EXPECT_EQ(zalka::analyze_circuit(circuit).backend_used,
+              BackendKind::kSymmetry);
+    EXPECT_EQ(dense.n_qubits, sym.n_qubits);
+    EXPECT_EQ(dense.n_items, sym.n_items);
+    EXPECT_EQ(dense.queries, sym.queries);
+    EXPECT_NEAR(dense.min_success, sym.min_success, 1e-10);
+    EXPECT_NEAR(dense.eps, sym.eps, 1e-10);
+    EXPECT_NEAR(dense.sum_final_angles, sym.sum_final_angles, 1e-10);
+    EXPECT_NEAR(dense.lemma1_floor, sym.lemma1_floor, 1e-10);
+    ASSERT_EQ(dense.per_query_sums.size(), sym.per_query_sums.size());
+    for (std::size_t i = 0; i < dense.per_query_sums.size(); ++i) {
+      EXPECT_NEAR(dense.per_query_sums[i], sym.per_query_sums[i], 1e-10)
+          << "i=" << i;
+    }
+    EXPECT_NEAR(dense.lemma3_ceiling, sym.lemma3_ceiling, 1e-10);
+    EXPECT_NEAR(dense.max_per_query_sum, sym.max_per_query_sum, 1e-10);
+    EXPECT_NEAR(dense.implied_query_floor, sym.implied_query_floor, 1e-10);
+    EXPECT_EQ(dense.lemma2_holds, sym.lemma2_holds);
+    EXPECT_NEAR(dense.lemma2_worst_slack, sym.lemma2_worst_slack, 1e-10);
+  }
+}
+
+/// GRK snapshots after Steps 1-3 are the same amplitudes on both engines;
+/// kAuto captures them on the symmetry engine.
+TEST(BackendDispatchTest, GrkSnapshotsAgreeAcrossEngines) {
+  for (unsigned n = 4; n <= 12; ++n) {
+    for (unsigned k = 1; k <= 4 && k < n; ++k) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      const oracle::Database db =
+          oracle::Database::with_qubits(n, pow2(n) / 3 + 1);
+      partial::GrkOptions dense_opts, sym_opts;
+      dense_opts.capture_snapshots = sym_opts.capture_snapshots = true;
+      dense_opts.backend = BackendKind::kDense;
+      Rng rng_dense(3), rng_sym(3);
+      const auto dense = partial::run_partial_search(db, k, rng_dense,
+                                                     dense_opts);
+      const auto sym = partial::run_partial_search(db, k, rng_sym, sym_opts);
+      EXPECT_EQ(sym.backend_used, BackendKind::kSymmetry);
+      EXPECT_EQ(dense.snapshots.after_step1.size(), db.size());
+      EXPECT_LT(linf(dense.snapshots.after_step1, sym.snapshots.after_step1),
+                1e-10);
+      EXPECT_LT(linf(dense.snapshots.after_step2, sym.snapshots.after_step2),
+                1e-10);
+      EXPECT_LT(linf(dense.snapshots.after_step3, sym.snapshots.after_step3),
+                1e-10);
+    }
+  }
+}
+
+/// The five Figure-1 stages (N = 12, K = 3) agree for every target.
+TEST(BackendDispatchTest, FigureOneStagesAgreeAcrossEngines) {
+  for (Index target = 0; target < 12; ++target) {
+    const auto dense = partial::run_figure1(target, BackendKind::kDense);
+    const auto sym = partial::run_figure1(target, BackendKind::kSymmetry);
+    for (std::size_t stage = 0; stage < partial::Figure1Trace::kStages;
+         ++stage) {
+      ASSERT_EQ(dense.stages[stage].size(), 12u);
+      ASSERT_EQ(sym.stages[stage].size(), 12u);
+      for (std::size_t x = 0; x < 12; ++x) {
+        EXPECT_NEAR(dense.stages[stage][x], sym.stages[stage][x], 1e-10)
+            << "target=" << target << " stage=" << stage << " x=" << x;
+      }
+    }
+  }
 }
 
 TEST(BackendDispatchTest, MultiMarkedEntryPointAgreesAcrossEngines) {

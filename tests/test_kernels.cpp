@@ -223,23 +223,6 @@ TEST(Kernels, NonTargetMeanReflectZeroesEqualAmplitudes) {
   }
 }
 
-TEST(Kernels, InnerProductOrthonormalBasis) {
-  const SoaVector e0 = basis_state(2, 0);
-  const SoaVector e1 = basis_state(2, 1);
-  EXPECT_LT(std::abs(kernels::inner_product(e0, e1)), 1e-15);
-  EXPECT_LT(std::abs(kernels::inner_product(e0, e0) - Amplitude{1.0, 0.0}),
-            1e-15);
-}
-
-TEST(Kernels, InnerProductConjugatesFirstArgument) {
-  SoaVector a(1);
-  a.set(0, Amplitude{0.0, 1.0});  // i
-  const SoaVector b = basis_state(1, 0);  // 1
-  // <a|b> = conj(i) * 1 = -i.
-  EXPECT_LT(std::abs(kernels::inner_product(a, b) - Amplitude{0.0, -1.0}),
-            1e-15);
-}
-
 TEST(SoaVectorTest, ReusesTheThreadsLastFreedPlanesOfTheSameSize) {
   // A state takes the planes the previous same-size state on its thread
   // freed, zero-filled like fresh ones; a state of another size does not.
@@ -319,7 +302,7 @@ TEST(SoaVectorTest, LargePlanesStartOnHugePageBoundaries) {
 // supported by this CPU (qsim/isa.h). Every tier runs the same composition,
 // sum cache and folded Grover runs included; only the KernelOps table
 // differs, and EveryPrimitiveMatchesAPlainLoopAtEveryTail checks each of the
-// table's six entries on its own. The sweep runs on random non-uniform
+// table's five entries on its own. The sweep runs on random non-uniform
 // states, non-power-of-two sizes (SIMD tail paths), and n = 1 (N = 2,
 // smaller than one vector register).
 // CI also runs the whole suite under PQS_ISA=scalar and PQS_ISA=avx2, so the
@@ -458,15 +441,10 @@ TEST_P(IsaSweep, ReductionsMatchReference) {
   for (const std::size_t size :
        {std::size_t{1}, std::size_t{7}, std::size_t{4100}}) {
     auto ref = random_amps(size, rng);
-    auto ref_b = random_amps(size, rng);
     SoaVector v = SoaVector::from_amplitudes(ref);
-    SoaVector vb = SoaVector::from_amplitudes(ref_b);
     EXPECT_NEAR(kernels::norm_squared(v), reference::norm_squared(ref),
                 kTierTol);
     EXPECT_LT(std::abs(kernels::sum_all(v) - reference::sum_pairwise(ref)),
-              kTierTol);
-    EXPECT_LT(std::abs(kernels::inner_product(v, vb) -
-                       reference::inner_product(ref, ref_b)),
               kTierTol);
     if (size > 2) {
       EXPECT_NEAR(kernels::norm_squared_range(v, 1, size - 2),
@@ -496,7 +474,7 @@ double max_abs_diff(const std::vector<double>& a,
 }
 
 TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
-  // Each of the six KernelOps entries of the tier, called directly,
+  // Each of the five KernelOps entries of the tier, called directly,
   // against a plain serial loop. Lengths 0..65 cross every register-group
   // tail of every width (the widest group is 16 lanes); 4096 and 4099 are
   // one chunk with and without a tail. Stored values may differ from the
@@ -528,15 +506,6 @@ TEST_P(IsaSweep, EveryPrimitiveMatchesAPlainLoopAtEveryTail) {
     EXPECT_NEAR(sr, wr, kTierTol);
     EXPECT_NEAR(si, wi, kTierTol);
     EXPECT_NEAR(ops.norm_sq(re.data(), im.data(), n), w, kTierTol);
-
-    ops.inner(re.data(), im.data(), b_re.data(), b_im.data(), n, &sr, &si);
-    wr = wi = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      wr += re[i] * b_re[i] + im[i] * b_im[i];
-      wi += re[i] * b_im[i] - im[i] * b_re[i];
-    }
-    EXPECT_NEAR(sr, wr, kTierTol);
-    EXPECT_NEAR(si, wi, kTierTol);
 
     // The mutating sum primitives against one loop: a <- t - a (or
     // a <- a + t), then the sums of the stored values.

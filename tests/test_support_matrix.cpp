@@ -25,7 +25,6 @@
 #include "partial/twelve.h"
 #include "reduction/reduction.h"
 #include "reference_kernels.h"
-#include "zalka/zalka.h"
 
 namespace pqs {
 namespace {
@@ -267,21 +266,6 @@ TEST(BackendMatrixNoise, SymmetryRunsNoisePastTheDenseCeiling) {
 
 // Unsupported (module, backend) pairs fail loudly — never silently dense.
 TEST(BackendMatrixUnsupported, LoudErrorsNotSilentFallbacks) {
-  Rng rng(8);
-
-  // Zalka's hybrid argument needs full amplitude vectors.
-  zalka::ZalkaOptions zopts;
-  zopts.backend = qsim::BackendKind::kSymmetry;
-  EXPECT_THROW(zalka::analyze_grover(4, 3, zopts), CheckFailure);
-
-  // Snapshot capture needs the dense engine.
-  const oracle::Database db = oracle::Database::with_qubits(8, 1);
-  partial::GrkOptions snapshots;
-  snapshots.backend = qsim::BackendKind::kSymmetry;
-  snapshots.capture_snapshots = true;
-  EXPECT_THROW(partial::run_partial_search(db, 2, rng, snapshots),
-               CheckFailure);
-
   // Multi-marked noise has no class-moment derivation: loud, not wrong.
   const oracle::MarkedDatabase multi(256, {7, 9});
   auto backend = qsim::make_backend(qsim::BackendKind::kSymmetry,

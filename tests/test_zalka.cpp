@@ -17,19 +17,28 @@ namespace pqs::zalka {
 namespace {
 
 TEST(StateAngle, BasicGeometry) {
-  const auto a = qsim::reference::basis_state(3, 0);
-  const auto b = qsim::reference::basis_state(3, 5);
-  const auto u = qsim::reference::uniform_state(3);
+  const auto a = qsim::reference::basis_state(3, 0).to_amplitudes();
+  const auto b = qsim::reference::basis_state(3, 5).to_amplitudes();
+  const auto u = qsim::reference::uniform_state(3).to_amplitudes();
   EXPECT_NEAR(state_angle(a, a), 0.0, 1e-9);
   EXPECT_NEAR(state_angle(a, b), kHalfPi, 1e-12);
   EXPECT_NEAR(state_angle(a, u), std::acos(1.0 / std::sqrt(8.0)), 1e-12);
 }
 
 TEST(StateAngle, InsensitiveToGlobalPhase) {
-  const auto a = qsim::reference::uniform_state(4);
+  const auto a = qsim::reference::uniform_state(4).to_amplitudes();
   auto b = a;
   qsim::reference::scale(b, qsim::Amplitude{-1.0, 0.0});
   EXPECT_NEAR(state_angle(a, b), 0.0, 1e-9);
+}
+
+TEST(StateAngle, ConjugatesTheFirstArgument) {
+  // a = (|0> + i|1>)/sqrt(2): <a|a> = 1, while the unconjugated sum of
+  // a_x * a_x would be (1 + i^2)/2 = 0 and read as orthogonal.
+  const double h = 1.0 / std::sqrt(2.0);
+  const std::vector<qsim::Amplitude> a{{h, 0.0}, {0.0, h}};
+  EXPECT_NEAR(state_angle(a, a), 0.0, 1e-7);
+  EXPECT_THROW(state_angle(a, {{1.0, 0.0}}), CheckFailure);
 }
 
 /// Appendix-B quantities pinned to 1e-12. Tolerance-only checks of the
