@@ -46,26 +46,9 @@ std::uint64_t Planner::size() const {
   return cache_.size();
 }
 
-std::size_t Planner::capacity() const {
-  LockGuard lock(mutex_);
-  return cache_.capacity();
-}
-
-void Planner::set_capacity(std::size_t capacity) {
-  LockGuard lock(mutex_);
-  cache_.set_capacity(capacity);
-}
-
 void Planner::bind_metrics(obs::MetricsRegistry& registry) {
   hits_ = &registry.counter("plan.cache_hits");
   misses_ = &registry.counter("plan.cache_misses");
-}
-
-void Planner::clear() {
-  LockGuard lock(mutex_);
-  cache_.clear();
-  hits_->reset();
-  misses_->reset();
 }
 
 }  // namespace pqs

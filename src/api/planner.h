@@ -75,13 +75,9 @@ class Planner {
 
   std::uint64_t hits() const { return hits_->value(); }
   std::uint64_t misses() const { return misses_->value(); }
-  /// Plans dropped by the LRU bound since construction / last clear().
+  /// Plans dropped by the LRU bound since construction.
   std::uint64_t evictions() const;
   std::uint64_t size() const;
-  std::size_t capacity() const;
-  /// Re-bound the cache (shrinking evicts cold plans immediately).
-  void set_capacity(std::size_t capacity);
-  void clear();
 
  private:
   /// Guards the LruMap (which is deliberately lock-free itself — see

@@ -23,10 +23,6 @@ void Registry::register_algorithm(const std::string& name,
   PQS_CHECK_MSG(inserted, "algorithm \"" + name + "\" already registered");
 }
 
-bool Registry::contains(std::string_view name) const {
-  return algorithms_.find(name) != algorithms_.end();
-}
-
 const Algorithm& Registry::find(std::string_view name) const {
   const auto it = algorithms_.find(name);
   if (it == algorithms_.end()) {

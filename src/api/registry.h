@@ -87,7 +87,6 @@ class Registry {
   /// reserved for the Engine's planner.
   void register_algorithm(const std::string& name, AlgorithmFactory factory);
 
-  bool contains(std::string_view name) const;
   /// Lookup; throws CheckFailure listing the known names on a miss.
   const Algorithm& find(std::string_view name) const;
   /// All registered names, sorted.

@@ -66,11 +66,6 @@ void SearchSpec::validate_knobs() const {
   noise.validate();
 }
 
-void SearchSpec::validate() const {
-  validate_knobs();
-  (void)resolve_marked();  // exactly-one-source + range checks
-}
-
 std::string SearchSpec::describe() const {
   std::ostringstream os;
   os << algorithm << " N=" << n_items << " K=" << n_blocks;

@@ -93,11 +93,6 @@ struct SearchSpec {
   /// so a predicate spec is scanned exactly once per request.
   void validate_knobs() const;
 
-  /// Full structural validation: validate_knobs plus the marked-set checks
-  /// (resolves the predicate; convenience for spec authors). Every
-  /// Engine::run performs the same checks before any work.
-  void validate() const;
-
   /// One-line human rendering ("grk N=4096 K=4 backend=auto seed=7 ...").
   std::string describe() const;
 };

@@ -122,16 +122,4 @@ ClassicalResult partial_search_randomized(const oracle::Database& db,
   return result;
 }
 
-double expected_probes_fixed_order(std::uint64_t n_items,
-                                   std::uint64_t k_blocks) {
-  PQS_CHECK(k_blocks >= 2 && n_items % k_blocks == 0);
-  const auto n = static_cast<double>(n_items);
-  const auto k = static_cast<double>(k_blocks);
-  const double probed = n * (1.0 - 1.0 / k);  // locations the algorithm scans
-  // Target among the probed cells (prob 1 - 1/K): uniform over them, so the
-  // expected hit position is (probed + 1)/2. Otherwise all `probed` cells are
-  // scanned before elimination answers.
-  return (1.0 - 1.0 / k) * (probed + 1.0) / 2.0 + (1.0 / k) * probed;
-}
-
 }  // namespace pqs::classical

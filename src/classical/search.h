@@ -51,12 +51,4 @@ ClassicalResult partial_search_randomized(const oracle::Database& db,
                                           Rng& rng,
                                           qsim::RunControl* control = nullptr);
 
-/// Appendix A's bound specialized to a deterministic probe sequence: under a
-/// uniform random target, the expected probes of ANY zero-error
-/// deterministic partial-search algorithm are at least N/2 (1 - 1/K^2).
-/// This evaluates the expectation for the algorithm probing in the given
-/// fixed order (used by the lower-bound demonstration in the bench).
-double expected_probes_fixed_order(std::uint64_t n_items,
-                                   std::uint64_t k_blocks);
-
 }  // namespace pqs::classical

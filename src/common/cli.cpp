@@ -32,16 +32,6 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
-std::optional<std::string> Cli::flag(const std::string& name,
-                                     const std::string& help_text) {
-  docs_.push_back({name, help_text, ""});
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
 std::string Cli::get_string(const std::string& name, const std::string& def,
                             const std::string& help_text) {
   docs_.push_back({name, help_text, def});
@@ -57,11 +47,15 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
     return def;
   }
   try {
-    return std::stoll(it->second);
+    std::size_t used = 0;
+    const std::int64_t value = std::stoll(it->second, &used);
+    if (used == it->second.size()) {
+      return value;
+    }
   } catch (const std::exception&) {
-    throw CheckFailure("flag --" + name + " expects an integer, got '" +
-                       it->second + "'");
   }
+  throw CheckFailure("flag --" + name + " expects an integer, got '" +
+                     it->second + "'");
 }
 
 double Cli::get_double(const std::string& name, double def,
@@ -72,11 +66,15 @@ double Cli::get_double(const std::string& name, double def,
     return def;
   }
   try {
-    return std::stod(it->second);
+    std::size_t used = 0;
+    const double value = std::stod(it->second, &used);
+    if (used == it->second.size()) {
+      return value;
+    }
   } catch (const std::exception&) {
-    throw CheckFailure("flag --" + name + " expects a number, got '" +
-                       it->second + "'");
   }
+  throw CheckFailure("flag --" + name + " expects a number, got '" +
+                     it->second + "'");
 }
 
 bool Cli::get_bool(const std::string& name, bool def,

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,11 +16,9 @@ class Cli {
  public:
   Cli(int argc, const char* const* argv);
 
-  /// Declare a flag with help text; returns its string value if present.
-  std::optional<std::string> flag(const std::string& name,
-                                  const std::string& help);
-
   /// Typed accessors with defaults. Declaring registers the flag for --help.
+  /// get_int and get_double throw CheckFailure unless the whole value
+  /// parses ("8x" and, for an integer, "1e1" are rejected).
   std::string get_string(const std::string& name, const std::string& def,
                          const std::string& help);
   std::int64_t get_int(const std::string& name, std::int64_t def,

@@ -57,27 +57,9 @@ class LruMap {
     return order_.front().second;
   }
 
-  /// Shrink (or grow) the bound; shrinking evicts cold entries now.
-  void set_capacity(std::size_t capacity) {
-    PQS_CHECK_MSG(capacity >= 1, "LruMap needs capacity >= 1");
-    capacity_ = capacity;
-    while (order_.size() > capacity_) {
-      index_.erase(order_.back().first);
-      order_.pop_back();
-      ++evictions_;
-    }
-  }
-
   std::size_t size() const { return order_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  /// Entries dropped by the bound since construction / last clear().
+  /// Entries dropped by the bound since construction.
   std::uint64_t evictions() const { return evictions_; }
-
-  void clear() {
-    order_.clear();
-    index_.clear();
-    evictions_ = 0;
-  }
 
  private:
   std::size_t capacity_;

@@ -27,11 +27,6 @@ double clamped_sqrt(double x, double slack) {
   return std::sqrt(std::max(x, 0.0));
 }
 
-bool approx_rel(double a, double b, double tol) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
-}
-
 double grover_angle(std::uint64_t n_items, std::uint64_t n_marked) {
   PQS_CHECK(n_items > 0 && n_marked > 0 && n_marked <= n_items);
   return std::asin(

@@ -45,9 +45,6 @@ inline bool approx_eq(double a, double b, double tol) {
   return std::fabs(a - b) <= tol;
 }
 
-/// Relative closeness: |a-b| <= tol * max(1, |a|, |b|).
-bool approx_rel(double a, double b, double tol);
-
 /// The Grover rotation half-angle for N items and M marked ones:
 /// sin(theta) = sqrt(M/N). Each iteration advances the state by 2*theta.
 double grover_angle(std::uint64_t n_items, std::uint64_t n_marked = 1);

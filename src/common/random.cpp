@@ -93,11 +93,6 @@ double Rng::normal() {
   return u * f;
 }
 
-bool Rng::bernoulli(double p) {
-  PQS_CHECK(p >= 0.0 && p <= 1.0);
-  return uniform01() < p;
-}
-
 std::vector<std::uint64_t> Rng::permutation(std::uint64_t n) {
   std::vector<std::uint64_t> perm(n);
   std::iota(perm.begin(), perm.end(), std::uint64_t{0});
@@ -111,7 +106,5 @@ std::vector<std::uint64_t> Rng::permutation(std::uint64_t n) {
 std::size_t Rng::sample_discrete(const std::vector<double>& weights) {
   return CumulativeTable(weights).pick(uniform01());
 }
-
-Rng Rng::split() { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
 
 }  // namespace pqs

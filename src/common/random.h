@@ -50,9 +50,6 @@ class Rng {
   /// Standard normal via Marsaglia polar method.
   double normal();
 
-  /// Bernoulli(p).
-  bool bernoulli(double p);
-
   /// A uniformly random permutation of {0, 1, ..., n-1} (Fisher-Yates).
   std::vector<std::uint64_t> permutation(std::uint64_t n);
 
@@ -61,9 +58,6 @@ class Rng {
   /// index is never returned. To draw many times from the same weights,
   /// build the table once and pick from it.
   std::size_t sample_discrete(const std::vector<double>& weights);
-
-  /// Split off an independently seeded child generator (for parallel streams).
-  Rng split();
 
  private:
   std::array<std::uint64_t, 4> s_;

@@ -16,25 +16,6 @@ void RunningStats::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(count_);
-  const auto nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::mean() const {
   PQS_CHECK_MSG(count_ > 0, "mean of empty accumulator");
   return mean_;

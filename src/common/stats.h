@@ -12,7 +12,6 @@ namespace pqs {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::uint64_t count() const { return count_; }
   double mean() const;

@@ -26,7 +26,6 @@ std::string Table::num(double v, int precision) {
 }
 
 std::string Table::num(std::uint64_t v) { return std::to_string(v); }
-std::string Table::num(std::int64_t v) { return std::to_string(v); }
 
 std::string Table::render() const {
   std::vector<std::size_t> widths(header_.size());

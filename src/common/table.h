@@ -23,7 +23,6 @@ class Table {
   static std::string num(double v, int precision = 3);
   /// Convenience: format an integer.
   static std::string num(std::uint64_t v);
-  static std::string num(std::int64_t v);
 
   std::string render() const;
 

@@ -17,19 +17,6 @@ std::unique_ptr<qsim::Backend> evolve_on_backend(const oracle::Database& db,
   return backend;
 }
 
-double success_probability_after(const oracle::Database& db,
-                                 std::uint64_t iterations,
-                                 const SearchOptions& options) {
-  const auto backend = evolve_on_backend(db, iterations, options.backend);
-  return backend->marked_probability();
-}
-
-SearchResult search(const oracle::Database& db, Rng& rng,
-                    const SearchOptions& options) {
-  return search_with_iterations(db, optimal_iterations(db.size()), rng,
-                                options);
-}
-
 SearchResult search_with_iterations(const oracle::Database& db,
                                     std::uint64_t iterations, Rng& rng,
                                     const SearchOptions& options) {

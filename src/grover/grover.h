@@ -39,17 +39,8 @@ std::unique_ptr<qsim::Backend> evolve_on_backend(const oracle::Database& db,
                                                  std::uint64_t iterations,
                                                  qsim::BackendKind kind);
 
-/// Success probability after m iterations, from the simulation (equals the
-/// closed form sin^2((2m+1) theta); tested against it).
-double success_probability_after(const oracle::Database& db,
-                                 std::uint64_t iterations,
-                                 const SearchOptions& options = {});
-
-/// Full pipeline with the optimal iteration count: evolve, measure, report.
-SearchResult search(const oracle::Database& db, Rng& rng,
-                    const SearchOptions& options = {});
-
-/// Full pipeline with an explicit iteration count.
+/// Full pipeline: evolve `iterations` Grover iterations (optimal_iterations
+/// for the paper's search), measure, report.
 SearchResult search_with_iterations(const oracle::Database& db,
                                     std::uint64_t iterations, Rng& rng,
                                     const SearchOptions& options = {});

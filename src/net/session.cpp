@@ -325,11 +325,6 @@ void Session::remember_trace(const std::string& id,
   }
 }
 
-std::size_t Session::inflight() const {
-  LockGuard lock(mutex_);
-  return jobs_.size();
-}
-
 void Session::handle_line(const std::string& line, bool more_input) {
   if (!line.empty()) {
     handle_request(line, more_input);

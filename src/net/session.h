@@ -146,9 +146,6 @@ class Session {
   /// nothing more. Idempotent; safe after drain().
   void abort();
 
-  /// Unanswered submits right now (the inflight cap's measure).
-  std::size_t inflight() const;
-
  private:
   void emitter_loop();
   /// handle_line's body; `more_input` as there.

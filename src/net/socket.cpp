@@ -98,8 +98,6 @@ Socket::~Socket() {
   }
 }
 
-Socket::Socket(Socket&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
-
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) {

@@ -38,7 +38,9 @@ struct Addr {
 /// Throws CheckFailure naming the defect.
 Addr parse_hostport(const std::string& text);
 
-/// One connected TCP stream. Move-only; closes on destruction.
+/// One connected TCP stream; closes on destruction. Not copyable; move
+/// assignment hands the descriptor over (an Acceptor moves each accepted
+/// stream into its connection slot).
 class Socket {
  public:
   Socket() = default;
@@ -46,7 +48,6 @@ class Socket {
   explicit Socket(int fd) : fd_(fd) {}
   ~Socket();
 
-  Socket(Socket&& other) noexcept;
   Socket& operator=(Socket&& other) noexcept;
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;

@@ -61,9 +61,6 @@ class Counter {
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  /// Back to zero — for Planner::clear()-style cache resets and tests;
-  /// production counters are monotonic and never call this.
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};

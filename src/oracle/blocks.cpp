@@ -14,25 +14,9 @@ BlockLayout::BlockLayout(std::uint64_t n_items, std::uint64_t n_blocks)
                 "blocks must partition the address space evenly");
 }
 
-BlockLayout BlockLayout::with_bits(unsigned n_bits, unsigned k_bits) {
-  PQS_CHECK_MSG(k_bits <= n_bits, "k exceeds n");
-  return BlockLayout(pow2(n_bits), pow2(k_bits));
-}
-
 std::uint64_t BlockLayout::block_of(Index x) const {
   PQS_CHECK_MSG(x < n_, "address out of range");
   return x / block_size();
-}
-
-std::uint64_t BlockLayout::offset_of(Index x) const {
-  PQS_CHECK_MSG(x < n_, "address out of range");
-  return x % block_size();
-}
-
-Index BlockLayout::address(std::uint64_t block, std::uint64_t offset) const {
-  PQS_CHECK_MSG(block < k_, "block index out of range");
-  PQS_CHECK_MSG(offset < block_size(), "offset out of range");
-  return block * block_size() + offset;
 }
 
 Index BlockLayout::block_begin(std::uint64_t block) const {

@@ -17,19 +17,12 @@ class BlockLayout {
  public:
   BlockLayout(std::uint64_t n_items, std::uint64_t n_blocks);
 
-  /// Power-of-two convenience: N = 2^n, K = 2^k.
-  static BlockLayout with_bits(unsigned n_bits, unsigned k_bits);
-
   std::uint64_t num_items() const { return n_; }
   std::uint64_t num_blocks() const { return k_; }
   std::uint64_t block_size() const { return n_ / k_; }
 
   /// y: which block does address x belong to?
   std::uint64_t block_of(Index x) const;
-  /// z: offset of x within its block.
-  std::uint64_t offset_of(Index x) const;
-  /// Inverse of (block_of, offset_of).
-  Index address(std::uint64_t block, std::uint64_t offset) const;
 
   /// First / one-past-last address of a block.
   Index block_begin(std::uint64_t block) const;

@@ -16,12 +16,6 @@ MarkedDatabase::MarkedDatabase(std::uint64_t size, std::vector<Index> marked)
   }
 }
 
-bool MarkedDatabase::probe(Index x) const {
-  PQS_CHECK_MSG(x < size_, "probe address out of range");
-  ++queries_;
-  return peek(x);
-}
-
 bool MarkedDatabase::peek(Index x) const {
   return std::binary_search(marked_.begin(), marked_.end(), x);
 }

@@ -24,8 +24,6 @@ class MarkedDatabase {
   std::uint64_t num_marked() const { return marked_.size(); }
   const std::vector<Index>& marked() const { return marked_; }
 
-  /// Classical probe; counts one query.
-  bool probe(Index x) const;
   /// Uncounted membership test (verification only).
   bool peek(Index x) const;
 

@@ -24,19 +24,6 @@ const std::string& MeritList::name_at_rank(std::uint64_t rank) const {
   return names_by_rank_[rank];
 }
 
-std::uint64_t MeritList::true_rank(const std::string& student) const {
-  for (std::uint64_t rank = 0; rank < names_by_rank_.size(); ++rank) {
-    if (names_by_rank_[rank] == student) {
-      return rank;
-    }
-  }
-  throw CheckFailure("student not on the merit list: " + student);
-}
-
-Database MeritList::database_for(const std::string& student) const {
-  return Database(names_by_rank_.size(), true_rank(student));
-}
-
 std::string MeritList::fraction_label(std::uint64_t block,
                                       std::uint64_t n_blocks) {
   PQS_CHECK(n_blocks >= 1 && block < n_blocks);

@@ -2,17 +2,14 @@
 // by rank — where we only care which quartile (or other fraction) a student
 // falls in, i.e. the first k bits of the student's position.
 //
-// This is a thin domain wrapper over Database/BlockLayout used by the
-// merit_list example and tests; it also demonstrates how a user binds their
-// own data to the oracle abstraction.
+// This is the merit_list example's data: it names the student at each rank
+// and labels each block of ranks, and the example binds them to a search
+// spec's predicate.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "oracle/blocks.h"
-#include "oracle/database.h"
 
 namespace pqs::oracle {
 
@@ -29,13 +26,6 @@ class MeritList {
 
   std::uint64_t size() const { return names_by_rank_.size(); }
   const std::string& name_at_rank(std::uint64_t rank) const;
-
-  /// The (counted-query) database whose target is `student`'s rank.
-  /// Throws if the student is not on the list.
-  Database database_for(const std::string& student) const;
-
-  /// Ground-truth rank (test/verification use; does not count queries).
-  std::uint64_t true_rank(const std::string& student) const;
 
   /// Human label for a block under a K-way split, e.g. "top 25%".
   static std::string fraction_label(std::uint64_t block,

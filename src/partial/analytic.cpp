@@ -1,7 +1,6 @@
 #include "partial/analytic.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/math.h"
@@ -12,24 +11,8 @@ namespace {
 using Cplx = std::complex<double>;
 }
 
-double SubspaceState::norm_squared() const {
-  return std::norm(a_t) + std::norm(a_b) + std::norm(a_o);
-}
-
 double SubspaceState::target_block_probability() const {
   return std::norm(a_t) + std::norm(a_b);
-}
-
-std::string SubspaceState::to_string() const {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(6);
-  os << "(a_t=" << a_t.real();
-  if (std::fabs(a_t.imag()) > 1e-12) {
-    os << (a_t.imag() < 0 ? "" : "+") << a_t.imag() << "i";
-  }
-  os << ", a_b=" << a_b.real() << ", a_o=" << a_o.real() << ")";
-  return os.str();
 }
 
 SubspaceModel::SubspaceModel(std::uint64_t n_items, std::uint64_t n_blocks,
@@ -129,10 +112,6 @@ SubspaceState SubspaceModel::run_grk(std::uint64_t l1, std::uint64_t l2) const {
   return apply_step3(s);
 }
 
-Cplx SubspaceModel::per_state_non_target(const SubspaceState& s) const {
-  return s.a_o / w_o_;
-}
-
 Cplx SubspaceModel::per_state_target_rest(const SubspaceState& s) const {
   return s.a_b / w_b_;
 }
@@ -140,10 +119,6 @@ Cplx SubspaceModel::per_state_target_rest(const SubspaceState& s) const {
 double SubspaceModel::step3_residual(const SubspaceState& s) const {
   const SubspaceState after = apply_step3(s);
   return std::abs(after.a_o);
-}
-
-double SubspaceModel::target_block_angle(const SubspaceState& s) const {
-  return std::atan2(std::abs(s.a_t), s.a_b.real());
 }
 
 }  // namespace pqs::partial

@@ -33,13 +33,10 @@ struct SubspaceState {
   std::complex<double> a_b{0.0, 0.0};  ///< amplitude of e_b
   std::complex<double> a_o{0.0, 0.0};  ///< amplitude of e_o
 
-  double norm_squared() const;
   /// Probability that measuring the first k bits returns the target block.
   double target_block_probability() const;
   /// Probability of measuring the target state itself.
   double target_state_probability() const { return std::norm(a_t); }
-
-  std::string to_string() const;
 };
 
 /// The model for a database of `n_items` split into `n_blocks` equal blocks.
@@ -82,9 +79,6 @@ class SubspaceModel {
   /// Queries consumed: l1 + l2 + 1.
   SubspaceState run_grk(std::uint64_t l1, std::uint64_t l2) const;
 
-  /// Per-basis-state amplitude of non-target-block states (they all share
-  /// one value: a_o / sqrt((K-1) N/K)). For Figure-5 style reports.
-  std::complex<double> per_state_non_target(const SubspaceState& s) const;
   /// Per-basis-state amplitude of the non-target states inside the target
   /// block: a_b / sqrt(N/K - 1).
   std::complex<double> per_state_target_rest(const SubspaceState& s) const;
@@ -94,10 +88,6 @@ class SubspaceModel {
   /// blocks; equivalently Step 3 sends a_o to exactly 0. Returns the residual
   /// a_o after a hypothetical Step 3 (0 when the condition holds).
   double step3_residual(const SubspaceState& s) const;
-
-  /// Angle geometry inside the target block (Figure 4): the angle of
-  /// (a_t, a_b) from the e_b axis, in radians.
-  double target_block_angle(const SubspaceState& s) const;
 
   /// Components of the block-uniform axis v inside the target block:
   /// v = (1, sqrt(N/K - 1)) / sqrt(N/K) over (e_t, e_b). Used by the

@@ -7,8 +7,6 @@
 
 namespace pqs::partial {
 
-double full_search_coefficient() { return kQuarterPi; }
-
 double lower_bound_coefficient(std::uint64_t k_blocks) {
   PQS_CHECK(k_blocks >= 2);
   return kQuarterPi * (1.0 - 1.0 / std::sqrt(static_cast<double>(k_blocks)));
@@ -18,21 +16,6 @@ double naive_block_discard_coefficient(std::uint64_t k_blocks) {
   PQS_CHECK(k_blocks >= 2);
   const auto k = static_cast<double>(k_blocks);
   return kQuarterPi * std::sqrt((k - 1.0) / k);
-}
-
-double large_k_constant() { return 1.0 - (2.0 / kPi) * std::asin(kQuarterPi); }
-
-double large_k_upper_coefficient(std::uint64_t k_blocks) {
-  PQS_CHECK(k_blocks >= 2);
-  return kQuarterPi *
-         (1.0 - large_k_constant() / std::sqrt(static_cast<double>(k_blocks)));
-}
-
-double reduction_total_coefficient(double partial_coefficient,
-                                   std::uint64_t k_blocks) {
-  PQS_CHECK(k_blocks >= 2);
-  const double rk = std::sqrt(static_cast<double>(k_blocks));
-  return partial_coefficient * rk / (rk - 1.0);
 }
 
 double classical_full_expected(std::uint64_t n_items) {
@@ -59,11 +42,6 @@ double classical_partial_randomized_exact(std::uint64_t n_items,
   const auto k = static_cast<double>(k_blocks);
   return classical_partial_randomized_paper(n_items, k_blocks) +
          (1.0 - 1.0 / k) / 2.0;
-}
-
-double classical_partial_lower_bound(std::uint64_t n_items,
-                                     std::uint64_t k_blocks) {
-  return classical_partial_randomized_paper(n_items, k_blocks);
 }
 
 }  // namespace pqs::partial

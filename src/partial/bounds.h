@@ -9,9 +9,6 @@
 
 namespace pqs::partial {
 
-/// Full database search: (pi/4) ~ 0.785, optimal by Zalka.
-double full_search_coefficient();
-
 /// Theorem 2 lower bound for partial search: (pi/4)(1 - 1/sqrt(K)).
 /// The paper's table: K=2 -> 0.23, K=3 -> 0.332, K=4 -> 0.393, K=5 -> 0.434,
 /// K=8 -> 0.508, K=32 -> 0.647.
@@ -20,17 +17,6 @@ double lower_bound_coefficient(std::uint64_t k_blocks);
 /// The naive Section-1.2 algorithm (discard one random block, Grover over the
 /// rest): (pi/4) sqrt((K-1)/K) ~ (pi/4)(1 - 1/(2K)).
 double naive_block_discard_coefficient(std::uint64_t k_blocks);
-
-/// Large-K estimate of the Section-3 algorithm with eps = 1/sqrt(K):
-/// (pi/4)(1 - c/sqrt(K)) with c = 1 - (2/pi) arcsin(pi/4) ~ 0.4251 >= 0.42.
-double large_k_upper_coefficient(std::uint64_t k_blocks);
-/// The constant c = 1 - (2/pi) arcsin(pi/4) itself.
-double large_k_constant();
-
-/// Theorem 2 accounting: a partial-search coefficient c run at every level of
-/// the reduction gives full search at c * sqrt(K)/(sqrt(K)-1) * sqrt(N).
-double reduction_total_coefficient(double partial_coefficient,
-                                   std::uint64_t k_blocks);
 
 // --- Classical (Section 1.1 / Appendix A) ---
 
@@ -51,10 +37,5 @@ double classical_partial_randomized_paper(std::uint64_t n_items,
 /// N/2 (1 - 1/K^2) + (1 - 1/K)/2; the Monte-Carlo baseline matches this.
 double classical_partial_randomized_exact(std::uint64_t n_items,
                                           std::uint64_t k_blocks);
-
-/// Appendix A lower-bound value for the uniform-target distribution:
-/// (1 - 1/K) N/2 (1 - 1/K) + (1/K) N (1 - 1/K) = N/2 (1 - 1/K^2).
-double classical_partial_lower_bound(std::uint64_t n_items,
-                                     std::uint64_t k_blocks);
 
 }  // namespace pqs::partial

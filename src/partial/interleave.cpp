@@ -9,14 +9,6 @@
 
 namespace pqs::partial {
 
-std::uint64_t Schedule::iteration_count() const {
-  std::uint64_t total = 0;
-  for (const auto& seg : segments) {
-    total += seg.count;
-  }
-  return total;
-}
-
 std::string Schedule::to_string() const {
   std::ostringstream os;
   bool first = true;
@@ -34,17 +26,6 @@ std::string Schedule::to_string() const {
     os << "(empty)";
   }
   return os.str();
-}
-
-SubspaceState run_schedule(const SubspaceModel& model,
-                           const Schedule& schedule) {
-  SubspaceState s = model.uniform_start();
-  for (const auto& seg : schedule.segments) {
-    for (std::uint64_t i = 0; i < seg.count; ++i) {
-      s = seg.global ? model.apply_global(s) : model.apply_local(s);
-    }
-  }
-  return model.apply_step3(s);
 }
 
 void apply_schedule(const oracle::Database& db, const Schedule& schedule,

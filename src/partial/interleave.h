@@ -31,15 +31,9 @@ struct ScheduleSegment {
 struct Schedule {
   std::vector<ScheduleSegment> segments;
 
-  std::uint64_t iteration_count() const;
-  std::uint64_t query_count() const { return iteration_count() + 1; }
   /// e.g. "G^12 L^5 G^3".
   std::string to_string() const;
 };
-
-/// Evolve the model through a schedule and Step 3; returns the final state.
-SubspaceState run_schedule(const SubspaceModel& model,
-                           const Schedule& schedule);
 
 /// Apply the schedule's iterations (not Step 3) to `backend`, metering
 /// queries on `db`: one Backend::apply_grover_iterations call per run of

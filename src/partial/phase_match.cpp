@@ -9,37 +9,6 @@
 
 namespace pqs::partial {
 
-PhaseMatch solve_phase_match(double A, double B, double R) {
-  PhaseMatch out;
-  if (std::fabs(R) < 1e-14) {
-    // No displacement needed: identity (chi = 0, phi arbitrary).
-    out.feasible = true;
-    return out;
-  }
-  if (std::fabs(A) < 1e-14) {
-    return out;  // no cross coupling; cannot move the complement amplitude
-  }
-  const double denom = A * A - B * B - R * B;
-  if (denom <= 0.0) {
-    return out;
-  }
-  const double u_norm2 = R * R / denom;
-  if (u_norm2 > 4.0 + 1e-12) {
-    return out;
-  }
-  const double cos_chi = 1.0 - std::min(u_norm2, 4.0) / 2.0;
-  const double sin_chi = clamped_sqrt(1.0 - cos_chi * cos_chi);
-  const std::complex<double> u{cos_chi - 1.0, sin_chi};
-  // u A e^{i phi} = R - u B.
-  const std::complex<double> x = (R - u * B) / (u * A);
-  PQS_CHECK_MSG(approx_eq(std::abs(x), 1.0, 1e-6),
-                "phase match solution is not a pure phase");
-  out.feasible = true;
-  out.oracle_phase = std::arg(x);
-  out.diffusion_phase = std::atan2(sin_chi, cos_chi);
-  return out;
-}
-
 PhaseMatch solve_phase_match_affine(double A, double B, double a0, double C) {
   PhaseMatch out;
   if (std::fabs(A) < 1e-14) {

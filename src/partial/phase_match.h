@@ -1,10 +1,9 @@
 // Closed-form phase matching for generalized Grover iterations.
 //
-// Both sure-success constructions in this library (full search in
-// grover/exact.*, partial search in partial/certainty.*) end with one
+// Sure-success partial search (partial/certainty.*) ends with one
 // generalized iteration D(chi) . O(phi): the oracle multiplies the target
 // amplitude by e^{i phi}, and the diffusion is replaced by the rotation
-// I + (e^{i chi} - 1)|u><u| about the relevant uniform axis u.
+// I + (e^{i chi} - 1)|u><u| about the block-uniform axis u.
 //
 // In the 2-D invariant plane spanned by the target direction and its
 // complement, the effect on the complement amplitude is
@@ -12,26 +11,19 @@
 //     a' = a + u (A e^{i phi} + B),   u = e^{i chi} - 1,
 //
 // with real constants A (cross term), B (self term) determined by the
-// geometry. Requiring a' = a + R for a chosen real displacement R and
-// |e^{i phi}| = 1 gives |u|^2 = R^2 / (A^2 - B^2 - R B) in closed form; this
-// header solves that equation.
+// geometry; this header solves for the phases that land a' where Step 3
+// needs it.
 #pragma once
 
 namespace pqs::partial {
 
 struct PhaseMatch {
-  bool feasible = false;  ///< false when one iteration cannot reach R
+  bool feasible = false;  ///< false when one iteration has no solution
   double oracle_phase = 0.0;     ///< phi
   double diffusion_phase = 0.0;  ///< chi
 };
 
-/// Solve u (A e^{i phi} + B) = R for (phi, chi). `A` must be nonzero.
-/// Infeasible when R^2 / (A^2 - B^2 - R B) is not in (0, 4] (the single
-/// generalized iteration cannot produce that displacement).
-PhaseMatch solve_phase_match(double A, double B, double R);
-
-/// The affine form needed when the *other* amplitudes also pick up the
-/// rotation phase: solve
+/// Solve
 ///
 ///     a0 + (e^{i chi} - 1)(A e^{i phi} + B) = C e^{i chi}
 ///

@@ -29,7 +29,6 @@
 #include "qsim/backend.h"
 #include "qsim/batch.h"
 #include "qsim/circuit.h"
-#include "qsim/gates.h"
 #include "qsim/kernels.h"
 #include "qsim/noise.h"
 #include "qsim/types.h"

@@ -163,7 +163,7 @@ class DenseBackend final : public Backend {
                   "Pauli noise needs a power-of-two database");
     const unsigned n = log2_exact(spec_.n_items);
     return for_each_error_qubit(n, model.probability, rng, [&](unsigned q) {
-      kernels::apply_gate1(amps_, n, q, sample_pauli(model.kind, rng));
+      kernels::apply_pauli(amps_, n, q, sample_pauli_kind(model.kind, rng));
     });
   }
 

@@ -1,33 +1,11 @@
 #include "qsim/batch.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/check.h"
 #include "qsim/parallel.h"
 
 namespace pqs::qsim {
-
-std::string ShotReport::to_string(std::size_t max_rows) const {
-  // Sort outcomes by count, descending.
-  std::vector<std::pair<Index, std::uint64_t>> rows(counts.begin(),
-                                                    counts.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second || (a.second == b.second && a.first < b.first);
-  });
-  std::ostringstream os;
-  os << "shots=" << shots << " queries/shot=" << queries_per_shot << "\n";
-  for (std::size_t i = 0; i < rows.size() && i < max_rows; ++i) {
-    os << "  " << rows[i].first << ": " << rows[i].second << " ("
-       << (100.0 * static_cast<double>(rows[i].second) /
-           static_cast<double>(shots))
-       << "%)\n";
-  }
-  if (rows.size() > max_rows) {
-    os << "  ... " << rows.size() - max_rows << " more outcomes\n";
-  }
-  return os.str();
-}
 
 namespace {
 

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -36,8 +35,6 @@ struct ShotReport {
   /// Most frequent outcome and its empirical probability.
   Index mode = 0;
   double mode_frequency = 0.0;
-
-  std::string to_string(std::size_t max_rows = 8) const;
 };
 
 struct BatchOptions {

@@ -6,13 +6,14 @@
 // The two reflection kernels are the work-horses of the paper:
 //   reflect_about_uniform      = I0        = 2|psi0><psi0| - I
 //   reflect_blocks_about_uniform = I_[K] (x) I0,[N/K]   (Section 2.2)
+// The only per-qubit kernel is apply_pauli, which injects the dense
+// engine's Pauli noise; the paper's algorithm needs no single-qubit gate.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "qsim/gates.h"
 #include "qsim/parallel.h"
 #include "qsim/soa.h"
 #include "qsim/types.h"
@@ -65,8 +66,9 @@ namespace pqs::qsim::kernels {
 // thread.
 // ---------------------------------------------------------------------------
 
-/// Apply a 2x2 unitary to qubit `q` (bit q of the index) of an n-qubit state.
-void apply_gate1(SoaVector& v, unsigned n_qubits, unsigned q, const Gate2& g);
+/// Apply the Pauli `p` to qubit `q` (bit q of the index) of an n-qubit
+/// state: the dense engine's noise injection.
+void apply_pauli(SoaVector& v, unsigned n_qubits, unsigned q, Pauli p);
 
 /// Multiply the amplitude of the single basis state `t` by -1 (the selective
 /// inversion I_t = I - 2|t><t| of the paper).

@@ -11,8 +11,9 @@
 //
 // The table holds five primitives, each with a caller in the engine: two
 // reductions (sum, norm_sq), the two fused update-and-sum passes of the
-// reflections and rotations (reflect, add), and gate1, which applies the
-// dense engine's Pauli noise.
+// reflections and rotations (reflect, add), and gate1, a general 2x2 matrix
+// on paired runs that kernels::apply_pauli calls with a constant X, Y or Z
+// table (the dense engine's Pauli noise).
 //
 // The mutating primitives that take sum_re/sum_im out-params accumulate the
 // sums of the values they STORE. That is the fused-sum trick this engine is
@@ -44,8 +45,8 @@ struct KernelOps {
   /// a <- a + c (the block-rotation update); sums of the stored values.
   void (*add)(double* re, double* im, std::size_t n, double c_re, double c_im,
               double* sum_re, double* sum_im);
-  /// 2x2 unitary on the paired runs (re0,im0) / (re1,im1): the caller hands
-  /// the two half-planes of an apply_gate1 stride block.
+  /// 2x2 matrix on the paired runs (re0,im0) / (re1,im1): the caller hands
+  /// the two half-planes of an apply_pauli stride block.
   void (*gate1)(double* re0, double* im0, double* re1, double* im1,
                 std::size_t n, const double m[8]);
 };

@@ -182,31 +182,28 @@ std::size_t incremental_partition(SoaVector& v) {
   return v.sum_block_size();
 }
 
-void pack_gate(const Gate2& g, double m[8]) {
-  m[0] = g.m[0][0].real();
-  m[1] = g.m[0][0].imag();
-  m[2] = g.m[0][1].real();
-  m[3] = g.m[0][1].imag();
-  m[4] = g.m[1][0].real();
-  m[5] = g.m[1][0].imag();
-  m[6] = g.m[1][1].real();
-  m[7] = g.m[1][1].imag();
-}
+// The Paulis as KernelOps::gate1 matrices, {m00, m01, m10, m11} as re/im
+// pairs. Y's off-diagonal entries are -i = {-0.0, -1.0} and i = {0.0, 1.0}:
+// the bits the complex negation -i gives, so trajectories keep their bytes.
+constexpr double kPauliX[8] = {0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0};
+constexpr double kPauliY[8] = {0.0, 0.0, -0.0, -1.0, 0.0, 1.0, 0.0, 0.0};
+constexpr double kPauliZ[8] = {1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0};
 
 }  // namespace
 
-void apply_gate1(SoaVector& v, unsigned n_qubits, unsigned q, const Gate2& g) {
+void apply_pauli(SoaVector& v, unsigned n_qubits, unsigned q, Pauli p) {
   PQS_CHECK_MSG(v.size() == pow2(n_qubits),
                 "state size does not match qubit count");
   PQS_CHECK_MSG(q < n_qubits, "qubit index out of range");
   const KernelOps& ops = active_kernel_ops();
-  double m[8];
-  pack_gate(g, m);
+  const double* m = p == Pauli::kX   ? kPauliX
+                    : p == Pauli::kY ? kPauliY
+                                     : kPauliZ;
   const std::size_t stride = std::size_t{1} << q;
   // One iteration per stride pair: the work is the whole vector either way.
   const auto pairs = static_cast<SIdx>(v.size() / (2 * stride));
-  parallel_for(pairs, parallel_threads(v.size()), [&](SIdx p) {
-    const std::size_t lo = static_cast<std::size_t>(p) * 2 * stride;
+  parallel_for(pairs, parallel_threads(v.size()), [&](SIdx pair) {
+    const std::size_t lo = static_cast<std::size_t>(pair) * 2 * stride;
     ops.gate1(v.re() + lo, v.im() + lo, v.re() + lo + stride,
               v.im() + lo + stride, stride, m);
   });

@@ -28,18 +28,6 @@ Pauli sample_pauli_kind(NoiseKind kind, Rng& rng) {
   throw CheckFailure("sample_pauli: channel has no Pauli (NoiseKind::kNone)");
 }
 
-Gate2 sample_pauli(NoiseKind kind, Rng& rng) {
-  switch (sample_pauli_kind(kind, rng)) {
-    case Pauli::kX:
-      return gates::X();
-    case Pauli::kY:
-      return gates::Y();
-    case Pauli::kZ:
-      return gates::Z();
-  }
-  throw CheckFailure("sample_pauli: invalid Pauli value");
-}
-
 const char* noise_kind_name(NoiseKind kind) {
   switch (kind) {
     case NoiseKind::kNone:

@@ -9,7 +9,8 @@
 // result; tests check the analytically solvable single-qubit cases.
 //
 // Two engines implement the channel (see qsim/backend.h):
-//   * dense — literal Pauli gates on the amplitude array (exact trajectories);
+//   * dense — each Pauli applied to the amplitude array by
+//     kernels::apply_pauli (exact trajectories);
 //   * symmetry — the block-class density argument: each symmetry class keeps
 //     a coherent mean and a total mass, and every Pauli updates the class
 //     moments, which lets noise studies run at n = 32+ qubits.
@@ -20,7 +21,7 @@
 #include <string_view>
 
 #include "common/random.h"
-#include "qsim/gates.h"
+#include "qsim/types.h"
 
 namespace pqs::qsim {
 
@@ -50,9 +51,6 @@ struct NoiseModel {
   /// hot loop.
   void validate() const;
 };
-
-/// Which Pauli a channel injects.
-enum class Pauli { kX, kY, kZ };
 
 /// Visit every qubit hit by one Bernoulli(p) sweep over n_qubits qubits,
 /// in increasing order, without drawing per qubit: the gap to the next hit
@@ -94,9 +92,6 @@ std::uint64_t for_each_error_qubit(unsigned n_qubits, double p, Rng& rng,
 /// Both engines draw through this so they consume identical randomness.
 /// Checked: kind must be a real channel, not kNone.
 Pauli sample_pauli_kind(NoiseKind kind, Rng& rng);
-
-/// The same draw as a gate matrix (the dense engine's form).
-Gate2 sample_pauli(NoiseKind kind, Rng& rng);
 
 /// Human-readable channel name.
 const char* noise_kind_name(NoiseKind kind);

@@ -21,4 +21,8 @@ using Index = std::uint64_t;
 /// would be needed beyond that).
 inline constexpr unsigned kMaxQubits = 30;
 
+/// A single-qubit Pauli operator: the only per-qubit operation the
+/// simulator applies (the Pauli noise channels of qsim/noise.h).
+enum class Pauli { kX, kY, kZ };
+
 }  // namespace pqs::qsim

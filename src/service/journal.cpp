@@ -144,14 +144,6 @@ std::uint64_t Journal::append_accepted(std::string& record) {
   return id;
 }
 
-std::uint64_t Journal::append_accepted(const SearchSpec& canonical_spec,
-                                       int priority) {
-  std::string record = accepted_head(priority, 0);
-  api::write_json(canonical_spec, record);
-  close_accepted(opened_at_.nanos(), record);
-  return append_accepted(record);
-}
-
 std::string Journal::completed_record(std::uint64_t id, JobStatus status,
                                       const SearchReport* report) {
   PQS_CHECK_MSG(status == JobStatus::kDone || status == JobStatus::kCancelled ||
@@ -178,11 +170,6 @@ void Journal::append_completed(std::string_view record) {
   if (completed_appends_ != nullptr) {
     completed_appends_->add();
   }
-}
-
-void Journal::append_completed(std::uint64_t id, JobStatus status,
-                               const SearchReport* report) {
-  append_completed(completed_record(id, status, report));
 }
 
 void Journal::sync() {

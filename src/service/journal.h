@@ -140,11 +140,6 @@ class Journal {
   /// append it; returns the id.
   std::uint64_t append_accepted(std::string& record) PQS_EXCLUDES(mutex_);
 
-  /// Both steps for a canonical spec (marked materialized, no predicate)
-  /// that comes without canonicalize's bytes.
-  std::uint64_t append_accepted(const SearchSpec& canonical_spec,
-                                int priority) PQS_EXCLUDES(mutex_);
-
   /// Serialize the completion marker of record `id`. `report` is embedded
   /// for kDone (that is what pqs_replay --check diffs against) and must be
   /// non-null then; it is ignored for kCancelled / kFailed.
@@ -153,10 +148,6 @@ class Journal {
 
   /// Append a record from completed_record.
   void append_completed(std::string_view record) PQS_EXCLUDES(mutex_);
-
-  /// Both steps.
-  void append_completed(std::uint64_t id, JobStatus status,
-                        const SearchReport* report) PQS_EXCLUDES(mutex_);
 
   /// fsync now, regardless of policy (the replay path calls this once
   /// after resubmitting, before deleting the old history).

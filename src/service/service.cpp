@@ -77,7 +77,7 @@ double JobHandle::progress() const {
   return job_->control.progress();
 }
 
-// The waits spell their predicate as an inline loop instead of the
+// wait() spells its predicate as an inline loop instead of the
 // cv.wait(lock, pred) lambda form: the thread-safety analysis checks a
 // lambda body as a separate function that does not hold job_->mutex, while
 // the inline loop provably runs with the lock held (see
@@ -91,20 +91,6 @@ JobStatus JobHandle::wait() const {
       return s;
     }
     job_->cv.wait(lock);
-  }
-}
-
-JobStatus JobHandle::wait_for(std::chrono::milliseconds timeout) const {
-  const auto deadline = steady_now() + timeout;
-  UniqueLock lock(job_->mutex);
-  while (true) {
-    const JobStatus s = status_locked();
-    if (s != JobStatus::kQueued && s != JobStatus::kRunning) {
-      return s;
-    }
-    if (job_->cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return status_locked();  // (possibly still running) status at timeout
-    }
   }
 }
 
@@ -148,13 +134,6 @@ const std::string& JobHandle::error() const {
                 std::string("JobHandle::error: job is ") +
                     std::string(to_string(s)) + ", not failed");
   return job_->error;
-}
-
-const SearchSpec& JobHandle::spec() const { return job_->spec; }
-const std::string& JobHandle::key() const { return job_->key; }
-
-std::uint64_t JobHandle::trace_id() const {
-  return job_->trace == nullptr ? 0 : job_->trace->id();
 }
 
 std::shared_ptr<const obs::Trace> JobHandle::trace() const {
@@ -354,11 +333,6 @@ JobHandle Service::submit(const SearchSpec& spec, int priority) {
   queue_.emplace(std::make_pair(-priority, job->seq), job);
   queue_cv_.notify_one();
   return attach(job);
-}
-
-std::size_t Service::queue_depth() const {
-  LockGuard lock(mutex_);
-  return queue_.size();
 }
 
 Json Service::metrics_snapshot() const {

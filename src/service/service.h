@@ -30,7 +30,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -165,8 +164,6 @@ class JobHandle {
 
   /// Block until finished; returns the final status.
   JobStatus wait() const;
-  /// Block up to `timeout`; returns the (possibly still running) status.
-  JobStatus wait_for(std::chrono::milliseconds timeout) const;
 
   /// Cancel this attachment. Queued jobs never start; a running job stops
   /// at its next checkpoint — unless other callers are still attached, in
@@ -180,16 +177,10 @@ class JobHandle {
   /// (wire_message). Requires status() == kFailed (throws otherwise).
   const std::string& error() const;
 
-  /// The canonicalized spec this job executes and its coalescing key.
-  const SearchSpec& spec() const;
-  const std::string& key() const;
-
-  /// The trace id of the underlying execution (0 = untraced: tracing
-  /// disabled, or served from the result cache). Coalesced handles share
-  /// the execution's id.
-  std::uint64_t trace_id() const;
-  /// The live span timeline (null when untraced). Spans keep arriving
-  /// while the job runs; obs::Trace reads are internally synchronized.
+  /// The live span timeline (null when untraced: tracing disabled, or
+  /// served from the result cache). Coalesced handles share the
+  /// execution's trace. Spans keep arriving while the job runs; obs::Trace
+  /// reads are internally synchronized.
   std::shared_ptr<const obs::Trace> trace() const;
 
  private:
@@ -225,8 +216,6 @@ class Service {
   /// the queue is at capacity. Predicate specs are materialized here, once.
   JobHandle submit(const SearchSpec& spec, int priority = 0);
 
-  /// Jobs waiting in the queue right now.
-  std::size_t queue_depth() const;
   const Engine& engine() const { return engine_; }
   const ServiceOptions& options() const { return options_; }
 

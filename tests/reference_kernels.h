@@ -8,14 +8,15 @@
 // Means use pairwise sums so that long reflection sequences stay within the
 // tests' 1e-10 tolerance of the chunked pairwise sums of the SoA kernels.
 //
-// Below them sit three groups that run the production SoA kernels, plus the
-// serial scale and mask loops on a SoaVector that the library has no kernel
-// for:
+// Among them is the plain 2x2 gate loop, over a 2x2 type local to the
+// tests: the library applies no gate matrix, only Paulis
+// (kernels::apply_pauli). Below them sit three groups on a SoaVector, with
+// the serial scale and mask loops that the library has no kernel for:
 //   - dense-state helpers (random, basis and uniform SoaVectors, the
 //     L-infinity distance);
-//   - the diffusion views: I0 and I_[K] (x) I0,[N/K] as a gate sequence and
-//     as a dense matrix, so tests can check the fused reflection kernels
-//     operator by operator;
+//   - the diffusion views: I0 and I_[K] (x) I0,[N/K] as a gate sequence run
+//     by the plain gate loop and as a dense matrix, so tests can check the
+//     fused reflection kernels operator by operator;
 //   - gate-level amplitude amplification Q = -A S0 A^{-1} S_t for an
 //     arbitrary preparation A, the reference for the library's
 //     amplify_uniform_on_backend.
@@ -32,7 +33,6 @@
 #include "common/math.h"
 #include "common/random.h"
 #include "oracle/marked_set.h"
-#include "qsim/gates.h"
 #include "qsim/kernels.h"
 #include "qsim/soa.h"
 #include "qsim/types.h"
@@ -68,16 +68,70 @@ inline void scale(Amps& a, Amplitude s) {
   }
 }
 
+/// A 2x2 matrix on one qubit, row-major: the gates the references below
+/// build operators from. The library applies no such gate; its only
+/// per-qubit operation is kernels::apply_pauli.
+struct Gate {
+  Amplitude m00, m01, m10, m11;
+};
+
+inline Gate hadamard() {
+  const double s = 1.0 / std::sqrt(2.0);
+  return {s, s, s, -s};
+}
+
+inline Gate pauli_x() { return {0.0, 1.0, 1.0, 0.0}; }
+
+/// exp(-i theta Y / 2).
+inline Gate ry(double theta) {
+  const double c = std::cos(theta / 2.0);
+  const double s = std::sin(theta / 2.0);
+  return {c, -s, s, c};
+}
+
 /// The 2x2 gate on qubit q.
-inline void apply_gate1(Amps& a, unsigned q, const Gate2& g) {
+inline void apply_gate1(Amps& a, unsigned q, const Gate& g) {
   const std::uint64_t bit = std::uint64_t{1} << q;
   for (std::uint64_t i0 = 0; i0 < a.size(); ++i0) {
     if ((i0 & bit) != 0) {
       continue;
     }
     const Amplitude a0 = a[i0], a1 = a[i0 | bit];
-    a[i0] = g.m[0][0] * a0 + g.m[0][1] * a1;
-    a[i0 | bit] = g.m[1][0] * a0 + g.m[1][1] * a1;
+    a[i0] = g.m00 * a0 + g.m01 * a1;
+    a[i0 | bit] = g.m10 * a0 + g.m11 * a1;
+  }
+}
+
+/// The same on a dense state.
+inline void apply_gate1(SoaVector& v, unsigned q, const Gate& g) {
+  Amps a = v.to_amplitudes();
+  apply_gate1(a, q, g);
+  v = SoaVector::from_amplitudes(a);
+}
+
+/// The Pauli on qubit q: X swaps each pair (a0, a1), Z negates a1, and Y
+/// maps (a0, a1) to (-i a1, i a0).
+inline void apply_pauli(Amps& a, unsigned q, Pauli p) {
+  const std::uint64_t bit = std::uint64_t{1} << q;
+  const Amplitude i{0.0, 1.0};
+  for (std::uint64_t i0 = 0; i0 < a.size(); ++i0) {
+    if ((i0 & bit) != 0) {
+      continue;
+    }
+    const Amplitude a0 = a[i0], a1 = a[i0 | bit];
+    switch (p) {
+      case Pauli::kX:
+        a[i0] = a1;
+        a[i0 | bit] = a0;
+        break;
+      case Pauli::kY:
+        a[i0] = -i * a1;
+        a[i0 | bit] = i * a0;
+        break;
+      case Pauli::kZ:
+        a[i0 | bit] = -a1;
+        break;
+    }
   }
 }
 
@@ -233,19 +287,18 @@ inline double linf_distance(const SoaVector& a, const SoaVector& b) {
 
 // ---- Diffusion views -------------------------------------------------------
 
-/// The H / X / multi-controlled-Z sandwich on the low `bits` of n qubits,
-/// times the global phase -1: 2|u><u| - I with u uniform over those qubits.
-inline void apply_diffusion_gate_level(SoaVector& v, unsigned n_qubits,
-                                       unsigned bits) {
-  for (const Gate2& g : {gates::H(), gates::X()}) {
+/// The H / X / multi-controlled-Z sandwich on the low `bits` qubits, times
+/// the global phase -1: 2|u><u| - I with u uniform over those qubits.
+inline void apply_diffusion_gate_level(SoaVector& v, unsigned bits) {
+  for (const Gate& g : {hadamard(), pauli_x()}) {
     for (unsigned q = 0; q < bits; ++q) {
-      kernels::apply_gate1(v, n_qubits, q, g);
+      apply_gate1(v, q, g);
     }
   }
   phase_flip_mask_all_ones(v, pow2(bits) - 1);
-  for (const Gate2& g : {gates::X(), gates::H()}) {
+  for (const Gate& g : {pauli_x(), hadamard()}) {
     for (unsigned q = 0; q < bits; ++q) {
-      kernels::apply_gate1(v, n_qubits, q, g);
+      apply_gate1(v, q, g);
     }
   }
   scale(v, Amplitude{-1.0, 0.0});
@@ -254,8 +307,7 @@ inline void apply_diffusion_gate_level(SoaVector& v, unsigned n_qubits,
 /// I0 = 2|psi0><psi0| - I as gates; equal (phase included) to
 /// kernels::reflect_about_uniform.
 inline void apply_global_diffusion_gate_level(SoaVector& v) {
-  const unsigned n = log2_exact(v.size());
-  apply_diffusion_gate_level(v, n, n);
+  apply_diffusion_gate_level(v, log2_exact(v.size()));
 }
 
 /// I_[K] (x) I0,[N/K] as gates: the sandwich acts only on the low n-k
@@ -264,7 +316,7 @@ inline void apply_global_diffusion_gate_level(SoaVector& v) {
 inline void apply_block_diffusion_gate_level(SoaVector& v, unsigned k) {
   const unsigned n = log2_exact(v.size());
   PQS_CHECK_MSG(k >= 1 && k < n, "block bits out of range");
-  apply_diffusion_gate_level(v, n, n - k);
+  apply_diffusion_gate_level(v, n - k);
 }
 
 /// Dense row-major matrix of I_[K] (x) I0,[N/K] with K = 2^k blocks; k = 0
@@ -313,7 +365,7 @@ inline Preparation hadamard_preparation() {
   const auto apply = [](SoaVector& v) {
     const unsigned n = log2_exact(v.size());
     for (unsigned q = 0; q < n; ++q) {
-      kernels::apply_gate1(v, n, q, gates::H());
+      apply_gate1(v, q, hadamard());
     }
   };
   return Preparation{apply, apply};

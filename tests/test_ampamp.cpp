@@ -57,12 +57,12 @@ TEST(AmplitudeAmplification, WorksWithNonHadamardPreparation) {
   const unsigned n = 5;
   const auto apply = [n](SoaVector& state) {
     for (unsigned q = 0; q < n; ++q) {
-      qsim::kernels::apply_gate1(state, n, q, qsim::gates::Ry(0.9));
+      qsim::reference::apply_gate1(state, q, qsim::reference::ry(0.9));
     }
   };
   const auto unapply = [n](SoaVector& state) {
     for (unsigned q = 0; q < n; ++q) {
-      qsim::kernels::apply_gate1(state, n, q, qsim::gates::Ry(-0.9));
+      qsim::reference::apply_gate1(state, q, qsim::reference::ry(-0.9));
     }
   };
   const Preparation prep{apply, unapply};

@@ -379,10 +379,9 @@ TEST(SymmetryBackendTest, GroverAtFortyQubitsMatchesClosedForm) {
   const std::uint64_t n_items = pow2(40);
   const oracle::Database db(n_items, 99);
   const std::uint64_t iterations = 123456;
-  grover::SearchOptions options;
-  options.backend = BackendKind::kSymmetry;
   const double p =
-      grover::success_probability_after(db, iterations, options);
+      grover::evolve_on_backend(db, iterations, BackendKind::kSymmetry)
+          ->marked_probability();
   EXPECT_NEAR(p, grover_success_probability(n_items, iterations), 1e-9);
 }
 

@@ -124,14 +124,5 @@ TEST(BatchRunnerTest, NoisyTrajectoriesAreSeedReproducible) {
             BatchRunner::tally(b.map_shots(100, trajectory), 4).counts);
 }
 
-TEST(ShotReportTest, RenderingListsTopOutcomes) {
-  const oracle::Database db = oracle::Database::with_qubits(4, 9);
-  const auto state = grover::evolve_on_backend(db, 2, BackendKind::kDense);
-  const auto report = BatchRunner({.seed = 10}).sample_shots(*state, 200, 2);
-  const std::string text = report.to_string(3);
-  EXPECT_NE(text.find("shots=200"), std::string::npos);
-  EXPECT_NE(text.find("9:"), std::string::npos);  // the target outcome
-}
-
 }  // namespace
 }  // namespace pqs::qsim

@@ -10,10 +10,6 @@
 namespace pqs::partial {
 namespace {
 
-TEST(Bounds, FullSearchIsQuarterPi) {
-  EXPECT_NEAR(full_search_coefficient(), 0.785, 5e-4);
-}
-
 TEST(Bounds, LowerBoundMatchesPaperTable) {
   // Section 3.1 table, "Lower bound" column.
   EXPECT_NEAR(lower_bound_coefficient(2), 0.230, 5e-4);
@@ -47,36 +43,14 @@ TEST(Bounds, NaiveBlockDiscardMatchesSection12) {
   }
 }
 
-TEST(Bounds, LargeKConstantIsPoint425) {
-  // 1 - (2/pi) arcsin(pi/4) = 0.4251... >= the paper's 0.42.
-  EXPECT_NEAR(large_k_constant(), 0.425, 5e-4);
-  EXPECT_GE(large_k_constant(), 0.42);
-}
-
-TEST(Bounds, OrderingLowerUpperNaiveFull) {
-  // For every K: lower bound < large-K upper estimate < naive < pi/4.
+TEST(Bounds, OrderingLowerNaiveFull) {
+  // For every K: lower bound < naive < pi/4.
   for (std::uint64_t k = 5; k <= 1u << 16; k *= 2) {
     const double lb = lower_bound_coefficient(k);
-    const double ub = large_k_upper_coefficient(k);
     const double naive = naive_block_discard_coefficient(k);
-    EXPECT_LT(lb, ub) << "K=" << k;
-    EXPECT_LT(ub, naive) << "K=" << k;
+    EXPECT_LT(lb, naive) << "K=" << k;
     EXPECT_LT(naive, kQuarterPi) << "K=" << k;
   }
-}
-
-TEST(Bounds, ReductionCoefficientGeometricSeries) {
-  // c sqrt(K)/(sqrt(K)-1) with c = pi/4 (1 - 1/sqrt(K)) gives exactly pi/4:
-  // the lower-bound reduction is tight.
-  for (std::uint64_t k : {2u, 4u, 16u, 256u}) {
-    EXPECT_NEAR(reduction_total_coefficient(lower_bound_coefficient(k), k),
-                kQuarterPi, 1e-12)
-        << "K=" << k;
-  }
-}
-
-TEST(Bounds, ReductionValidatesK) {
-  EXPECT_THROW(reduction_total_coefficient(0.5, 1), CheckFailure);
 }
 
 TEST(Bounds, ClassicalFullExpected) {
@@ -120,15 +94,6 @@ TEST(Bounds, ClassicalPartialSavingsVanishQuadratically) {
                     (static_cast<double>(k) * static_cast<double>(k)),
                 1e-9)
         << "K=" << k;
-  }
-}
-
-TEST(Bounds, AppendixALowerBoundEqualsAlgorithmCost) {
-  // The randomized algorithm meets the Appendix-A lower bound exactly (to
-  // leading order): the algorithm is optimal.
-  for (std::uint64_t k : {2u, 3u, 4u, 8u}) {
-    EXPECT_DOUBLE_EQ(classical_partial_lower_bound(24 * k, k),
-                     classical_partial_randomized_paper(24 * k, k));
   }
 }
 

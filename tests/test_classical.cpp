@@ -109,16 +109,6 @@ TEST(ClassicalPartial, WorstCaseNeverExceedsDeterministicBound) {
   }
 }
 
-TEST(ClassicalPartial, FixedOrderExpectationFormula) {
-  // The closed form behind the Appendix-A lower-bound demonstration equals
-  // the exact randomized expectation.
-  for (const std::uint64_t k : {2u, 4u, 6u}) {
-    EXPECT_NEAR(expected_probes_fixed_order(120, k),
-                partial::classical_partial_randomized_exact(120, k), 1e-9)
-        << "K=" << k;
-  }
-}
-
 TEST(ClassicalPartial, LayoutMismatchRejected) {
   Rng rng(9);
   const oracle::Database db(24, 0);

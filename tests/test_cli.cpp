@@ -46,6 +46,23 @@ TEST(Cli, BadIntegerThrows) {
   EXPECT_THROW(cli.get_int("n", 0, "qubits"), CheckFailure);
 }
 
+TEST(Cli, NumbersWithTrailingCharactersThrow) {
+  // std::stoll / std::stod stop at the first bad character; a value counts
+  // only when all of it parses.
+  EXPECT_THROW(make_cli({"--qubits", "8x"}).get_int("qubits", 0, ""),
+               CheckFailure);
+  EXPECT_THROW(make_cli({"--qubits", "1e1"}).get_int("qubits", 0, ""),
+               CheckFailure);
+  EXPECT_THROW(make_cli({"--threads=4x"}).get_int("threads", 0, ""),
+               CheckFailure);
+  EXPECT_THROW(make_cli({"--p", "0.25x"}).get_double("p", 0.0, ""),
+               CheckFailure);
+  EXPECT_THROW(make_cli({"--p", "1e-3 "}).get_double("p", 0.0, ""),
+               CheckFailure);
+  EXPECT_EQ(make_cli({"--qubits", "8"}).get_int("qubits", 0, ""), 8);
+  EXPECT_DOUBLE_EQ(make_cli({"--p", "1e-3"}).get_double("p", 0.0, ""), 1e-3);
+}
+
 TEST(Cli, HelpRequested) {
   auto cli = make_cli({"--help"});
   EXPECT_TRUE(cli.help_requested());

@@ -12,26 +12,12 @@ namespace {
 TEST(Schedule, CountsAndRendering) {
   Schedule s;
   s.segments = {{true, 12}, {false, 5}, {true, 3}};
-  EXPECT_EQ(s.iteration_count(), 20u);
-  EXPECT_EQ(s.query_count(), 21u);
   EXPECT_EQ(s.to_string(), "G^12 L^5 G^3");
 }
 
 TEST(Schedule, EmptyRendering) {
   Schedule s;
   EXPECT_EQ(s.to_string(), "(empty)");
-  EXPECT_EQ(s.query_count(), 1u);  // step 3 only
-}
-
-TEST(RunSchedule, MatchesManualEvolution) {
-  const SubspaceModel model(1 << 10, 4);
-  Schedule s;
-  s.segments = {{true, 7}, {false, 3}};
-  const auto via_schedule = run_schedule(model, s);
-  const auto direct = model.run_grk(7, 3);
-  EXPECT_LT(std::abs(via_schedule.a_t - direct.a_t), 1e-13);
-  EXPECT_LT(std::abs(via_schedule.a_b - direct.a_b), 1e-13);
-  EXPECT_LT(std::abs(via_schedule.a_o - direct.a_o), 1e-13);
 }
 
 TEST(Interleave, TwoSegmentsReproducesIntegerOptimizer) {
@@ -64,7 +50,11 @@ TEST(Interleave, OptimumMeetsFloorAndAlternates) {
   const auto opt =
       optimize_interleaved(n_items, 4, default_min_success(n_items), 3);
   EXPECT_GE(opt.success, default_min_success(n_items));
-  EXPECT_EQ(opt.queries, opt.schedule.query_count());
+  std::uint64_t iterations = 0;
+  for (const auto& segment : opt.schedule.segments) {
+    iterations += segment.count;
+  }
+  EXPECT_EQ(opt.queries, iterations + 1);  // + Step 3
   for (std::size_t i = 1; i < opt.schedule.segments.size(); ++i) {
     EXPECT_NE(opt.schedule.segments[i].global,
               opt.schedule.segments[i - 1].global)

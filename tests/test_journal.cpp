@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -173,6 +174,21 @@ SearchSpec test_spec(const std::string& algorithm, std::uint64_t seed) {
   return spec;
 }
 
+/// Journal `spec` as Service::submit does: canonicalize, serialize the
+/// record, then stamp its id and append it.
+std::uint64_t append_accepted(Journal& journal, const SearchSpec& spec,
+                              int priority) {
+  std::string record =
+      journal.accepted_record(api::canonicalize(spec), priority);
+  return journal.append_accepted(record);
+}
+
+/// Journal a completion marker as Service's finish path does.
+void append_completed(Journal& journal, std::uint64_t id, JobStatus status,
+                      const SearchReport* report) {
+  journal.append_completed(Journal::completed_record(id, status, report));
+}
+
 // ---- randomized journal-line round trip ------------------------------------
 
 SearchSpec random_spec(Rng& rng) {
@@ -187,6 +203,10 @@ SearchSpec random_spec(Rng& rng) {
   for (std::size_t i = 0; i < n_marked; ++i) {
     spec.marked.push_back(rng.uniform_below(spec.n_items));
   }
+  // canonicalize admits only a sorted, duplicate-free marked set.
+  std::sort(spec.marked.begin(), spec.marked.end());
+  spec.marked.erase(std::unique(spec.marked.begin(), spec.marked.end()),
+                    spec.marked.end());
   spec.backend = static_cast<qsim::BackendKind>(rng.uniform_below(3));
   spec.noise.kind = static_cast<qsim::NoiseKind>(rng.uniform_below(4));
   spec.noise.probability = static_cast<double>(rng.uniform_below(1000)) / 1e4;
@@ -209,7 +229,7 @@ TEST(JournalRoundTripTest, RandomSpecsAndPrioritiesSurviveRecovery) {
       // doubles on the wire and must come back as the same int.
       priorities.push_back(static_cast<int>(rng.uniform_below(7)) - 3);
       const std::uint64_t id =
-          journal.append_accepted(specs.back(), priorities.back());
+          append_accepted(journal, specs.back(), priorities.back());
       EXPECT_EQ(id, static_cast<std::uint64_t>(i + 1));
     }
   }
@@ -232,8 +252,8 @@ TEST(JournalRecoveryTest, TornFinalLineSkippedAtEveryTruncationOffset) {
   TempDir dir;
   {
     Journal journal(dir.wal(), JournalSync::kNone);
-    journal.append_accepted(test_spec("grover", 1), 0);
-    journal.append_accepted(test_spec("grover", 2), 2);
+    append_accepted(journal, test_spec("grover", 1), 0);
+    append_accepted(journal, test_spec("grover", 2), 2);
   }
   std::ifstream in(dir.wal(), std::ios::binary);
   std::ostringstream bytes;
@@ -285,10 +305,10 @@ TEST(JournalRecoveryTest, CompletionMarkerSettlesItsRecord) {
   report.trials = 8;
   {
     Journal journal(dir.wal(), JournalSync::kNone);
-    const std::uint64_t a = journal.append_accepted(test_spec("grover", 1), 0);
-    const std::uint64_t b = journal.append_accepted(test_spec("grover", 2), 0);
-    journal.append_completed(a, JobStatus::kDone, &report);
-    journal.append_completed(b, JobStatus::kCancelled, nullptr);
+    const std::uint64_t a = append_accepted(journal, test_spec("grover", 1), 0);
+    const std::uint64_t b = append_accepted(journal, test_spec("grover", 2), 0);
+    append_completed(journal, a, JobStatus::kDone, &report);
+    append_completed(journal, b, JobStatus::kCancelled, nullptr);
   }
   const RecoveredJournal recovered = Journal::recover_file(dir.wal());
   EXPECT_EQ(recovered.accepted, 2u);
@@ -321,13 +341,13 @@ TEST(JournalRecoveryTest, RecordIdsContinueAcrossReopen) {
   TempDir dir;
   {
     Journal journal(dir.wal(), JournalSync::kNone);
-    EXPECT_EQ(journal.append_accepted(test_spec("grover", 1), 0), 1u);
+    EXPECT_EQ(append_accepted(journal, test_spec("grover", 1), 0), 1u);
   }
   {
     // Same file, new process: ids must not restart at 1, or completion
     // markers would pair with the wrong accepted record.
     Journal journal(dir.wal(), JournalSync::kNone);
-    EXPECT_EQ(journal.append_accepted(test_spec("grover", 2), 0), 2u);
+    EXPECT_EQ(append_accepted(journal, test_spec("grover", 2), 0), 2u);
   }
   EXPECT_EQ(Journal::recover_file(dir.wal()).max_id, 2u);
 }
@@ -429,9 +449,9 @@ TEST(ReplayTest, EqualKeysExecuteOnceAndLandOneFreshRecord) {
   TempDir dir;
   {
     Journal journal(dir.wal(), JournalSync::kNone);
-    journal.append_accepted(test_spec("counting", 21), 0);
-    journal.append_accepted(test_spec("counting", 21), 0);  // same key
-    journal.append_accepted(test_spec("counting", 22), 0);
+    append_accepted(journal, test_spec("counting", 21), 0);
+    append_accepted(journal, test_spec("counting", 21), 0);  // same key
+    append_accepted(journal, test_spec("counting", 22), 0);
   }
   Journal::Opened opened = Journal::recover_and_open(dir.wal(),
                                                      JournalSync::kNone);
@@ -462,7 +482,7 @@ TEST(ReplayTest, FullQueueIsWaitedOutNeverDropped) {
   {
     Journal journal(dir.wal(), JournalSync::kNone);
     for (std::uint64_t seed = 31; seed < 37; ++seed) {
-      journal.append_accepted(test_spec("sleepy", seed), 0);
+      append_accepted(journal, test_spec("sleepy", seed), 0);
     }
   }
   const RecoveredJournal recovered = Journal::recover_file(dir.wal());
@@ -488,10 +508,13 @@ TEST(ReplayTest, StaleSpecIsSkippedWithAWarning) {
     // Parses fine (the knobs validate) but can no longer SUBMIT: address
     // 100 in a 64-item space fails marked-set materialization — the shape
     // of a record written by an older, laxer build.
-    SearchSpec stale = test_spec("counting", 41);
-    stale.marked = {100};
-    journal.append_accepted(stale, 0);
-    journal.append_accepted(test_spec("counting", 42), 0);
+    const auto valid = api::canonicalize(test_spec("counting", 41));
+    std::string stale = journal.accepted_record(valid, 0);
+    const std::size_t marked = stale.find(R"("marked":[9])");
+    ASSERT_NE(marked, std::string::npos);
+    stale.replace(marked, 12, R"("marked":[100])");
+    journal.append_accepted(stale);
+    append_accepted(journal, test_spec("counting", 42), 0);
   }
   const RecoveredJournal recovered = Journal::recover_file(dir.wal());
   ASSERT_EQ(recovered.pending.size(), 2u);
@@ -512,7 +535,7 @@ TEST(ReplayTest, DoubleCrashMergesParkedHistoryOldestFirst) {
   const SearchSpec spec_b = test_spec("counting", 52);
   {
     Journal journal(dir.wal(), JournalSync::kNone);
-    journal.append_accepted(spec_a, 0);
+    append_accepted(journal, spec_a, 0);
   }
   // First recovery: history rotates into .recovering, a fresh journal
   // opens, and (simulating replay) one resubmission lands... then the
@@ -524,7 +547,7 @@ TEST(ReplayTest, DoubleCrashMergesParkedHistoryOldestFirst) {
     EXPECT_TRUE(
         std::filesystem::exists(Journal::recovering_path(dir.wal())));
     EXPECT_EQ(Journal::recover_file(dir.wal()).accepted, 0u);  // fresh
-    first.journal->append_accepted(spec_b, 0);
+    append_accepted(*first.journal, spec_b, 0);
     // no finish_recovery: the double-crash shape
   }
   // Second recovery must merge BOTH files — parked history first — and
@@ -551,11 +574,11 @@ TEST(ReplayTest, DoubleCrashIdsNeverCollideAcrossGenerations) {
   {
     // Generation 1: ids 1..4; id 1 settles, so pending ids are {2, 3, 4}.
     Journal journal(dir.wal(), JournalSync::kNone);
-    journal.append_accepted(test_spec("counting", 70), 0);
-    journal.append_accepted(spec_b, 0);
-    journal.append_accepted(spec_c, 0);
-    journal.append_accepted(spec_d, 0);
-    journal.append_completed(1, JobStatus::kCancelled, nullptr);
+    append_accepted(journal, test_spec("counting", 70), 0);
+    append_accepted(journal, spec_b, 0);
+    append_accepted(journal, spec_c, 0);
+    append_accepted(journal, spec_d, 0);
+    append_completed(journal, 1, JobStatus::kCancelled, nullptr);
   }
   {
     // First recovery: generation 2's ids must continue AFTER the parked
@@ -565,14 +588,14 @@ TEST(ReplayTest, DoubleCrashIdsNeverCollideAcrossGenerations) {
                                                       JournalSync::kNone);
     ASSERT_EQ(first.recovered.pending.size(), 3u);
     ASSERT_EQ(first.recovered.max_id, 4u);
-    EXPECT_EQ(first.journal->append_accepted(spec_b, 0), 5u);
-    EXPECT_EQ(first.journal->append_accepted(spec_c, 0), 6u);
-    const std::uint64_t replayed_d = first.journal->append_accepted(spec_d, 0);
+    EXPECT_EQ(append_accepted(*first.journal, spec_b, 0), 5u);
+    EXPECT_EQ(append_accepted(*first.journal, spec_c, 0), 6u);
+    const std::uint64_t replayed_d = append_accepted(*first.journal, spec_d, 0);
     EXPECT_EQ(replayed_d, 7u);
     // The replayed spec_d settles out of order (a later job finishing
     // first)... then this recovery dies before finish_recovery, with the
     // replayed spec_b / spec_c still unfinished.
-    first.journal->append_completed(replayed_d, JobStatus::kCancelled,
+    append_completed(*first.journal, replayed_d, JobStatus::kCancelled,
                                     nullptr);
   }
   // Second recovery parses both generations in one id-space. With unique

@@ -36,12 +36,6 @@ SoaVector random_state(unsigned n_qubits, Rng& rng) {
   return SoaVector::from_amplitudes(amps);
 }
 
-SoaVector basis_state(std::size_t size, Index x) {
-  SoaVector v(size);
-  v.set(x, 1.0);
-  return v;
-}
-
 void expect_near(const SoaVector& a, const SoaVector& b, double tol) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -49,40 +43,10 @@ void expect_near(const SoaVector& a, const SoaVector& b, double tol) {
   }
 }
 
-TEST(Kernels, Gate1OnBasisStates) {
-  // X on qubit 1 of |00> gives |10> (index 2).
-  SoaVector v = basis_state(4, 0);
-  kernels::apply_gate1(v, 2, 1, gates::X());
-  EXPECT_NEAR(std::abs(v.get(2)), 1.0, 1e-12);
-  EXPECT_NEAR(std::abs(v.get(0)), 0.0, 1e-12);
-}
-
-TEST(Kernels, Gate1PreservesNorm) {
-  Rng rng(3);
-  for (unsigned n = 1; n <= 6; ++n) {
-    SoaVector v = random_state(n, rng);
-    for (unsigned q = 0; q < n; ++q) {
-      kernels::apply_gate1(v, n, q, gates::Ry(0.37 * (q + 1)));
-    }
-    EXPECT_NEAR(kernels::norm_squared(v), 1.0, 1e-10);
-  }
-}
-
-TEST(Kernels, Gate1CommutesOnDistinctQubits) {
-  Rng rng(5);
-  SoaVector a = random_state(4, rng);
-  SoaVector b = a;
-  kernels::apply_gate1(a, 4, 0, gates::H());
-  kernels::apply_gate1(a, 4, 3, gates::T());
-  kernels::apply_gate1(b, 4, 3, gates::T());
-  kernels::apply_gate1(b, 4, 0, gates::H());
-  expect_near(a, b, 1e-12);
-}
-
-TEST(Kernels, Gate1RejectsBadArguments) {
+TEST(Kernels, PauliRejectsBadArguments) {
   SoaVector v(4);
-  EXPECT_THROW(kernels::apply_gate1(v, 2, 2, gates::X()), CheckFailure);
-  EXPECT_THROW(kernels::apply_gate1(v, 3, 0, gates::X()), CheckFailure);
+  EXPECT_THROW(kernels::apply_pauli(v, 2, 2, Pauli::kX), CheckFailure);
+  EXPECT_THROW(kernels::apply_pauli(v, 3, 0, Pauli::kX), CheckFailure);
 }
 
 TEST(Kernels, PhaseFlipIndexIsInvolutive) {
@@ -367,17 +331,18 @@ TEST_P(IsaSweep, RotateBlocksMatchesReference) {
   expect_matches(v, ref);
 }
 
-TEST_P(IsaSweep, Gate1MatchesReferenceAcrossStrides) {
+TEST_P(IsaSweep, PauliMatchesAPlainLoopOnEveryQubit) {
   Rng rng(109);
-  for (unsigned n = 1; n <= 5; ++n) {  // n = 1: N = 2, below register width
-    auto ref = random_amps(pow2(n), rng);
-    SoaVector v = SoaVector::from_amplitudes(ref);
-    for (unsigned q = 0; q < n; ++q) {  // strides 1, 2, 4, ...
-      const Gate2 g = gates::Ry(0.41 * (q + 1));
-      reference::apply_gate1(ref, q, g);
-      kernels::apply_gate1(v, n, q, g);
+  for (const Pauli p : {Pauli::kX, Pauli::kY, Pauli::kZ}) {
+    for (unsigned n = 1; n <= 5; ++n) {  // n = 1: N = 2, below register width
+      for (unsigned q = 0; q < n; ++q) {  // strides 1, 2, 4, ...
+        auto ref = random_amps(pow2(n), rng);
+        SoaVector v = SoaVector::from_amplitudes(ref);
+        reference::apply_pauli(ref, q, p);
+        kernels::apply_pauli(v, n, q, p);
+        expect_matches(v, ref);
+      }
     }
-    expect_matches(v, ref);
   }
 }
 

@@ -64,11 +64,6 @@ TEST(ClampedSqrt, Basics) {
   EXPECT_THROW(clamped_sqrt(-1.0), CheckFailure);
 }
 
-TEST(ApproxRel, ScalesWithMagnitude) {
-  EXPECT_TRUE(approx_rel(1e9, 1e9 + 1.0, 1e-8));
-  EXPECT_FALSE(approx_rel(1.0, 1.1, 1e-8));
-}
-
 TEST(GroverAngle, UniqueTarget) {
   // sin(theta) = 1/sqrt(N).
   EXPECT_NEAR(grover_angle(4), std::asin(0.5), 1e-15);

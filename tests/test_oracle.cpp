@@ -44,17 +44,10 @@ TEST(Database, NonPowerOfTwoSizesAllowed) {
   EXPECT_TRUE(db.probe(7));
 }
 
-TEST(BlockLayout, AddressRoundTrip) {
-  const BlockLayout layout(24, 4);
-  EXPECT_EQ(layout.block_size(), 6u);
-  for (Index x = 0; x < 24; ++x) {
-    EXPECT_EQ(layout.address(layout.block_of(x), layout.offset_of(x)), x);
-  }
-}
-
-TEST(BlockLayout, WithBitsMatchesPaperConvention) {
+TEST(BlockLayout, BlockIsTheFirstKBits) {
   // First k bits of the address = the block index.
-  const auto layout = BlockLayout::with_bits(6, 2);
+  const BlockLayout layout(64, 4);
+  EXPECT_EQ(layout.block_size(), 16u);
   EXPECT_EQ(layout.num_blocks(), 4u);
   EXPECT_EQ(layout.block_of(0b110101), 0b110101 >> 4);
 }
@@ -84,7 +77,7 @@ TEST(MarkedDatabase, DeduplicatesAndSorts) {
 TEST(MarkedDatabase, EmptyMarkedSetAllowed) {
   const MarkedDatabase db(8, {});
   EXPECT_EQ(db.num_marked(), 0u);
-  EXPECT_FALSE(db.probe(0));
+  EXPECT_FALSE(db.peek(0));
 }
 
 TEST(MeritList, DeterministicFromSeed) {
@@ -93,26 +86,6 @@ TEST(MeritList, DeterministicFromSeed) {
   for (std::uint64_t r = 0; r < 64; ++r) {
     EXPECT_EQ(a.name_at_rank(r), b.name_at_rank(r));
   }
-}
-
-TEST(MeritList, DatabaseTargetsTrueRank) {
-  const MeritList list(32, 11);
-  const std::string student = list.name_at_rank(17);
-  const Database db = list.database_for(student);
-  EXPECT_EQ(db.size(), 32u);
-  EXPECT_EQ(db.target(), 17u);
-  EXPECT_EQ(list.true_rank(student), 17u);
-}
-
-TEST(MeritList, UnknownStudentThrows) {
-  const MeritList list(8, 1);
-  EXPECT_THROW(list.database_for("nobody"), CheckFailure);
-}
-
-TEST(MeritList, FractionLabels) {
-  EXPECT_EQ(MeritList::fraction_label(0, 4), "top 25%");
-  EXPECT_EQ(MeritList::fraction_label(3, 4), "bottom 25%");
-  EXPECT_EQ(MeritList::fraction_label(1, 4), "25%-50% band");
 }
 
 }  // namespace

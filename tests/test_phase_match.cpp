@@ -13,49 +13,11 @@ namespace {
 
 using Cplx = std::complex<double>;
 
-Cplx residual_r_form(const PhaseMatch& pm, double A, double B, double R) {
-  const Cplx u = std::polar(1.0, pm.diffusion_phase) - 1.0;
-  return u * (A * std::polar(1.0, pm.oracle_phase) + B) - R;
-}
-
 Cplx residual_affine(const PhaseMatch& pm, double A, double B, double a0,
                      double C) {
   const Cplx zeta = std::polar(1.0, pm.diffusion_phase);
   const Cplx u = zeta - 1.0;
   return a0 + u * (A * std::polar(1.0, pm.oracle_phase) + B) - C * zeta;
-}
-
-TEST(PhaseMatchRForm, SolutionSatisfiesEquation) {
-  Rng rng(101);
-  int feasible = 0;
-  for (int trial = 0; trial < 500; ++trial) {
-    const double A = rng.uniform(-1.0, 1.0);
-    const double B = rng.uniform(-1.0, 1.0);
-    const double R = rng.uniform(-0.5, 0.5);
-    const auto pm = solve_phase_match(A, B, R);
-    if (!pm.feasible) {
-      continue;
-    }
-    ++feasible;
-    ASSERT_LT(std::abs(residual_r_form(pm, A, B, R)), 1e-9)
-        << "A=" << A << " B=" << B << " R=" << R;
-  }
-  EXPECT_GT(feasible, 100);  // the feasible region is a fat set
-}
-
-TEST(PhaseMatchRForm, ZeroDisplacementIsIdentity) {
-  const auto pm = solve_phase_match(0.5, 0.2, 0.0);
-  ASSERT_TRUE(pm.feasible);
-  EXPECT_DOUBLE_EQ(pm.diffusion_phase, 0.0);
-}
-
-TEST(PhaseMatchRForm, NoCouplingIsInfeasible) {
-  EXPECT_FALSE(solve_phase_match(0.0, 0.3, 0.2).feasible);
-}
-
-TEST(PhaseMatchRForm, UnreachableDisplacementIsInfeasible) {
-  // |u|^2 = R^2/(A^2 - B^2 - RB) > 4 for tiny A and large R.
-  EXPECT_FALSE(solve_phase_match(0.01, 0.0, 0.9).feasible);
 }
 
 TEST(PhaseMatchAffine, SolutionSatisfiesEquation) {

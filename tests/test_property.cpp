@@ -21,14 +21,12 @@ namespace pqs {
 namespace {
 
 using qsim::Amplitude;
-using qsim::Gate2;
 using qsim::SoaVector;
 namespace kernels = qsim::kernels;
 namespace reference = qsim::reference;
 
-Gate2 random_gate(Rng& rng) {
-  return qsim::gates::U(rng.uniform(0.0, kPi), rng.uniform(0.0, 2.0 * kPi),
-                        rng.uniform(0.0, 2.0 * kPi));
+qsim::Pauli random_pauli(Rng& rng) {
+  return static_cast<qsim::Pauli>(rng.uniform_below(3));
 }
 
 class RandomCircuitProperty : public ::testing::TestWithParam<unsigned> {};
@@ -41,9 +39,9 @@ TEST_P(RandomCircuitProperty, NormIsPreservedByAnyOpSequence) {
   for (int step = 0; step < 60; ++step) {
     switch (rng.uniform_below(6)) {
       case 0:
-        kernels::apply_gate1(state, n,
+        kernels::apply_pauli(state, n,
                              static_cast<unsigned>(rng.uniform_below(n)),
-                             random_gate(rng));
+                             random_pauli(rng));
         break;
       case 1:
         kernels::phase_flip_index(state, target);
@@ -85,26 +83,11 @@ TEST_P(RandomCircuitProperty, ReflectionsAreInvolutions) {
   kernels::reflect_non_target_about_their_mean(state, t);
   kernels::phase_flip_index(state, t);
   kernels::phase_flip_index(state, t);
+  const auto q = static_cast<unsigned>(rng.uniform_below(n));
+  const qsim::Pauli p = random_pauli(rng);
+  kernels::apply_pauli(state, n, q, p);
+  kernels::apply_pauli(state, n, q, p);
   EXPECT_LT(reference::linf_distance(state, before), 1e-10);
-}
-
-TEST_P(RandomCircuitProperty, GateSequenceUndoneByAdjointsInReverse) {
-  const unsigned n = 5;
-  Rng rng(30'000 + GetParam());
-  SoaVector state = reference::uniform_state(n);
-  const SoaVector before = state;
-
-  std::vector<std::pair<unsigned, Gate2>> applied;
-  for (int step = 0; step < 25; ++step) {
-    const auto q = static_cast<unsigned>(rng.uniform_below(n));
-    const Gate2 g = random_gate(rng);
-    kernels::apply_gate1(state, n, q, g);
-    applied.emplace_back(q, g);
-  }
-  for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
-    kernels::apply_gate1(state, n, it->first, it->second.adjoint());
-  }
-  EXPECT_LT(reference::linf_distance(state, before), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCircuitProperty,

@@ -103,21 +103,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sum2 / kSamples, 1.0, 0.02);
 }
 
-TEST(Rng, BernoulliFrequency) {
-  Rng rng(29);
-  int hits = 0;
-  for (int i = 0; i < 100000; ++i) {
-    hits += rng.bernoulli(0.3) ? 1 : 0;
-  }
-  EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
-}
-
-TEST(Rng, BernoulliRejectsBadProbability) {
-  Rng rng(1);
-  EXPECT_THROW(rng.bernoulli(-0.1), CheckFailure);
-  EXPECT_THROW(rng.bernoulli(1.1), CheckFailure);
-}
-
 TEST(Rng, PermutationIsAPermutation) {
   Rng rng(31);
   const auto perm = rng.permutation(100);
@@ -153,16 +138,6 @@ TEST(Rng, SampleDiscreteRejectsDegenerateInput) {
   EXPECT_THROW(rng.sample_discrete({}), CheckFailure);
   EXPECT_THROW(rng.sample_discrete({0.0, 0.0}), CheckFailure);
   EXPECT_THROW(rng.sample_discrete({1.0, -1.0}), CheckFailure);
-}
-
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng parent(43);
-  Rng child = parent.split();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    same += parent.next() == child.next() ? 1 : 0;
-  }
-  EXPECT_LT(same, 4);
 }
 
 TEST(Splitmix64, KnownFirstOutput) {

@@ -145,7 +145,7 @@ TEST(CumulativeTableTest, RandomWeightsOnlyYieldPositiveBinsAtTheirRates) {
     const auto size = static_cast<std::size_t>(gen.uniform_int(1, 300));
     std::vector<double> weights(size);
     for (double& w : weights) {
-      w = gen.bernoulli(0.35) ? 0.0 : gen.uniform01() * gen.uniform01();
+      w = gen.uniform01() < 0.35 ? 0.0 : gen.uniform01() * gen.uniform01();
     }
     weights[static_cast<std::size_t>(gen.uniform_below(size))] = 0.5;
     const CumulativeTable table(weights);
@@ -372,7 +372,8 @@ TEST(SamplerDeterminismTest, OutcomesIgnoreThreadBudgetAndTeamSize) {
       EXPECT_EQ(block_outcomes, reference_blocks);
       EXPECT_EQ(index_outcomes, reference_index);
       EXPECT_EQ(report.counts, reference_report.counts);
-      EXPECT_EQ(report.to_string(), reference_report.to_string());
+      EXPECT_EQ(report.mode, reference_report.mode);
+      EXPECT_EQ(report.mode_frequency, reference_report.mode_frequency);
     }
   }
   set_thread_budget(0);

@@ -341,12 +341,11 @@ TEST(JournalRecordTest, AcceptedRecordsEqualTheTreeDump) {
           journal.accepted_record(api::canonicalize(spec), priority);
       journal.append_accepted(record);
     }
-    journal.append_accepted(spec, -1);  // the spec-only overload
   }
   std::ifstream in(path);
   std::string line;
   std::uint64_t id = 41;
-  for (const int priority : {-3, 0, 7, -1}) {
+  for (const int priority : priorities) {
     ASSERT_TRUE(std::getline(in, line));
     const std::uint64_t t_ns = Json::parse(line).at("t_ns").as_uint();
     EXPECT_EQ(line, tree_accepted(id++, priority, spec, t_ns).dump());

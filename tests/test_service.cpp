@@ -255,7 +255,11 @@ TEST(ServiceQueueTest, PriorityRunsFirstFifoWithin) {
   JobHandle low_a = service.submit(test_spec("counting", 1), /*priority=*/0);
   JobHandle low_b = service.submit(test_spec("counting", 2), /*priority=*/0);
   JobHandle high = service.submit(test_spec("counting", 3), /*priority=*/5);
-  EXPECT_EQ(service.queue_depth(), 3u);
+  EXPECT_EQ(service.metrics_snapshot()
+                .at("gauges")
+                .at("service.queue_depth")
+                .as_uint(),
+            3u);
 
   state().gate_open = true;
   EXPECT_EQ(blocker.wait(), JobStatus::kDone);

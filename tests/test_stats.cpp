@@ -43,36 +43,6 @@ TEST(RunningStats, SingleSampleHasZeroVariance) {
   EXPECT_DOUBLE_EQ(rs.stddev(), 0.0);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(5);
-  RunningStats whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal() * 3.0 + 1.0;
-    whole.add(x);
-    (i < 500 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean_before = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-  EXPECT_EQ(a.count(), 2u);
-
-  RunningStats b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean_before);
-}
-
 TEST(RunningStats, Ci95ShrinksWithSamples) {
   Rng rng(9);
   RunningStats small, large;

@@ -44,7 +44,8 @@ TEST_P(BackendMatrix, GroverSearchAgreesWithClosedForm) {
   const oracle::Database db = oracle::Database::with_qubits(10, 700);
   Rng rng(1);
   const auto result =
-      grover::search(db, rng, {.backend = GetParam()});
+      grover::search_with_iterations(db, grover::optimal_iterations(db.size()),
+                                     rng, {.backend = GetParam()});
   EXPECT_EQ(result.backend_used, GetParam());
   const double theta = grover_angle(db.size());
   const double expected = std::pow(

@@ -15,7 +15,6 @@
 
 #include "api/api.h"
 #include "qsim/batch.h"
-#include "qsim/gates.h"
 #include "qsim/kernels.h"
 #include "qsim/soa.h"
 #include "reference_kernels.h"
@@ -52,11 +51,11 @@ struct KernelOutputs {
 
 KernelOutputs run_kernels(unsigned n) {
   namespace kernels = qsim::kernels;
-  qsim::SoaVector state = qsim::reference::uniform_state(n);
-  // Complex, non-uniform phases.
-  kernels::apply_gate1(state, n, 0, qsim::gates::T());
-  kernels::apply_gate1(state, n, n - 1, qsim::gates::H());
-  kernels::apply_gate1(state, n, 1, qsim::gates::S());
+  // Complex, non-uniform amplitudes, then the Pauli kernel on two strides.
+  Rng rng(n);
+  qsim::SoaVector state = qsim::reference::random_state(n, rng);
+  kernels::apply_pauli(state, n, 0, qsim::Pauli::kY);
+  kernels::apply_pauli(state, n, n - 1, qsim::Pauli::kX);
   for (int i = 0; i < 3; ++i) {
     kernels::phase_flip_index(state, (qsim::Index{1} << n) / 3 + 1);
     kernels::reflect_about_uniform(state);

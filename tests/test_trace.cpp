@@ -227,7 +227,6 @@ TEST(TraceServiceTest, CompletedJobHasTheFullSpanTimeline) {
   JobHandle handle = service.submit(trace_test_spec(1));
   ASSERT_EQ(handle.wait(), JobStatus::kDone);
 
-  ASSERT_NE(handle.trace_id(), 0u);
   auto trace = handle.trace();
   ASSERT_NE(trace, nullptr);
   const auto names = span_names(*trace);
@@ -237,8 +236,8 @@ TEST(TraceServiceTest, CompletedJobHasTheFullSpanTimeline) {
       "plan.computed", "shots.begin",  "shots.end",  "engine.run.end",
       "finish.done"};
   EXPECT_EQ(names, expected);
-  // Retired into the store, findable by id for the `trace` wire op.
-  EXPECT_EQ(service.trace_store().find(handle.trace_id()), trace);
+  // Retired into the store, findable by id.
+  EXPECT_EQ(service.trace_store().find(trace->id()), trace);
 }
 
 TEST(TraceServiceTest, PlanCacheHitShowsInTheSecondTimeline) {
@@ -258,7 +257,6 @@ TEST(TraceServiceTest, ResultCacheHitIsUntraced) {
   JobHandle repeat = service.submit(trace_test_spec(1));
   ASSERT_EQ(repeat.wait(), JobStatus::kDone);
   // Served from the result LRU: nothing executed, nothing traced.
-  EXPECT_EQ(repeat.trace_id(), 0u);
   EXPECT_EQ(repeat.trace(), nullptr);
 }
 
@@ -275,8 +273,7 @@ TEST(TraceServiceTest, CoalescedHandlesShareOneTraceId) {
   ASSERT_EQ(first.wait(), JobStatus::kDone);
   ASSERT_EQ(twin.wait(), JobStatus::kDone);
   ASSERT_EQ(blocker.wait(), JobStatus::kDone);
-  EXPECT_NE(first.trace_id(), 0u);
-  EXPECT_EQ(first.trace_id(), twin.trace_id());
+  EXPECT_NE(first.trace(), nullptr);
   EXPECT_EQ(first.trace(), twin.trace());
 }
 
@@ -284,7 +281,6 @@ TEST(TraceServiceTest, CapacityZeroDisablesTracingEntirely) {
   Service service({.threads = 1, .trace = {.capacity = 0}});
   JobHandle handle = service.submit(trace_test_spec(1));
   ASSERT_EQ(handle.wait(), JobStatus::kDone);
-  EXPECT_EQ(handle.trace_id(), 0u);
   EXPECT_EQ(handle.trace(), nullptr);
   EXPECT_FALSE(service.trace_store().enabled());
 }

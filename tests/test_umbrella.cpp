@@ -17,7 +17,8 @@ TEST(Umbrella, EndToEndMiniPipeline) {
       qsim::BackendKind::kDense,
       qsim::BackendSpec::single_target(db.size(), 4, db.target()));
   EXPECT_NEAR(backend->norm_squared(), 1.0, 1e-12);
-  const auto grover_run = grover::search(db, rng);                 // grover
+  const auto grover_run = grover::search_with_iterations(         // grover
+      db, grover::optimal_iterations(db.size()), rng);
   EXPECT_GT(grover_run.success_probability, 0.9);
   db.reset_queries();
   const auto partial_run = partial::run_partial_search(db, 2, rng, {});
