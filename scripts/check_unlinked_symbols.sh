@@ -5,8 +5,9 @@
 # pqs_bench at -O0 -fno-inline -ffunction-sections, linked with
 # -Wl,--gc-sections, so a function stays in a binary only if something the
 # program runs can reach it. Every strong `pqs::` text symbol of libpqs.a
-# that no binary defines is "unlinked". Each one must be listed in
-# scripts/unlinked_symbols.txt with the reason it is kept:
+# that no binary defines is "unlinked". Each one's name (without its
+# parameter list) must be listed in scripts/unlinked_symbols.txt with the
+# reason it is kept:
 #
 #   reference  a test compares a computed result against it;
 #   roadmap    a query-level circuit builder the open items build on;
@@ -63,9 +64,12 @@ linked() {
 }
 strong > "$work/strong.txt"
 linked > "$work/linked.txt"
-comm -23 "$work/strong.txt" "$work/linked.txt" > "$work/unlinked.txt"
+# Compared by full signature, then cut to the name before its parameter
+# list, ABI tags dropped: the list stays free of one demangler's spelling.
+comm -23 "$work/strong.txt" "$work/linked.txt" |
+  sed 's/(.*$//; s/\[abi:[^]]*\]//g' | sort -u > "$work/unlinked.txt"
 
-# The list: one `symbol  # reason` per line; blank and `#` lines ignored.
+# The list: one `name  # reason` per line; blank and `#` lines ignored.
 entries="$(grep -v '^[[:space:]]*\(#\|$\)' "$list" || true)"
 printf '%s\n' "$entries" | sed '/^$/d; s/[[:space:]]*#.*$//' | sort -u \
   > "$work/listed.txt"
@@ -95,5 +99,5 @@ if [ -n "$bad_reason" ]; then
 fi
 
 echo "check_unlinked_symbols: $(wc -l < "$work/unlinked.txt") unlinked" \
-     "strong pqs:: symbols over ${#programs[@]} programs" >&2
+     "strong pqs:: symbol names over ${#programs[@]} programs" >&2
 exit "$status"

@@ -150,21 +150,21 @@ class Backend {
   virtual void apply_step3() = 0;
 
   // -- noise channels (trajectory sampling) --
-  /// Sample one noise-trajectory step: for each address qubit, with probability
-  /// model.probability inject the channel's Pauli. Returns the number of
-  /// injected errors. The dense engine applies each Pauli to the amplitudes
-  /// (kernels::apply_pauli; exact trajectories); the symmetry engine updates
-  /// per-class moments — each symmetry class carries a coherent mean amplitude
-  /// plus an incoherent residual mass, every coherent operator transforms the
-  /// means exactly and leaves the residue invariant, and each Pauli maps the
-  /// class moments the way it maps the underlying amplitudes (exact for the
-  /// first error on a fully coherent state, exchangeable-residue approximation
-  /// afterwards; validated against dense trajectories to statistical tolerance
-  /// in tests). The model's rate is validated here (two comparisons — an
-  /// out-of-range rate throws rather than silently reading as a clean run);
-  /// drivers additionally validate once at entry so the error surfaces before
-  /// any trial work. Checked: the spec must support noise — see
-  /// require_noise_support.
+  /// Sample one noise-trajectory step: for each address qubit, with
+  /// probability model.probability inject the channel's Pauli. Returns the
+  /// number of injected errors. The dense engine applies each Pauli
+  /// to the state (exact trajectories); the symmetry engine updates per-class
+  /// moments — each symmetry class carries a coherent mean amplitude plus
+  /// an incoherent residual mass, every coherent operator transforms the
+  /// means exactly and leaves the residue invariant, and each Pauli maps
+  /// the class moments the way it maps the underlying amplitudes (exact
+  /// for the first error on a fully coherent state, exchangeable-residue
+  /// approximation afterwards; validated against dense trajectories to
+  /// statistical tolerance in tests). The model's rate is validated here
+  /// (two comparisons — an out-of-range rate throws rather than silently
+  /// reading as a clean run); drivers additionally validate once at entry
+  /// so the error surfaces before any trial work. Checked: the spec must
+  /// support noise — see require_noise_support.
   virtual std::uint64_t apply_noise(const NoiseModel& model, Rng& rng) = 0;
 
   // -- observables --

@@ -52,5 +52,9 @@ TEST(PlannerLruTest, PlanCacheIsBoundedWithCounters) {
   EXPECT_EQ(planner.misses(), 4u);
 }
 
+TEST(PlannerLruTest, DefaultCapacityIsDocumented) {
+  EXPECT_EQ(Planner::kDefaultCapacity, 1024u);
+}
+
 }  // namespace
 }  // namespace pqs

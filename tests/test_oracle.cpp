@@ -88,5 +88,11 @@ TEST(MeritList, DeterministicFromSeed) {
   }
 }
 
+TEST(MeritList, FractionLabels) {
+  EXPECT_EQ(MeritList::fraction_label(0, 4), "top 25%");
+  EXPECT_EQ(MeritList::fraction_label(3, 4), "bottom 25%");
+  EXPECT_EQ(MeritList::fraction_label(1, 4), "25%-50% band");
+}
+
 }  // namespace
 }  // namespace pqs::oracle
