@@ -953,8 +953,8 @@ int main(int argc, char** argv) {
     disabled_span_ns = span_watch.seconds() * 1e9 / kSpanCalls;
   }
 
-  const auto service_trial_seconds = [&](std::size_t trace_capacity) {
-    Service service({.threads = 1, .trace = {.capacity = trace_capacity}});
+  const auto service_trial_seconds = [&](bool traced) {
+    Service service({.threads = 1, .trace = {.enabled = traced}});
     std::vector<JobHandle> handles;
     handles.reserve(fac_reps);
     Stopwatch trial_watch;
@@ -974,9 +974,9 @@ int main(int argc, char** argv) {
   double obs_service_on_seconds = 1e100;
   for (int trial = 0; trial < obs_trials; ++trial) {
     obs_service_off_seconds =
-        std::min(obs_service_off_seconds, service_trial_seconds(0));
+        std::min(obs_service_off_seconds, service_trial_seconds(false));
     obs_service_on_seconds =
-        std::min(obs_service_on_seconds, service_trial_seconds(256));
+        std::min(obs_service_on_seconds, service_trial_seconds(true));
   }
   const double enabled_overhead =
       obs_service_on_seconds / std::max(obs_service_off_seconds, 1e-12) - 1.0;

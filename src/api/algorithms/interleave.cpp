@@ -27,7 +27,7 @@ class InterleaveAlgorithm final : public Algorithm {
     ctx.checkpoint();
     PQS_CHECK_MSG(ctx.spec.shots == 1,
                   "\"interleave\" runs a single measured trial; drop shots");
-    const unsigned k = block_bits(ctx.spec);
+    block_bits(ctx.spec);  // checks K = 2^k >= 2
     const auto db = database_for(ctx);
     const double floor =
         effective_floor(ctx.spec, partial::default_min_success(db.size()));

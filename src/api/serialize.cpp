@@ -1,6 +1,8 @@
 #include "api/serialize.h"
 
-#include <set>
+#include <algorithm>
+#include <array>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -11,12 +13,25 @@ namespace pqs::api {
 
 namespace {
 
+/// The fields each record type admits, sorted for binary search.
+constexpr std::array<std::string_view, 13> kSpecKeys = {
+    "algorithm", "backend", "l1",      "l2",   "marked", "min_success",
+    "n_blocks",  "n_items", "noise",   "noise_p", "seed", "shots",
+    "threads"};
+constexpr std::array<std::string_view, 16> kReportKeys = {
+    "algorithm", "backend_used",   "block_answer",      "correct",
+    "detail",    "exec_ns",        "l1",                "l2",
+    "measured",  "plan_cache_hit", "plan_ns",           "queries",
+    "queries_per_trial", "queue_ns", "success_probability", "trials"};
+static_assert(std::is_sorted(kSpecKeys.begin(), kSpecKeys.end()));
+static_assert(std::is_sorted(kReportKeys.begin(), kReportKeys.end()));
+
 /// Reject keys outside `known`, naming the offender — a misspelled field in
 /// a client request must fail loudly, not silently run with defaults.
-void check_known_keys(const Json& json, const std::set<std::string_view>& known,
+void check_known_keys(const Json& json, std::span<const std::string_view> known,
                       std::string_view what) {
   for (const auto& [key, value] : json.as_object()) {
-    PQS_CHECK_MSG(known.contains(key),
+    PQS_CHECK_MSG(std::binary_search(known.begin(), known.end(), key),
                   std::string(what) + ": unknown field \"" + key + "\"");
   }
 }
@@ -155,11 +170,7 @@ void write_json(const SearchSpec& spec, std::string& out) {
 }
 
 SearchSpec spec_from_json(const Json& json) {
-  check_known_keys(json,
-                   {"algorithm", "n_items", "n_blocks", "marked", "backend",
-                    "threads", "noise", "noise_p", "seed", "min_success",
-                    "l1", "l2", "shots"},
-                   "SearchSpec");
+  check_known_keys(json, kSpecKeys, "SearchSpec");
   SearchSpec spec;
   if (json.has("algorithm")) spec.algorithm = json.at("algorithm").as_string();
   if (json.has("n_items")) spec.n_items = json.at("n_items").as_uint();
@@ -205,13 +216,7 @@ void write_json(const SearchReport& report, std::string& out) {
 }
 
 SearchReport report_from_json(const Json& json) {
-  check_known_keys(json,
-                   {"algorithm", "measured", "block_answer", "correct",
-                    "queries", "queries_per_trial", "trials",
-                    "success_probability", "l1", "l2", "backend_used",
-                    "plan_cache_hit", "queue_ns", "plan_ns", "exec_ns",
-                    "detail"},
-                   "SearchReport");
+  check_known_keys(json, kReportKeys, "SearchReport");
   SearchReport report;
   if (json.has("algorithm")) report.algorithm = json.at("algorithm").as_string();
   if (json.has("measured")) report.measured = json.at("measured").as_uint();

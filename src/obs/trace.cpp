@@ -86,52 +86,21 @@ std::shared_ptr<Trace> TraceStore::mint() {
   if (!enabled()) {
     return nullptr;
   }
-  LockGuard lock(mutex_);
-  return std::make_shared<Trace>(next_id_++);
+  return std::make_shared<Trace>(
+      next_id_.fetch_add(1, std::memory_order_relaxed));
 }
 
-void TraceStore::retire(std::shared_ptr<Trace> trace) {
-  if (trace == nullptr) {
+void TraceStore::retire(const Trace& trace) {
+  if (options_.slow_request_ns == 0 ||
+      trace.total_ns() < options_.slow_request_ns) {
     return;
   }
-  const bool slow = options_.slow_request_ns != 0 &&
-                    trace->total_ns() >= options_.slow_request_ns;
-  {
-    LockGuard lock(mutex_);
-    ring_.push_back(trace);
-    while (ring_.size() > options_.capacity) {
-      ring_.pop_front();
-    }
-    if (slow) {
-      slow_.push_back(trace);
-      while (slow_.size() > options_.slow_capacity) {
-        slow_.pop_front();
-      }
-    }
+  if (slow_counter_ != nullptr) {
+    slow_counter_->add();
   }
-  if (slow) {
-    if (slow_counter_ != nullptr) {
-      slow_counter_->add();
-    }
-    if (slow_callback_) {
-      slow_callback_(*trace);  // outside the lock: callbacks may do I/O
-    }
+  if (slow_callback_) {
+    slow_callback_(trace);
   }
-}
-
-std::shared_ptr<Trace> TraceStore::find(std::uint64_t id) const {
-  LockGuard lock(mutex_);
-  for (const auto& trace : ring_) {
-    if (trace->id() == id) {
-      return trace;
-    }
-  }
-  return nullptr;
-}
-
-std::vector<std::shared_ptr<Trace>> TraceStore::slow_requests() const {
-  LockGuard lock(mutex_);
-  return {slow_.begin(), slow_.end()};
 }
 
 void TraceStore::set_slow_sink(MetricsRegistry* registry,

@@ -16,16 +16,16 @@
 // common/timing: a slow-request test must be able to MAKE a request slow
 // without sleeping.
 //
-// Completed traces land in a TraceStore — a bounded ring (oldest evicted
-// first) keyed by trace id — which the `trace` wire op queries to return a
-// job's span timeline after the fact. Jobs whose total latency crosses the
-// store's slow threshold are additionally copied to a slow-request ring
-// and counted in `trace.slow_requests`; pqs_serve wires a callback that
-// logs them to stderr.
+// A TraceStore mints the traces and retires them when their jobs settle.
+// It keeps none: the `trace` wire op answers from each connection's own
+// index of its jobs (net/session.h). Retiring checks the store's slow
+// threshold: a job whose total latency crosses it is counted in
+// `trace.slow_requests` and handed to a callback, which pqs_serve wires to
+// a stderr line.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -85,56 +85,42 @@ class Trace final : public qsim::SpanSink {
 };
 
 struct TraceStoreOptions {
-  /// Completed traces retained (ring; oldest evicted). 0 disables tracing
-  /// entirely: mint() returns null and every hot path stays a null check.
-  std::size_t capacity = 256;
+  /// False disables tracing entirely: mint() returns null and every hot
+  /// path stays a null check.
+  bool enabled = true;
   /// Requests whose total span ns meet or exceed this are slow. 0 = off.
   std::uint64_t slow_request_ns = 0;
-  /// Slow traces additionally retained in their own ring.
-  std::size_t slow_capacity = 32;
 };
 
-/// The per-process (or per-Service) home of completed traces. Thread-safe.
+/// Mints traces and applies the slow-request threshold when they retire.
+/// Thread-safe and lock-free.
 class TraceStore {
  public:
   using SlowCallback = std::function<void(const Trace&)>;
 
   explicit TraceStore(TraceStoreOptions options = {});
 
-  /// Mint a new trace with the next id, or null when tracing is disabled
-  /// (capacity 0). The trace is NOT yet in the store — it is live, owned
-  /// by the job — retire() files it on completion.
-  std::shared_ptr<Trace> mint() PQS_EXCLUDES(mutex_);
+  /// Mint a new trace with the next id, or null when tracing is disabled.
+  /// The trace is owned by the job it describes.
+  std::shared_ptr<Trace> mint();
 
-  /// File a completed trace in the ring; evaluates the slow threshold,
-  /// bumps `trace.slow_requests` (when a registry watches), copies to the
-  /// slow ring, and fires the callback — which runs OUTSIDE the store lock
-  /// (it writes to stderr in pqs_serve; never let I/O serialize finish()).
-  void retire(std::shared_ptr<Trace> trace) PQS_EXCLUDES(mutex_);
-
-  /// The retired trace with this id, or null (evicted / never existed /
-  /// still live).
-  std::shared_ptr<Trace> find(std::uint64_t id) const PQS_EXCLUDES(mutex_);
-
-  /// Retired slow traces, oldest first.
-  std::vector<std::shared_ptr<Trace>> slow_requests() const
-      PQS_EXCLUDES(mutex_);
+  /// Called once per completed trace: evaluates the slow threshold, bumps
+  /// `trace.slow_requests` (when a registry watches) and runs the slow
+  /// callback on the caller's thread.
+  void retire(const Trace& trace);
 
   /// Count slow requests on `registry` (as `trace.slow_requests`) and run
   /// `callback` for each (e.g. a stderr line). Call before traffic.
   void set_slow_sink(MetricsRegistry* registry, SlowCallback callback);
 
-  bool enabled() const { return options_.capacity != 0; }
+  bool enabled() const { return options_.enabled; }
   const TraceStoreOptions& options() const { return options_; }
 
  private:
   TraceStoreOptions options_;
   SlowCallback slow_callback_;       ///< written once by set_slow_sink
   Counter* slow_counter_ = nullptr;  ///< same (pre-traffic wiring)
-  mutable Mutex mutex_;
-  std::uint64_t next_id_ PQS_GUARDED_BY(mutex_) = 1;
-  std::deque<std::shared_ptr<Trace>> ring_ PQS_GUARDED_BY(mutex_);
-  std::deque<std::shared_ptr<Trace>> slow_ PQS_GUARDED_BY(mutex_);
+  std::atomic<std::uint64_t> next_id_{1};
 };
 
 }  // namespace pqs::obs

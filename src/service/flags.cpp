@@ -27,15 +27,15 @@ ServiceOptions parse_service_flags(Cli& cli, unsigned default_threads,
   PQS_CHECK_MSG(result_cache >= 1, "--result-cache must be >= 1");
   options.result_cache_capacity = static_cast<std::size_t>(result_cache);
   const auto trace_ring = cli.get_int(
-      "trace-ring", static_cast<std::int64_t>(options.trace.capacity),
-      "completed request traces kept for the `trace` op (0 disables "
-      "tracing entirely)");
+      "trace-ring", 1,
+      "request tracing for the `trace` op: 0 turns it off, any other value "
+      "on (no ring of traces is kept; each connection keeps its own jobs')");
   PQS_CHECK_MSG(trace_ring >= 0, "--trace-ring must be >= 0");
-  options.trace.capacity = static_cast<std::size_t>(trace_ring);
+  options.trace.enabled = trace_ring != 0;
   const auto slow_ms = cli.get_int(
       "slow-ms", 0,
       "slow-request threshold in milliseconds: traced jobs at or over it "
-      "are counted, kept, and logged to stderr (0 = off)");
+      "are counted and logged to stderr (0 = off)");
   PQS_CHECK_MSG(slow_ms >= 0, "--slow-ms must be >= 0");
   options.trace.slow_request_ns =
       static_cast<std::uint64_t>(slow_ms) * 1000000ULL;

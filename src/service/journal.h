@@ -12,12 +12,13 @@
 //   {"id":1,"journal":"accepted","priority":0,"spec":{...},"t_ns":...}
 //   {"id":1,"journal":"completed","report":{...},"status":"done"}
 //
-// An `accepted` record is appended BEFORE Service::submit returns (the ack
-// a front-end sends therefore implies the job is durable); a `completed`
-// record is appended when the job settles — done, cancelled (including
-// aborted-by-disconnect: a vanished TCP client's jobs are cancelled and
-// marked completed, so a restart does not resurrect work nobody will
-// read), or failed. Recovery is the set difference: accepted records with
+// An `accepted` record is appended BEFORE Service::submit returns, for the
+// submit that created the job and for every submit that coalesced onto it
+// (the ack a front-end sends therefore implies the job is durable); a
+// `completed` record is appended when the job settles — done, cancelled
+// (including aborted-by-disconnect: a vanished TCP client's jobs are
+// cancelled and marked completed, so a restart does not resurrect work
+// nobody will read), or failed. Recovery is the set difference: accepted records with
 // no completion marker are the jobs a crash interrupted, and replaying
 // them through the ordinary Service::submit path makes equal-canonical-key
 // duplicates coalesce for free.
@@ -110,10 +111,14 @@ struct RecoveredJournal {
 
 /// The append side. Thread-safe. Records are serialized by the caller's
 /// thread outside every lock (accepted_record, completed_record); the
-/// appends only stamp an id and write. Service calls append_accepted with
-/// Service::mutex_ held, so the lock order is Service::mutex_ ->
-/// Journal::mutex_ (never the reverse — recovery is static and lock-free),
-/// and append_completed with no Service lock held.
+/// appends only stamp an id and write, serialized on Journal::mutex_.
+/// Service calls append_accepted with no Service lock held: a fresh job
+/// is entered in the coalescing index first, and a submit that coalesces
+/// onto it before its append returns waits for the record
+/// (Service::submit). It calls append_completed with no Service lock held
+/// either, except for the cancelled jobs it reaps from a full queue, so the
+/// lock order is Service::mutex_ -> Journal::mutex_ (never the reverse —
+/// recovery is static and lock-free).
 class Journal {
  public:
   /// Opens (creating if needed) `path` for appending. Record ids start at

@@ -37,7 +37,7 @@ void detail::Job::settle_locked(JobStatus final_status,
       case JobStatus::kCancelled: trace->span("finish.cancelled"); break;
       default: trace->span("finish.failed"); break;
     }
-    trace_store->retire(trace);
+    trace_store->retire(*trace);
   }
   status = final_status;
   report = std::move(final_report);
@@ -192,7 +192,7 @@ Service::Service(ServiceOptions options, Registry registry)
 Service::~Service() {
   std::vector<std::shared_ptr<Job>> queued;
   {
-    LockGuard lock(mutex_);
+    UniqueLock lock(mutex_);
     stopping_ = true;
     queued.reserve(queue_.size());
     for (const auto& [order, job] : queue_) {
@@ -202,6 +202,12 @@ Service::~Service() {
     // Running jobs stop at their next checkpoint.
     for (const auto& [key, job] : inflight_) {
       job->control.cancel();
+    }
+    // A submit still writing its job's `accepted` record settles that job
+    // itself once it sees stopping_; it must be done with this Service
+    // before the members go.
+    while (appending_ != 0) {
+      appended_cv_.wait(lock);  // inline predicate loop: see wait() above
     }
   }
   // Settle the never-started jobs so their waiters wake.
@@ -214,8 +220,7 @@ Service::~Service() {
   }
 }
 
-JobHandle Service::attach(const std::shared_ptr<Job>& job) {
-  job->attached.fetch_add(1);
+JobHandle Service::handle_on(const std::shared_ptr<Job>& job) {
   return JobHandle(job, std::make_shared<std::atomic<bool>>(false));
 }
 
@@ -231,108 +236,193 @@ JobHandle Service::submit(const SearchSpec& spec, int priority) {
   }
   std::string& key = canonical.key;
 
-  LockGuard lock(mutex_);
-  PQS_CHECK_MSG(!stopping_, "Service is shutting down");
+  // mutex_ is held only to decide and to publish. A fresh job enters the
+  // coalescing index and the capacity count here, its record is written
+  // with the lock released (append_and_enqueue), and the lock is taken
+  // again only to enqueue it. Every ack still implies a durable record: a
+  // same-key submit that arrives during the write coalesces onto the job
+  // and waits for the record before it returns (await_accepted).
+  // The job a fresh execution or a cache hit needs is allocated before the
+  // lock too; a submit that coalesces drops it.
+  auto made = std::make_shared<Job>();
+  made->spec = std::move(canonical.spec);
+  std::shared_ptr<Job> job;
+  bool coalesced = false;
+  {
+    LockGuard lock(mutex_);
+    PQS_CHECK_MSG(!stopping_, "Service is shutting down");
 
-  // Coalesce: attach to the queued-or-running execution of the same spec —
-  // unless every previous caller already cancelled it: that execution is
-  // doomed to settle kCancelled, and a fresh caller expects a result, so
-  // it gets a fresh job (which replaces the doomed one in the index). The
-  // doomed-check and the attach happen under the job mutex, the same lock
-  // cancel() holds for its last-one-out decision, so a racing cancel
-  // either beats us (we see cancelled and go fresh) or sees our
-  // attachment (and leaves the execution running for us).
-  if (const auto it = inflight_.find(key); it != inflight_.end()) {
-    const std::shared_ptr<Job>& job = it->second;
-    LockGuard job_lock(job->mutex);
-    if (!job->control.cancelled()) {
-      inst_.submitted.add();
-      inst_.coalesced_submits.add();
-      job->attached.fetch_add(1);
-      // An urgent caller must not inherit a lazy caller's queue position:
-      // if the shared job is still waiting, promote it to the higher
-      // priority (re-key the queue entry).
-      if (priority > job->priority) {
-        const auto queued =
-            queue_.find(std::make_pair(-job->priority, job->seq));
-        if (queued != queue_.end()) {
-          queue_.erase(queued);
-          job->priority = priority;
-          queue_.emplace(std::make_pair(-priority, job->seq), job);
+    // Coalesce: attach to the queued-or-running execution of the same spec
+    // — unless every previous caller already cancelled it: that execution
+    // is doomed to settle kCancelled, and a fresh caller expects a result,
+    // so it gets a fresh job (which replaces the doomed one in the index).
+    // The doomed-check and the attach happen under the job mutex, the same
+    // lock cancel() holds for its last-one-out decision, so a racing cancel
+    // either beats us (we see cancelled and go fresh) or sees our
+    // attachment (and leaves the execution running for us).
+    if (const auto it = inflight_.find(key); it != inflight_.end()) {
+      const std::shared_ptr<Job>& shared = it->second;
+      LockGuard job_lock(shared->mutex);
+      if (!shared->control.cancelled()) {
+        shared->attached.fetch_add(1);
+        // An urgent caller must not inherit a lazy caller's queue position:
+        // a shared job still waiting is re-keyed at the higher priority, and
+        // one whose record is being written is enqueued at it.
+        if (priority > shared->priority) {
+          auto queued =
+              queue_.extract(std::make_pair(-shared->priority, shared->seq));
+          shared->priority = priority;
+          if (!queued.empty()) {
+            queued.key() = std::make_pair(-priority, shared->seq);
+            queue_.insert(std::move(queued));
+          }
         }
+        if (shared->accepted) {
+          inst_.submitted.add();
+          inst_.coalesced_submits.add();
+          return handle_on(shared);
+        }
+        ++shared->waiting_submits;  // counted once the record is written
+        job = shared;
+        coalesced = true;
       }
-      return JobHandle(job, std::make_shared<std::atomic<bool>>(false));
+    }
+
+    if (!coalesced) {
+      // Repeat of a completed spec: serve the cached report, run nothing.
+      if (const SearchReport* cached = results_.find(key)) {
+        inst_.submitted.add();
+        inst_.cache_hits.add();
+        std::shared_ptr<Job> hit = std::move(made);
+        hit->key = std::move(key);
+        {
+          // The job is not shared yet, but status/report are guarded
+          // members and the analysis (rightly) has no notion of "not
+          // shared yet".
+          LockGuard job_lock(hit->mutex);
+          hit->status = JobStatus::kDone;
+          hit->report = *cached;
+          hit->report.queue_ns = 0;  // THIS request never queued; don't
+                                     // replay the original's queueing delay
+        }
+        return handle_on(hit);
+      }
+
+      if (queue_.size() + appending_ >= options_.queue_capacity) {
+        reap_cancelled_locked();  // cancelled waiters must not hold slots
+      }
+      if (queue_.size() + appending_ >= options_.queue_capacity) {
+        // Admission control: overload is rejected HERE, explicitly and
+        // immediately — never absorbed as silent queueing latency.
+        // Front-ends (src/net/session.cpp) map this exact type to an
+        // `overloaded` event.
+        inst_.rejected.add();
+        throw OverloadedError("Service queue is full (" +
+                              std::to_string(options_.queue_capacity) +
+                              " jobs waiting); retry later or raise "
+                              "queue_capacity");
+      }
+      job = std::move(made);
+      Job& fresh = *job;
+      fresh.key = key;
+      fresh.priority = priority;
+      fresh.seq = next_seq_++;
+      // Mint the trace before the job is shared; from here every layer the
+      // job crosses can emit spans through the control's sink.
+      fresh.trace = trace_store_.mint();
+      fresh.trace_store = &trace_store_;
+      if (fresh.trace != nullptr) {
+        fresh.control.set_span_sink(fresh.trace.get());
+        fresh.trace->span("submit");
+      }
+      inflight_[std::move(key)] = job;  // may replace a cancelled job
+      if (!options_.journal) {
+        {
+          LockGuard job_lock(fresh.mutex);  // see the cache-hit note
+          fresh.accepted = true;
+        }
+        inst_.submitted.add();
+        enqueue_locked(job);
+        return handle_on(job);
+      }
+      ++appending_;
     }
   }
+  return coalesced ? await_accepted(job) : append_and_enqueue(job, record);
+}
 
-  // Repeat of a completed spec: serve the cached report, run nothing.
-  if (const SearchReport* cached = results_.find(key)) {
-    inst_.submitted.add();
-    inst_.cache_hits.add();
-    auto job = std::make_shared<Job>();
-    job->spec = std::move(canonical.spec);
-    job->key = std::move(key);
-    {
-      // The job is not shared yet, but status/report are guarded members
-      // and the analysis (rightly) has no notion of "not shared yet".
-      LockGuard job_lock(job->mutex);
-      job->status = JobStatus::kDone;
-      job->report = *cached;
-      job->report.queue_ns = 0;  // THIS request never queued; don't replay
-                                 // the original execution's queueing delay
-    }
-    return attach(job);
-  }
-
-  if (queue_.size() >= options_.queue_capacity) {
-    reap_cancelled_locked();  // cancelled waiters must not hold slots
-  }
-  if (queue_.size() >= options_.queue_capacity) {
-    // Admission control: overload is rejected HERE, explicitly and
-    // immediately — never absorbed as silent queueing latency. Front-ends
-    // (src/net/session.cpp) map this exact type to an `overloaded` event.
-    inst_.rejected.add();
-    throw OverloadedError("Service queue is full (" +
-                          std::to_string(options_.queue_capacity) +
-                          " jobs waiting); retry later or raise "
-                          "queue_capacity");
-  }
-  auto job = std::make_shared<Job>();
-  job->spec = std::move(canonical.spec);
-  job->key = key;
-  job->priority = priority;
-  job->seq = next_seq_++;
-  // Durability before visibility: the accepted record must be on disk
-  // before any caller can observe the job, so the ack a front-end sends
-  // implies the work survives a crash. A failed append throws out of
-  // submit — the job was never accepted, and no counter moved.
-  //
-  // The record was serialized before the lock; only its id and its one
-  // write(2) (plus one fsync under --journal-sync always) run under mutex_,
-  // DELIBERATELY: released first, a same-key submit could coalesce onto
-  // (and be acked against) a job that is not yet durable. Each append still
-  // stalls the submits, completions and stats behind it, so kAlways bounds
-  // service-wide submit throughput by disk-flush latency (the documented
-  // trade-off; see README "Durability & replay").
-  if (options_.journal) {
+JobHandle Service::append_and_enqueue(const std::shared_ptr<Job>& job,
+                                      std::string& record) {
+  // Durability before visibility: the record's id and its one write(2)
+  // (plus one fsync under --journal-sync always) run on the journal's own
+  // lock, not on mutex_, so completions, cache hits and other submits go
+  // on meanwhile. A failed append throws out of submit — the job was never
+  // accepted, and no counter moved.
+  try {
     job->journal_id = options_.journal->append_accepted(record);
+  } catch (const std::exception& e) {
+    {
+      LockGuard lock(mutex_);
+      if (const auto it = inflight_.find(job->key);
+          it != inflight_.end() && it->second == job) {
+        inflight_.erase(it);
+      }
+      --appending_;
+      appended_cv_.notify_all();
+      LockGuard job_lock(job->mutex);
+      job->settle_locked(JobStatus::kFailed, {}, wire_message(e));
+    }
+    job->cv.notify_all();  // the submits that coalesced onto it throw too
+    throw;
   }
-  inst_.submitted.add();  // after capacity + journal: rejects are not accepts
-  // Mint the trace last, pre-publication (same once-before-sharing
-  // contract as journal_id); from here every layer the job crosses can
-  // emit spans through the control's sink.
-  job->trace = trace_store_.mint();
-  job->trace_store = &trace_store_;
+  {
+    LockGuard lock(mutex_);
+    --appending_;
+    std::uint64_t waiting = 0;
+    {
+      LockGuard job_lock(job->mutex);
+      job->accepted = true;
+      waiting = job->waiting_submits;
+      if (stopping_) {
+        job->settle_locked(JobStatus::kCancelled, {}, "service shut down");
+      }
+    }
+    inst_.submitted.add(1 + waiting);
+    inst_.coalesced_submits.add(waiting);
+    if (stopping_) {
+      // ~Service emptied the queue while the record was written: like any
+      // job a shutdown interrupted, this one never runs and gets no
+      // completion marker, so a restart replays it.
+      account_locked(job, JobStatus::kCancelled, {});
+      appended_cv_.notify_all();
+    } else {
+      enqueue_locked(job);
+    }
+  }
+  job->cv.notify_all();  // the submits that coalesced onto it return
+  return handle_on(job);
+}
+
+JobHandle Service::await_accepted(const std::shared_ptr<Job>& job) {
+  {
+    UniqueLock lock(job->mutex);
+    while (!job->accepted && job->status == JobStatus::kQueued) {
+      job->cv.wait(lock);  // inline predicate loop: see wait() above
+    }
+    if (!job->accepted) {
+      throw CheckFailure(job->error);  // the append's error, once more
+    }
+  }
+  return handle_on(job);
+}
+
+void Service::enqueue_locked(const std::shared_ptr<Job>& job) {
   if (job->trace != nullptr) {
-    job->control.set_span_sink(job->trace.get());
-    job->trace->span("submit");
     job->trace->span("queue.enqueued");
   }
   job->queued_at.reset();
-  inflight_[std::move(key)] = job;  // may replace a fully-cancelled job
-  queue_.emplace(std::make_pair(-priority, job->seq), job);
+  queue_.emplace(std::make_pair(-job->priority, job->seq), job);
   queue_cv_.notify_one();
-  return attach(job);
 }
 
 Json Service::metrics_snapshot() const {

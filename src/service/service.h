@@ -78,10 +78,10 @@ struct ServiceOptions {
   std::size_t plan_cache_capacity = Planner::kDefaultCapacity;
   /// Optional write-ahead journal (service/journal.h). When set, every
   /// fresh execution appends an `accepted` record BEFORE submit returns
-  /// (coalesced attachments and cache hits ride the original record) and a
-  /// completion marker when it settles — except during shutdown, where
-  /// markers are deliberately suppressed so a restart replays the
-  /// interrupted jobs.
+  /// (cache hits ride the original record, and a coalesced submit returns
+  /// only once it is written) and a completion marker when it settles —
+  /// except during shutdown, where markers are deliberately suppressed so a
+  /// restart replays the interrupted jobs.
   std::shared_ptr<Journal> journal;
   /// Where this Service registers its instruments (obs/metrics.h). Null —
   /// the default — means a PRIVATE registry owned by the Service: unit
@@ -90,10 +90,10 @@ struct ServiceOptions {
   /// passes &obs::MetricsRegistry::global() so service, net, and journal
   /// telemetry land in one fleet-scrapable catalog.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Request tracing (obs/trace.h): ring capacity, slow threshold. The
-  /// default keeps tracing ON (capacity 256, slow log off) — the bench
-  /// pins the enabled-path cost under 1%; set trace.capacity = 0 to
-  /// reduce a job to the bare null-check path.
+  /// Request tracing (obs/trace.h): on/off, slow threshold. The default
+  /// keeps tracing ON (slow log off) — the bench pins the enabled-path
+  /// cost under 1%; set trace.enabled = false to reduce a job to the bare
+  /// null-check path.
   obs::TraceStoreOptions trace;
 };
 
@@ -107,24 +107,29 @@ namespace detail {
 struct Job {
   SearchSpec spec;   ///< canonicalized: marked materialized, no predicate
   std::string key;   ///< api::canonicalize(spec).key
-  /// Queue position; written only by Service with Service::mutex_ held.
+  /// Queue position; written only by Service with Service::mutex_ held. A
+  /// coalesced submit may raise it while the job's `accepted` record is
+  /// being written; the job is then enqueued at the raised priority.
   int priority = 0;
   std::uint64_t seq = 0;
   /// Journal record id of this execution's `accepted` line (0 = the
   /// Service has no journal, or the job was served from the result cache
-  /// and executed nothing). Written once in submit() before the job is
-  /// shared; immutable afterwards.
+  /// and executed nothing). Written once by the submit that created the
+  /// job, with Service::mutex_ released, before that submit enqueues it;
+  /// only completion markers read it, and only for jobs taken off the
+  /// queue, so the enqueue under Service::mutex_ publishes it.
   std::uint64_t journal_id = 0;
 
   qsim::RunControl control;
-  std::atomic<std::uint64_t> attached{0};  ///< live uncancelled handles
+  /// Live uncancelled handles; the creating submit's counts from the start.
+  std::atomic<std::uint64_t> attached{1};
   Stopwatch queued_at;                     ///< started at submit
   /// This execution's span timeline, or null (tracing disabled, or the
   /// job was served from the result cache and executed nothing). Written
-  /// once in submit() before the job is shared — same contract as
-  /// journal_id — and also reachable through control's SpanSink.
+  /// once in submit() before the job is shared, and also reachable through
+  /// control's SpanSink.
   std::shared_ptr<obs::Trace> trace;
-  /// The store `trace` retires into, set with it. JobHandle::cancel reaches
+  /// The store `trace` retires through, set with it. JobHandle::cancel reaches
   /// it only for a still-queued job, and ~Service settles every queued job
   /// under its mutex before the store dies.
   obs::TraceStore* trace_store = nullptr;
@@ -134,14 +139,23 @@ struct Job {
   JobStatus status PQS_GUARDED_BY(mutex) = JobStatus::kQueued;
   SearchReport report PQS_GUARDED_BY(mutex);  // valid once kDone
   std::string error PQS_GUARDED_BY(mutex);    // valid once kFailed
+  /// True once the `accepted` record is written (from the start without a
+  /// journal). A submit that coalesces onto the job before then waits on
+  /// `cv` until it is, so its ack too implies a durable record. A job whose
+  /// append failed settles kFailed with this still false.
+  bool accepted PQS_GUARDED_BY(mutex) = false;
+  /// Submits that coalesced before `accepted`; the submit writing the
+  /// record counts them in the service counters when it publishes the job.
+  std::uint64_t waiting_submits PQS_GUARDED_BY(mutex) = 0;
 
   /// The job's half of finishing: the terminal span, the trace's
   /// retirement and the status waiters read. Written once, by whichever
-  /// path settles the job first: a worker, shutdown, or the handle whose
-  /// cancel left a queued job with no callers. The trace retires before
-  /// the status is published, so a woken waiter finds it complete and in
-  /// the store; the store's slow-request callback therefore runs under
-  /// this job's mutex, where it can delay only this job's waiters.
+  /// path settles the job first: a worker, shutdown, the handle whose
+  /// cancel left a queued job with no callers, or the submit whose
+  /// `accepted` append failed. The trace retires before the status is
+  /// published, so a woken waiter finds it complete; the store's
+  /// slow-request callback therefore runs under this job's mutex, where it
+  /// can delay only this job's waiters.
   void settle_locked(JobStatus final_status, SearchReport final_report,
                      std::string final_error) PQS_REQUIRES(mutex);
 };
@@ -226,11 +240,22 @@ class Service {
   /// and return a full registry snapshot — what the `metrics` wire op
   /// dumps and pqs_router merges fleet-wide.
   Json metrics_snapshot() const;
-  /// The ring of completed request traces (obs/trace.h); the `trace` wire
-  /// op reads timelines out of here.
+  /// Where this Service's request traces are minted and retired
+  /// (obs/trace.h): the slow-request threshold and callback live there.
   obs::TraceStore& trace_store() const { return trace_store_; }
 
  private:
+  /// Write `job`'s `accepted` record with mutex_ released, then enqueue
+  /// the job, or settle it cancelled if the Service began stopping
+  /// meanwhile. A failed append takes the job back out, fails it for the
+  /// submits waiting on it, and throws.
+  JobHandle append_and_enqueue(const std::shared_ptr<detail::Job>& job,
+                               std::string& record) PQS_EXCLUDES(mutex_);
+  /// The wait of a submit that coalesced onto a job whose `accepted` record
+  /// is still being written: returns once it is, throws if it failed.
+  static JobHandle await_accepted(const std::shared_ptr<detail::Job>& job);
+  void enqueue_locked(const std::shared_ptr<detail::Job>& job)
+      PQS_REQUIRES(mutex_);
   void worker_loop() PQS_EXCLUDES(mutex_);
   void execute(const std::shared_ptr<detail::Job>& job) PQS_EXCLUDES(mutex_);
   /// Move a job to a terminal state, publish the result, wake waiters.
@@ -252,7 +277,8 @@ class Service {
   /// with mutex_ held when the queue hits capacity): cancellation must be
   /// able to shed load, not just mark jobs a worker will discard later.
   void reap_cancelled_locked() PQS_REQUIRES(mutex_);
-  JobHandle attach(const std::shared_ptr<detail::Job>& job);
+  /// A new handle on `job`, already counted in job->attached.
+  static JobHandle handle_on(const std::shared_ptr<detail::Job>& job);
 
   ServiceOptions options_;
   Engine engine_;
@@ -303,6 +329,11 @@ class Service {
       PQS_GUARDED_BY(mutex_);
   LruMap<std::string, SearchReport> results_ PQS_GUARDED_BY(mutex_);
   std::uint64_t next_seq_ PQS_GUARDED_BY(mutex_) = 0;
+  /// Fresh jobs whose `accepted` record is being written: in inflight_,
+  /// not yet in queue_. They count against queue_capacity, and ~Service
+  /// waits on appended_cv_ until none is left.
+  std::size_t appending_ PQS_GUARDED_BY(mutex_) = 0;
+  std::condition_variable_any appended_cv_;
   bool stopping_ PQS_GUARDED_BY(mutex_) = false;
 
   std::vector<std::thread> workers_;  ///< constructed last, joined first

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/ioctl.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -24,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -440,6 +443,255 @@ TEST(ServiceJournalTest, ExplicitCancelWritesACancelledMarker) {
   ASSERT_EQ(recovered.completions.size(), 1u);
   EXPECT_EQ(recovered.completions[0].status, JobStatus::kCancelled);
   EXPECT_TRUE(recovered.pending.empty());
+}
+
+// ---- appends outside Service::mutex_ ---------------------------------------
+
+/// A journal whose appends block until the test reads them. Its path is the
+/// read end of a pipe, reopened through /proc/self/fd: the Journal's
+/// recovery scan reads EOF (the pipe has no writer yet), and its append fd
+/// becomes the pipe's only writer. The pipe holds one page, so an
+/// `accepted` record longer than that fills it and blocks in write(2) until
+/// the test drains it, with pending() > 0 showing that it has begun.
+struct PipeJournal {
+  int read_fd = -1;
+  std::shared_ptr<Journal> journal;
+
+  PipeJournal() {
+    int fds[2];
+    PQS_CHECK(::pipe(fds) == 0);
+    ::close(fds[1]);
+    read_fd = fds[0];
+    PQS_CHECK(::fcntl(read_fd, F_SETPIPE_SZ, 4096) >= 0);
+    journal = std::make_shared<Journal>(
+        "/proc/self/fd/" + std::to_string(read_fd), JournalSync::kNone);
+    PQS_CHECK(::fcntl(read_fd, F_SETFL, O_NONBLOCK) == 0);
+  }
+  ~PipeJournal() { close_read(); }
+  PipeJournal(const PipeJournal&) = delete;
+  PipeJournal& operator=(const PipeJournal&) = delete;
+
+  /// Bytes written into the pipe and not read yet.
+  std::size_t pending() const {
+    int bytes = 0;
+    PQS_CHECK(::ioctl(read_fd, FIONREAD, &bytes) == 0);
+    return static_cast<std::size_t>(bytes);
+  }
+  /// Everything in the pipe now, without blocking.
+  std::string drain() const {
+    std::string out;
+    char buffer[4096];
+    ssize_t n = 0;
+    while ((n = ::read(read_fd, buffer, sizeof(buffer))) > 0) {
+      out.append(buffer, static_cast<std::size_t>(n));
+    }
+    return out;
+  }
+  /// Close the only read end: a write blocked on the pipe fails (EPIPE).
+  void close_read() {
+    if (read_fd >= 0) {
+      ::close(read_fd);
+      read_fd = -1;
+    }
+  }
+};
+
+/// A spec whose `accepted` record is longer than PipeJournal's one page.
+SearchSpec long_record_spec(const std::string& algorithm, std::uint64_t seed) {
+  SearchSpec spec = test_spec(algorithm, seed);
+  spec.n_items = std::uint64_t{1} << 16;
+  spec.marked.clear();
+  for (std::uint64_t m = 9; m < spec.n_items; m += 43) {
+    spec.marked.push_back(m);
+  }
+  return spec;
+}
+
+/// Ignores `signum` for a scope, restoring the previous disposition after.
+struct IgnoreSignal {
+  int signum;
+  struct sigaction previous {};
+  explicit IgnoreSignal(int sig) : signum(sig) {
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    ::sigaction(signum, &ignore, &previous);
+  }
+  ~IgnoreSignal() { ::sigaction(signum, &previous, nullptr); }
+};
+
+/// Lowers this process's soft RLIMIT_FSIZE for a scope, with SIGXFSZ
+/// ignored, so a write(2) past `bytes` into a regular file fails with EFBIG.
+struct FileSizeLimit {
+  IgnoreSignal ignore{SIGXFSZ};
+  rlimit previous{};
+  explicit FileSizeLimit(rlim_t bytes) {
+    PQS_CHECK(::getrlimit(RLIMIT_FSIZE, &previous) == 0);
+    rlimit lowered = previous;
+    lowered.rlim_cur = bytes;
+    PQS_CHECK(::setrlimit(RLIMIT_FSIZE, &lowered) == 0);
+  }
+  ~FileSizeLimit() { ::setrlimit(RLIMIT_FSIZE, &previous); }
+};
+
+bool ready(const std::future<JobHandle>& future) {
+  return future.wait_for(0s) == std::future_status::ready;
+}
+
+TEST(ServiceJournalTest, CoalescedSubmitReturnsOnlyOnceTheRecordIsWritten) {
+  state().reset();
+  PipeJournal pipe;
+  Service service({.threads = 1, .journal = pipe.journal}, test_registry());
+  const SearchSpec spec = long_record_spec("gated", 1);
+
+  std::future<JobHandle> first =
+      std::async(std::launch::async, [&] { return service.submit(spec); });
+  // A page of the record is in the pipe: the first submit is inside its
+  // write(2), with its job already in the coalescing index.
+  ASSERT_TRUE(wait_until([&] { return pipe.pending() > 0; }));
+
+  Mutex drained_mutex;
+  std::string drained;
+  std::size_t written_at_twin_return = 0;
+  std::future<JobHandle> twin = std::async(std::launch::async, [&] {
+    JobHandle handle = service.submit(spec);
+    LockGuard lock(drained_mutex);
+    written_at_twin_return = drained.size() + pipe.pending();
+    return handle;
+  });
+  std::this_thread::sleep_for(100ms);
+  // The twin coalesced onto a job that is not durable yet: it waits rather
+  // than being acked against it, and no counter has moved.
+  EXPECT_FALSE(ready(twin));
+  EXPECT_FALSE(ready(first));
+  EXPECT_EQ(service.metrics().counter("service.submitted").value(), 0u);
+
+  while (!ready(first) || !ready(twin)) {
+    {
+      LockGuard lock(drained_mutex);
+      drained += pipe.drain();
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  JobHandle a = first.get();
+  JobHandle b = twin.get();
+  drained += pipe.drain();
+
+  // The pipe holds exactly the one record, and all of it had been written
+  // when the twin returned.
+  const RecoveredJournal recovered = Journal::recover_text(drained);
+  EXPECT_EQ(recovered.accepted, 1u);
+  EXPECT_TRUE(recovered.warnings.empty());
+  EXPECT_EQ(written_at_twin_return, drained.size());
+  EXPECT_EQ(service.metrics().counter("service.submitted").value(), 2u);
+  EXPECT_EQ(service.metrics().counter("service.coalesced_submits").value(),
+            1u);
+
+  state().gate_open = true;
+  EXPECT_EQ(a.wait(), JobStatus::kDone);
+  EXPECT_EQ(b.wait(), JobStatus::kDone);
+  EXPECT_EQ(state().executions.load(), 1u);
+}
+
+TEST(ServiceJournalTest, FailedAppendThrowsMovesNoCounterAndFreesItsSlot) {
+  state().reset();
+  TempDir dir;
+  auto journal = std::make_shared<Journal>(dir.wal(), JournalSync::kNone);
+  Service service({.threads = 1, .queue_capacity = 1, .journal = journal},
+                  test_registry());
+  {
+    // The journal is empty, so every append now fails with EFBIG.
+    FileSizeLimit limit(0);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      try {
+        service.submit(test_spec("counting", seed));
+        ADD_FAILURE() << "submit " << seed << " returned";
+      } catch (const OverloadedError& e) {
+        ADD_FAILURE() << "submit " << seed
+                      << " found its slot still taken: " << e.what();
+      } catch (const CheckFailure& e) {
+        EXPECT_NE(std::string(e.what()).find("Journal: write to"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  for (const char* name : {"service.submitted", "service.rejected",
+                           "service.coalesced_submits", "service.executed",
+                           "service.failed", "service.cancelled"}) {
+    EXPECT_EQ(service.metrics().counter(name).value(), 0u) << name;
+  }
+  // The one queue slot is free again, and the next append lands.
+  JobHandle handle = service.submit(test_spec("counting", 4));
+  EXPECT_EQ(handle.wait(), JobStatus::kDone);
+  EXPECT_EQ(state().executions.load(), 1u);
+  EXPECT_EQ(Journal::recover_file(dir.wal()).accepted, 1u);
+}
+
+TEST(ServiceJournalTest, CoalescedSubmitsThrowTheFailedAppendsError) {
+  state().reset();
+  IgnoreSignal ignore(SIGPIPE);
+  PipeJournal pipe;
+  Service service({.threads = 1, .journal = pipe.journal}, test_registry());
+  const SearchSpec spec = long_record_spec("gated", 2);
+
+  std::future<JobHandle> first =
+      std::async(std::launch::async, [&] { return service.submit(spec); });
+  ASSERT_TRUE(wait_until([&] { return pipe.pending() > 0; }));
+  std::future<JobHandle> twin =
+      std::async(std::launch::async, [&] { return service.submit(spec); });
+  std::this_thread::sleep_for(100ms);
+  pipe.close_read();  // the first submit's write fails with EPIPE
+
+  for (std::future<JobHandle>* submit : {&first, &twin}) {
+    try {
+      submit->get();
+      ADD_FAILURE() << "a submit returned although its record failed";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("Journal: write to"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(service.metrics().counter("service.submitted").value(), 0u);
+  EXPECT_EQ(service.metrics().counter("service.coalesced_submits").value(),
+            0u);
+  EXPECT_EQ(state().executions.load(), 0u);
+}
+
+TEST(ServiceJournalTest, SubmitRacingShutdownLeavesNoHandleUnsettled) {
+  // The destructor starts while a submit is inside its append, and the
+  // append finishes after a varying delay: before ~Service stops the
+  // queue (the job is enqueued, then cancelled by the shutdown) or after
+  // (the submit settles the job cancelled itself). Either way the handle
+  // is settled, and the record stays pending so a restart replays it.
+  for (const auto delay : {0ms, 1ms, 5ms, 50ms}) {
+    state().reset();
+    PipeJournal pipe;
+    auto service = std::make_unique<Service>(
+        ServiceOptions{.threads = 1, .journal = pipe.journal},
+        test_registry());
+    const SearchSpec spec = long_record_spec("gated", 3);
+    Service* submit_to = service.get();
+    std::future<JobHandle> submit = std::async(
+        std::launch::async, [&] { return submit_to->submit(spec); });
+    ASSERT_TRUE(wait_until([&] { return pipe.pending() > 0; }));
+    std::thread destroy([&] { service.reset(); });
+    std::this_thread::sleep_for(delay);
+    std::string drained;
+    while (!ready(submit)) {
+      drained += pipe.drain();
+      std::this_thread::sleep_for(1ms);
+    }
+    destroy.join();
+    drained += pipe.drain();
+
+    JobHandle handle = submit.get();
+    EXPECT_TRUE(handle.finished()) << "delay " << delay.count() << " ms";
+    EXPECT_EQ(handle.status(), JobStatus::kCancelled);
+    const RecoveredJournal recovered = Journal::recover_text(drained);
+    EXPECT_EQ(recovered.accepted, 1u);
+    EXPECT_EQ(recovered.pending.size(), 1u);
+  }
 }
 
 // ---- replay ----------------------------------------------------------------

@@ -1,8 +1,8 @@
 // pqs::obs tracing: span timelines end to end through the Service (submit
-// -> queue -> engine -> plan -> shots -> finish), the TraceStore ring and
-// its eviction, the fake-clock-driven slow-request log (no sleeping — the
+// -> queue -> engine -> plan -> shots -> finish), TraceStore minting, the
+// fake-clock-driven slow-request counter and callback (no sleeping — the
 // reason the raw-clock lint rule exists), coalesced handles sharing one
-// trace id, capacity-0 tracing reducing to the bare null-check path, the
+// trace id, disabled tracing reducing to the bare null-check path, the
 // `trace` wire op through a real net::Session, and the --trace-ring /
 // --slow-ms flags.
 #include <gtest/gtest.h>
@@ -79,44 +79,26 @@ TEST(TraceTest, JsonTimesAreRelativeToTheFirstSpan) {
 
 // ---- TraceStore ------------------------------------------------------------
 
-TEST(TraceStoreTest, MintsSequentialIdsAndFindsRetiredTraces) {
-  obs::TraceStore store({.capacity = 4});
+TEST(TraceStoreTest, MintsSequentialIds) {
+  obs::TraceStore store;
   ASSERT_TRUE(store.enabled());
   auto first = store.mint();
   auto second = store.mint();
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->id(), 1u);
   EXPECT_EQ(second->id(), 2u);
-  // Live traces are not findable; retiring files them.
-  EXPECT_EQ(store.find(1), nullptr);
-  store.retire(first);
-  EXPECT_EQ(store.find(1), first);
 }
 
-TEST(TraceStoreTest, RingEvictsOldestFirst) {
-  obs::TraceStore store({.capacity = 2});
-  auto a = store.mint();
-  auto b = store.mint();
-  auto c = store.mint();
-  store.retire(a);
-  store.retire(b);
-  store.retire(c);  // evicts a
-  EXPECT_EQ(store.find(a->id()), nullptr);
-  EXPECT_NE(store.find(b->id()), nullptr);
-  EXPECT_NE(store.find(c->id()), nullptr);
-}
-
-TEST(TraceStoreTest, CapacityZeroDisablesMinting) {
-  obs::TraceStore store({.capacity = 0});
+TEST(TraceStoreTest, DisabledStoreMintsNothing) {
+  obs::TraceStore store({.enabled = false});
   EXPECT_FALSE(store.enabled());
   EXPECT_EQ(store.mint(), nullptr);
 }
 
-TEST(TraceStoreTest, SlowRequestsAreCountedKeptAndCalledBack) {
+TEST(TraceStoreTest, SlowRequestsAreCountedAndCalledBack) {
   FakeClock clock(0);
   obs::MetricsRegistry registry;
-  obs::TraceStore store(
-      {.capacity = 8, .slow_request_ns = 1000000, .slow_capacity = 2});
+  obs::TraceStore store({.slow_request_ns = 1000000});
   std::vector<std::uint64_t> callback_ids;
   store.set_slow_sink(&registry, [&callback_ids](const obs::Trace& trace) {
     callback_ids.push_back(trace.id());
@@ -128,19 +110,15 @@ TEST(TraceStoreTest, SlowRequestsAreCountedKeptAndCalledBack) {
     trace->span("submit");
     clock.advance_to(duration_ns * 2);
     trace->span("finish.done");
-    store.retire(trace);
+    store.retire(*trace);
     return trace->id();
   };
-  const std::uint64_t fast = traced_request(1000);     // 1us: not slow
+  traced_request(1000);                                // 1us: not slow
   const std::uint64_t slow = traced_request(2000000);  // 2ms: slow
 
   EXPECT_EQ(registry.counter("trace.slow_requests").value(), 1u);
   ASSERT_EQ(callback_ids.size(), 1u);
   EXPECT_EQ(callback_ids[0], slow);
-  const auto kept = store.slow_requests();
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0]->id(), slow);
-  EXPECT_NE(kept[0]->id(), fast);
 }
 
 // ---- the Service end to end ------------------------------------------------
@@ -236,8 +214,34 @@ TEST(TraceServiceTest, CompletedJobHasTheFullSpanTimeline) {
       "plan.computed", "shots.begin",  "shots.end",  "engine.run.end",
       "finish.done"};
   EXPECT_EQ(names, expected);
-  // Retired into the store, findable by id.
-  EXPECT_EQ(service.trace_store().find(trace->id()), trace);
+}
+
+TEST(TraceServiceTest, SlowJobsReachTheCounterAndTheCallback) {
+  // Every span of this job reads the same fake time except the terminal
+  // one, which the worker records after the clock jumps 5 ms: the job
+  // retires slow. The clock moves only while the worker is pinned in the
+  // gated driver, so no other span can read the later time.
+  reset_gate();
+  FakeClock clock(1000);
+  Service service({.threads = 1, .trace = {.slow_request_ns = 1000000}},
+                  trace_test_registry());
+  std::vector<std::uint64_t> slow_ids;
+  Mutex slow_mutex;
+  service.trace_store().set_slow_sink(
+      &service.metrics(), [&](const obs::Trace& trace) {
+        LockGuard lock(slow_mutex);
+        slow_ids.push_back(trace.id());
+      });
+  JobHandle slow = service.submit(gated_spec(3));
+  ASSERT_TRUE(wait_until([] { return g_running.load() == 1; }));
+  clock.advance_to(1000 + 5000000);
+  g_gate = true;
+  ASSERT_EQ(slow.wait(), JobStatus::kDone);
+  ASSERT_NE(slow.trace(), nullptr);
+  EXPECT_EQ(service.metrics().counter("trace.slow_requests").value(), 1u);
+  LockGuard lock(slow_mutex);
+  ASSERT_EQ(slow_ids.size(), 1u);
+  EXPECT_EQ(slow_ids[0], slow.trace()->id());
 }
 
 TEST(TraceServiceTest, PlanCacheHitShowsInTheSecondTimeline) {
@@ -277,8 +281,8 @@ TEST(TraceServiceTest, CoalescedHandlesShareOneTraceId) {
   EXPECT_EQ(first.trace(), twin.trace());
 }
 
-TEST(TraceServiceTest, CapacityZeroDisablesTracingEntirely) {
-  Service service({.threads = 1, .trace = {.capacity = 0}});
+TEST(TraceServiceTest, DisabledTracingMintsNoTrace) {
+  Service service({.threads = 1, .trace = {.enabled = false}});
   JobHandle handle = service.submit(trace_test_spec(1));
   ASSERT_EQ(handle.wait(), JobStatus::kDone);
   EXPECT_EQ(handle.trace(), nullptr);
@@ -391,7 +395,7 @@ TEST(TraceFlagsTest, TraceRingAndSlowMsMapOntoTraceStoreOptions) {
                                          "--slow-ms=250"};
   Cli cli(static_cast<int>(args.size()), args.data());
   const ServiceOptions options = service::parse_service_flags(cli);
-  EXPECT_EQ(options.trace.capacity, 17u);
+  EXPECT_TRUE(options.trace.enabled);  // any nonzero value means on
   EXPECT_EQ(options.trace.slow_request_ns, 250u * 1000000u);
 }
 
@@ -399,7 +403,7 @@ TEST(TraceFlagsTest, TraceRingZeroDisablesAndNegativesAreRejected) {
   {
     const std::vector<const char*> args = {"pqs_serve", "--trace-ring=0"};
     Cli cli(static_cast<int>(args.size()), args.data());
-    EXPECT_EQ(service::parse_service_flags(cli).trace.capacity, 0u);
+    EXPECT_FALSE(service::parse_service_flags(cli).trace.enabled);
   }
   {
     const std::vector<const char*> args = {"pqs_serve", "--slow-ms=-1"};
