@@ -13,10 +13,10 @@
 //   ./build/bench/bench_noise --noise dephasing --noise-p 0.01
 //
 // --backend symmetry runs the class-moment noise channel (qsim/backend.h),
-// which is what makes n > 30 sweeps possible; --batch fans the Monte-Carlo
-// trials across OpenMP threads with per-shot RNG streams (reproducible for
-// any thread count). --noise-p, when nonzero, replaces the default sweep
-// with that single error rate.
+// which is what makes n > 30 sweeps possible. The Monte-Carlo trials fan
+// across the hardware threads (OMP_NUM_THREADS caps the team) with
+// per-shot RNG streams, reproducible for any thread count. --noise-p, when
+// nonzero, replaces the default sweep with that single error rate.
 #include <iostream>
 #include <vector>
 
@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   flags.target = false;  // the demo target derives from the problem size
   flags.shots = true;
   flags.shots_default = 200;  // trajectories per point
-  flags.batch = true;
   flags.noise = true;
   flags.noise_default = "depolarizing";
   flags.seed_default = 1234;
@@ -72,9 +71,7 @@ int main(int argc, char** argv) {
 
     const oracle::Database db(spec.n_items, spec.target());
     Rng rng(spec.seed);
-    partial::NoisyOptions options;
-    options.backend = spec.backend;
-    options.batch = spec.batch;
+    const partial::NoisyOptions options{.backend = spec.backend};
     const auto full = partial::run_noisy_full_search_block(
         db, log2_exact(spec.n_blocks), spec.noise, spec.shots, rng, options);
 

@@ -788,10 +788,10 @@ int main(int argc, char** argv) {
     const unsigned team_threads =
         qsim::BatchRunner({.threads = batch_threads}).threads();
     for (const bool use_team : {false, true}) {
-      partial::NoisyOptions options{.backend = trajectory_backend,
-                                    .l1 = 10,
-                                    .l2 = 5};
-      options.batch.threads = use_team ? batch_threads : 1u;
+      const partial::NoisyOptions options{.backend = trajectory_backend,
+                                          .l1 = 10,
+                                          .l2 = 5};
+      qsim::set_thread_budget(use_team ? batch_threads : 1u);
       Json row = min_median_us(trials, 1, [&] {
         Rng rng(2005);
         const auto run = partial::run_noisy_partial_search(
@@ -801,6 +801,7 @@ int main(int argc, char** argv) {
       });
       seconds[use_team ? 1 : 0] = row.at("median_us").as_double() * 1e-6;
     }
+    qsim::set_thread_budget(0);
     trajectories["host"] = host_json();
     trajectories["trials"] = trials;
     trajectories["backend"] = to_string(trajectory_backend);

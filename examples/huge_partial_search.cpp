@@ -5,7 +5,7 @@
 // OpenMP threads. A second identical request shows the cache at work.
 //
 //   ./build/examples/huge_partial_search --qubits 60 --kbits 3 \
-//       --shots 1000 --backend symmetry --batch 0
+//       --shots 1000 --backend symmetry
 #include <cmath>
 #include <iostream>
 
@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   flags.algo = false;
   flags.shots = true;
   flags.shots_default = 1000;
-  flags.batch = true;
   SearchSpec spec = api::parse_search_spec(
       cli, flags, "grk", /*default_qubits=*/48, /*default_kbits=*/3,
       /*default_target=*/pow2(48) / 3 + 5);

@@ -5,7 +5,7 @@
 // partial searcher, running ~25% fewer queries, decays slower.
 //
 //   ./build/examples/noisy_search --qubits 9
-//   ./build/examples/noisy_search --qubits 32 --backend symmetry --batch 0
+//   ./build/examples/noisy_search --qubits 32 --backend symmetry
 #include <iostream>
 #include <vector>
 
@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   api::SpecFlagSet flags;
   flags.algo = false;
-  flags.batch = true;
   flags.noise = true;
   flags.noise_default = "depolarizing";
   flags.seed_default = 99;
@@ -60,9 +59,7 @@ int main(int argc, char** argv) {
     // comes from the documented low-level driver.
     const oracle::Database db(spec.n_items, spec.target());
     Rng rng(spec.seed);
-    partial::NoisyOptions options;
-    options.backend = spec.backend;
-    options.batch = spec.batch;
+    const partial::NoisyOptions options{.backend = spec.backend};
     const auto full = partial::run_noisy_full_search_block(
         db, 2, spec.noise, trials, rng, options);
 

@@ -7,7 +7,7 @@
 //   ./build/examples/search_service --algo grk --qubits 16 --kbits 2
 //   ./build/examples/search_service --algo auto --qubits 12 --min-success 1
 //   ./build/examples/search_service --algo grk --qubits 40 --kbits 3 \
-//       --backend symmetry --shots 1000 --batch 0
+//       --backend symmetry --shots 1000
 //   ./build/examples/search_service --algo noisy --qubits 9 --kbits 2 \
 //       --noise depolarizing --noise-p 0.01 --shots 200
 #include <iostream>
@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   api::SpecFlagSet flags;
   flags.shots = true;
-  flags.batch = true;
   flags.noise = true;
   flags.schedule = true;
   SearchSpec spec = api::parse_search_spec(cli, flags);

@@ -41,8 +41,8 @@ inline unsigned block_bits(const SearchSpec& spec) {
   return log2_exact(spec.n_blocks);
 }
 
-/// Measure an evolved backend spec.shots times (fanned over spec.batch
-/// threads, streams derived from ctx.rng so the spec seed rules) and fill
+/// Measure an evolved backend spec.shots times (fanned over the thread
+/// budget, streams derived from ctx.rng so the spec seed rules) and fill
 /// the measurement fields of `report`: `measured` becomes the modal
 /// outcome, `correct` compares it against `truth`. Used by adapters for
 /// shots > 1; a single shot stays on the module's own sampling path so it
@@ -54,7 +54,8 @@ inline void measure_shots(SearchReport& report, const qsim::Backend& backend,
   if (ctx.control != nullptr) {
     ctx.control->set_work_total(ctx.spec.shots);
   }
-  const qsim::BatchRunner runner(ctx.batch_options());
+  const qsim::BatchRunner runner(
+      {.seed = ctx.rng.next(), .control = ctx.control});
   const auto shot_report =
       block_answer
           ? runner.sample_block_shots(backend, ctx.spec.shots, 0)

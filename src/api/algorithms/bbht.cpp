@@ -40,8 +40,8 @@ class BbhtAlgorithm final : public Algorithm {
     if (ctx.control != nullptr) {
       ctx.control->set_work_total(ctx.spec.shots);
     }
-    const auto r = grover::search_unknown_batch(db, ctx.spec.shots, options,
-                                                ctx.batch_options());
+    const auto r =
+        grover::search_unknown_batch(db, ctx.spec.shots, ctx.rng, options);
     report.trials = r.shots;
     report.queries = db.queries();
     report.queries_per_trial =

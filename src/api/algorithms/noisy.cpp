@@ -31,8 +31,7 @@ class NoisyAlgorithm final : public Algorithm {
     SearchReport report;
     partial::NoisyOptions options;
     options.backend = ctx.spec.backend;
-    options.batch = ctx.spec.batch;
-    options.batch.control = ctx.control;  // cancel lands within one trial
+    options.control = ctx.control;  // cancel lands within one trial
     if (ctx.spec.l1.has_value() && ctx.spec.l2.has_value()) {
       options.l1 = ctx.spec.l1;
       options.l2 = ctx.spec.l2;

@@ -48,10 +48,6 @@ SearchSpec parse_search_spec(Cli& cli, const SpecFlagSet& flags,
         "shots", static_cast<std::int64_t>(flags.shots_default),
         "measurement shots / Monte-Carlo trials"));
   }
-  if (flags.batch) {
-    spec.batch.threads = static_cast<unsigned>(cli.get_int(
-        "batch", 0, "shot fan-out threads (0 = all hardware threads)"));
-  }
   if (flags.noise) {
     spec.noise.kind = qsim::parse_noise_kind(cli.get_string(
         "noise", flags.noise_default,

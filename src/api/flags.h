@@ -21,7 +21,6 @@ struct SpecFlagSet {
   /// user-passed flag.
   bool target = true;
   bool shots = false;   ///< --shots
-  bool batch = false;   ///< --batch
   bool noise = false;   ///< --noise / --noise-p
   bool schedule = false;  ///< --l1 / --l2 / --min-success
   /// Default channel when --noise is declared ("none", or "depolarizing"

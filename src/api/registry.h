@@ -38,19 +38,13 @@ struct RunContext {
   /// Cancel + progress handle, or nullptr for an untracked run. Adapters
   /// checkpoint() between stages and hand it to their shot loops
   /// (BatchOptions::control), so cancellation lands mid-sweep, not after.
+  /// Shot loops take no thread count: they fan over the running thread's
+  /// budget (qsim::thread_budget()).
   qsim::RunControl* control = nullptr;
 
   /// Throws CancelledError iff the request was cancelled. Call between
   /// expensive stages (after planning, before evolution, before sampling).
   void checkpoint() const { qsim::checkpoint(control); }
-  /// spec.batch with this run's control + a seed drawn from the run RNG —
-  /// the BatchOptions every adapter shot fan-out should use.
-  qsim::BatchOptions batch_options() const {
-    qsim::BatchOptions batch = spec.batch;
-    batch.seed = rng.next();
-    batch.control = control;
-    return batch;
-  }
 };
 
 /// One registered algorithm. Adapters are stateless (all run state lives in

@@ -59,10 +59,6 @@ void SearchSpec::validate_knobs() const {
                 "n_blocks must divide n_items");
   PQS_CHECK_MSG(shots >= 1, "need at least one shot");
   PQS_CHECK_MSG(min_success <= 1.0, "min_success above 1 is unsatisfiable");
-  PQS_CHECK_MSG(batch.control == nullptr,
-                "a RunControl attaches at run time (Engine::run / "
-                "Service::submit), never inside a SearchSpec — specs stay "
-                "pure data so they can be hashed, cached, and serialized");
   noise.validate();
 }
 

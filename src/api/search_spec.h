@@ -3,9 +3,13 @@
 // Every algorithm in this repository answers one parameterized question —
 // "where is the marked item (or its block)?" — yet each module historically
 // exposed its own Options/Result structs re-declaring the same backend /
-// batch / noise / seed knobs. SearchSpec is the single request type that
-// subsumes them: describe the database, what you want to know, and how to
-// run, then hand it to pqs::Engine. SearchReport is the unified response.
+// noise / seed knobs. SearchSpec is the single request type that subsumes
+// them: describe the database, what you want to know, and how to run, then
+// hand it to pqs::Engine. SearchReport is the unified response.
+//
+// A spec carries no thread count: the answer depends on (spec, seed) alone,
+// and every shot fan-out runs on its calling thread's budget
+// (qsim/parallel.h), so a request cannot size a team.
 //
 // A spec is pure data (no oracle callbacks into user code except the
 // optional merit predicate, which the engine materializes into a marked set
@@ -20,7 +24,6 @@
 #include <vector>
 
 #include "qsim/backend.h"
-#include "qsim/batch.h"
 #include "qsim/noise.h"
 #include "qsim/types.h"
 
@@ -51,9 +54,8 @@ struct SearchSpec {
   /// of {marked, predicate} must be set. Bounded to kMaxPredicateItems.
   std::function<bool(qsim::Index)> predicate;
 
-  // -- the shared engine knobs (PR 2's flags, now spec fields) --
+  // -- the shared engine knobs (api/flags.h spells them as CLI flags) --
   qsim::BackendKind backend = qsim::BackendKind::kAuto;
-  qsim::BatchOptions batch;  ///< thread fan-out; seed derives from `seed`
   qsim::NoiseModel noise;    ///< per-query channel (only "noisy" accepts it)
   std::uint64_t seed = 2005; ///< the ONE seed: all randomness derives here
 
@@ -70,7 +72,7 @@ struct SearchSpec {
 
   /// Measurement shots / Monte-Carlo trials. 1 = a single measured run
   /// (bit-identical to the direct module call); > 1 fans shots or trials
-  /// across threads per `batch` where the algorithm supports it.
+  /// across the running thread's budget where the algorithm supports it.
   std::uint64_t shots = 1;
 
   /// Largest N a predicate spec may scan.

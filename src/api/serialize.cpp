@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -41,10 +43,9 @@ void check_known_keys(const Json& json, std::span<const std::string_view> known,
 namespace {
 
 /// THE field list of a spec, in sorted key order (the writer relies on it;
-/// the tree sorts anyway). "threads" comes last and only with
-/// `with_threads`: the coalescing digest leaves it out.
+/// the tree sorts anyway).
 template <class Visitor>
-void visit_fields(const SearchSpec& spec, bool with_threads, Visitor& visit) {
+void visit_fields(const SearchSpec& spec, Visitor& visit) {
   PQS_CHECK_MSG(!spec.predicate,
                 "a predicate spec cannot be serialized (the predicate is "
                 "code); materialize it via resolve_marked() first");
@@ -64,9 +65,6 @@ void visit_fields(const SearchSpec& spec, bool with_threads, Visitor& visit) {
   visit("noise_p", spec.noise.probability);
   visit("seed", spec.seed);
   visit("shots", spec.shots);
-  if (with_threads) {
-    visit("threads", std::uint64_t{spec.batch.threads});
-  }
 }
 
 /// THE field list of a report, in sorted key order.
@@ -159,13 +157,13 @@ struct Writer {
 
 Json to_json(const SearchSpec& spec) {
   TreeBuilder tree;
-  visit_fields(spec, /*with_threads=*/true, tree);
+  visit_fields(spec, tree);
   return std::move(tree.json);
 }
 
 void write_json(const SearchSpec& spec, std::string& out) {
   Writer writer{out};
-  visit_fields(spec, /*with_threads=*/true, writer);
+  visit_fields(spec, writer);
   writer.close();
 }
 
@@ -184,8 +182,9 @@ SearchSpec spec_from_json(const Json& json) {
   if (json.has("backend")) {
     spec.backend = qsim::parse_backend_kind(json.at("backend").as_string());
   }
+  // Checked, then ignored: older journals carry "threads":0 in each spec.
   if (json.has("threads")) {
-    spec.batch.threads = static_cast<unsigned>(json.at("threads").as_uint());
+    static_cast<void>(json.at("threads").as_uint());
   }
   if (json.has("noise")) {
     spec.noise.kind = qsim::parse_noise_kind(json.at("noise").as_string());
@@ -201,6 +200,19 @@ SearchSpec spec_from_json(const Json& json) {
   if (json.has("l2")) spec.l2 = json.at("l2").as_uint();
   if (json.has("shots")) spec.shots = json.at("shots").as_uint();
   return spec;
+}
+
+int priority_from_json(const Json& value) {
+  constexpr double kMin = std::numeric_limits<int>::min();
+  constexpr double kMax = std::numeric_limits<int>::max();
+  const double priority = value.as_double();
+  // The bounds are the halves std::llround would carry out of int range;
+  // NaN fails both comparisons.
+  PQS_CHECK_MSG(priority > kMin - 0.5 && priority < kMax + 0.5,
+                "\"priority\" " + value.dump() + " is outside [" +
+                    std::to_string(std::numeric_limits<int>::min()) + ", " +
+                    std::to_string(std::numeric_limits<int>::max()) + "]");
+  return static_cast<int>(std::llround(priority));
 }
 
 Json to_json(const SearchReport& report) {
@@ -270,26 +282,12 @@ std::string digest_hex(std::string_view bytes) {
 
 }  // namespace
 
-void CanonicalSpec::write_spec(std::string& out) const {
-  PQS_CHECK_MSG(json.size() >= 2 && json.back() == '}',
-                "CanonicalSpec::write_spec needs canonicalize's bytes");
-  out.append(json, 0, json.size() - 1);
-  out += R"(,"threads":)";
-  Json::dump_uint(spec.batch.threads, out);
-  out += '}';
-}
-
 CanonicalSpec canonicalize(const SearchSpec& spec) {
   spec.validate_knobs();
   CanonicalSpec canonical{spec, {}, {}};
   canonical.spec.marked = spec.resolve_marked();  // the one predicate scan
   canonical.spec.predicate = nullptr;
-  // Thread fan-out does not change the answer: per-shot RNG streams derive
-  // from (seed, shot index) alone, so any thread count yields the identical
-  // report and specs differing only there should coalesce.
-  Writer writer{canonical.json};
-  visit_fields(canonical.spec, /*with_threads=*/false, writer);
-  writer.close();
+  write_json(canonical.spec, canonical.json);
   // Digest rather than the dump itself: a materialized marked set can be
   // huge, and the key is stored per job / per cache entry and compared on
   // every submit. 128 bits keeps accidental collisions out of reach.

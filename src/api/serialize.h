@@ -36,8 +36,14 @@ namespace pqs::api {
 Json to_json(const SearchSpec& spec);
 
 /// JSON object -> spec. Missing keys take SearchSpec's defaults; unknown
-/// keys throw, naming the key.
+/// keys throw, naming the key. A uint "threads" is admitted and ignored.
 SearchSpec spec_from_json(const Json& json);
+
+/// A job priority from its JSON number (a uint, or a double below the
+/// default), rounded to nearest with halves away from zero. Throws
+/// CheckFailure naming "priority" when the rounded value is not an int.
+/// The wire's submit header and the journal's accepted record both use it.
+int priority_from_json(const Json& value);
 
 /// Report -> JSON object (every field, including the timing split).
 Json to_json(const SearchReport& report);
@@ -53,21 +59,14 @@ SearchReport report_from_json(const Json& json);
 /// A spec in canonical form and its coalescing identity.
 struct CanonicalSpec {
   SearchSpec spec;  ///< marked materialized sorted-unique, predicate cleared
-  /// 128-bit digest (32 hex chars) of the canonical dump of every field
-  /// that determines the result — which excludes batch threads (shot
-  /// streams derive from (seed, shot), so any thread count yields identical
-  /// reports). Two specs with equal keys produce byte-identical
-  /// SearchReports (modulo timing), which is what lets the Service hand one
-  /// execution's report to every attached caller.
+  /// 128-bit digest (32 hex chars) of `json`. A spec holds every field that
+  /// determines the result and nothing else, so two specs with equal keys
+  /// produce byte-identical SearchReports (modulo timing), which is what
+  /// lets the Service hand one execution's report to every attached caller.
   std::string key;
-  /// The digest input: the canonical JSON of `spec` without "threads".
-  /// "threads" sorts after every other key, so the spec's full JSON is
-  /// these bytes with one member appended (write_spec).
+  /// The digest input: write_json(spec)'s bytes, which the journal's
+  /// `accepted` record embeds as they are.
   std::string json;
-
-  /// Append write_json(spec)'s bytes, built from `json` (the spec is not
-  /// serialized again).
-  void write_spec(std::string& out) const;
 };
 
 /// The one admission check of a spec: validate_knobs, then resolve_marked

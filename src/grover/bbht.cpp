@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "qsim/batch.h"
 
 namespace pqs::grover {
 
@@ -91,9 +92,8 @@ BbhtResult search_unknown(const oracle::MarkedDatabase& db, Rng& rng,
 }
 
 BbhtBatchReport search_unknown_batch(const oracle::MarkedDatabase& db,
-                                     std::uint64_t shots,
-                                     const BbhtOptions& options,
-                                     const qsim::BatchOptions& batch) {
+                                     std::uint64_t shots, Rng& rng,
+                                     const BbhtOptions& options) {
   check_options(db, options);
   PQS_CHECK_MSG(shots > 0, "need at least one shot");
   // Resolve the engine BEFORE the fan-out: a CheckFailure thrown inside an
@@ -103,7 +103,8 @@ BbhtBatchReport search_unknown_batch(const oracle::MarkedDatabase& db,
     resolved = qsim::resolve_backend(options.backend, bbht_spec(db));
   }
 
-  const qsim::BatchRunner runner(batch);
+  const qsim::BatchRunner runner(
+      {.seed = rng.next(), .control = options.control});
   std::vector<std::uint64_t> queries(shots);
   std::vector<std::uint64_t> rounds(shots);
   std::vector<char> found(shots);

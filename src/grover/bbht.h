@@ -10,7 +10,8 @@
 // K = 1 with the database's marked set, so the symmetry engine applies to
 // ANY marked set — the whole database is one block — and huge-N runs are
 // exact and cheap. Independent restarts (the Monte-Carlo estimator of the
-// expected query count) fan across OpenMP threads via search_unknown_batch.
+// expected query count) fan across the calling thread's budget
+// (qsim/parallel.h) via search_unknown_batch.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,7 @@
 #include "common/random.h"
 #include "oracle/marked_set.h"
 #include "qsim/backend.h"
-#include "qsim/batch.h"
+#include "qsim/run_control.h"
 
 namespace pqs::grover {
 
@@ -42,7 +43,7 @@ struct BbhtOptions {
   qsim::BackendKind backend = qsim::BackendKind::kAuto;
   /// Optional cancel handle: the generate-and-test loop checks it per round
   /// and a cancelled search throws CancelledError (in the batched form the
-  /// remaining restarts are skipped too, via BatchOptions::control).
+  /// remaining restarts are skipped too).
   qsim::RunControl* control = nullptr;
 };
 
@@ -61,14 +62,14 @@ struct BbhtBatchReport {
   double mean_rounds = 0.0;      ///< average generate-and-test rounds
 };
 
-/// Fan `shots` independent search_unknown runs across OpenMP threads with
-/// per-shot RNG streams (deterministic in batch.seed for any thread count).
-/// Each shot owns its backend and query counter; the database meter advances
-/// by the batch total once the fan-out completes.
+/// Fan `shots` independent search_unknown runs across the calling thread's
+/// budget with per-shot RNG streams, all seeded by one draw from `rng`
+/// (deterministic in the caller's seed for any thread count). Each shot
+/// owns its backend and query counter; the database meter advances by the
+/// batch total once the fan-out completes.
 BbhtBatchReport search_unknown_batch(const oracle::MarkedDatabase& db,
-                                     std::uint64_t shots,
-                                     const BbhtOptions& options = {},
-                                     const qsim::BatchOptions& batch = {});
+                                     std::uint64_t shots, Rng& rng,
+                                     const BbhtOptions& options = {});
 
 /// Expected query count ~ (per BBHT Theorem 3) at most 9/2 sqrt(N/M) for
 /// M >= 1 marked items; exposed for the tests that check the measured mean.

@@ -1,6 +1,5 @@
 #include "net/session.h"
 
-#include <cmath>
 #include <optional>
 
 #include "api/serialize.h"
@@ -97,12 +96,9 @@ Request parse_request_header(const Json& request) {
     throw CheckFailure("\"" + op + "\" requires a non-empty \"id\"");
   }
   if (parsed.op == Request::Op::kSubmit) {
-    // as_double accepts both wire number kinds; negative priorities
-    // (below-default urgency) are valid ints but parse as doubles.
-    parsed.priority =
-        request.has("priority")
-            ? static_cast<int>(std::llround(request.at("priority").as_double()))
-            : 0;
+    parsed.priority = request.has("priority")
+                          ? api::priority_from_json(request.at("priority"))
+                          : 0;
   }
   return parsed;
 }

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "partial/optimizer.h"
+#include "qsim/batch.h"
 
 namespace pqs::partial {
 
@@ -35,9 +36,9 @@ NoisyRunResult run_trials(
     qsim::require_noise_support(resolved, spec, what);
   }
 
-  qsim::BatchOptions batch = options.batch;
-  batch.seed = rng.next();  // one draw per run: the caller's seed rules
-  const qsim::BatchRunner runner(batch);
+  // One draw per run: the caller's seed rules.
+  const qsim::BatchRunner runner(
+      {.seed = rng.next(), .control = options.control});
 
   const qsim::Index target_block =
       spec.marked.front() / (spec.n_items / spec.n_blocks);

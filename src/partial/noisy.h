@@ -10,10 +10,11 @@
 // Trajectories run on qsim::Backend (NoisyOptions::backend): the dense
 // engine samples exact Pauli trajectories, the symmetry engine evolves
 // per-class noise moments (see qsim/backend.h), which pushes noise sweeps
-// past the 30-qubit dense ceiling. Trials fan across OpenMP threads via
-// qsim::BatchRunner with per-shot RNG streams, so results are reproducible
-// for any thread count; each trial counts its queries locally and the
-// database meter advances by exactly trials * queries_per_trial.
+// past the 30-qubit dense ceiling. Trials fan across the calling thread's
+// budget (qsim/parallel.h) via qsim::BatchRunner with per-shot RNG streams
+// seeded by one draw from the caller's Rng, so results are reproducible for
+// any thread count; each trial counts its queries locally and the database
+// meter advances by exactly trials * queries_per_trial.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,8 @@
 #include "common/stats.h"
 #include "oracle/database.h"
 #include "qsim/backend.h"
-#include "qsim/batch.h"
 #include "qsim/noise.h"
+#include "qsim/run_control.h"
 
 namespace pqs::partial {
 
@@ -35,9 +36,9 @@ struct NoisyOptions {
   /// run follows qsim::resolve_backend. Unsupported combinations fail
   /// loudly before any trial runs.
   qsim::BackendKind backend = qsim::BackendKind::kAuto;
-  /// Shot fan-out (thread count). The seed field is ignored: per-shot
-  /// streams derive from the caller's Rng so one seed controls the run.
-  qsim::BatchOptions batch;
+  /// Optional cancel/progress handle: a cancelled run skips its remaining
+  /// trials and throws CancelledError; each finished trial counts one unit.
+  qsim::RunControl* control = nullptr;
   /// Explicit Step-1/Step-2 iteration counts for the partial searcher.
   /// When absent, the finite-N integer optimum with floor 1 - 1/sqrt(N) is
   /// computed — itself an O(sqrt(N) * sqrt(N/K)) model search, so sweeps

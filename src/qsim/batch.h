@@ -48,8 +48,7 @@ struct BatchOptions {
   /// Optional cancel/progress handle: map_shots checks it per shot (a
   /// cancelled fan-out skips its remaining shots and throws CancelledError
   /// after the loop joins) and advances work_done once per completed shot.
-  /// Never part of a SearchSpec — the Engine/Service attach it at run time
-  /// (SearchSpec::validate_knobs enforces null).
+  /// Never part of a SearchSpec — the Engine/Service attach it at run time.
   RunControl* control = nullptr;
 };
 

@@ -120,7 +120,7 @@ void Journal::write_record(std::string_view framed) {
 std::string Journal::accepted_record(const api::CanonicalSpec& canonical,
                                      int priority) const {
   std::string record = accepted_head(priority, canonical.json.size());
-  canonical.write_spec(record);
+  record += canonical.json;
   close_accepted(opened_at_.nanos(), record);
   return record;
 }
@@ -187,15 +187,6 @@ void Journal::bind_metrics(obs::MetricsRegistry& registry) {
 
 namespace {
 
-int parse_priority(const Json& value) {
-  // Mirrors the wire convention (net/session.cpp): non-negative priorities
-  // are uints, below-default urgency travels as a (double) number.
-  if (value.is_uint()) {
-    return static_cast<int>(value.as_uint());
-  }
-  return static_cast<int>(value.as_double());
-}
-
 JobStatus parse_terminal_status(const std::string& name) {
   if (name == "done") {
     return JobStatus::kDone;
@@ -242,7 +233,7 @@ RecoveredJournal Journal::recover_text(std::string_view text) {
         JournalRecord entry;
         entry.id = id;
         entry.priority = record.has("priority")
-                             ? parse_priority(record.at("priority"))
+                             ? api::priority_from_json(record.at("priority"))
                              : 0;
         entry.t_ns = record.has("t_ns") ? record.at("t_ns").as_uint() : 0;
         entry.spec = api::spec_from_json(record.at("spec"));

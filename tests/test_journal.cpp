@@ -340,6 +340,24 @@ TEST(JournalRecoveryTest, ForeignBytesBecomeWarningsNeverExceptions) {
   EXPECT_EQ(r.warnings.size(), 4u);
 }
 
+TEST(JournalRecoveryTest, OutOfRangePriorityLineIsSkippedAsCorrupt) {
+  const std::string spec =
+      R"("spec":{"algorithm":"grover","marked":[9],"n_items":64,"seed":1})";
+  const RecoveredJournal r = Journal::recover_text(
+      R"({"id":1,"journal":"accepted","priority":3000000000,)" + spec +
+      "}\n" + R"({"id":2,"journal":"accepted","priority":-4,)" + spec +
+      "}\n" + R"({"id":3,"journal":"accepted","priority":1e300,)" + spec +
+      "}\n");
+  EXPECT_EQ(r.accepted, 1u);
+  ASSERT_EQ(r.pending.size(), 1u);
+  EXPECT_EQ(r.pending[0].id, 2u);
+  EXPECT_EQ(r.pending[0].priority, -4);
+  ASSERT_EQ(r.warnings.size(), 2u);
+  for (const std::string& warning : r.warnings) {
+    EXPECT_NE(warning.find("\"priority\""), std::string::npos) << warning;
+  }
+}
+
 TEST(JournalRecoveryTest, RecordIdsContinueAcrossReopen) {
   TempDir dir;
   {
@@ -726,6 +744,52 @@ TEST(ReplayTest, EqualKeysExecuteOnceAndLandOneFreshRecord) {
   EXPECT_EQ(state().executions.load(), 2u);
   EXPECT_EQ(Journal::recover_file(dir.wal()).accepted, 2u);
   EXPECT_FALSE(std::filesystem::exists(Journal::recovering_path(dir.wal())));
+}
+
+TEST(ReplayTest, RecordsWithAThreadCountReplayExactlyOnce) {
+  // Journals written while specs carried a thread count: every accepted
+  // spec ends in "threads":0. Job 1 completed, job 2 did not.
+  const std::string legacy =
+      R"({"id":1,"journal":"accepted","priority":0,"spec":{)"
+      R"("algorithm":"counting","backend":"auto","marked":[9],)"
+      R"("min_success":0.0,"n_blocks":1,"n_items":64,"noise":"none",)"
+      R"("noise_p":0.0,"seed":61,"shots":1,"threads":0},"t_ns":5})"
+      "\n"
+      R"({"id":1,"journal":"completed","status":"cancelled"})"
+      "\n"
+      R"({"id":2,"journal":"accepted","priority":0,"spec":{)"
+      R"("algorithm":"counting","backend":"auto","marked":[9],)"
+      R"("min_success":0.0,"n_blocks":1,"n_items":64,"noise":"none",)"
+      R"("noise_p":0.0,"seed":62,"shots":1,"threads":0},"t_ns":6})"
+      "\n";
+  state().reset();
+  TempDir dir;
+  std::ofstream(dir.wal(), std::ios::binary) << legacy;
+  Journal::Opened opened = Journal::recover_and_open(dir.wal(),
+                                                     JournalSync::kNone);
+  EXPECT_TRUE(opened.recovered.warnings.empty());
+  ASSERT_EQ(opened.recovered.pending.size(), 1u);
+  EXPECT_EQ(opened.recovered.pending[0].spec.seed, 62u);
+  {
+    Service service({.threads = 1, .journal = opened.journal},
+                    test_registry());
+    const service::ReplayOutcome outcome =
+        service::replay_pending(service, opened.recovered.pending);
+    EXPECT_EQ(outcome.resubmitted, 1u);
+    for (const JobHandle& handle : outcome.handles) {
+      EXPECT_EQ(handle.wait(), JobStatus::kDone);
+    }
+    opened.journal->sync();
+    Journal::finish_recovery(dir.wal());
+  }
+  EXPECT_EQ(state().executions.load(), 1u);
+  // The fresh record is the same spec without the thread count, and it is
+  // settled: a second restart replays nothing.
+  const RecoveredJournal after = Journal::recover_file(dir.wal());
+  ASSERT_EQ(after.accepted_records.size(), 1u);
+  EXPECT_EQ(spec_dump(after.accepted_records[0].spec),
+            spec_dump(test_spec("counting", 62)));
+  EXPECT_TRUE(after.pending.empty());
 }
 
 TEST(ReplayTest, FullQueueIsWaitedOutNeverDropped) {

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -525,6 +526,38 @@ TEST(NetWireTest, StatsNeedsNoIdButSubmitDoes) {
   const Json error = client.next_ack();
   EXPECT_EQ(error.at("event").as_string(), "error");
   EXPECT_NE(error.at("message").as_string().find("requires a non-empty"),
+            std::string::npos);
+  server.stop();
+}
+
+TEST(NetWireTest, PriorityOutsideIntRangeIsAnError) {
+  const auto priority_of = [](const std::string& priority) {
+    return net::parse_request(R"({"op":"submit","id":"p","priority":)" +
+                              priority + R"(,"spec":{}})")
+        .priority;
+  };
+  // In range: rounded to nearest, halves away from zero.
+  EXPECT_EQ(priority_of("2147483647"), std::numeric_limits<int>::max());
+  EXPECT_EQ(priority_of("-2147483648"), std::numeric_limits<int>::min());
+  EXPECT_EQ(priority_of("2147483647.4"), std::numeric_limits<int>::max());
+  EXPECT_EQ(priority_of("2.5"), 3);
+  EXPECT_EQ(priority_of("-2.5"), -3);
+  // Out of range: an error, never a wrapped or clamped urgency.
+  for (const char* huge : {"3000000000", "1e300", "2147483648",
+                           "2147483647.5", "-2147483649", "-1e300"}) {
+    EXPECT_THROW(priority_of(huge), CheckFailure) << huge;
+  }
+
+  reset_driver_state();
+  Service service({.threads = 1}, net_test_registry());
+  net::NetServer server(service, {.listen = {"127.0.0.1", 0}});
+  server.start();
+  TestClient client(server.port());
+  client.send(R"({"op":"submit","id":"p","priority":3000000000,)"
+              R"("spec":{"algorithm":"grover","n_items":64,"marked":[5]}})");
+  const Json error = client.next_ack();
+  EXPECT_EQ(error.at("event").as_string(), "error");
+  EXPECT_NE(error.at("message").as_string().find("\"priority\""),
             std::string::npos);
   server.stop();
 }

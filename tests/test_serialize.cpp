@@ -92,7 +92,6 @@ SearchSpec random_spec(Rng& rng) {
     spec.marked.push_back(rng.uniform_below(spec.n_items));
   }
   spec.backend = static_cast<qsim::BackendKind>(rng.uniform_below(3));
-  spec.batch.threads = static_cast<unsigned>(rng.uniform_below(8));
   spec.noise.kind = static_cast<qsim::NoiseKind>(rng.uniform_below(4));
   spec.noise.probability = static_cast<double>(rng.uniform_below(1000)) / 1e4;
   spec.seed = rng.next();  // any uint64, including > 2^53
@@ -113,7 +112,6 @@ void expect_specs_equal(const SearchSpec& a, const SearchSpec& b) {
   EXPECT_EQ(a.n_blocks, b.n_blocks);
   EXPECT_EQ(a.marked, b.marked);
   EXPECT_EQ(a.backend, b.backend);
-  EXPECT_EQ(a.batch.threads, b.batch.threads);
   EXPECT_EQ(a.noise.kind, b.noise.kind);
   EXPECT_EQ(a.noise.probability, b.noise.probability);
   EXPECT_EQ(a.seed, b.seed);
@@ -276,7 +274,7 @@ TEST(WriterTest, NonFiniteDoublesThrowLikeTheTreeDump) {
   EXPECT_THROW((void)written(spec), CheckFailure);
 }
 
-TEST(WriterTest, CanonicalBytesAreTheSpecWithoutThreads) {
+TEST(WriterTest, CanonicalBytesAreTheSpecBytes) {
   Rng rng(77);
   int canonical = 0;
   for (int iteration = 0; iteration < 300; ++iteration) {
@@ -288,12 +286,8 @@ TEST(WriterTest, CanonicalBytesAreTheSpecWithoutThreads) {
       continue;  // a random spec may not validate (duplicate marks)
     }
     ++canonical;
-    Json without_threads = api::to_json(c->spec);
-    without_threads.as_object().erase("threads");
-    ASSERT_EQ(c->json, without_threads.dump());
-    std::string full;
-    c->write_spec(full);
-    ASSERT_EQ(full, written(c->spec));
+    ASSERT_EQ(c->json, written(c->spec));
+    ASSERT_EQ(c->json, api::to_json(c->spec).dump());
   }
   EXPECT_GT(canonical, 100);
 }
@@ -331,7 +325,6 @@ TEST(JournalRecordTest, AcceptedRecordsEqualTheTreeDump) {
           .string();
   std::remove(path.c_str());
   SearchSpec spec = SearchSpec::single_target(4096, 4, 2731);
-  spec.batch.threads = 3;
   spec.l1 = 2;
   const std::vector<int> priorities = {-3, 0, 7};
   {
@@ -391,19 +384,31 @@ TEST(CanonicalKeyTest, KeysArePinned) {
   noisy.l1 = 2;
   noisy.l2 = 15;
   noisy.min_success = 0.5;
-  noisy.batch.threads = 3;
   noisy.backend = qsim::BackendKind::kDense;
   EXPECT_EQ(api::canonicalize(noisy).key, "90600271812588c75ce3863bab377e97");
 }
 
-TEST(CanonicalKeyTest, ThreadFanOutDoesNotChangeTheKey) {
-  SearchSpec a = SearchSpec::single_target(4096, 4, 2731);
-  SearchSpec b = a;
-  b.batch.threads = 16;  // different execution shape, identical answer
-  EXPECT_EQ(api::canonicalize(a).key, api::canonicalize(b).key);
+TEST(CanonicalKeyTest, LegacyThreadsFieldIsIgnored) {
+  // Journals written while specs carried a thread count hold "threads" in
+  // every accepted spec: it parses, then leaves no trace in the bytes or
+  // the key. Parsing runs nothing, so a huge count starts no thread.
+  const std::string fields =
+      R"("algorithm":"grk","marked":[2731],"n_blocks":4,"n_items":4096,)"
+      R"("seed":7,"shots":20000)";
+  const SearchSpec plain = api::spec_from_json(Json::parse("{" + fields + "}"));
+  const SearchSpec legacy = api::spec_from_json(
+      Json::parse("{" + fields + R"(,"threads":4096})"));
+  EXPECT_EQ(written(legacy), written(plain));
+  EXPECT_EQ(written(legacy).find("threads"), std::string::npos);
+  EXPECT_EQ(api::canonicalize(legacy).key, api::canonicalize(plain).key);
+  // Still checked: a thread count that is not a uint is malformed.
+  EXPECT_THROW(api::spec_from_json(
+                   Json::parse("{" + fields + R"(,"threads":-1})")),
+               CheckFailure);
 
-  b.seed = a.seed + 1;  // different answer stream
-  EXPECT_NE(api::canonicalize(a).key, api::canonicalize(b).key);
+  SearchSpec reseeded = plain;
+  reseeded.seed = plain.seed + 1;  // different answer stream
+  EXPECT_NE(api::canonicalize(reseeded).key, api::canonicalize(plain).key);
 }
 
 TEST(CanonicalKeyTest, PredicateAndExplicitMarkedSetCoalesce) {

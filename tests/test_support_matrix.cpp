@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/math.h"
@@ -23,6 +24,7 @@
 #include "partial/noisy.h"
 #include "partial/optimizer.h"
 #include "partial/twelve.h"
+#include "qsim/parallel.h"
 #include "reduction/reduction.h"
 #include "reference_kernels.h"
 
@@ -30,6 +32,17 @@ namespace pqs {
 namespace {
 
 using qsim::BackendKind;
+
+/// run() under a thread budget of 1, then under the default budget (which
+/// stays restored afterwards): a shot fan-out takes its team from there.
+template <class Run>
+auto serial_and_fanned(Run&& run) {
+  qsim::set_thread_budget(1);
+  auto serial = run();
+  qsim::set_thread_budget(0);
+  auto fanned = run();
+  return std::pair{std::move(serial), std::move(fanned)};
+}
 
 class BackendMatrix : public ::testing::TestWithParam<BackendKind> {};
 
@@ -84,25 +97,33 @@ TEST_P(BackendMatrix, BbhtBatchedMeanWithinTheoremBound) {
   const oracle::MarkedDatabase db(1024, {11, 222, 333});
   grover::BbhtOptions options;
   options.backend = GetParam();
-  db.reset_queries();
-  const auto report = grover::search_unknown_batch(db, 200, options,
-                                                   {.threads = 0, .seed = 7});
-  EXPECT_EQ(report.shots, 200u);
-  EXPECT_GE(report.found, 198u);
-  EXPECT_LT(report.mean_queries, grover::bbht_expected_queries_bound(1024, 3));
-  // The database meter advanced by exactly the batch total.
-  EXPECT_NEAR(static_cast<double>(db.queries()),
-              report.mean_queries * 200.0, 0.5);
+  const auto [serial, fanned] = serial_and_fanned([&] {
+    db.reset_queries();
+    Rng rng(7);
+    const auto report = grover::search_unknown_batch(db, 200, rng, options);
+    // The database meter advanced by exactly the batch total.
+    EXPECT_NEAR(static_cast<double>(db.queries()),
+                report.mean_queries * 200.0, 0.5);
+    return report;
+  });
+  for (const auto& report : {serial, fanned}) {
+    EXPECT_EQ(report.shots, 200u);
+    EXPECT_GE(report.found, 198u);
+    EXPECT_LT(report.mean_queries,
+              grover::bbht_expected_queries_bound(1024, 3));
+  }
+  EXPECT_EQ(serial.found, fanned.found);
+  EXPECT_DOUBLE_EQ(serial.mean_queries, fanned.mean_queries);
 }
 
 TEST_P(BackendMatrix, BbhtBatchedIsDeterministicAcrossThreadCounts) {
   const oracle::MarkedDatabase db(512, {99});
   grover::BbhtOptions options;
   options.backend = GetParam();
-  const auto serial = grover::search_unknown_batch(db, 64, options,
-                                                   {.threads = 1, .seed = 5});
-  const auto fanned = grover::search_unknown_batch(db, 64, options,
-                                                   {.threads = 0, .seed = 5});
+  const auto [serial, fanned] = serial_and_fanned([&] {
+    Rng rng(5);
+    return grover::search_unknown_batch(db, 64, rng, options);
+  });
   EXPECT_EQ(serial.found, fanned.found);
   EXPECT_DOUBLE_EQ(serial.mean_queries, fanned.mean_queries);
   EXPECT_DOUBLE_EQ(serial.mean_rounds, fanned.mean_rounds);
@@ -189,17 +210,11 @@ TEST_P(BackendMatrix, NoisyPartialCleanRunMatchesGrk) {
 TEST_P(BackendMatrix, NoisyTrialsAreDeterministicAcrossThreadCounts) {
   const oracle::Database db = oracle::Database::with_qubits(8, 99);
   const qsim::NoiseModel model{qsim::NoiseKind::kDepolarizing, 0.02};
-  partial::NoisyOptions serial;
-  serial.backend = GetParam();
-  serial.batch.threads = 1;
-  partial::NoisyOptions fanned;
-  fanned.backend = GetParam();
-  fanned.batch.threads = 0;
-  Rng rng_a(11), rng_b(11);
-  const auto a = partial::run_noisy_partial_search(db, 2, model, 200, rng_a,
-                                                   serial);
-  const auto b = partial::run_noisy_partial_search(db, 2, model, 200, rng_b,
-                                                   fanned);
+  const partial::NoisyOptions options{.backend = GetParam()};
+  const auto [a, b] = serial_and_fanned([&] {
+    Rng rng(11);
+    return partial::run_noisy_partial_search(db, 2, model, 200, rng, options);
+  });
   EXPECT_DOUBLE_EQ(a.success_rate, b.success_rate);
   EXPECT_DOUBLE_EQ(a.mean_injected, b.mean_injected);
 }
